@@ -16,6 +16,7 @@ arguments), 2 runtime failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -56,7 +57,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _load(args) -> Scenario:
     scenario = load_scenario(args.config)
     if args.seed is not None:
-        scenario.master_seed = int(args.seed)
+        # rebuilt, not assigned, so the override is validated too
+        scenario = dataclasses.replace(scenario, master_seed=args.seed)
     return scenario
 
 

@@ -5,6 +5,11 @@ are synthesized up front from fixed per-channel seed streams, photon shot
 noise is drawn in fixed-size chunks with per-chunk seeds, and worker
 threads only parallelize over those chunks, so results are byte-identical
 for any ``threads`` value.
+
+Schemes are computed per group: A and B share one window record (echo
+populations at the constant final phase and one photon draw, on B's
+shot-noise stream), and C and D share one (alternating final phases, on
+D's stream).  Requesting A or C next to B or D costs only the extraction.
 """
 
 from __future__ import annotations
@@ -21,6 +26,10 @@ from .scenario import Scenario, RunManifest, CHUNK_SIZE
 
 #: seed-stream offset separating the short shot-only reference run
 SIGMA1_STREAM_OFFSET = 100
+#: schemes extracted from one window record, keyed by the scheme whose
+#: shot-noise stream the record draws on; the first member reads ``S_A``,
+#: the second ``S_B`` (pair-differenced when the group is paired)
+SCHEME_GROUPS = {"B": ("A", "B"), "D": ("C", "D")}
 
 
 # ---------------------------------------------------------------------------
@@ -71,31 +80,9 @@ def _laser_window_noise(scenario: Scenario, n: int):
     return trace.value_at(t1), trace.value_at(t2)
 
 
-def _scheme_final_phases(scenario: Scenario, scheme: str, n: int):
-    s = scenario.sequence
-    if SCHEME_SEQUENCES[scheme] == 1:
-        return np.full(n, s.final_phase)
-    phases = np.empty(n)
-    phases[0::2] = s.final_phase
-    phases[1::2] = s.alternate_final_phase
-    return phases
-
-
-def _scheme_populations(scenario: Scenario, scheme: str, dg, df,
-                        ac_field=None) -> np.ndarray:
-    seq = _evaluation_sequence(scenario)
-    phases = _scheme_final_phases(scenario, scheme, len(np.atleast_1d(dg)))
-    return sequences.echo_populations(
-        seq, scenario.hamiltonian, dg, df,
-        field=ac_field if ac_field is not None else scenario.ac_field,
-        decay=scenario.decay,
-        final_phase=phases,
-        m_i_values=scenario.sequence.m_i_values(),
-        substeps_per_period=scenario.sequence.substeps_per_period)
-
-
-def _balance_populations(scenario: Scenario, scheme: str) -> np.ndarray:
-    """Noise-free working-point populations used to balance the reference."""
+def _balance_populations(scenario: Scenario) -> np.ndarray:
+    """Noise-free working-point populations at the two final phases, used
+    to balance the reference."""
     seq = _evaluation_sequence(scenario)
     s = scenario.sequence
     out = []
@@ -109,17 +96,11 @@ def _balance_populations(scenario: Scenario, scheme: str) -> np.ndarray:
     return np.asarray(out)
 
 
-def _sample_scheme_series(scenario: Scenario, scheme: str, populations,
-                          eps_pair, stream: int, threads: int = 1,
-                          balance=None) -> ReadoutSeries:
-    """Chunk-seeded window-level sampling of one scheme's readout series."""
+def _sample_window_record(scenario: Scenario, populations, eps_pair,
+                          balance, stream: int, threads: int):
+    """Chunk-seeded window-level ``(S_A, S_B)`` of every sequence."""
     cfg = scenario.readout
     n = populations.size
-    if balance is None:
-        balance = _balance_populations(scenario, scheme)
-    balance_per_seq = np.where(np.arange(n) % 2 == 0, balance[0], balance[1]) \
-        if SCHEME_SEQUENCES[scheme] == 2 else np.full(n, balance[0])
-
     bounds = [(i, slice(i * CHUNK_SIZE, min((i + 1) * CHUNK_SIZE, n)))
               for i in range((n + CHUNK_SIZE - 1) // CHUNK_SIZE)]
 
@@ -129,25 +110,57 @@ def _sample_scheme_series(scenario: Scenario, scheme: str, populations,
         eps = (None if eps_pair[0] is None else eps_pair[0][sl],
                None if eps_pair[1] is None else eps_pair[1][sl])
         return readout.sequence_signals(populations[sl], cfg, rng, eps,
-                                        balance_per_seq[sl])
+                                        balance[sl])
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             parts = list(pool.map(work, bounds))
     else:
         parts = [work(c) for c in bounds]
-    s_a = np.concatenate([p[0] for p in parts])
-    s_b = np.concatenate([p[1] for p in parts])
+    return (np.concatenate([p[0] for p in parts]),
+            np.concatenate([p[1] for p in parts]))
 
-    if scheme == "A":
-        values, spacing = s_a, cfg.sequence_time
-    elif scheme == "B":
-        values, spacing = s_b, cfg.sequence_time
-    elif scheme == "C":
-        values, spacing = readout.pair_difference(s_a), 2 * cfg.sequence_time
-    else:
-        values, spacing = readout.pair_difference(s_b), 2 * cfg.sequence_time
-    return ReadoutSeries(values, spacing, scheme)
+
+def _scheme_series(scenario: Scenario, dg, df, eps_pair,
+                   stream_offset: int = 0, threads: int = 1,
+                   ac_field=None) -> dict:
+    """Readout series of every requested scheme, keyed in scenario order.
+
+    Each scheme group is drawn once: one window record (populations and
+    shot noise) per group, on the stream of the group's referenced scheme
+    plus ``stream_offset``.  A and B are the ``S_A`` and ``S_B`` of one
+    constant-final-phase record; C and D pair-difference those of one
+    alternating-final-phase record.  B and D therefore never depend on
+    whether A or C are requested.
+    """
+    s = scenario.sequence
+    n = len(dg)
+    series = {}
+    for stream_scheme, members in SCHEME_GROUPS.items():
+        if not any(m in scenario.schemes for m in members):
+            continue
+        paired = SCHEME_SEQUENCES[stream_scheme] == 2
+        # index into (final_phase, alternate_final_phase) per sequence
+        parity = np.arange(n) % 2 if paired else np.zeros(n, dtype=np.int64)
+        populations = sequences.echo_populations(
+            _evaluation_sequence(scenario), scenario.hamiltonian, dg, df,
+            field=ac_field if ac_field is not None else scenario.ac_field,
+            decay=scenario.decay,
+            final_phase=np.array([s.final_phase,
+                                  s.alternate_final_phase])[parity],
+            m_i_values=s.m_i_values(),
+            substeps_per_period=s.substeps_per_period)
+        balance = _balance_populations(scenario)[parity]
+        s_a, s_b = _sample_window_record(
+            scenario, populations, eps_pair, balance,
+            SCHEME_STREAMS[stream_scheme] + stream_offset, threads)
+        spacing = (2 if paired else 1) * scenario.readout.sequence_time
+        for scheme, values in zip(members, (s_a, s_b)):
+            if scheme in scenario.schemes:
+                if paired:
+                    values = readout.pair_difference(values)
+                series[scheme] = ReadoutSeries(values, spacing, scheme)
+    return {scheme: series[scheme] for scheme in scenario.schemes}
 
 
 def field_response(scenario: Scenario, scheme: str) -> float:
@@ -205,20 +218,16 @@ def run_ac_sweep(scenario: Scenario, amplitudes, out_dir=None,
     phase_time = scenario.sequence.phase_time
     gamma_e = scenario.hamiltonian.gamma_e
     means = {scheme: np.empty(amplitudes.size) for scheme in scenario.schemes}
-    chunks_per_amp = (n + CHUNK_SIZE - 1) // CHUNK_SIZE
 
     for k, amp in enumerate(amplitudes):
         sl = slice(k * n, (k + 1) * n)
-        ac = sequences.locked_field(amp, phase_time)
         eps = tuple(None if e is None else e[sl] for e in eps_all)
-        for scheme in scenario.schemes:
-            p = _scheme_populations(scenario, scheme, dg_all[sl], df_all[sl],
-                                    ac_field=ac)
-            series = _sample_scheme_series(
-                scenario, scheme, p, eps,
-                stream=SCHEME_STREAMS[scheme] + 1000 * (k + 1),
-                threads=threads)
-            means[scheme][k] = series.values.mean()
+        series = _scheme_series(
+            scenario, dg_all[sl], df_all[sl], eps,
+            stream_offset=1000 * (k + 1), threads=threads,
+            ac_field=sequences.locked_field(amp, phase_time))
+        for scheme, s in series.items():
+            means[scheme][k] = s.values.mean()
 
     # fit mean = offset + A * sin(phi(B)) per scheme
     phi = sequences.analytic_echo_phase(amplitudes, phase_time, gamma_e)
@@ -274,11 +283,8 @@ def run_scaling_experiment(scenario: Scenario, out_dir=None,
     dg, df = _mw_error_samples(scenario, n)
     eps = _laser_window_noise(scenario, n)
     out = {}
-    for scheme in scenario.schemes:
-        p = _scheme_populations(scenario, scheme, dg, df)
-        series = _sample_scheme_series(scenario, scheme, p, eps,
-                                       stream=SCHEME_STREAMS[scheme],
-                                       threads=threads)
+    for scheme, series in _scheme_series(scenario, dg, df, eps,
+                                         threads=threads).items():
         grid = analysis.default_time_grid(series.values.size, series.spacing)
         out[scheme] = SchemeScaling(
             series=series,
@@ -406,15 +412,11 @@ def run_noise_budget(scenario: Scenario, out_dir=None,
                                                          window, f_top)
 
     # shot-noise-only reference deviation per evaluation
-    sigma1 = {}
     n_ref = n_reference + (n_reference % 2)
-    for scheme in scenario.schemes:
-        p = _scheme_populations(scenario, scheme, np.zeros(n_ref),
-                                np.zeros(n_ref))
-        series = _sample_scheme_series(
-            scenario, scheme, p, (None, None),
-            stream=SCHEME_STREAMS[scheme] + SIGMA1_STREAM_OFFSET)
-        sigma1[scheme] = float(series.values.std(ddof=1))
+    series = _scheme_series(scenario, np.zeros(n_ref), np.zeros(n_ref),
+                            (None, None), stream_offset=SIGMA1_STREAM_OFFSET)
+    sigma1 = {scheme: float(s.values.std(ddof=1))
+              for scheme, s in series.items()}
 
     result = BudgetResult(freqs, raw, filtered, sigma1, slopes)
     if out_dir is not None:

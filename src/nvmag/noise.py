@@ -38,11 +38,12 @@ class PsdModel:
     def __post_init__(self):
         if self.channel not in CHANNELS:
             raise ValueError(f"unknown noise channel {self.channel!r}")
-        if self.white < 0:
-            raise ValueError("white PSD level must be non-negative")
+        if not math.isfinite(self.white) or self.white < 0:
+            raise ValueError("white PSD level must be finite and non-negative")
         for amp, alpha in self.flicker:
-            if amp < 0:
-                raise ValueError("flicker amplitude must be non-negative")
+            if not math.isfinite(amp) or amp < 0:
+                raise ValueError("flicker amplitude must be finite and "
+                                 "non-negative")
             if not 0.0 <= alpha <= 2.0:
                 raise ValueError("flicker exponent must lie in [0, 2]")
         if not self.f_min < self.f_max:
@@ -53,8 +54,13 @@ class PsdModel:
         """Evaluate the PSD on an array of frequencies (Hz)."""
         f = np.atleast_1d(np.asarray(freqs, dtype=float))
         out = np.full(f.shape, self.white, dtype=float)
+        term = np.empty_like(out)
         for amp, alpha in self.flicker:
-            out = out + np.where(f > 0, amp / np.maximum(f, 1e-150) ** alpha, 0.0)
+            np.maximum(f, 1e-150, out=term)
+            term **= alpha
+            np.divide(amp, term, out=term)
+            term[f <= 0] = 0.0
+            out += term
         out[(f < self.f_min) | (f > self.f_max) | (f <= 0.0)] = 0.0
         if np.isscalar(freqs):
             return float(out[0])
@@ -92,6 +98,8 @@ class TabulatedPsd:
         v = np.asarray(self.values, dtype=float)
         if f.ndim != 1 or f.shape != v.shape or f.size < 2:
             raise ValueError("tabulated PSD needs matching 1-d frequency/value arrays")
+        if not (np.all(np.isfinite(f)) and np.all(np.isfinite(v))):
+            raise ValueError("tabulated PSD entries must be finite")
         if np.any(np.diff(f) <= 0):
             raise ValueError("tabulated PSD frequencies must increase")
         if np.any(v < 0):
@@ -128,10 +136,14 @@ class NoiseTrace:
         return self.samples.size * self.dt
 
     def value_at(self, times) -> np.ndarray:
-        """Nearest-sample lookup, clipped to the trace extent."""
-        idx = np.clip(np.round(np.asarray(times) / self.dt).astype(np.int64),
-                      0, self.samples.size - 1)
-        return self.samples[idx]
+        """Nearest-sample lookup; raises ``ValueError`` when a time's
+        nearest sample lies outside the trace."""
+        pos = np.round(np.asarray(times, dtype=float) / self.dt)
+        # written so that a NaN time fails the check as well
+        if pos.size and not (pos.min() >= 0
+                             and pos.max() <= self.samples.size - 1):
+            raise ValueError("times outside the trace extent")
+        return self.samples[pos.astype(np.int64)]
 
 
 def synthesize_trace(model, duration: float, dt: float, seed) -> NoiseTrace:
@@ -150,12 +162,17 @@ def synthesize_trace(model, duration: float, dt: float, seed) -> NoiseTrace:
         raise ValueError("duration must cover at least two samples")
     n = int(round(duration / dt))
     rng = np.random.default_rng(seed)
-    white = rng.standard_normal(n)
-    spectrum = np.fft.rfft(white)
-    freqs = np.fft.rfftfreq(n, dt)
-    scale = np.sqrt(model.density(freqs) / (2.0 * dt))
+    # in place throughout: the white draw, the frequency grid and the
+    # scale are freed as soon as they are used, which bounds peak memory
+    # on long traces without changing a bit of the result
+    spectrum = np.fft.rfft(rng.standard_normal(n))
+    scale = model.density(np.fft.rfftfreq(n, dt))
+    scale /= 2.0 * dt
+    np.sqrt(scale, out=scale)
     scale[0] = 0.0
-    samples = np.fft.irfft(spectrum * scale, n)
+    spectrum *= scale
+    del scale
+    samples = np.fft.irfft(spectrum, n)
     return NoiseTrace(samples, dt, getattr(model, "channel", ""), seed)
 
 

@@ -23,7 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-SCHEME_STREAMS = {"A": 10, "B": 11, "C": 12, "D": 13}
+#: shot-noise seed stream per scheme group: A and B are read from one
+#: record drawn on B's stream, C and D from one drawn on D's
+SCHEME_STREAMS = {"B": 11, "D": 13}
 #: per-scheme spin-response multiplier relative to one scheme-B window pair
 SCHEME_RESPONSE = {"A": 1.0, "B": 1.0, "C": 2.0, "D": 2.0}
 #: evaluations per extracted value (C/D consume two sequences)
@@ -67,6 +69,11 @@ class ReadoutConfig:
     reference_enabled: bool = True
 
     def __post_init__(self):
+        values = (self.photon_rate, self.contrast, self.repolarization_time,
+                  self.bin_width, self.reference_ratio, self.laser_time,
+                  self.window_time, self.sequence_time)
+        if not all(math.isfinite(v) for v in values):
+            raise ValueError("readout parameters must be finite")
         if self.photon_rate <= 0:
             raise ValueError("photon rate must be positive")
         if not 0.0 < self.contrast < 1.0:
@@ -256,7 +263,7 @@ def extract_signal(record: ReadoutRecord, scheme: str, cfg: ReadoutConfig,
                    balance_population: float = 0.5) -> float:
     """Window-weighted scalar signal of one scheme, normalized by
     ``photon_rate * window_time``."""
-    if scheme not in SCHEME_STREAMS:
+    if scheme not in SCHEME_SEQUENCES:
         raise ValueError(f"unknown scheme {scheme!r}")
     need = SCHEME_SEQUENCES[scheme]
     if record.signal.shape[0] < need:

@@ -8,8 +8,9 @@ unit suffixes on every physical key (``_s``, ``_Hz``, ``_T``, ``_cps``,
 
 Seeding: every stochastic stream derives its own ``SeedSequence`` from
 the master seed and a fixed stream offset (noise channels 1-3, photon
-shot noise 4 with per-scheme and per-chunk keys), so results never
-depend on scheme order, chunking or worker count.
+shot noise 4 with per-scheme-group and per-chunk keys), so results never
+depend on scheme order, chunking or worker count.  Schemes A and B share
+one shot-noise draw (on B's stream), and C and D share one (on D's).
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ import numpy as np
 import yaml
 
 from .noise import PsdModel, TabulatedPsd, CHANNELS
-from .readout import ReadoutConfig
-from .sequences import AcField, CoherenceDecay
+from .readout import ReadoutConfig, SCHEME_SEQUENCES
+from .sequences import AcField, CoherenceDecay, field_evaluation
 from .spin import HamiltonianParams
 from . import io as _io
 
@@ -57,6 +58,10 @@ class SequenceSettings:
     substeps_per_period: int = 256
 
     def __post_init__(self):
+        values = (self.phase_time, self.sequence_time, self.rabi,
+                  self.final_phase, self.alternate_final_phase)
+        if not all(math.isfinite(v) for v in values):
+            raise ConfigError("sequence settings must be finite")
         if self.phase_time <= 0 or self.sequence_time <= 0 or self.rabi <= 0:
             raise ConfigError("sequence times and Rabi frequency must be positive")
         if self.phase_time > self.sequence_time:
@@ -91,11 +96,23 @@ class Scenario:
     def __post_init__(self):
         if not self.name:
             raise ConfigError("scenario name must be non-empty")
+        if self.master_seed < 0:
+            raise ConfigError("master_seed must be non-negative")
         if self.n_sequences < 2:
             raise ConfigError("n_sequences must be at least 2")
+        if not self.schemes:
+            raise ConfigError("at least one scheme required")
         for s in self.schemes:
-            if s not in "ABCD":
-                raise ConfigError(f"unknown scheme {s!r}")
+            if s not in SCHEME_SEQUENCES:
+                raise ConfigError(f"unknown scheme {s!r}; expected one of "
+                                  f"{', '.join(SCHEME_SEQUENCES)}")
+        if len(set(self.schemes)) != len(self.schemes):
+            raise ConfigError("schemes must not repeat")
+        values = [self.n_centres, self.total_time]
+        values += [v for v in (self.sigma1, self.response_amplitude)
+                   if v is not None]
+        if not all(math.isfinite(v) for v in values):
+            raise ConfigError("ensemble and analysis values must be finite")
         if any(s in ("C", "D") for s in self.schemes) and self.n_sequences % 2:
             raise ConfigError("paired schemes need an even n_sequences")
         for channel in self.noise:
@@ -104,6 +121,12 @@ class Scenario:
         if self.readout.sequence_time != self.sequence.sequence_time:
             raise ConfigError("readout and sequence block disagree on "
                               "sequence_time")
+        seq = self.sequence
+        try:  # the pulses, free evolutions and laser must fit one sequence
+            field_evaluation(seq.phase_time, seq.rabi, seq.final_phase,
+                             self.readout.laser_time, seq.sequence_time)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
     def noise_model(self, channel: str):
         return self.noise.get(channel)

@@ -91,6 +91,9 @@ class AcField:
     phase: float = 0.0         # rad
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for v in (self.amplitude, self.frequency,
+                                               self.phase)):
+            raise ValueError("AC field parameters must be finite")
         if self.frequency <= 0:
             raise ValueError("field frequency must be positive")
 
@@ -111,6 +114,8 @@ class CoherenceDecay:
     exponent: float = 1.0
 
     def __post_init__(self):
+        if not (math.isfinite(self.t2) and math.isfinite(self.exponent)):
+            raise ValueError("decay parameters must be finite")
         if self.t2 <= 0:
             raise ValueError("coherence time must be positive")
 

@@ -28,6 +28,25 @@ class TestValidate:
     def test_no_subcommand(self, capsys):
         assert main([]) == 1
 
+    @pytest.mark.parametrize("schemes, rate", [("[AB]", "1.0e+12"),
+                                               ("[B, B]", "1.0e+12"),
+                                               ("[B]", ".nan")])
+    def test_runner_failures_exit_1(self, tmp_path, schemes, rate):
+        path = tmp_path / "bad.yaml"
+        path.write_text("name: bad\n"
+                        f"schemes: {schemes}\n"
+                        "sequence: {phase_time_s: 5.0e-5, sequence_time_s: 1.6e-4}\n"
+                        f"readout: {{photon_rate_cps: {rate}}}\n")
+        assert main(["validate", "--config", str(path)]) == 1
+        assert main(["scaling", "--config", str(path),
+                     "--out", str(tmp_path / "run")]) == 1
+
+    def test_negative_seed_override_exits_1(self, tmp_path):
+        out = tmp_path / "run"
+        assert main(["scaling", "--config", SCENARIO, "--out", str(out),
+                     "--seed", "-1"]) == 1
+        assert not out.exists()
+
     def test_invalid_config_value(self, tmp_path, capsys):
         path = tmp_path / "bad.yaml"
         path.write_text("name: ''\n"

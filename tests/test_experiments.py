@@ -173,3 +173,66 @@ class TestNoiseBudget:
         assert np.all(res.filtered["mw_amplitude"] <= res.sigma1["B"])
         # while the raw budget exceeds it at low frequency
         assert res.raw["mw_amplitude"].max() > res.sigma1["B"]
+
+
+NOISY = {
+    "laser_intensity": {"flicker": [[1e-12, 2.0]], "f_min_Hz": 1e-2,
+                        "f_max_Hz": 5e4},
+    "mw_amplitude": {"flicker": [[6.8e-9, 1.0]], "f_min_Hz": 1e-3,
+                     "f_max_Hz": 6250.0},
+}
+
+
+class TestSchemeGroups:
+    """A/B share one window record on B's stream, C/D one on D's."""
+
+    @pytest.mark.parametrize("alone, grouped", [(["B"], ["A", "B"]),
+                                                (["D"], ["C", "D"])])
+    def test_referenced_scheme_ignores_its_partner(self, alone, grouped):
+        scheme = alone[0]
+        runs = [make_scenario(n_sequences=2048, schemes=schemes, noise=NOISY)
+                for schemes in (alone, grouped)]
+        scaling = [experiments.run_scaling_experiment(s) for s in runs]
+        npt.assert_array_equal(scaling[0].schemes[scheme].series.values,
+                               scaling[1].schemes[scheme].series.values)
+        sweeps = [experiments.run_ac_sweep(s, [0.0, 5e-8]) for s in runs]
+        npt.assert_array_equal(sweeps[0].means[scheme],
+                               sweeps[1].means[scheme])
+        budgets = [experiments.run_noise_budget(s, n_reference=512)
+                   for s in runs]
+        assert budgets[0].sigma1[scheme] == budgets[1].sigma1[scheme]
+
+    def test_one_draw_per_group_feeds_both_schemes(self, monkeypatch):
+        from nvmag import readout
+        draws = []
+        original = readout.sequence_signals
+
+        def recording(*args, **kwargs):
+            draws.append(original(*args, **kwargs))
+            return draws[-1]
+
+        monkeypatch.setattr(readout, "sequence_signals", recording)
+        s = make_scenario(n_sequences=2048, schemes=["A", "B", "C", "D"],
+                          noise=NOISY)
+        res = experiments.run_scaling_experiment(s).schemes
+        assert len(draws) == 2       # one chunk per group
+        (a_single, b_single), (a_paired, b_paired) = draws
+        npt.assert_array_equal(res["A"].series.values, a_single)
+        npt.assert_array_equal(res["B"].series.values, b_single)
+        npt.assert_array_equal(res["C"].series.values,
+                               a_paired[0::2] - a_paired[1::2])
+        npt.assert_array_equal(res["D"].series.values,
+                               b_paired[0::2] - b_paired[1::2])
+        assert list(res) == ["A", "B", "C", "D"]
+
+    def test_all_schemes_deterministic_across_threads(self, tmp_path):
+        # three chunks per group, so the pool has work to reorder
+        s = make_scenario(n_sequences=2 * experiments.CHUNK_SIZE + 4096,
+                          schemes=["D", "A", "C", "B"], noise=NOISY)
+        digests = []
+        for run, threads in (("t1", 1), ("t4", 4)):
+            res = experiments.run_scaling_experiment(
+                s, out_dir=tmp_path / run, threads=threads)
+            digests.append({p.name: _io.file_digest(p) for p in res.outputs})
+        assert len(digests[0]) == 12
+        assert digests[0] == digests[1]

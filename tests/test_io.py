@@ -1,0 +1,53 @@
+import math
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
+
+from nvmag import io as _io
+
+#: every finite magnitude (subnormals included), signed zeros, NaN and
+#: +-inf, with the extremes of the decade range drawn often
+FLOATS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, 1e-300, -1e-300, 1e300, -1e300,
+                     math.nan, math.inf, -math.inf]),
+)
+INTS = st.integers(-(2 ** 63), 2 ** 63 - 1)
+#: block edges of the writer plus small tables
+ROWS = st.one_of(st.sampled_from([0, 1, 4095, 4096, 4097]),
+                 st.integers(0, 20))
+
+
+@st.composite
+def tables(draw):
+    n = draw(ROWS)
+    cols = []
+    for _ in range(draw(st.integers(1, 4))):
+        if draw(st.booleans()):
+            cols.append(draw(hnp.arrays(np.float64, n, elements=FLOATS)))
+        else:
+            cols.append(draw(hnp.arrays(np.int64, n, elements=INTS)))
+    return cols
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.data_too_large,
+                                 HealthCheck.too_slow])
+@given(cols=tables())
+def test_write_table_matches_savetxt_bytes(cols, tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("table")
+    header = [f"col{i}_s" for i in range(len(cols))]
+    path = _io.write_table(tmp / "fast.csv", header, cols)
+    np.savetxt(tmp / "ref.csv", np.column_stack(cols), delimiter=",",
+               header=",".join(header), comments="", fmt="%.12g")
+    assert path.read_bytes() == (tmp / "ref.csv").read_bytes()
+
+
+def test_write_table_rejects_mismatched_columns(tmp_path):
+    with pytest.raises(ValueError, match="one header entry"):
+        _io.write_table(tmp_path / "t.csv", ["x"], [np.zeros(2), np.zeros(2)])
+    with pytest.raises(ValueError, match="share one length"):
+        _io.write_table(tmp_path / "t.csv", ["x", "y"],
+                        [np.zeros(2), np.zeros(3)])

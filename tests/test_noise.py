@@ -105,7 +105,13 @@ class TestSynthesis:
 
     def test_value_at_lookup(self):
         tr = NoiseTrace(np.arange(10.0), dt=0.5)
-        npt.assert_allclose(tr.value_at([0.0, 0.6, 100.0]), [0.0, 1.0, 9.0])
+        npt.assert_allclose(tr.value_at([0.0, 0.6, 4.7]), [0.0, 1.0, 9.0])
+
+    @pytest.mark.parametrize("t", [-0.3, 4.8, 100.0, np.nan])
+    def test_value_at_outside_trace_raises(self, t):
+        tr = NoiseTrace(np.arange(10.0), dt=0.5)
+        with pytest.raises(ValueError, match="outside the trace"):
+            tr.value_at([1.0, t])
 
 
 class TestEstimatePsd:

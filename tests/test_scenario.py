@@ -97,6 +97,47 @@ class TestValidation:
         with pytest.raises(ConfigError):
             scenario_from_mapping(m)
 
+    # each of these once passed validation and then failed a runner
+    @pytest.mark.parametrize("section, key, value", [
+        (None, "schemes", ["AB"]),
+        (None, "schemes", [""]),
+        (None, "schemes", ["B", "B"]),
+        (None, "schemes", []),
+        ("readout", "photon_rate_cps", float("nan")),
+        ("decay", "t2_s", float("nan")),
+        (None, "master_seed", -1),
+        ("sequence", "rabi_Hz", 1e3),
+        ("sequence", "sequence_time_s", 120e-6),
+    ], ids=["substring-scheme", "empty-scheme", "duplicate-scheme",
+            "no-scheme", "nan-photon-rate", "nan-t2", "negative-seed",
+            "pulses-too-long", "laser-overruns-sequence"])
+    def test_runner_failures_are_config_errors(self, section, key, value):
+        m = copy.deepcopy(MINIMAL)
+        m["decay"] = {"t2_s": 100e-6}
+        (m if section is None else m[section])[key] = value
+        with pytest.raises(ConfigError):
+            scenario_from_mapping(m)
+
+    @pytest.mark.parametrize("section, key", [
+        ("sequence", "final_phase_rad"),
+        ("readout", "repolarization_time_s"),
+        ("decay", "exponent"),
+        ("ensemble", "n_centres"),
+        ("analysis", "sigma1"),
+    ])
+    def test_non_finite_values_rejected(self, section, key):
+        m = copy.deepcopy(MINIMAL)
+        m["decay"] = {"t2_s": 100e-6}
+        m.setdefault(section, {})[key] = float("inf")
+        with pytest.raises(ConfigError, match="finite"):
+            scenario_from_mapping(m)
+
+    def test_non_finite_noise_level_rejected(self):
+        m = copy.deepcopy(MINIMAL)
+        m["noise"] = {"laser_intensity": {"white": float("nan")}}
+        with pytest.raises(ConfigError, match="finite"):
+            scenario_from_mapping(m)
+
 
 class TestRoundTrip:
     def test_serialize_parse_is_idempotent(self, baseline_scenario):
