@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 TWO_PI = 2.0 * math.pi
 
@@ -184,27 +183,15 @@ def optimal_phase_time(t2: float, decay_exponent: float = 1.0) -> float:
     """Free-evolution time minimizing the projection limit.
 
     In the back-to-back limit the bound scales as
-    ``exp((T/t2)**k) / sqrt(T)``; for ``k = 1`` the minimum is exactly
-    ``t2 / 2``, otherwise it is found numerically to 1e-6 relative.
+    ``exp((T/t2)**k) / sqrt(T)``, whose log-derivative
+    ``k T**(k-1) / t2**k - 1/(2T)`` vanishes at ``T = t2 (2k)**(-1/k)``:
+    exactly ``t2 / 2`` for ``k = 1``.
     """
     if t2 <= 0:
         raise ValueError("coherence time must be positive")
     if decay_exponent <= 0:
         raise ValueError("decay exponent must be positive")
-    if decay_exponent == 1.0:
-        return t2 / 2.0
-
-    def objective(log_t):
-        t = math.exp(log_t)
-        return (t / t2) ** decay_exponent - 0.5 * math.log(t)
-
-    res = optimize.minimize_scalar(
-        objective,
-        bounds=(math.log(t2 * 1e-3), math.log(t2 * 1e2)),
-        method="bounded",
-        options={"xatol": 1e-9},
-    )
-    return float(math.exp(res.x))
+    return t2 * (2.0 * decay_exponent) ** (-1.0 / decay_exponent)
 
 
 def fit_log_slope(curve: ScalingCurve, t_min: float, t_max: float):

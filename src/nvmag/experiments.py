@@ -90,8 +90,7 @@ def _balance_populations(scenario: Scenario) -> np.ndarray:
         p = sequences.echo_populations(
             seq, scenario.hamiltonian, 0.0, 0.0,
             field=scenario.ac_field, decay=scenario.decay, final_phase=phase,
-            m_i_values=s.m_i_values(),
-            substeps_per_period=s.substeps_per_period)
+            m_i_values=s.m_i_values())
         out.append(float(p[0]))
     return np.asarray(out)
 
@@ -148,8 +147,7 @@ def _scheme_series(scenario: Scenario, dg, df, eps_pair,
             decay=scenario.decay,
             final_phase=np.array([s.final_phase,
                                   s.alternate_final_phase])[parity],
-            m_i_values=s.m_i_values(),
-            substeps_per_period=s.substeps_per_period)
+            m_i_values=s.m_i_values())
         balance = _balance_populations(scenario)[parity]
         s_a, s_b = _sample_window_record(
             scenario, populations, eps_pair, balance,

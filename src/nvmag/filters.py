@@ -28,6 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .noise import cumulative_rss_descending
+
 SCHEMES = ("A", "B", "C", "D")
 
 
@@ -154,27 +156,17 @@ def filter_scheme_for_channel(scheme: str, channel: str) -> str:
     return {"A": "A", "B": "A", "C": "C", "D": "C"}[scheme]
 
 
-def filtered_cumulative_noise(freqs, density, window: IntegrationWindow,
-                              f_low: float) -> np.ndarray:
-    """Cumulative filtered noise ``sqrt(int S(f') Xhat(2 pi f')^2 df')``.
+def filtered_cumulative_noise_descending(freqs, density,
+                                         window: IntegrationWindow,
+                                         f_high: float) -> np.ndarray:
+    """Cumulative filtered noise ``sqrt(int_f^f_high S(f') Xhat(2 pi f')^2 df')``.
 
     The filter is normalized by the window gain so the curve shares units
-    with the raw cumulative noise of the channel.  Returned on the input
-    grid, zero below ``f_low``, monotone above it.
+    with the raw cumulative noise of the channel
+    (:func:`nvmag.noise.cumulative_rss_descending`).  Returned on the
+    input grid, zero above ``f_high``.
     """
     freqs = np.asarray(freqs, dtype=float)
     density = np.asarray(density, dtype=float)
     x_hat = filter_transmission_numeric(window, 2.0 * math.pi * freqs) / window.gain
-    from .noise import cumulative_rss_curve
-    return cumulative_rss_curve(freqs, density * x_hat**2, f_low)
-
-
-def filtered_cumulative_noise_descending(freqs, density,
-                                         window: IntegrationWindow,
-                                         f_high: float) -> np.ndarray:
-    """Downward-integrated variant of :func:`filtered_cumulative_noise`."""
-    freqs = np.asarray(freqs, dtype=float)
-    density = np.asarray(density, dtype=float)
-    x_hat = filter_transmission_numeric(window, 2.0 * math.pi * freqs) / window.gain
-    from .noise import cumulative_rss_descending
     return cumulative_rss_descending(freqs, density * x_hat**2, f_high)

@@ -38,15 +38,6 @@ def write_table(path, header: list[str], columns) -> Path:
     return path
 
 
-def read_table(path):
-    """Read a table written by :func:`write_table`; returns (header, data)."""
-    path = Path(path)
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    return header, data
-
-
 def read_psd_table(path):
     """Two-column (frequency_Hz, density) spectrum file, comma or
     whitespace delimited; '#' comments and one header row are allowed."""

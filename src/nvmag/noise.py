@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal as _signal
 
 CHANNELS = ("laser_intensity", "mw_amplitude", "mw_frequency")
 
@@ -179,49 +178,22 @@ def synthesize_trace(model, duration: float, dt: float, seed) -> NoiseTrace:
 def estimate_psd(trace: NoiseTrace, segment_length: int):
     """Averaged (Welch, Hann-windowed, non-overlapping) periodogram.
 
-    Returns ``(freqs, density)`` with the one-sided convention matching
-    :class:`PsdModel`.
+    Each full segment has its mean removed and is tapered by a periodic
+    Hann window; a trailing partial segment is dropped.  Returns
+    ``(freqs, density)`` with the one-sided convention matching
+    :class:`PsdModel`: interior bins are doubled, DC and (for an even
+    ``segment_length``) Nyquist are not.
     """
-    if trace.samples.size < 2 * segment_length:
+    n = segment_length
+    if trace.samples.size < 2 * n:
         raise ValueError("trace must cover at least two segments")
-    freqs, density = _signal.welch(
-        trace.samples, fs=1.0 / trace.dt, window="hann",
-        nperseg=segment_length, noverlap=0, detrend="constant")
-    return freqs, density
-
-
-def cumulative_rss(freqs, density, f_low: float, f: float) -> float:
-    """Root of the integrated density between ``f_low`` and ``f``.
-
-    The sampled density is integrated by the trapezoid rule with linear
-    interpolation at the band edges, which is exact for a white spectrum.
-    """
-    if f < f_low:
-        raise ValueError("upper frequency must not be below f_low")
-    freqs = np.asarray(freqs, dtype=float)
-    density = np.asarray(density, dtype=float)
-    if f == f_low:
-        return 0.0
-    inside = (freqs > f_low) & (freqs < f)
-    grid = np.concatenate(([f_low], freqs[inside], [f]))
-    vals = np.interp(grid, freqs, density)
-    return float(math.sqrt(np.trapezoid(vals, grid)))
-
-
-def cumulative_rss_curve(freqs, density, f_low: float) -> np.ndarray:
-    """:func:`cumulative_rss` evaluated at every grid frequency >= f_low."""
-    freqs = np.asarray(freqs, dtype=float)
-    density = np.asarray(density, dtype=float)
-    out = np.zeros(freqs.shape)
-    mask = freqs >= f_low
-    idx = np.nonzero(mask)[0]
-    if idx.size == 0:
-        return out
-    grid = np.concatenate(([f_low], freqs[idx]))
-    vals = np.interp(grid, freqs, density)
-    segments = 0.5 * (vals[1:] + vals[:-1]) * np.diff(grid)
-    out[idx] = np.sqrt(np.maximum(np.cumsum(segments), 0.0))
-    return out
+    segments = trace.samples[:trace.samples.size // n * n].reshape(-1, n)
+    segments = segments - segments.mean(axis=1, keepdims=True)
+    window = 0.5 - 0.5 * np.cos(2.0 * math.pi * np.arange(n) / n)
+    power = np.abs(np.fft.rfft(segments * window, axis=1)) ** 2
+    density = power.mean(axis=0) * trace.dt / np.sum(window ** 2)
+    density[1:(n + 1) // 2] *= 2.0
+    return np.fft.rfftfreq(n, trace.dt), density
 
 
 def cumulative_rss_descending(freqs, density, f_high: float) -> np.ndarray:

@@ -25,13 +25,14 @@ from pathlib import Path
 import numpy as np
 import yaml
 
+from . import __version__, io as _io
+from .analysis import optimal_phase_time
+from .filters import window_for_signal
 from .noise import PsdModel, TabulatedPsd, CHANNELS
 from .readout import ReadoutConfig, SCHEME_SEQUENCES
-from .sequences import AcField, CoherenceDecay, field_evaluation
+from .sequences import (AcField, CoherenceDecay, echo_populations,
+                        field_evaluation)
 from .spin import HamiltonianParams
-from . import io as _io
-
-TOOL_VERSION = "0.1.0"
 
 #: fixed seed-stream offsets per noise channel; shot noise uses
 #: (master, SHOT_STREAM, scheme_stream, chunk_index)
@@ -55,7 +56,6 @@ class SequenceSettings:
     final_phase: float = math.pi / 2
     alternate_final_phase: float = -math.pi / 2
     hyperfine_average: bool = True
-    substeps_per_period: int = 256
 
     def __post_init__(self):
         values = (self.phase_time, self.sequence_time, self.rabi,
@@ -66,8 +66,6 @@ class SequenceSettings:
             raise ConfigError("sequence times and Rabi frequency must be positive")
         if self.phase_time > self.sequence_time:
             raise ConfigError("phase_time cannot exceed sequence_time")
-        if self.substeps_per_period < 64:
-            raise ConfigError("need at least 64 field substeps per period")
 
     def m_i_values(self):
         return (-1, 0, 1) if self.hyperfine_average else (0,)
@@ -98,8 +96,6 @@ class Scenario:
             raise ConfigError("scenario name must be non-empty")
         if self.master_seed < 0:
             raise ConfigError("master_seed must be non-negative")
-        if self.n_sequences < 2:
-            raise ConfigError("n_sequences must be at least 2")
         if not self.schemes:
             raise ConfigError("at least one scheme required")
         for s in self.schemes:
@@ -108,25 +104,65 @@ class Scenario:
                                   f"{', '.join(SCHEME_SEQUENCES)}")
         if len(set(self.schemes)) != len(self.schemes):
             raise ConfigError("schemes must not repeat")
+        # the scaling curves need at least two values of every scheme
+        if self.n_sequences < 2 * max(SCHEME_SEQUENCES[s] for s in self.schemes):
+            raise ConfigError("n_sequences too small for two values per scheme")
         values = [self.n_centres, self.total_time]
         values += [v for v in (self.sigma1, self.response_amplitude)
                    if v is not None]
         if not all(math.isfinite(v) for v in values):
             raise ConfigError("ensemble and analysis values must be finite")
+        if self.n_centres <= 0 or self.total_time <= 0:
+            raise ConfigError("n_centres and total_time must be positive")
         if any(s in ("C", "D") for s in self.schemes) and self.n_sequences % 2:
             raise ConfigError("paired schemes need an even n_sequences")
         for channel in self.noise:
             if channel not in CHANNELS:
                 raise ConfigError(f"unknown noise channel {channel!r}")
-        if self.readout.sequence_time != self.sequence.sequence_time:
+        rd, seq = self.readout, self.sequence
+        if rd.sequence_time != seq.sequence_time:
             raise ConfigError("readout and sequence block disagree on "
                               "sequence_time")
-        seq = self.sequence
-        try:  # the pulses, free evolutions and laser must fit one sequence
-            field_evaluation(seq.phase_time, seq.rabi, seq.final_phase,
-                             self.readout.laser_time, seq.sequence_time)
+        try:  # the pulses, free evolutions and laser must fit one sequence,
+            # and every scheme's integration window must be resolvable
+            evaluation = field_evaluation(seq.phase_time, seq.rabi,
+                                          seq.final_phase, rd.laser_time,
+                                          seq.sequence_time)
+            for scheme in SCHEME_SEQUENCES:
+                window_for_signal(scheme, rd.laser_time, rd.window_time,
+                                  rd.sequence_time)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        # the echo must stay finite at the working point and under
+        # microwave noise excursions of ten standard deviations over the
+        # band a scaling run resolves
+        band = np.geomspace(1.0 / (self.n_sequences * seq.sequence_time),
+                            0.5 / seq.sequence_time, 64)
+        excursion = [0.0, 0.0]
+        with np.errstate(all="ignore"):  # judged by the result below
+            for k, channel in enumerate(("mw_amplitude", "mw_frequency")):
+                if channel in self.noise:
+                    excursion[k] = 10.0 * np.sqrt(np.trapezoid(
+                        self.noise[channel].density(band), band))
+            populations = echo_populations(
+                evaluation, self.hamiltonian, np.repeat([0.0, excursion[0]], 2),
+                np.repeat([0.0, excursion[1]], 2), field=self.ac_field,
+                final_phase=[seq.final_phase, seq.alternate_final_phase] * 2,
+                m_i_values=seq.m_i_values())
+        if not np.all(np.isfinite(populations)):
+            raise ConfigError("echo populations are not finite at the working "
+                              "point or under microwave noise")
+        if self.decay is not None:
+            try:  # runners scale the echo by the envelope; the sensitivity
+                # command reports the optimal phase time
+                usable = self.decay.envelope(seq.phase_time) > 0.0 and \
+                    math.isfinite(optimal_phase_time(self.decay.t2,
+                                                     self.decay.exponent))
+            except OverflowError:
+                usable = False
+            if not usable:
+                raise ConfigError("decay envelope at phase_time or optimal "
+                                  "phase time is not a positive float")
 
     def noise_model(self, channel: str):
         return self.noise.get(channel)
@@ -144,15 +180,71 @@ class Scenario:
 # mapping <-> dataclasses
 # ---------------------------------------------------------------------------
 
+#: per section, YAML key (with its unit suffix) -> dataclass field; the
+#: defaults of absent keys are the dataclass defaults
+_HAMILTONIAN_KEYS = {
+    "zero_field_splitting_Hz": "zero_field_splitting",
+    "gamma_e_Hz_per_T": "gamma_e", "gamma_n_Hz_per_T": "gamma_n",
+    "hyperfine_Hz": "hyperfine", "static_field_T": "static_field"}
+_SEQUENCE_KEYS = {
+    "phase_time_s": "phase_time", "sequence_time_s": "sequence_time",
+    "rabi_Hz": "rabi", "final_phase_rad": "final_phase",
+    "alternate_final_phase_rad": "alternate_final_phase",
+    "hyperfine_average": "hyperfine_average"}
+_DECAY_KEYS = {"t2_s": "t2", "exponent": "exponent"}
+_AC_FIELD_KEYS = {"amplitude_T": "amplitude", "frequency_Hz": "frequency",
+                  "phase_rad": "phase"}
+_READOUT_KEYS = {
+    "photon_rate_cps": "photon_rate", "contrast": "contrast",
+    "repolarization_time_s": "repolarization_time",
+    "reference_ratio": "reference_ratio", "laser_time_s": "laser_time",
+    "window_time_s": "window_time", "reference_enabled": "reference_enabled"}
+_FLAGS = ("hyperfine_average", "reference_enabled")
+_TOP_KEYS = ("name", "master_seed", "n_sequences", "schemes", "hamiltonian",
+             "sequence", "decay", "ac_field", "readout", "ensemble", "noise",
+             "analysis")
+_NOISE_KEYS = ("file", "white", "flicker", "f_min_Hz", "f_max_Hz")
+
+
 def _require(mapping: dict, key: str, context: str):
     if key not in mapping:
         raise ConfigError(f"{context}: missing required key {key!r}")
     return mapping[key]
 
 
+def _section(value, context: str, keys) -> dict:
+    """A config section as a mapping (``None`` reads as empty), rejecting
+    keys outside the schema so a misspelt or retired key fails loudly."""
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        raise ConfigError(f"{context}: expected a mapping")
+    for key in value:
+        if key not in keys:
+            raise ConfigError(f"{context}: unknown key {key!r}")
+    return value
+
+
+def _fields(value, context: str, keys: dict, required=()) -> dict:
+    """Dataclass keyword arguments of one section: floats, and real
+    booleans for the flags (``bool("no")`` would read as true)."""
+    section = _section(value, context, keys)
+    for key in required:
+        _require(section, key, context)
+    out = {}
+    for key, item in section.items():
+        if key in _FLAGS and not isinstance(item, bool):
+            raise ConfigError(f"{context}: {key} must be true or false")
+        out[keys[key]] = item if key in _FLAGS else float(item)
+    return out
+
+
 def _noise_from_mapping(channel: str, section: dict, base_dir: Path):
     if "file" in section:
-        freqs, density = _io.read_psd_table(base_dir / section["file"])
+        try:
+            freqs, density = _io.read_psd_table(base_dir / section["file"])
+        except OSError as exc:
+            raise ConfigError(f"noise {channel}: {exc}") from exc
         return TabulatedPsd(channel, tuple(freqs), tuple(density))
     flicker = tuple((float(a), float(e)) for a, e in section.get("flicker", []))
     return PsdModel(
@@ -170,55 +262,32 @@ def scenario_from_mapping(mapping: dict, base_dir: Path | str = ".") -> Scenario
         raise ConfigError("scenario file must contain a mapping at top level")
     base_dir = Path(base_dir)
     try:
-        ham = mapping.get("hamiltonian", {})
-        hamiltonian = HamiltonianParams(
-            zero_field_splitting=float(ham.get("zero_field_splitting_Hz", 2.87e9)),
-            gamma_e=float(ham.get("gamma_e_Hz_per_T", 28.7e9)),
-            gamma_n=float(ham.get("gamma_n_Hz_per_T", 3.08e6)),
-            hyperfine=float(ham.get("hyperfine_Hz", 2.16e6)),
-            static_field=float(ham.get("static_field_T", 0.0)),
-        )
-        seq = mapping.get("sequence", {})
-        sequence = SequenceSettings(
-            phase_time=float(_require(seq, "phase_time_s", "sequence")),
-            sequence_time=float(_require(seq, "sequence_time_s", "sequence")),
-            rabi=float(seq.get("rabi_Hz", 5e6)),
-            final_phase=float(seq.get("final_phase_rad", math.pi / 2)),
-            alternate_final_phase=float(
-                seq.get("alternate_final_phase_rad", -math.pi / 2)),
-            hyperfine_average=bool(seq.get("hyperfine_average", True)),
-            substeps_per_period=int(seq.get("substeps_per_period", 256)),
-        )
-        dec = mapping.get("decay")
+        _section(mapping, "scenario", _TOP_KEYS)
+        sequence = SequenceSettings(**_fields(
+            mapping.get("sequence"), "sequence", _SEQUENCE_KEYS,
+            required=("phase_time_s", "sequence_time_s")))
         decay = None
-        if dec is not None:
-            decay = CoherenceDecay(t2=float(_require(dec, "t2_s", "decay")),
-                                   exponent=float(dec.get("exponent", 1.0)))
-        ac = mapping.get("ac_field")
+        if mapping.get("decay") is not None:
+            decay = CoherenceDecay(**_fields(mapping["decay"], "decay",
+                                             _DECAY_KEYS, required=("t2_s",)))
+        ac = _fields(mapping.get("ac_field"), "ac_field", _AC_FIELD_KEYS)
         ac_field = None
-        if ac is not None and float(ac.get("amplitude_T", 0.0)) != 0.0:
-            ac_field = AcField(
-                amplitude=float(ac["amplitude_T"]),
-                frequency=float(ac.get("frequency_Hz",
-                                       1.0 / sequence.phase_time)),
-                phase=float(ac.get("phase_rad", 0.0)),
-            )
-        rd = mapping.get("readout", {})
+        if ac.get("amplitude", 0.0) != 0.0:
+            ac.setdefault("frequency", 1.0 / sequence.phase_time)
+            ac_field = AcField(**ac)
         readout = ReadoutConfig(
-            photon_rate=float(_require(rd, "photon_rate_cps", "readout")),
-            contrast=float(rd.get("contrast", 0.04)),
-            repolarization_time=float(rd.get("repolarization_time_s", 1e-6)),
-            bin_width=float(rd.get("bin_width_s", 1e-6)),
-            reference_ratio=float(rd.get("reference_ratio", 1.0)),
-            laser_time=float(rd.get("laser_time_s", 100e-6)),
-            window_time=float(rd.get("window_time_s", 10e-6)),
-            sequence_time=sequence.sequence_time,
-            reference_enabled=bool(rd.get("reference_enabled", True)),
-        )
+            **_fields(mapping.get("readout"), "readout", _READOUT_KEYS,
+                      required=("photon_rate_cps",)),
+            sequence_time=sequence.sequence_time)
         noise = {}
-        for channel, section in (mapping.get("noise") or {}).items():
-            noise[channel] = _noise_from_mapping(channel, section or {}, base_dir)
-        ana = mapping.get("analysis", {})
+        for channel, section in _section(mapping.get("noise"), "noise",
+                                         CHANNELS).items():
+            noise[channel] = _noise_from_mapping(
+                channel, _section(section, f"noise {channel}", _NOISE_KEYS),
+                base_dir)
+        ens = _section(mapping.get("ensemble"), "ensemble", ("n_centres",))
+        ana = _section(mapping.get("analysis"), "analysis",
+                       ("total_time_s", "sigma1", "response_amplitude"))
         sigma1 = ana.get("sigma1")
         response = ana.get("response_amplitude")
         scenario = Scenario(
@@ -226,22 +295,27 @@ def scenario_from_mapping(mapping: dict, base_dir: Path | str = ".") -> Scenario
             master_seed=int(mapping.get("master_seed", 1)),
             n_sequences=int(mapping.get("n_sequences", 2)),
             schemes=tuple(mapping.get("schemes", ["B", "D"])),
-            hamiltonian=hamiltonian,
+            hamiltonian=HamiltonianParams(**_fields(
+                mapping.get("hamiltonian"), "hamiltonian", _HAMILTONIAN_KEYS)),
             sequence=sequence,
             decay=decay,
             ac_field=ac_field,
             readout=readout,
             noise=noise,
-            n_centres=float(mapping.get("ensemble", {}).get("n_centres", 1.4e11)),
+            n_centres=float(ens.get("n_centres", 1.4e11)),
             total_time=float(ana.get("total_time_s", 1.0)),
             sigma1=None if sigma1 is None else float(sigma1),
             response_amplitude=None if response is None else float(response),
         )
     except ConfigError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(str(exc)) from exc
     return scenario
+
+
+def _to_section(obj, keys: dict) -> dict:
+    return {key: getattr(obj, attr) for key, attr in keys.items()}
 
 
 def scenario_to_mapping(s: Scenario) -> dict:
@@ -264,44 +338,17 @@ def scenario_to_mapping(s: Scenario) -> dict:
         "master_seed": s.master_seed,
         "n_sequences": s.n_sequences,
         "schemes": list(s.schemes),
-        "hamiltonian": {
-            "zero_field_splitting_Hz": s.hamiltonian.zero_field_splitting,
-            "gamma_e_Hz_per_T": s.hamiltonian.gamma_e,
-            "gamma_n_Hz_per_T": s.hamiltonian.gamma_n,
-            "hyperfine_Hz": s.hamiltonian.hyperfine,
-            "static_field_T": s.hamiltonian.static_field,
-        },
-        "sequence": {
-            "phase_time_s": s.sequence.phase_time,
-            "sequence_time_s": s.sequence.sequence_time,
-            "rabi_Hz": s.sequence.rabi,
-            "final_phase_rad": s.sequence.final_phase,
-            "alternate_final_phase_rad": s.sequence.alternate_final_phase,
-            "hyperfine_average": s.sequence.hyperfine_average,
-            "substeps_per_period": s.sequence.substeps_per_period,
-        },
-        "readout": {
-            "photon_rate_cps": s.readout.photon_rate,
-            "contrast": s.readout.contrast,
-            "repolarization_time_s": s.readout.repolarization_time,
-            "bin_width_s": s.readout.bin_width,
-            "reference_ratio": s.readout.reference_ratio,
-            "laser_time_s": s.readout.laser_time,
-            "window_time_s": s.readout.window_time,
-            "reference_enabled": s.readout.reference_enabled,
-        },
+        "hamiltonian": _to_section(s.hamiltonian, _HAMILTONIAN_KEYS),
+        "sequence": _to_section(s.sequence, _SEQUENCE_KEYS),
+        "readout": _to_section(s.readout, _READOUT_KEYS),
         "ensemble": {"n_centres": s.n_centres},
         "noise": noise,
         "analysis": {"total_time_s": s.total_time},
     }
     if s.decay is not None:
-        mapping["decay"] = {"t2_s": s.decay.t2, "exponent": s.decay.exponent}
+        mapping["decay"] = _to_section(s.decay, _DECAY_KEYS)
     if s.ac_field is not None:
-        mapping["ac_field"] = {
-            "amplitude_T": s.ac_field.amplitude,
-            "frequency_Hz": s.ac_field.frequency,
-            "phase_rad": s.ac_field.phase,
-        }
+        mapping["ac_field"] = _to_section(s.ac_field, _AC_FIELD_KEYS)
     if s.sigma1 is not None:
         mapping["analysis"]["sigma1"] = s.sigma1
     if s.response_amplitude is not None:
@@ -345,7 +392,7 @@ class RunManifest:
 
     scenario_hash: str
     seed: int
-    tool_version: str = TOOL_VERSION
+    tool_version: str = __version__
     started: str = ""
     finished: str = ""
     outputs: dict = field(default_factory=dict)

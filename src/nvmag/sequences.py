@@ -116,8 +116,8 @@ class CoherenceDecay:
     def __post_init__(self):
         if not (math.isfinite(self.t2) and math.isfinite(self.exponent)):
             raise ValueError("decay parameters must be finite")
-        if self.t2 <= 0:
-            raise ValueError("coherence time must be positive")
+        if self.t2 <= 0 or self.exponent <= 0:
+            raise ValueError("coherence time and exponent must be positive")
 
     def envelope(self, phase_time: float) -> float:
         return math.exp(-((phase_time / self.t2) ** self.exponent))
@@ -184,16 +184,16 @@ def population_from_phase(phi: float, final_phase: float) -> float:
 # ---------------------------------------------------------------------------
 
 def _field_integral(field: AcField | None, static_field: float,
-                    t_start: float, duration: float,
-                    substeps_per_period: int) -> float:
-    """``integral B(t) dt`` over a free evolution, by midpoint sub-stepping."""
+                    t_start: float, duration: float) -> float:
+    """Exact ``integral B(t) dt`` over a free evolution:
+    ``A/w [cos(w t0 + phi) - cos(w (t0 + d) + phi)]`` for the sine."""
     total = static_field * duration
     if field is None or field.amplitude == 0.0:
         return total
-    n = max(1, math.ceil(substeps_per_period * duration * field.frequency))
-    h = duration / n
-    t = t_start + (np.arange(n) + 0.5) * h
-    return total + float(np.sum(field.value(t))) * h
+    w = TWO_PI * field.frequency
+    return total + field.amplitude / w * (
+        math.cos(w * t_start + field.phase)
+        - math.cos(w * (t_start + duration) + field.phase))
 
 
 def echo_populations(seq: PulseSequence, params: HamiltonianParams,
@@ -202,8 +202,7 @@ def echo_populations(seq: PulseSequence, params: HamiltonianParams,
                      decay: CoherenceDecay | None = None, *,
                      final_phase=None,
                      static_field: float = 0.0,
-                     m_i_values=NUCLEAR_LEVELS,
-                     substeps_per_period: int = 256) -> np.ndarray:
+                     m_i_values=NUCLEAR_LEVELS) -> np.ndarray:
     """Vectorized two-level evaluation of ``m_S = 0`` populations.
 
     ``amplitude_error``, ``frequency_error`` (Hz) and ``final_phase`` may
@@ -245,7 +244,7 @@ def echo_populations(seq: PulseSequence, params: HamiltonianParams,
                 g, e = spin.su2_apply(b_x, b_y, b_z, element.duration, g, e)
             else:  # delay: diagonal evolution, exact given the field integral
                 b_int = _field_integral(field, static_field, t_free,
-                                        element.duration, substeps_per_period)
+                                        element.duration)
                 # excited-level energy: -2*pi*delta - gamma_rad * B(t)
                 phase_e = TWO_PI * delta * element.duration \
                     + TWO_PI * params.gamma_e * b_int
@@ -260,8 +259,7 @@ def echo_populations(seq: PulseSequence, params: HamiltonianParams,
 
 def _simulate_full(seq: PulseSequence, params: HamiltonianParams,
                    amplitude_error: float, frequency_error: float,
-                   field, decay, static_field, m_i_values,
-                   substeps_per_period: int) -> float:
+                   field, decay, static_field, m_i_values) -> float:
     state = spin.polarized_state(m_i_values)
     frame = spin.rotating_frame_diagonal(params, frequency_error)
     s_z_diag = np.real(np.diag(spin.build_operators().s_z))
@@ -280,7 +278,7 @@ def _simulate_full(seq: PulseSequence, params: HamiltonianParams,
         else:
             # diagonal free evolution; the field integral is exact here
             b_int = _field_integral(field, static_field, t_free,
-                                    element.duration, substeps_per_period)
+                                    element.duration)
             phase = frame * element.duration \
                 + TWO_PI * params.gamma_e * s_z_diag * b_int
             state = spin.QuantumState(state.amplitudes * np.exp(-1j * phase),
@@ -298,8 +296,7 @@ def simulate_sequence(seq: PulseSequence, params: HamiltonianParams,
                       decay: CoherenceDecay | None = None, *,
                       static_field: float = 0.0,
                       m_i_values=NUCLEAR_LEVELS,
-                      method: str = "two_level",
-                      substeps_per_period: int = 256) -> float:
+                      method: str = "two_level") -> float:
     """Propagate one sequence and return the final ``m_S = 0`` population.
 
     ``drive_error`` is the pair (relative amplitude error, carrier
@@ -311,12 +308,11 @@ def simulate_sequence(seq: PulseSequence, params: HamiltonianParams,
     dg, df = drive_error
     if method == "two_level":
         p = echo_populations(seq, params, dg, df, field, decay,
-                             static_field=static_field, m_i_values=m_i_values,
-                             substeps_per_period=substeps_per_period)
+                             static_field=static_field, m_i_values=m_i_values)
         return float(p[0])
     if method == "full":
         return _simulate_full(seq, params, dg, df, field, decay,
-                              static_field, m_i_values, substeps_per_period)
+                              static_field, m_i_values)
     raise ValueError(f"unknown method {method!r}")
 
 

@@ -59,8 +59,8 @@ class HamiltonianParams:
             raise ValueError("Hamiltonian parameters must be finite")
         if self.zero_field_splitting <= 0:
             raise ValueError("zero-field splitting must be positive")
-        if self.hyperfine <= 0:
-            raise ValueError("hyperfine coupling must be positive")
+        if self.hyperfine <= 0 or self.gamma_e <= 0:
+            raise ValueError("hyperfine coupling and gamma_e must be positive")
 
     def level_energy(self, m_s: int, m_i: int) -> float:
         """Energy of ``|m_S, m_I>`` in rad/s (the Hamiltonian is diagonal)."""

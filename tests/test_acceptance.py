@@ -127,7 +127,7 @@ def test_06_echo_phase_oracle(params, capsys):
         phi_sim = np.arccos(2 * p - 1)
         phi_ref = sq.analytic_echo_phase(b, phase_time, params.gamma_e)
         worst = max(worst, abs(phi_sim - phi_ref) / phi_ref)
-    ok = worst < 0.01
+    ok = worst < 1e-9
     with capsys.disabled():
         report("06 echo phase oracle", ok,
                f"10 amplitudes up to phase 0.3 rad, worst rel dev {worst:.2e}")

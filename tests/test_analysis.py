@@ -206,7 +206,7 @@ class TestOptimalPhaseTime:
         centre = objective(0.5)
         assert centre < left and centre < right
 
-    @pytest.mark.parametrize("exponent", [0.8, 1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("exponent", [0.5, 0.8, 1.5, 2.0, 3.0])
     def test_general_exponent_against_grid_oracle(self, exponent):
         t2 = 2e-3
         got = optimal_phase_time(t2, exponent)

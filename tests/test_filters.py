@@ -6,7 +6,7 @@ from nvmag.filters import (IntegrationWindow, window_for_signal,
                            filter_transmission_numeric,
                            filter_transmission_analytic_b,
                            filter_scheme_for_channel,
-                           filtered_cumulative_noise)
+                           filtered_cumulative_noise_descending)
 
 T_L = 100e-6
 D_T = 10e-6
@@ -145,17 +145,21 @@ class TestFilteredBudget:
     def test_zero_psd_gives_zero_curve(self):
         w = window_for_signal("B", T_L, D_T, T_SEQ)
         f = np.logspace(-1, 3.8, 500)
-        curve = filtered_cumulative_noise(f, np.zeros_like(f), w, f[0])
+        curve = filtered_cumulative_noise_descending(f, np.zeros_like(f), w,
+                                                     f[-1])
         assert np.all(curve == 0.0)
 
     def test_white_psd_scheme_ordering_at_low_frequency(self):
+        # integrated down from a band top well below 1/T_seq, where every
+        # referencing step suppresses more
         f = np.logspace(-2, np.log10(1.0 / (10 * T_SEQ)), 400)
         dens = np.ones_like(f)
         curves = {}
         for scheme in "ABD":
             w = window_for_signal(scheme, T_L, D_T, T_SEQ)
-            curves[scheme] = filtered_cumulative_noise(f, dens, w, f[0])
-        sl = slice(1, None)  # first point integrates nothing
+            curves[scheme] = filtered_cumulative_noise_descending(f, dens, w,
+                                                                  f[-1])
+        sl = slice(None, -1)  # the top point integrates nothing
         assert np.all(curves["D"][sl] <= curves["B"][sl])
         assert np.all(curves["B"][sl] <= curves["A"][sl])
 
@@ -166,8 +170,8 @@ class TestFilteredBudget:
             decades = np.log10(1 / T_SEQ) - np.log10(f_low)
             f = np.logspace(np.log10(f_low), np.log10(1 / T_SEQ),
                             int(600 * decades))
-            curve = filtered_cumulative_noise(f, 1.0 / f, w, f_low)
-            totals.append(curve[-1])
+            curve = filtered_cumulative_noise_descending(f, 1.0 / f, w, f[-1])
+            totals.append(curve[0])
         # extending the band to lower frequency adds nothing appreciable
         assert totals[1] == pytest.approx(totals[0], rel=1e-3)
         assert totals[2] == pytest.approx(totals[1], rel=1e-5)

@@ -3,8 +3,7 @@ import numpy.testing as npt
 import pytest
 
 from nvmag.noise import (PsdModel, TabulatedPsd, NoiseTrace, synthesize_trace,
-                         estimate_psd, cumulative_rss, cumulative_rss_curve,
-                         cumulative_rss_descending)
+                         estimate_psd, cumulative_rss_descending)
 
 
 class TestPsdModel:
@@ -134,6 +133,22 @@ class TestEstimatePsd:
         f, pxx = estimate_psd(NoiseTrace(np.zeros(4096), 1e-3), 512)
         assert np.all(pxx == 0.0)
 
+    @pytest.mark.parametrize("segment_length", [512, 511, 64, 7])
+    def test_matches_scipy_welch(self, segment_length):
+        # scipy is a test-only dependency: the package's numpy periodogram
+        # must equal the textbook estimator it replaces.  The trace has a
+        # non-zero mean, correlated samples and a trailing partial segment.
+        from scipy import signal
+        rng = np.random.default_rng(segment_length)
+        n = 9 * segment_length + segment_length // 2 + 1
+        x = 3.0 + np.cumsum(rng.standard_normal(n)) * 0.1
+        f, pxx = estimate_psd(NoiseTrace(x, 2e-3), segment_length)
+        f_ref, p_ref = signal.welch(x, fs=500.0, window="hann",
+                                    nperseg=segment_length, noverlap=0,
+                                    detrend="constant")
+        npt.assert_array_equal(f, f_ref)
+        assert np.max(np.abs(pxx - p_ref)) <= 1e-12 * p_ref.max()
+
     def test_needs_two_segments(self):
         with pytest.raises(ValueError):
             estimate_psd(NoiseTrace(np.zeros(600), 1e-3), 512)
@@ -142,19 +157,23 @@ class TestEstimatePsd:
 class TestCumulative:
     def test_zero_width_band(self):
         f = np.linspace(1, 100, 50)
-        assert cumulative_rss(f, np.ones_like(f), 10.0, 10.0) == 0.0
+        curve = cumulative_rss_descending(f, np.ones_like(f), f[20])
+        assert curve[20] == 0.0
 
     def test_white_closed_form(self):
-        f = np.linspace(1, 1000, 2000)
-        s0 = 3.0
-        got = cumulative_rss(f, np.full_like(f, s0), 10.0, 250.0)
-        assert got == pytest.approx(np.sqrt(s0 * 240.0), rel=1e-12)
+        # the top of the band falls between grid points
+        f = np.linspace(1, 1000, 1999)
+        s0, f_high = 3.0, 250.3
+        curve = cumulative_rss_descending(f, np.full_like(f, s0), f_high)
+        below = f <= f_high
+        npt.assert_allclose(curve[below], np.sqrt(s0 * (f_high - f[below])),
+                            rtol=1e-12)
+        assert np.all(curve[~below] == 0.0)
 
-    def test_monotone_in_upper_frequency(self):
+    def test_monotone_in_lower_frequency(self):
         f = np.logspace(0, 4, 300)
-        dens = 1.0 / f
-        curve = cumulative_rss_curve(f, dens, f[0])
-        assert np.all(np.diff(curve) >= 0)
+        curve = cumulative_rss_descending(f, 1.0 / f, f[-1])
+        assert np.all(np.diff(curve) <= 0)
 
     def test_descending_direction(self):
         f = np.linspace(1, 100, 500)
@@ -163,8 +182,3 @@ class TestCumulative:
         npt.assert_allclose(curve, np.sqrt(s0 * (100.0 - f)), rtol=1e-9,
                             atol=1e-12)
         assert np.all(np.diff(curve) <= 1e-12)
-
-    def test_rejects_inverted_band(self):
-        f = np.linspace(1, 100, 50)
-        with pytest.raises(ValueError):
-            cumulative_rss(f, np.ones_like(f), 50.0, 10.0)

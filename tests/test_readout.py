@@ -3,15 +3,20 @@ import numpy.testing as npt
 import pytest
 
 from nvmag import sequences as sq
-from nvmag.readout import (ReadoutConfig, ReadoutRecord, fluorescence_expectation,
-                           sample_counts, difference_detector, extract_signal,
-                           simulate_record, sequence_signals, pair_difference,
-                           expected_window_counts, window_dip_fraction)
+from nvmag.readout import (ReadoutConfig, sequence_signals, pair_difference,
+                           expected_window_counts, poisson_counts,
+                           window_dip_fraction)
+from reference_readout import (ReadoutRecord, bin_centres, bin_count,
+                               difference_detector, extract_signal,
+                               fluorescence_expectation, sample_counts,
+                               simulate_record)
+
+BIN = 1e-6  # bin width of the per-bin reference records
 
 
 def small_cfg(**kw):
     defaults = dict(photon_rate=1e9, contrast=0.04, repolarization_time=1e-6,
-                    bin_width=1e-6, laser_time=100e-6, window_time=10e-6,
+                    laser_time=100e-6, window_time=10e-6,
                     sequence_time=160e-6)
     defaults.update(kw)
     return ReadoutConfig(**defaults)
@@ -81,6 +86,15 @@ class TestSampling:
         npt.assert_array_equal(a, b)
 
 
+    def test_gaussian_limit_counts_do_not_wrap(self, rng):
+        # far beyond the int64 range the Gaussian limit still returns the
+        # mean to float precision, not a wrapped-around integer
+        counts = poisson_counts(rng, [1e30, 1e13, 5.0])
+        assert counts[0] == pytest.approx(1e30, rel=1e-12)
+        assert counts[1] == pytest.approx(1e13, rel=1e-5)
+        assert counts[2] == np.round(counts[2]) >= 0
+
+
 class TestDifferenceDetector:
     def test_identical_channels_cancel(self):
         x = np.arange(10.0)
@@ -100,51 +114,98 @@ class TestDifferenceDetector:
 
 class TestExtraction:
     def test_paired_schemes_cancel_identical_sequences(self):
-        cfg = small_cfg()
-        counts = np.tile(np.arange(cfg.laser_bins(), dtype=np.int64), (2, 1))
-        record = ReadoutRecord(counts, None, cfg.bin_width)
-        cfg_noref = small_cfg(reference_enabled=False)
-        assert extract_signal(record, "C", cfg_noref) == 0.0
-        assert extract_signal(record, "D", cfg_noref) == 0.0
+        cfg = small_cfg(reference_enabled=False)
+        counts = np.tile(np.arange(bin_count(cfg.laser_time, BIN),
+                                   dtype=np.int64), (2, 1))
+        record = ReadoutRecord(counts, None, BIN)
+        npt.assert_array_equal(extract_signal(record, "C", cfg), [0.0])
+        npt.assert_array_equal(extract_signal(record, "D", cfg), [0.0])
 
     def test_window_difference_matches_dip_integral(self):
         # deterministic record built from the expected rates directly
         cfg = small_cfg(photon_rate=1e12, reference_enabled=False)
-        t = (np.arange(cfg.laser_bins()) + 0.5) * cfg.bin_width
+        t = bin_centres(cfg, BIN)
         counts = np.round(fluorescence_expectation(0.0, cfg, t)
-                          * cfg.bin_width).astype(np.int64)
-        record = ReadoutRecord(counts[None, :], None, cfg.bin_width)
-        got = extract_signal(record, "B", cfg)
+                          * BIN).astype(np.int64)
+        record = ReadoutRecord(counts[None, :], None, BIN)
+        got = extract_signal(record, "B", cfg)[0]
         # bin-centre sampling of the dip, not the exact integral
-        dip = np.exp(-t[:cfg.window_bins()] / cfg.repolarization_time).mean()
+        dip = np.exp(-t[:bin_count(cfg.window_time, BIN)]
+                     / cfg.repolarization_time).mean()
         assert got == pytest.approx(-cfg.contrast * dip, rel=1e-4)
 
     def test_scheme_a_level(self):
         cfg = small_cfg(photon_rate=1e12, reference_enabled=False)
-        t = (np.arange(cfg.laser_bins()) + 0.5) * cfg.bin_width
+        t = bin_centres(cfg, BIN)
         counts = np.round(fluorescence_expectation(1.0, cfg, t)
-                          * cfg.bin_width).astype(np.int64)
-        record = ReadoutRecord(counts[None, :], None, cfg.bin_width)
-        assert extract_signal(record, "A", cfg) == pytest.approx(1.0, rel=1e-6)
+                          * BIN).astype(np.int64)
+        record = ReadoutRecord(counts[None, :], None, BIN)
+        assert extract_signal(record, "A", cfg)[0] == pytest.approx(1.0,
+                                                                    rel=1e-6)
 
     def test_needs_enough_sequences(self):
         cfg = small_cfg()
-        record = ReadoutRecord(np.zeros((1, cfg.laser_bins()), dtype=int),
-                               None, cfg.bin_width)
+        record = ReadoutRecord(
+            np.zeros((1, bin_count(cfg.laser_time, BIN)), dtype=int), None, BIN)
         with pytest.raises(ValueError):
             extract_signal(record, "D", cfg)
 
+    def test_bin_width_must_divide_the_windows(self):
+        assert bin_count(10e-6, 1e-6) == 10
+        with pytest.raises(ValueError):
+            bin_count(10e-6, 3e-6)
+
     def test_record_level_matches_window_level_statistics(self):
-        # per-bin record sampling and window-level sampling agree on the
-        # mean extracted signal
-        cfg = small_cfg(photon_rate=1e10, reference_enabled=False)
-        rng = np.random.default_rng(5)
-        vals = [extract_signal(simulate_record([0.3], cfg, rng), "B", cfg)
-                for _ in range(400)]
-        expected = (expected_window_counts(0.3, cfg, 0)
-                    - expected_window_counts(0.3, cfg, 1)) / cfg.window_counts
-        sem = np.std(vals, ddof=1) / np.sqrt(len(vals))
-        assert np.mean(vals) == pytest.approx(expected, abs=4 * sem)
+        # The per-bin reference model and the window-level sampler draw
+        # the same distribution: a window sum of per-bin Poisson counts is
+        # Poisson with the window mean.  Both are sampled independently
+        # for every scheme (A/B at one population, C/D at alternating
+        # populations with per-sequence balance), and their sample means
+        # and variances are compared.
+        #
+        # Tolerances from sampling statistics, at Z = 4.5 standard errors
+        # (p ~ 7e-6 per comparison, 16 comparisons):
+        # * mean: the difference of two independent means has standard
+        #   error sqrt(s1^2/m + s2^2/m), about 5e-5 here.  The bin-centre
+        #   rule misplaces each window's dip integral by at most
+        #   contrast * (bin/tau)^2 / 24 = 1.7e-5 in signal units; twice
+        #   that bound is added.
+        # * variance: counts of ~5e4 per window are Gaussian to excess
+        #   kurtosis 2e-5, so a sample variance has relative standard
+        #   error sqrt(2/(m-1)) and the log of the ratio of two has
+        #   sqrt(4/(m-1)).  The per-bin balance ratio, varying with the
+        #   dip across the window, changes the variance of the subtracted
+        #   reference by less than contrast^2 = 1.6e-3 relative; that is
+        #   added too.
+        z, n, bin_width = 4.5, 16_000, 0.1e-6
+        rng = np.random.default_rng(77)
+        for reference, schemes, populations in (
+                (False, ("A", "B"), np.full(n, 0.3)),
+                (False, ("C", "D"), np.tile([0.3, 0.8], n // 2)),
+                (True, ("A", "B"), np.full(n, 0.3)),
+                (True, ("C", "D"), np.tile([0.3, 0.8], n // 2))):
+            cfg = small_cfg(photon_rate=1e10, laser_time=20e-6,
+                            window_time=5e-6, sequence_time=40e-6,
+                            reference_enabled=reference)
+            dip_bias = cfg.contrast * (bin_width
+                                       / cfg.repolarization_time) ** 2 / 24
+            record = simulate_record(populations, cfg, rng, bin_width)
+            window = sequence_signals(populations, cfg, rng,
+                                      balance_population=populations)
+            for scheme, level in zip(schemes, window):
+                if scheme in ("C", "D"):
+                    level = pair_difference(level)
+                binned = extract_signal(record, scheme, cfg,
+                                        balance_population=populations)
+                m = binned.size
+                s1, s2 = binned.std(ddof=1), level.std(ddof=1)
+                se_mean = np.sqrt((s1 ** 2 + s2 ** 2) / m)
+                label = f"{scheme}, reference {reference}"
+                assert abs(binned.mean() - level.mean()) \
+                    <= z * se_mean + 2 * dip_bias, label
+                log_ratio = np.log(s1 ** 2 / s2 ** 2)
+                assert abs(log_ratio) <= z * np.sqrt(4 / (m - 1)) \
+                    + cfg.contrast ** 2, label
 
 
 class TestReferencingPenalty:
@@ -233,6 +294,19 @@ class TestLaserNoiseRejection:
         assert s_mismatch.std() > 2 * s_matched.std()
 
 
+    def test_negative_laser_gain_clips_both_channels(self):
+        # an excursion below -100% clips the reference channel as well as
+        # the signal channel, so the window reads zero instead of failing
+        cfg = small_cfg(photon_rate=1e12)
+        eps = np.array([0.0, -1.5])
+        with pytest.warns(RuntimeWarning, match="clipping"):
+            s_a, s_b = sequence_signals(np.full(2, 0.5), cfg,
+                                        np.random.default_rng(4),
+                                        laser_eps=(eps, eps))
+        assert s_a[1] == 0.0 and s_b[1] == 0.0
+        assert s_a[0] != 0.0
+
+
 class TestSchemeDInsensitivity:
     def test_slow_amplitude_wander_biases_b_not_d(self, params):
         # constant drive-amplitude offset: the slowest possible wander
@@ -276,5 +350,3 @@ class TestSeriesDeterminism:
             small_cfg(window_time=200e-6)
         with pytest.raises(ValueError):
             small_cfg(photon_rate=-1.0)
-        with pytest.raises(ValueError):
-            small_cfg(bin_width=3e-6).window_bins()

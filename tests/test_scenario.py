@@ -108,13 +108,36 @@ class TestValidation:
         (None, "master_seed", -1),
         ("sequence", "rabi_Hz", 1e3),
         ("sequence", "sequence_time_s", 120e-6),
+        (None, "n_sequences", 2),
+        (None, "n_sequences", float("inf")),
+        ("hamiltonian", "gamma_e_Hz_per_T", 0.0),
+        ("hamiltonian", "hyperfine_Hz", 1e300),
+        ("sequence", "rabi_Hz", 1e300),
+        ("sequence", "sequence_time_s", 1e300),
+        ("readout", "window_time_s", 0.0),
+        ("readout", "window_time_s", 1e-300),
+        ("readout", "window_time_s", 60e-6),
+        ("decay", "t2_s", 1e-300),
+        ("decay", "exponent", 0.0),
+        ("decay", "exponent", 1e-300),
+        ("ensemble", "n_centres", 0.0),
+        ("analysis", "total_time_s", -1.0),
+        ("readout", "reference_ratio", 1e305),
+        ("noise", "mw_amplitude", {"white": 1e300}),
     ], ids=["substring-scheme", "empty-scheme", "duplicate-scheme",
             "no-scheme", "nan-photon-rate", "nan-t2", "negative-seed",
-            "pulses-too-long", "laser-overruns-sequence"])
+            "pulses-too-long", "laser-overruns-sequence",
+            "one-paired-value", "infinite-count", "zero-gamma",
+            "non-finite-echo-hyperfine", "non-finite-echo-rabi",
+            "unresolvable-sequence-shift", "zero-window",
+            "unresolvable-window", "overlapping-windows",
+            "envelope-underflow", "zero-exponent", "optimum-overflow",
+            "no-centres", "negative-total-time", "infinite-reference-counts",
+            "non-finite-echo-mw-noise"])
     def test_runner_failures_are_config_errors(self, section, key, value):
         m = copy.deepcopy(MINIMAL)
         m["decay"] = {"t2_s": 100e-6}
-        (m if section is None else m[section])[key] = value
+        (m if section is None else m.setdefault(section, {}))[key] = value
         with pytest.raises(ConfigError):
             scenario_from_mapping(m)
 

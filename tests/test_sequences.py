@@ -3,7 +3,7 @@ import numpy.testing as npt
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nvmag.sequences import (SequenceElement, PulseSequence,
+from nvmag.sequences import (SequenceElement, PulseSequence, AcField,
                              CoherenceDecay, hahn_echo, field_evaluation,
                              locked_field, analytic_echo_phase,
                              population_from_phase, simulate_sequence,
@@ -169,15 +169,21 @@ class TestSimulation:
                                      method="full")
             assert fast == pytest.approx(full, abs=1e-6)
 
-    def test_substep_convergence(self, params):
+    @pytest.mark.parametrize("method", ["two_level", "full"])
+    def test_unlocked_field_matches_quadrature(self, params, method):
+        # a field neither at the echo frequency nor zero at the refocusing
+        # pulse: the exact field integral must still give the echo phase
+        # gamma_rad * (int_0^{T/2} B - int_{T/2}^T B), here by quadrature
+        field = AcField(amplitude=3e-8, frequency=0.7 / PHASE_TIME, phase=0.4)
         seq = hahn_echo(PHASE_TIME, RABI, final_phase=0.0)
-        field = locked_field(2e-8, PHASE_TIME)
-        phis = []
-        for steps in (256, 512):
-            p = simulate_sequence(seq, params, field=field, m_i_values=(0,),
-                                  substeps_per_period=steps)
-            phis.append(np.arccos(2 * p - 1))
-        assert abs(phis[1] - phis[0]) / phis[0] < 1e-4
+        p = simulate_sequence(seq, params, field=field, m_i_values=(0,),
+                              method=method)
+        halves = []
+        for lo, hi in ((0.0, PHASE_TIME / 2), (PHASE_TIME / 2, PHASE_TIME)):
+            t = np.linspace(lo, hi, 200_001)
+            halves.append(np.trapezoid(field.value(t), t))
+        phi = 2 * np.pi * params.gamma_e * (halves[0] - halves[1])
+        assert np.arccos(2 * p - 1) == pytest.approx(abs(phi), rel=1e-8)
 
     def test_decay_envelope_scales_contrast(self, params):
         seq = hahn_echo(PHASE_TIME, RABI, final_phase=0.0)
