@@ -16,7 +16,7 @@ from nvmag.io import write_table
 from nvmag.sequences import pulse_error_response
 from nvmag.spin import HamiltonianParams
 
-params = HamiltonianParams(static_field=4.6e-3)
+params = HamiltonianParams()
 PHASE_TIME, RABI = 50e-6, 5e6
 
 amplitude_errors = np.logspace(-4, -1, 25)

@@ -23,7 +23,6 @@ scenario = scenario_from_mapping({
     "master_seed": 20240,
     "n_sequences": 400_000,
     "schemes": ["B", "D"],
-    "hamiltonian": {"static_field_T": 4.6e-3},
     "sequence": {"phase_time_s": 50e-6, "sequence_time_s": 160e-6,
                  "rabi_Hz": 5e6},
     "decay": {"t2_s": 100e-6},

@@ -2,7 +2,7 @@
 
 Library layout:
 
-* :mod:`nvmag.spin` -- spin-1 operators, Hamiltonians, unitary propagation
+* :mod:`nvmag.spin` -- the two-level echo propagator
 * :mod:`nvmag.sequences` -- echo sequences, AC response, pulse errors
 * :mod:`nvmag.noise` -- parametric PSDs, correlated-trace synthesis,
   Welch estimation, downward cumulative noise
@@ -16,14 +16,12 @@ Library layout:
 # set before the submodule imports: the run manifest records it
 __version__ = "0.1.0"
 
-from .spin import (HamiltonianParams, DriveParams, QuantumState,
-                   SpinOperatorSet, build_operators, static_hamiltonian,
-                   drive_hamiltonian_rotating, evolve, transition_frequencies)
+from .spin import HamiltonianParams
 from .sequences import (SequenceElement, PulseSequence, AcField,
                         CoherenceDecay, hahn_echo, field_evaluation,
                         locked_field, analytic_echo_phase,
-                        population_from_phase, simulate_sequence,
-                        echo_populations, pulse_error_response)
+                        population_from_phase, echo_populations,
+                        pulse_error_response)
 from .noise import (PsdModel, TabulatedPsd, NoiseTrace, synthesize_trace,
                     estimate_psd, cumulative_rss_descending)
 from .filters import (IntegrationWindow, window_for_signal,

@@ -17,12 +17,13 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from . import analysis, experiments, io as _io
+from . import analysis, experiments, io as _io, sequences
 from .scenario import ConfigError, RunManifest, Scenario, load_scenario
 
 _COMMANDS = ("validate", "sensitivity", "sweep", "scaling", "error-scaling",
@@ -46,8 +47,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--seed", type=int, default=None,
                        help="override the scenario master seed")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker threads over Monte Carlo chunks")
         if name == "sweep":
             p.add_argument("--max-amplitude-T", type=float, default=2e-7)
             p.add_argument("--points", type=int, default=13)
@@ -60,6 +59,20 @@ def _load(args) -> Scenario:
         # rebuilt, not assigned, so the override is validated too
         scenario = dataclasses.replace(scenario, master_seed=args.seed)
     return scenario
+
+
+def _sweep_amplitudes(args, scenario: Scenario) -> np.ndarray:
+    """The sweep grid; two points at least, so the fit is determined, up
+    to a finite positive amplitude whose echo phase is finite."""
+    top = args.max_amplitude_T
+    if args.points < 2:
+        raise ConfigError("--points must be at least 2")
+    phase = sequences.analytic_echo_phase(top, scenario.sequence.phase_time,
+                                          scenario.hamiltonian.gamma_e)
+    if not (top > 0.0 and math.isfinite(phase)):
+        raise ConfigError("--max-amplitude-T must be positive and give a "
+                          "finite echo phase")
+    return np.linspace(0.0, top, args.points)
 
 
 def _out_dir(args, scenario: Scenario) -> Path:
@@ -119,20 +132,19 @@ def main(argv=None) -> int:
                   f"{scenario.n_sequences} sequences, "
                   f"schemes {''.join(scenario.schemes)})")
             return 0
+        if args.command == "sweep":
+            amplitudes = _sweep_amplitudes(args, scenario)
         out_dir = _out_dir(args, scenario)
         if args.command == "sensitivity":
             _run_sensitivity(scenario, out_dir)
         elif args.command == "sweep":
-            amplitudes = np.linspace(0.0, args.max_amplitude_T, args.points)
             result = experiments.run_ac_sweep(scenario, amplitudes,
-                                              out_dir=out_dir,
-                                              threads=args.threads)
+                                              out_dir=out_dir)
             for scheme, amp in result.response_amplitude.items():
                 print(f"scheme {scheme}: response amplitude {amp:.6g}")
         elif args.command == "scaling":
             result = experiments.run_scaling_experiment(scenario,
-                                                        out_dir=out_dir,
-                                                        threads=args.threads)
+                                                        out_dir=out_dir)
             for scheme, sc in result.schemes.items():
                 print(f"scheme {scheme}: {sc.series.values.size} values, "
                       f"sigma1 = {sc.series.values.std(ddof=1):.6g}")

@@ -1,10 +1,9 @@
 """Scenario runners wiring spin simulation, noise, readout and analysis.
 
 Every runner is deterministic given (scenario, master seed): noise traces
-are synthesized up front from fixed per-channel seed streams, photon shot
-noise is drawn in fixed-size chunks with per-chunk seeds, and worker
-threads only parallelize over those chunks, so results are byte-identical
-for any ``threads`` value.
+are synthesized up front from fixed per-channel seed streams, and photon
+shot noise is drawn in chunks of ``CHUNK_SIZE`` sequences, each from its
+own seed, so the draws depend on that fixed chunk size.
 
 Schemes are computed per group: A and B share one window record (echo
 populations at the constant final phase and one photon draw, on B's
@@ -15,7 +14,6 @@ D's stream).  Requesting A or C next to B or D costs only the extraction.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,6 +28,10 @@ SIGMA1_STREAM_OFFSET = 100
 #: shot-noise stream the record draws on; the first member reads ``S_A``,
 #: the second ``S_B`` (pair-differenced when the group is paired)
 SCHEME_GROUPS = {"B": ("A", "B"), "D": ("C", "D")}
+#: frequency points of the noise budgets
+BUDGET_GRID_POINTS = 400
+#: scheme whose integration windows filter the budgets
+BUDGET_SCHEME = "D"
 
 
 # ---------------------------------------------------------------------------
@@ -96,33 +98,24 @@ def _balance_populations(scenario: Scenario) -> np.ndarray:
 
 
 def _sample_window_record(scenario: Scenario, populations, eps_pair,
-                          balance, stream: int, threads: int):
+                          balance, stream: int):
     """Chunk-seeded window-level ``(S_A, S_B)`` of every sequence."""
-    cfg = scenario.readout
     n = populations.size
-    bounds = [(i, slice(i * CHUNK_SIZE, min((i + 1) * CHUNK_SIZE, n)))
-              for i in range((n + CHUNK_SIZE - 1) // CHUNK_SIZE)]
-
-    def work(chunk):
-        index, sl = chunk
+    parts = []
+    for index in range((n + CHUNK_SIZE - 1) // CHUNK_SIZE):
+        sl = slice(index * CHUNK_SIZE, min((index + 1) * CHUNK_SIZE, n))
         rng = np.random.default_rng(scenario.shot_seed(stream, index))
         eps = (None if eps_pair[0] is None else eps_pair[0][sl],
                None if eps_pair[1] is None else eps_pair[1][sl])
-        return readout.sequence_signals(populations[sl], cfg, rng, eps,
-                                        balance[sl])
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(work, bounds))
-    else:
-        parts = [work(c) for c in bounds]
+        parts.append(readout.sequence_signals(populations[sl],
+                                              scenario.readout, rng, eps,
+                                              balance[sl]))
     return (np.concatenate([p[0] for p in parts]),
             np.concatenate([p[1] for p in parts]))
 
 
 def _scheme_series(scenario: Scenario, dg, df, eps_pair,
-                   stream_offset: int = 0, threads: int = 1,
-                   ac_field=None) -> dict:
+                   stream_offset: int = 0, ac_field=None) -> dict:
     """Readout series of every requested scheme, keyed in scenario order.
 
     Each scheme group is drawn once: one window record (populations and
@@ -151,7 +144,7 @@ def _scheme_series(scenario: Scenario, dg, df, eps_pair,
         balance = _balance_populations(scenario)[parity]
         s_a, s_b = _sample_window_record(
             scenario, populations, eps_pair, balance,
-            SCHEME_STREAMS[stream_scheme] + stream_offset, threads)
+            SCHEME_STREAMS[stream_scheme] + stream_offset)
         spacing = (2 if paired else 1) * scenario.readout.sequence_time
         for scheme, values in zip(members, (s_a, s_b)):
             if scheme in scenario.schemes:
@@ -197,8 +190,7 @@ class SweepResult:
     outputs: list = field(default_factory=list)
 
 
-def run_ac_sweep(scenario: Scenario, amplitudes, out_dir=None,
-                 threads: int = 1) -> SweepResult:
+def run_ac_sweep(scenario: Scenario, amplitudes, out_dir=None) -> SweepResult:
     """Mean extracted signal versus test-field amplitude.
 
     The test field is phase-locked to the echo (period equal to the
@@ -222,7 +214,7 @@ def run_ac_sweep(scenario: Scenario, amplitudes, out_dir=None,
         eps = tuple(None if e is None else e[sl] for e in eps_all)
         series = _scheme_series(
             scenario, dg_all[sl], df_all[sl], eps,
-            stream_offset=1000 * (k + 1), threads=threads,
+            stream_offset=1000 * (k + 1),
             ac_field=sequences.locked_field(amp, phase_time))
         for scheme, s in series.items():
             means[scheme][k] = s.values.mean()
@@ -268,8 +260,7 @@ class ScalingResult:
     outputs: list = field(default_factory=list)
 
 
-def run_scaling_experiment(scenario: Scenario, out_dir=None,
-                           threads: int = 1) -> ScalingResult:
+def run_scaling_experiment(scenario: Scenario, out_dir=None) -> ScalingResult:
     """Consecutive field evaluations at the working point, with scaling
     curves (Allan deviation and standard deviation of block means).
 
@@ -281,8 +272,7 @@ def run_scaling_experiment(scenario: Scenario, out_dir=None,
     dg, df = _mw_error_samples(scenario, n)
     eps = _laser_window_noise(scenario, n)
     out = {}
-    for scheme, series in _scheme_series(scenario, dg, df, eps,
-                                         threads=threads).items():
+    for scheme, series in _scheme_series(scenario, dg, df, eps).items():
         grid = analysis.default_time_grid(series.values.size, series.spacing)
         out[scheme] = SchemeScaling(
             series=series,
@@ -363,15 +353,14 @@ def run_error_scaling(scenario: Scenario, amplitude_errors=None,
 class BudgetResult:
     freqs: np.ndarray
     raw: dict            # channel -> cumulative curve, signal units
-    filtered: dict       # channel -> scheme-D filtered curve, signal units
+    filtered: dict       # channel -> window-filtered curve, signal units
     sigma1: dict         # scheme -> shot-only per-evaluation deviation
     slopes: dict         # channel -> conversion slope to signal units
     outputs: list = field(default_factory=list)
 
 
 def run_noise_budget(scenario: Scenario, out_dir=None,
-                     n_reference: int = 4096, grid_points: int = 400,
-                     budget_scheme: str = "D") -> BudgetResult:
+                     n_reference: int = 4096) -> BudgetResult:
     """Cumulative noise budgets, raw and filtered, in signal units.
 
     Every channel's spectral density is integrated downward from the
@@ -379,14 +368,15 @@ def run_noise_budget(scenario: Scenario, out_dir=None,
     through its linear error slope, so the curves compare directly
     against the shot-noise-only per-evaluation deviation measured from a
     short reference run.  Filtered budgets apply the integration-window
-    transmission of the requested scheme (microwave channels see the
+    transmission of :data:`BUDGET_SCHEME` (microwave channels see the
     unreferenced-within-sequence variant, see
     :func:`nvmag.filters.filter_scheme_for_channel`).
     """
     cfg = scenario.readout
     f_top = 1.0 / cfg.sequence_time
     f_floor = 1.0 / (scenario.n_sequences * cfg.sequence_time)
-    freqs = np.logspace(math.log10(f_floor), math.log10(f_top), grid_points)
+    freqs = np.logspace(math.log10(f_floor), math.log10(f_top),
+                        BUDGET_GRID_POINTS)
 
     slope_g, slope_f = error_conversion_slopes(scenario)
     ds_dp = readout.signal_slope_per_population(cfg)
@@ -403,7 +393,7 @@ def run_noise_budget(scenario: Scenario, out_dir=None,
         raw[channel] = slopes[channel] * _noise.cumulative_rss_descending(
             freqs, density, f_top)
         window = filters.window_for_signal(
-            filters.filter_scheme_for_channel(budget_scheme, channel),
+            filters.filter_scheme_for_channel(BUDGET_SCHEME, channel),
             cfg.laser_time, cfg.window_time, cfg.sequence_time)
         filtered[channel] = slopes[channel] * \
             filters.filtered_cumulative_noise_descending(freqs, density,
@@ -424,7 +414,7 @@ def run_noise_budget(scenario: Scenario, out_dir=None,
                 f"{out_dir}/budget_raw_{channel}.csv",
                 ["f_Hz", "cumulative_value"], [freqs, raw[channel]]))
             result.outputs.append(_io.write_table(
-                f"{out_dir}/budget_filtered_{budget_scheme}_{channel}.csv",
+                f"{out_dir}/budget_filtered_{BUDGET_SCHEME}_{channel}.csv",
                 ["f_Hz", "cumulative_value"], [freqs, filtered[channel]]))
         schemes = sorted(sigma1)
         result.outputs.append(_io.write_table(

@@ -9,8 +9,10 @@ unit suffixes on every physical key (``_s``, ``_Hz``, ``_T``, ``_cps``,
 Seeding: every stochastic stream derives its own ``SeedSequence`` from
 the master seed and a fixed stream offset (noise channels 1-3, photon
 shot noise 4 with per-scheme-group and per-chunk keys), so results never
-depend on scheme order, chunking or worker count.  Schemes A and B share
-one shot-noise draw (on B's stream), and C and D share one (on D's).
+depend on scheme order.  They do depend on :data:`CHUNK_SIZE`: each chunk
+of that many sequences draws its shot noise from its own seed.  Schemes
+A and B share one shot-noise draw (on B's stream), and C and D share one
+(on D's).
 """
 
 from __future__ import annotations
@@ -38,8 +40,11 @@ from .spin import HamiltonianParams
 #: (master, SHOT_STREAM, scheme_stream, chunk_index)
 CHANNEL_STREAMS = {"laser_intensity": 1, "mw_amplitude": 2, "mw_frequency": 3}
 SHOT_STREAM = 4
-#: sequences per Monte Carlo chunk; fixed so threading cannot change draws
+#: sequences per Monte Carlo chunk; every digest depends on it
 CHUNK_SIZE = 1 << 14
+#: laser-noise trace samples per sequence (two per integration window)
+#: above which validation rejects a scenario instead of allocating them
+MAX_LASER_SAMPLES_PER_SEQUENCE = 4096
 
 
 class ConfigError(ValueError):
@@ -133,6 +138,13 @@ class Scenario:
                                   rd.sequence_time)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        laser = self.noise.get("laser_intensity")
+        if laser is not None and not laser.is_zero and 2.0 * rd.sequence_time \
+                > MAX_LASER_SAMPLES_PER_SEQUENCE * rd.window_time:
+            raise ConfigError(
+                "laser noise needs more than "
+                f"{MAX_LASER_SAMPLES_PER_SEQUENCE} trace samples per sequence "
+                "(2 * sequence_time / window_time)")
         # the echo must stay finite at the working point and under
         # microwave noise excursions of ten standard deviations over the
         # band a scaling run resolves
@@ -182,10 +194,8 @@ class Scenario:
 
 #: per section, YAML key (with its unit suffix) -> dataclass field; the
 #: defaults of absent keys are the dataclass defaults
-_HAMILTONIAN_KEYS = {
-    "zero_field_splitting_Hz": "zero_field_splitting",
-    "gamma_e_Hz_per_T": "gamma_e", "gamma_n_Hz_per_T": "gamma_n",
-    "hyperfine_Hz": "hyperfine", "static_field_T": "static_field"}
+_HAMILTONIAN_KEYS = {"gamma_e_Hz_per_T": "gamma_e",
+                     "hyperfine_Hz": "hyperfine"}
 _SEQUENCE_KEYS = {
     "phase_time_s": "phase_time", "sequence_time_s": "sequence_time",
     "rabi_Hz": "rabi", "final_phase_rad": "final_phase",

@@ -3,10 +3,8 @@
 The workhorse protocol is the phase-locked spin echo
 ``(pi/2)_x - T/2 - (pi)_x - T/2 - (pi/2)_phi`` whose ``m_S = 0`` population
 responds to an in-phase AC field of period equal to the free-evolution
-time.  :func:`simulate_sequence` propagates a sequence either through the
-full 9-dimensional model or through the exactly-equivalent two-level fast
-path; :func:`echo_populations` is the vectorized fast path used by the
-Monte Carlo experiments.
+time.  :func:`echo_populations` propagates it through the two-level
+model of :mod:`nvmag.spin`, vectorized over independent evaluations.
 
 Conventions: the AC field acts only while the spin evolves freely (the
 pulses are hundreds of times shorter than the free evolutions and the
@@ -37,8 +35,6 @@ class SequenceElement:
     duration: float      # s
     phase: float = 0.0   # pulse phase, rad
     rotation: float = 0.0  # nominal rotation angle, rad (pulses)
-    amplitude: float = 1.0  # relative drive scale (pulses)
-    role: str = ""       # window tag for laser elements
 
     def __post_init__(self):
         if self.kind not in ("pulse", "delay", "laser"):
@@ -156,7 +152,7 @@ def field_evaluation(phase_time: float, rabi: float, final_phase: float,
     if used > sequence_time + 1e-15:
         raise ValueError("echo plus laser window do not fit in sequence_time")
     elements = list(echo.elements)
-    elements.append(SequenceElement("laser", laser_time, role="readout"))
+    elements.append(SequenceElement("laser", laser_time))
     padding = sequence_time - used
     if padding > 1e-12:
         elements.append(SequenceElement("delay", padding))
@@ -183,15 +179,14 @@ def population_from_phase(phi: float, final_phase: float) -> float:
 # propagation
 # ---------------------------------------------------------------------------
 
-def _field_integral(field: AcField | None, static_field: float,
-                    t_start: float, duration: float) -> float:
+def _field_integral(field: AcField | None, t_start: float,
+                    duration: float) -> float:
     """Exact ``integral B(t) dt`` over a free evolution:
     ``A/w [cos(w t0 + phi) - cos(w (t0 + d) + phi)]`` for the sine."""
-    total = static_field * duration
     if field is None or field.amplitude == 0.0:
-        return total
+        return 0.0
     w = TWO_PI * field.frequency
-    return total + field.amplitude / w * (
+    return field.amplitude / w * (
         math.cos(w * t_start + field.phase)
         - math.cos(w * (t_start + duration) + field.phase))
 
@@ -201,7 +196,6 @@ def echo_populations(seq: PulseSequence, params: HamiltonianParams,
                      field: AcField | None = None,
                      decay: CoherenceDecay | None = None, *,
                      final_phase=None,
-                     static_field: float = 0.0,
                      m_i_values=NUCLEAR_LEVELS) -> np.ndarray:
     """Vectorized two-level evaluation of ``m_S = 0`` populations.
 
@@ -234,7 +228,7 @@ def echo_populations(seq: PulseSequence, params: HamiltonianParams,
             if element.kind == "laser":
                 break
             if element.kind == "pulse":
-                omega = element.nominal_rabi * element.amplitude * (1.0 + dg)
+                omega = element.nominal_rabi * (1.0 + dg)
                 b_z = math.pi * delta
                 phase = element.phase
                 if fp is not None and index == last_pulse_index:
@@ -243,8 +237,7 @@ def echo_populations(seq: PulseSequence, params: HamiltonianParams,
                 b_y = math.pi * omega * np.sin(phase)
                 g, e = spin.su2_apply(b_x, b_y, b_z, element.duration, g, e)
             else:  # delay: diagonal evolution, exact given the field integral
-                b_int = _field_integral(field, static_field, t_free,
-                                        element.duration)
+                b_int = _field_integral(field, t_free, element.duration)
                 # excited-level energy: -2*pi*delta - gamma_rad * B(t)
                 phase_e = TWO_PI * delta * element.duration \
                     + TWO_PI * params.gamma_e * b_int
@@ -255,65 +248,6 @@ def echo_populations(seq: PulseSequence, params: HamiltonianParams,
     if decay is not None:
         p = 0.5 + (p - 0.5) * decay.envelope(seq.phase_time)
     return p
-
-
-def _simulate_full(seq: PulseSequence, params: HamiltonianParams,
-                   amplitude_error: float, frequency_error: float,
-                   field, decay, static_field, m_i_values) -> float:
-    state = spin.polarized_state(m_i_values)
-    frame = spin.rotating_frame_diagonal(params, frequency_error)
-    s_z_diag = np.real(np.diag(spin.build_operators().s_z))
-    t_free = 0.0
-    for element in seq.elements:
-        if element.kind == "laser":
-            break
-        if element.kind == "pulse":
-            drive = spin.DriveParams(
-                rabi=element.nominal_rabi * element.amplitude,
-                carrier_detuning=frequency_error,
-                amplitude_error=amplitude_error,
-                phase=element.phase)
-            h = spin.drive_hamiltonian_rotating(params, drive)
-            state = spin.evolve(state, h, element.duration)
-        else:
-            # diagonal free evolution; the field integral is exact here
-            b_int = _field_integral(field, static_field, t_free,
-                                    element.duration)
-            phase = frame * element.duration \
-                + TWO_PI * params.gamma_e * s_z_diag * b_int
-            state = spin.QuantumState(state.amplitudes * np.exp(-1j * phase),
-                                      state.labels)
-            t_free += element.duration
-    p = spin.ms0_population(state)
-    if decay is not None:
-        p = 0.5 + (p - 0.5) * decay.envelope(seq.phase_time)
-    return float(p)
-
-
-def simulate_sequence(seq: PulseSequence, params: HamiltonianParams,
-                      drive_error=(0.0, 0.0),
-                      field: AcField | None = None,
-                      decay: CoherenceDecay | None = None, *,
-                      static_field: float = 0.0,
-                      m_i_values=NUCLEAR_LEVELS,
-                      method: str = "two_level") -> float:
-    """Propagate one sequence and return the final ``m_S = 0`` population.
-
-    ``drive_error`` is the pair (relative amplitude error, carrier
-    frequency error in Hz), constant across the sequence.  ``method``
-    selects the two-level fast path or the full 9-dimensional model;
-    they agree to numerical precision for a drive addressing the
-    ``0 -> -1`` transition.
-    """
-    dg, df = drive_error
-    if method == "two_level":
-        p = echo_populations(seq, params, dg, df, field, decay,
-                             static_field=static_field, m_i_values=m_i_values)
-        return float(p[0])
-    if method == "full":
-        return _simulate_full(seq, params, dg, df, field, decay,
-                              static_field, m_i_values)
-    raise ValueError(f"unknown method {method!r}")
 
 
 def pulse_error_response(amplitude_errors, frequency_errors, *,

@@ -5,13 +5,20 @@ import pytest
 
 from nvmag import HamiltonianParams, ReadoutConfig
 from nvmag.scenario import load_scenario
+from reference_spin import FullParams
 
 SCENARIO_FILE = Path(__file__).resolve().parent.parent / "scenarios" / "baseline.yaml"
 
 
 @pytest.fixture
 def params():
-    return HamiltonianParams(static_field=4.6e-3)
+    return HamiltonianParams()
+
+
+@pytest.fixture
+def full_params():
+    """The reference model's complete parameters at the 4.6 mT bias."""
+    return FullParams(static_field=4.6e-3)
 
 
 @pytest.fixture

@@ -4,18 +4,26 @@ Each test exercises one headline requirement at its stated tolerance and
 prints a single PASS/FAIL line (run with ``pytest -s`` to see them all).
 """
 
+import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from nvmag import analysis, experiments, filters, io as _io, readout
 from nvmag import sequences as sq
 from nvmag.cli import main as cli_main
-from nvmag.scenario import load_scenario, scenario_from_mapping
+from nvmag.scenario import CHUNK_SIZE, load_scenario, scenario_from_mapping
 from conftest import SCENARIO_FILE
+from reference_spin import simulate_full
 
 GAMMA_E = 28.7e9
+SRC = Path(__file__).resolve().parent.parent / "src"
 GAMMA_RAD = 2 * np.pi * GAMMA_E
 
 
@@ -94,7 +102,9 @@ def test_04_filter_closed_form(capsys):
                f"1e-9 relative allowance, DC limits ok={b_dc and a_dc}")
 
 
-def test_05_pulse_error_linearity(params, capsys):
+def test_05_pulse_error_linearity(full_params, capsys):
+    # the two-level parameters of the reference model at the 4.6 mT bias
+    params = full_params.two_level()
     t0 = time.time()
     dg = np.logspace(-4, -3, 10)
     df = np.logspace(1, 2, 10)
@@ -115,22 +125,36 @@ def test_05_pulse_error_linearity(params, capsys):
                f"zero-error dev {dz_00:.1e}, {elapsed:.1f} s")
 
 
-def test_06_echo_phase_oracle(params, capsys):
+def test_06_echo_phase_oracle(full_params, capsys):
+    # the full 9-dimensional reference (zero-field splitting, nuclear
+    # Zeeman term, 4.6 mT bias) against the two-level production path,
+    # which knows only gamma_e and the hyperfine coupling
     phase_time, rabi = 50e-6, 5e6
     seq = sq.hahn_echo(phase_time, rabi, final_phase=0.0)
     b_max = 0.3 / (4 * GAMMA_E * phase_time)
     amplitudes = np.linspace(b_max / 10, b_max, 10)
-    worst = 0.0
+    params = full_params.two_level()
+    worst, worst_full = 0.0, 0.0
     for b in amplitudes:
-        p = sq.simulate_sequence(seq, params, field=sq.locked_field(b, phase_time),
-                                 m_i_values=(0,), method="full")
+        field = sq.locked_field(b, phase_time)
+        # the m_I = 0 block alone, then the hyperfine average
+        p, p_avg = (float(sq.echo_populations(seq, params, field=field,
+                                              m_i_values=m_i)[0])
+                    for m_i in ((0,), (-1, 0, 1)))
+        worst_full = max(worst_full,
+                         abs(p - simulate_full(seq, full_params, field=field,
+                                               m_i_values=(0,))),
+                         abs(p_avg - simulate_full(seq, full_params,
+                                                   field=field)))
         phi_sim = np.arccos(2 * p - 1)
-        phi_ref = sq.analytic_echo_phase(b, phase_time, params.gamma_e)
+        phi_ref = sq.analytic_echo_phase(b, phase_time, full_params.gamma_e)
         worst = max(worst, abs(phi_sim - phi_ref) / phi_ref)
-    ok = worst < 1e-9
+    ok = worst < 1e-9 and worst_full < 1e-9
     with capsys.disabled():
         report("06 echo phase oracle", ok,
-               f"10 amplitudes up to phase 0.3 rad, worst rel dev {worst:.2e}")
+               f"10 amplitudes up to phase 0.3 rad, worst rel dev "
+               f"{worst:.2e}, worst full-model population dev "
+               f"{worst_full:.2e}")
 
 
 def test_07_allan_estimator(capsys):
@@ -199,7 +223,6 @@ def test_09_scaling_recovery(capsys):
         "master_seed": 424242,
         "n_sequences": 1_000_000,
         "schemes": ["B", "D"],
-        "hamiltonian": {"static_field_T": 4.6e-3},
         "sequence": {"phase_time_s": 50e-6, "sequence_time_s": 160e-6,
                      "rabi_Hz": 5e6},
         "decay": {"t2_s": 100e-6},
@@ -251,17 +274,29 @@ def test_09_scaling_recovery(capsys):
                f"plateau/floor {plateau / floor:.1f}x, {elapsed:.0f} s")
 
 
-def test_10_determinism_across_threads(tmp_path, capsys):
-    scenario = load_scenario(SCENARIO_FILE)
-    scenario.n_sequences = 8192
+def test_10_determinism(tmp_path, capsys):
+    # three shot-noise chunks per scheme group; two in-process runs and one
+    # fresh interpreter through the CLI
+    mapping = yaml.safe_load(SCENARIO_FILE.read_text())
+    mapping["n_sequences"] = 2 * CHUNK_SIZE + 4096
+    path = tmp_path / "scenario.yaml"
+    path.write_text(yaml.safe_dump(mapping))
+    scenario = load_scenario(path)
     digests = []
-    for run, threads in (("t1", 1), ("t4", 4), ("t1b", 1)):
+    for run in ("a", "b"):
         res = experiments.run_scaling_experiment(scenario,
-                                                 out_dir=tmp_path / run,
-                                                 threads=threads)
+                                                 out_dir=tmp_path / run)
         digests.append({p.name: _io.file_digest(p) for p in res.outputs})
-    ok = digests[0] == digests[1] == digests[2]
+    child = subprocess.run(
+        [sys.executable, "-m", "nvmag.cli", "scaling", "--config", str(path),
+         "--out", str(tmp_path / "cli")], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=str(SRC)))
+    manifest = json.loads((tmp_path / "cli" / "manifest.json").read_text()) \
+        if child.returncode == 0 else {"outputs": {}}
+    digests.append(manifest["outputs"])
+    ok = digests[0] == digests[1] == digests[2] and len(digests[0]) == 6
     with capsys.disabled():
         report("10 determinism", ok,
-               f"{len(digests[0])} output files byte-identical across "
-               f"1/4/1 worker threads")
+               f"{len(digests[0])} output files byte-identical across two "
+               f"in-process runs and a fresh CLI process, exit "
+               f"{child.returncode}")

@@ -79,6 +79,49 @@ class TestValidate:
             if key in text + extra:
                 assert key in err
 
+    # each of these made the sweep exit 2, or fit two parameters to one
+    # point and exit 0
+    @pytest.mark.parametrize("args", [
+        ["--points", "0"],
+        ["--points", "-3"],
+        ["--points", "1"],
+        ["--max-amplitude-T", "nan"],
+        ["--max-amplitude-T", "1e300"],
+    ], ids=["zero-points", "negative-points", "one-point", "nan-amplitude",
+            "overflowing-phase"])
+    def test_bad_sweep_arguments_exit_1(self, tmp_path, capsys, args):
+        out = tmp_path / "run"
+        assert main(["sweep", "--config", SCENARIO, "--out", str(out)]
+                    + args) == 1
+        assert "configuration error" in capsys.readouterr().err
+        assert not out.exists()
+
+    # a laser-noise trace of 3.2e10 samples per sequence (14.9 TiB in all)
+    # and one of 2e5 per sequence (about 32 GB): both must be refused
+    # before any trace is synthesized
+    @pytest.mark.parametrize("overrides", [
+        {"n_sequences": 64, "readout": {"window_time_s": 1e-14}},
+        {"sequence": {"sequence_time_s": 1.0}},
+    ], ids=["tiny-window", "long-sequence"])
+    def test_oversize_laser_trace_exits_1(self, tmp_path, monkeypatch,
+                                          overrides):
+        from nvmag import noise
+        synthesized = []
+        monkeypatch.setattr(noise, "synthesize_trace",
+                            lambda *args: synthesized.append(args))
+        mapping = yaml.safe_load(SCENARIO_FILE.read_text())
+        for key, value in overrides.items():
+            if isinstance(value, dict):
+                mapping[key].update(value)
+            else:
+                mapping[key] = value
+        path = tmp_path / "big.yaml"
+        path.write_text(yaml.safe_dump(mapping))
+        assert main(["validate", "--config", str(path)]) == 1
+        assert main(["scaling", "--config", str(path),
+                     "--out", str(tmp_path / "run")]) == 1
+        assert synthesized == []
+
     def test_negative_seed_override_exits_1(self, tmp_path):
         out = tmp_path / "run"
         assert main(["scaling", "--config", SCENARIO, "--out", str(out),

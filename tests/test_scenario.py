@@ -6,10 +6,12 @@ import yaml
 
 from nvmag.noise import TabulatedPsd
 from conftest import SCENARIO_FILE
-from nvmag.scenario import (ConfigError, load_scenario,
-                            save_scenario, scenario_from_mapping,
-                            scenario_to_mapping, scenario_hash)
+from nvmag.scenario import (ConfigError, MAX_LASER_SAMPLES_PER_SEQUENCE,
+                            load_scenario, save_scenario,
+                            scenario_from_mapping, scenario_to_mapping,
+                            scenario_hash)
 from nvmag import io as _io
+from nvmag.spin import HamiltonianParams
 
 MINIMAL = {
     "name": "unit",
@@ -27,7 +29,8 @@ class TestLoading:
         assert s.name == "baseline"
         assert s.sequence.phase_time == pytest.approx(50e-6)
         assert s.readout.photon_rate == pytest.approx(9.277e18)
-        assert s.hamiltonian.static_field == pytest.approx(4.6e-3)
+        assert s.hamiltonian == HamiltonianParams(gamma_e=28.7e9,
+                                                  hyperfine=2.16e6)
         assert set(s.noise) == {"laser_intensity", "mw_amplitude",
                                 "mw_frequency"}
 
@@ -154,6 +157,32 @@ class TestValidation:
         m.setdefault(section, {})[key] = float("inf")
         with pytest.raises(ConfigError, match="finite"):
             scenario_from_mapping(m)
+
+    # the carrier frame cancels these terms, so no key sets them
+    @pytest.mark.parametrize("key", ["zero_field_splitting_Hz",
+                                     "gamma_n_Hz_per_T", "static_field_T"])
+    def test_retired_hamiltonian_keys_rejected(self, key):
+        m = copy.deepcopy(MINIMAL)
+        m["hamiltonian"] = {key: 1.0}
+        with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
+            scenario_from_mapping(m)
+
+    @pytest.mark.parametrize("factor, laser, ok", [
+        (0.99, {"white": 1e-12}, False),
+        (1.01, {"white": 1e-12}, True),
+        (0.99, {"white": 0.0}, True),
+    ], ids=["over-limit", "under-limit", "zero-model"])
+    def test_laser_trace_samples_bounded(self, factor, laser, ok):
+        # two trace samples per integration window and sequence
+        m = copy.deepcopy(MINIMAL)
+        m["readout"]["window_time_s"] = factor * 2 * 160e-6 / \
+            MAX_LASER_SAMPLES_PER_SEQUENCE
+        m["noise"] = {"laser_intensity": laser}
+        if ok:
+            scenario_from_mapping(m)
+        else:
+            with pytest.raises(ConfigError, match="trace samples"):
+                scenario_from_mapping(m)
 
     def test_non_finite_noise_level_rejected(self):
         m = copy.deepcopy(MINIMAL)

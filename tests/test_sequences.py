@@ -6,8 +6,9 @@ from hypothesis import given, settings, strategies as st
 from nvmag.sequences import (SequenceElement, PulseSequence, AcField,
                              CoherenceDecay, hahn_echo, field_evaluation,
                              locked_field, analytic_echo_phase,
-                             population_from_phase, simulate_sequence,
-                             echo_populations, pulse_error_response)
+                             population_from_phase, echo_populations,
+                             pulse_error_response)
+from reference_spin import simulate_full
 
 PHASE_TIME = 50e-6
 RABI = 5e6
@@ -104,31 +105,49 @@ class TestAnalyticOracles:
         assert population_from_phase(np.pi, 0.0) == pytest.approx(0.0, abs=1e-12)
 
 
+def population(seq, params, dg=0.0, df=0.0, **kwargs) -> float:
+    """``m_S = 0`` population of one evaluation on the production path."""
+    return float(echo_populations(seq, params, dg, df, **kwargs)[0])
+
+
 class TestSimulation:
     def test_ideal_echo_refocuses(self, params):
         seq = hahn_echo(PHASE_TIME, RABI, final_phase=0.0)
-        p = simulate_sequence(seq, params, m_i_values=(0,))
+        p = population(seq, params, m_i_values=(0,))
         assert p == pytest.approx(1.0, abs=1e-12)
 
     def test_population_matches_phase_oracle(self, params):
         seq = hahn_echo(PHASE_TIME, RABI, final_phase=0.0)
         for b in (2e-9, 1e-8, 3e-8):
-            p = simulate_sequence(seq, params, field=locked_field(b, PHASE_TIME),
-                                  m_i_values=(0,))
+            p = population(seq, params, field=locked_field(b, PHASE_TIME),
+                           m_i_values=(0,))
             phi_expected = analytic_echo_phase(b, PHASE_TIME, params.gamma_e)
             phi_sim = np.arccos(2 * p - 1)
             assert phi_sim == pytest.approx(phi_expected, rel=1e-2)
 
     def test_zero_error_gives_zero_deviation(self, params):
         seq = hahn_echo(PHASE_TIME, RABI)
-        p0 = simulate_sequence(seq, params)
-        p1 = simulate_sequence(seq, params, drive_error=(0.0, 0.0))
-        assert abs(p1 - p0) == 0.0
+        p0 = population(seq, params)
+        p1 = echo_populations(seq, params, np.zeros(3), np.zeros(3))
+        npt.assert_array_equal(p1, p0)
 
     def test_static_offsets_refocus(self, params):
+        # a static field offset dB is a carrier detuning df = gamma_e * dB;
+        # the echo refocuses its free-evolution phase (up to 90 rad here),
+        # leaving only the second-order error of the detuned pulses
         seq = hahn_echo(PHASE_TIME, RABI, final_phase=0.0)
         for db in (0.0, 1e-8, 1e-6, 1e-5):
-            p = simulate_sequence(seq, params, static_field=db, m_i_values=(0,))
+            df = params.gamma_e * db
+            p = population(seq, params, 0.0, df, m_i_values=(0,))
+            assert 0.0 <= 1.0 - p <= 2.0 * (df / RABI) ** 2 + 1e-15
+
+    def test_static_offsets_refocus_in_reference_model(self, full_params):
+        # the same offset as a field during the free evolutions only, on
+        # top of the bias field the carrier follows
+        seq = hahn_echo(PHASE_TIME, RABI, final_phase=0.0)
+        for db in (0.0, 1e-8, 1e-6, 1e-5):
+            p = simulate_full(seq, full_params, static_field=db,
+                              m_i_values=(0,))
             assert p == pytest.approx(1.0, abs=1e-9)
 
     def test_phase_linearity_in_amplitude(self, params):
@@ -136,8 +155,8 @@ class TestSimulation:
         amps = np.linspace(1e-9, 5.2e-8, 10)  # phases up to ~0.3 rad
         phis = []
         for b in amps:
-            p = simulate_sequence(seq, params, field=locked_field(b, PHASE_TIME),
-                                  m_i_values=(0,))
+            p = population(seq, params, field=locked_field(b, PHASE_TIME),
+                           m_i_values=(0,))
             phis.append(np.arccos(2 * p - 1))
         phis = np.asarray(phis)
         assert phis[-1] <= 0.31
@@ -151,46 +170,48 @@ class TestSimulation:
         responses = {}
         for phase in np.linspace(0, np.pi, 9):
             seq = hahn_echo(PHASE_TIME, RABI, final_phase=phase)
-            pp = simulate_sequence(seq, params, field=field_p, m_i_values=(0,))
-            pm = simulate_sequence(seq, params, field=field_m, m_i_values=(0,))
+            pp = population(seq, params, field=field_p, m_i_values=(0,))
+            pm = population(seq, params, field=field_m, m_i_values=(0,))
             responses[phase] = abs(pp - pm)
         best = max(responses, key=responses.get)
         assert best == pytest.approx(np.pi / 2)
 
-    def test_two_level_matches_full_model(self, params):
+    def test_two_level_matches_full_model(self, full_params):
         seq = hahn_echo(PHASE_TIME, RABI)
         cases = [((0.0, 0.0), 0.0), ((0.02, 0.0), 0.0), ((0.0, 3e4), 0.0),
                  ((0.01, -2e4), 1e-8), ((-0.03, 1e5), 5e-9)]
         for (dg, df), b in cases:
             field = locked_field(b, PHASE_TIME) if b else None
-            fast = simulate_sequence(seq, params, (dg, df), field=field,
-                                     method="two_level")
-            full = simulate_sequence(seq, params, (dg, df), field=field,
-                                     method="full")
-            assert fast == pytest.approx(full, abs=1e-6)
+            fast = population(seq, full_params.two_level(), dg, df,
+                              field=field)
+            full = simulate_full(seq, full_params, dg, df, field=field)
+            assert fast == pytest.approx(full, abs=1e-9)
 
     @pytest.mark.parametrize("method", ["two_level", "full"])
-    def test_unlocked_field_matches_quadrature(self, params, method):
+    def test_unlocked_field_matches_quadrature(self, full_params, method):
         # a field neither at the echo frequency nor zero at the refocusing
         # pulse: the exact field integral must still give the echo phase
         # gamma_rad * (int_0^{T/2} B - int_{T/2}^T B), here by quadrature
         field = AcField(amplitude=3e-8, frequency=0.7 / PHASE_TIME, phase=0.4)
         seq = hahn_echo(PHASE_TIME, RABI, final_phase=0.0)
-        p = simulate_sequence(seq, params, field=field, m_i_values=(0,),
-                              method=method)
+        if method == "two_level":
+            p = population(seq, full_params.two_level(), field=field,
+                           m_i_values=(0,))
+        else:
+            p = simulate_full(seq, full_params, field=field, m_i_values=(0,))
         halves = []
         for lo, hi in ((0.0, PHASE_TIME / 2), (PHASE_TIME / 2, PHASE_TIME)):
             t = np.linspace(lo, hi, 200_001)
             halves.append(np.trapezoid(field.value(t), t))
-        phi = 2 * np.pi * params.gamma_e * (halves[0] - halves[1])
+        phi = 2 * np.pi * full_params.gamma_e * (halves[0] - halves[1])
         assert np.arccos(2 * p - 1) == pytest.approx(abs(phi), rel=1e-8)
 
     def test_decay_envelope_scales_contrast(self, params):
         seq = hahn_echo(PHASE_TIME, RABI, final_phase=0.0)
         decay = CoherenceDecay(t2=100e-6)  # exponent 1 -> envelope exp(-1/2)
         field = locked_field(1e-8, PHASE_TIME)
-        p = simulate_sequence(seq, params, field=field, decay=decay,
-                              m_i_values=(0,))
+        p = population(seq, params, field=field, decay=decay,
+                       m_i_values=(0,))
         phi = analytic_echo_phase(1e-8, PHASE_TIME, params.gamma_e)
         expected = 0.5 * (1 + np.exp(-0.5) * np.cos(phi))
         assert p == pytest.approx(expected, rel=1e-6)
@@ -198,7 +219,7 @@ class TestSimulation:
     def test_decay_exponent_knob(self, params):
         seq = hahn_echo(PHASE_TIME, RABI, final_phase=0.0)
         decay = CoherenceDecay(t2=100e-6, exponent=2.0)
-        p = simulate_sequence(seq, params, decay=decay, m_i_values=(0,))
+        p = population(seq, params, decay=decay, m_i_values=(0,))
         expected = 0.5 * (1 + np.exp(-0.25))
         assert p == pytest.approx(expected, rel=1e-9)
 
@@ -208,7 +229,7 @@ class TestSimulation:
         df = np.array([0.0, 1e4, -3e4])
         batch = echo_populations(seq, params, dg, df)
         for k in range(3):
-            single = simulate_sequence(seq, params, (dg[k], df[k]))
+            single = population(seq, params, dg[k], df[k])
             assert batch[k] == pytest.approx(single, abs=1e-14)
 
     def test_alternating_final_phase_batch(self, params):
