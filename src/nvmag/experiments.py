@@ -38,13 +38,6 @@ BUDGET_SCHEME = "D"
 # shared plumbing
 # ---------------------------------------------------------------------------
 
-def _evaluation_sequence(scenario: Scenario) -> sequences.PulseSequence:
-    s = scenario.sequence
-    return sequences.field_evaluation(
-        s.phase_time, s.rabi, s.final_phase,
-        scenario.readout.laser_time, s.sequence_time)
-
-
 def _mw_error_samples(scenario: Scenario, n: int):
     """Per-sequence (amplitude error, frequency error) noise samples.
 
@@ -55,7 +48,7 @@ def _mw_error_samples(scenario: Scenario, n: int):
     t_seq = scenario.sequence.sequence_time
     out = {}
     for channel in ("mw_amplitude", "mw_frequency"):
-        model = scenario.noise_model(channel)
+        model = scenario.noise.get(channel)
         if model is None or model.is_zero or n < 2:
             out[channel] = np.zeros(n)
             continue
@@ -67,16 +60,15 @@ def _mw_error_samples(scenario: Scenario, n: int):
 
 def _laser_window_noise(scenario: Scenario, n: int):
     """Relative laser noise at the two window centres of each sequence."""
-    model = scenario.noise_model("laser_intensity")
+    model = scenario.noise.get("laser_intensity")
     if model is None or model.is_zero:
         return (None, None)
-    cfg = scenario.readout
-    seq = _evaluation_sequence(scenario)
-    mw_time = scenario.sequence.phase_time + seq.pulse_times()
+    cfg, s = scenario.readout, scenario.sequence
     dt = cfg.window_time / 2.0
-    trace = _noise.synthesize_trace(model, n * cfg.sequence_time, dt,
+    trace = _noise.synthesize_trace(model, n * s.sequence_time, dt,
                                     scenario.channel_seed("laser_intensity"))
-    starts = np.arange(n) * cfg.sequence_time + mw_time
+    # the laser pulse starts when the echo ends
+    starts = np.arange(n) * s.sequence_time + s.echo_time
     t1 = starts + cfg.window_time / 2.0
     t2 = starts + cfg.laser_time - cfg.window_time / 2.0
     return trace.value_at(t1), trace.value_at(t2)
@@ -85,12 +77,11 @@ def _laser_window_noise(scenario: Scenario, n: int):
 def _balance_populations(scenario: Scenario) -> np.ndarray:
     """Noise-free working-point populations at the two final phases, used
     to balance the reference."""
-    seq = _evaluation_sequence(scenario)
     s = scenario.sequence
     out = []
     for phase in (s.final_phase, s.alternate_final_phase):
         p = sequences.echo_populations(
-            seq, scenario.hamiltonian, 0.0, 0.0,
+            s.phase_time, s.rabi, scenario.hamiltonian, 0.0, 0.0,
             field=scenario.ac_field, decay=scenario.decay, final_phase=phase,
             m_i_values=s.m_i_values())
         out.append(float(p[0]))
@@ -135,7 +126,7 @@ def _scheme_series(scenario: Scenario, dg, df, eps_pair,
         # index into (final_phase, alternate_final_phase) per sequence
         parity = np.arange(n) % 2 if paired else np.zeros(n, dtype=np.int64)
         populations = sequences.echo_populations(
-            _evaluation_sequence(scenario), scenario.hamiltonian, dg, df,
+            s.phase_time, s.rabi, scenario.hamiltonian, dg, df,
             field=ac_field if ac_field is not None else scenario.ac_field,
             decay=scenario.decay,
             final_phase=np.array([s.final_phase,
@@ -145,23 +136,13 @@ def _scheme_series(scenario: Scenario, dg, df, eps_pair,
         s_a, s_b = _sample_window_record(
             scenario, populations, eps_pair, balance,
             SCHEME_STREAMS[stream_scheme] + stream_offset)
-        spacing = (2 if paired else 1) * scenario.readout.sequence_time
+        spacing = (2 if paired else 1) * s.sequence_time
         for scheme, values in zip(members, (s_a, s_b)):
             if scheme in scenario.schemes:
                 if paired:
                     values = readout.pair_difference(values)
                 series[scheme] = ReadoutSeries(values, spacing, scheme)
     return {scheme: series[scheme] for scheme in scenario.schemes}
-
-
-def field_response(scenario: Scenario, scheme: str) -> float:
-    """Analytic small-signal response ``|dS/dB|`` (1/T) of a scheme."""
-    env = 1.0
-    if scenario.decay is not None:
-        env = scenario.decay.envelope(scenario.sequence.phase_time)
-    return readout.signal_response_per_tesla(
-        scenario.readout, scenario.sequence.phase_time,
-        scenario.hamiltonian.gamma_e, env, scheme)
 
 
 def error_conversion_slopes(scenario: Scenario, dg=3e-4, df=30.0):
@@ -278,7 +259,7 @@ def run_scaling_experiment(scenario: Scenario, out_dir=None) -> ScalingResult:
             series=series,
             allan=analysis.allan_deviation(series.values, series.spacing, grid),
             std=analysis.std_vs_time(series.values, series.spacing, grid),
-            response_per_tesla=field_response(scenario, scheme),
+            response_per_tesla=scenario.field_response(scheme),
         )
 
     result = ScalingResult(out)
@@ -372,9 +353,9 @@ def run_noise_budget(scenario: Scenario, out_dir=None,
     unreferenced-within-sequence variant, see
     :func:`nvmag.filters.filter_scheme_for_channel`).
     """
-    cfg = scenario.readout
-    f_top = 1.0 / cfg.sequence_time
-    f_floor = 1.0 / (scenario.n_sequences * cfg.sequence_time)
+    cfg, t_seq = scenario.readout, scenario.sequence.sequence_time
+    f_top = 1.0 / t_seq
+    f_floor = 1.0 / (scenario.n_sequences * t_seq)
     freqs = np.logspace(math.log10(f_floor), math.log10(f_top),
                         BUDGET_GRID_POINTS)
 
@@ -394,7 +375,7 @@ def run_noise_budget(scenario: Scenario, out_dir=None,
             freqs, density, f_top)
         window = filters.window_for_signal(
             filters.filter_scheme_for_channel(BUDGET_SCHEME, channel),
-            cfg.laser_time, cfg.window_time, cfg.sequence_time)
+            cfg.laser_time, cfg.window_time, t_seq)
         filtered[channel] = slopes[channel] * \
             filters.filtered_cumulative_noise_descending(freqs, density,
                                                          window, f_top)

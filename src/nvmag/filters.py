@@ -43,7 +43,6 @@ class IntegrationWindow:
     """
 
     segments: tuple[tuple[float, float, float], ...]
-    span: float
     gain: float
 
     def __post_init__(self):
@@ -58,9 +57,6 @@ class IntegrationWindow:
             prev_end = end
         if self.gain <= 0:
             raise ValueError("gain must be positive")
-
-    def net_area(self) -> float:
-        return sum(w * (e - s) for s, e, w in self.segments)
 
 
 def window_for_signal(scheme: str, laser_time: float, window_time: float,
@@ -92,8 +88,7 @@ def window_for_signal(scheme: str, laser_time: float, window_time: float,
         shifted = tuple((s + sequence_time, e + sequence_time, -w)
                         for s, e, w in base)
         segments = base + shifted
-    span = max(end for _, end, _ in segments)
-    return IntegrationWindow(segments=segments, span=span, gain=window_time)
+    return IntegrationWindow(segments=segments, gain=window_time)
 
 
 def filter_transmission_numeric(window: IntegrationWindow, omega) -> np.ndarray:

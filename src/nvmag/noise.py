@@ -65,20 +65,6 @@ class PsdModel:
             return float(out[0])
         return out
 
-    def band_variance(self, f_lo: float, f_hi: float) -> float:
-        """Closed-form integral of the density between two frequencies."""
-        lo = max(f_lo, self.f_min)
-        hi = min(f_hi, self.f_max)
-        if hi <= lo:
-            return 0.0
-        var = self.white * (hi - lo)
-        for amp, alpha in self.flicker:
-            if alpha == 1.0:
-                var += amp * math.log(hi / lo)
-            else:
-                var += amp * (hi ** (1 - alpha) - lo ** (1 - alpha)) / (1 - alpha)
-        return var
-
     @property
     def is_zero(self) -> bool:
         return self.white == 0.0 and all(a == 0.0 for a, _ in self.flicker)
@@ -173,27 +159,6 @@ def synthesize_trace(model, duration: float, dt: float, seed) -> NoiseTrace:
     del scale
     samples = np.fft.irfft(spectrum, n)
     return NoiseTrace(samples, dt, getattr(model, "channel", ""), seed)
-
-
-def estimate_psd(trace: NoiseTrace, segment_length: int):
-    """Averaged (Welch, Hann-windowed, non-overlapping) periodogram.
-
-    Each full segment has its mean removed and is tapered by a periodic
-    Hann window; a trailing partial segment is dropped.  Returns
-    ``(freqs, density)`` with the one-sided convention matching
-    :class:`PsdModel`: interior bins are doubled, DC and (for an even
-    ``segment_length``) Nyquist are not.
-    """
-    n = segment_length
-    if trace.samples.size < 2 * n:
-        raise ValueError("trace must cover at least two segments")
-    segments = trace.samples[:trace.samples.size // n * n].reshape(-1, n)
-    segments = segments - segments.mean(axis=1, keepdims=True)
-    window = 0.5 - 0.5 * np.cos(2.0 * math.pi * np.arange(n) / n)
-    power = np.abs(np.fft.rfft(segments * window, axis=1)) ** 2
-    density = power.mean(axis=0) * trace.dt / np.sum(window ** 2)
-    density[1:(n + 1) // 2] *= 2.0
-    return np.fft.rfftfreq(n, trace.dt), density
 
 
 def cumulative_rss_descending(freqs, density, f_high: float) -> np.ndarray:

@@ -67,22 +67,19 @@ class ReadoutConfig:
     reference_ratio: float = 1.0    # reference beam rate / R0
     laser_time: float = 100e-6      # s
     window_time: float = 10e-6      # s
-    sequence_time: float = 160e-6   # s
     reference_enabled: bool = True
 
     def __post_init__(self):
         values = (self.photon_rate, self.contrast, self.repolarization_time,
-                  self.reference_ratio, self.laser_time, self.window_time,
-                  self.sequence_time)
+                  self.reference_ratio, self.laser_time, self.window_time)
         if not all(math.isfinite(v) for v in values):
             raise ValueError("readout parameters must be finite")
         if self.photon_rate <= 0:
             raise ValueError("photon rate must be positive")
         if not 0.0 < self.contrast < 1.0:
             raise ValueError("contrast must lie in (0, 1)")
-        if not 0.0 < self.window_time < self.laser_time <= self.sequence_time:
-            raise ValueError("need 0 < window_time < laser_time <= "
-                             "sequence_time")
+        if not 0.0 < self.window_time < self.laser_time:
+            raise ValueError("need 0 < window_time < laser_time")
         if self.repolarization_time <= 0:
             raise ValueError("repolarization time must be positive")
         if not (self.reference_ratio > 0.0
@@ -118,13 +115,14 @@ class ReadoutSeries:
 # ---------------------------------------------------------------------------
 
 def window_dip_fraction(cfg: ReadoutConfig, window: int) -> float:
-    """Mean of ``exp(-t/tau)`` over the first (0) or last (1) window."""
-    tau = cfg.repolarization_time
-    if window == 0:
-        lo, hi = 0.0, cfg.window_time
-    else:
-        lo, hi = cfg.laser_time - cfg.window_time, cfg.laser_time
-    return tau * (math.exp(-lo / tau) - math.exp(-hi / tau)) / cfg.window_time
+    """Mean of ``exp(-t/tau)`` over the first (0) or last (1) window.
+
+    Written as ``exp(-lo/tau) (1 - exp(-w/tau)) tau / w`` with ``expm1``,
+    which keeps every digit when ``tau`` is much longer than the window
+    (the difference of two exponentials would cancel to 0)."""
+    tau, w = cfg.repolarization_time, cfg.window_time
+    lo = 0.0 if window == 0 else cfg.laser_time - w
+    return math.exp(-lo / tau) * -math.expm1(-w / tau) * tau / w
 
 
 def expected_window_counts(p, cfg: ReadoutConfig, window: int):
@@ -191,9 +189,14 @@ def signal_response_per_tesla(cfg: ReadoutConfig, phase_time: float,
 
     Combines the echo phase per tesla ``4 gamma_e phase_time``, the
     population slope ``envelope / 2`` at the equal-population point, the
-    per-population signal slope, and the scheme multiplier.
+    per-population signal slope, and the scheme multiplier.  The signal
+    slope is ``contrast`` times the first window's dip fraction, less the
+    last window's for the referenced schemes B and D.
     """
     phase_per_tesla = 4.0 * gamma_e * phase_time
     pop_per_phase = decay_envelope / 2.0
-    return (SCHEME_RESPONSE[scheme] * signal_slope_per_population(cfg)
+    dip = window_dip_fraction(cfg, 0)
+    if scheme in ("B", "D"):
+        dip -= window_dip_fraction(cfg, 1)
+    return (SCHEME_RESPONSE[scheme] * (cfg.contrast * dip)
             * pop_per_phase * phase_per_tesla)

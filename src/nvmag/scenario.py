@@ -31,9 +31,10 @@ from . import __version__, io as _io
 from .analysis import optimal_phase_time
 from .filters import window_for_signal
 from .noise import PsdModel, TabulatedPsd, CHANNELS
-from .readout import ReadoutConfig, SCHEME_SEQUENCES
+from .readout import (ReadoutConfig, SCHEME_SEQUENCES,
+                      signal_response_per_tesla)
 from .sequences import (AcField, CoherenceDecay, echo_populations,
-                        field_evaluation)
+                        pi_pulse_time)
 from .spin import HamiltonianParams
 
 #: fixed seed-stream offsets per noise channel; shot noise uses
@@ -74,6 +75,13 @@ class SequenceSettings:
 
     def m_i_values(self):
         return (-1, 0, 1) if self.hyperfine_average else (0,)
+
+    @property
+    def echo_time(self) -> float:
+        """Duration of the echo: the free evolution and the three pulses;
+        the laser pulse starts when it ends."""
+        return self.phase_time + 2.0 * pi_pulse_time(self.phase_time,
+                                                     self.rabi)
 
 
 @dataclass
@@ -125,21 +133,19 @@ class Scenario:
             if channel not in CHANNELS:
                 raise ConfigError(f"unknown noise channel {channel!r}")
         rd, seq = self.readout, self.sequence
-        if rd.sequence_time != seq.sequence_time:
-            raise ConfigError("readout and sequence block disagree on "
-                              "sequence_time")
-        try:  # the pulses, free evolutions and laser must fit one sequence,
-            # and every scheme's integration window must be resolvable
-            evaluation = field_evaluation(seq.phase_time, seq.rabi,
-                                          seq.final_phase, rd.laser_time,
-                                          seq.sequence_time)
+        try:  # the pulses must fit the free evolution, and every scheme's
+            # integration window must be resolvable
+            echo_time = seq.echo_time
             for scheme in SCHEME_SEQUENCES:
                 window_for_signal(scheme, rd.laser_time, rd.window_time,
-                                  rd.sequence_time)
+                                  seq.sequence_time)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        if echo_time + rd.laser_time > seq.sequence_time + 1e-15:
+            raise ConfigError("echo plus laser window do not fit in "
+                              "sequence_time")
         laser = self.noise.get("laser_intensity")
-        if laser is not None and not laser.is_zero and 2.0 * rd.sequence_time \
+        if laser is not None and not laser.is_zero and 2.0 * seq.sequence_time \
                 > MAX_LASER_SAMPLES_PER_SEQUENCE * rd.window_time:
             raise ConfigError(
                 "laser noise needs more than "
@@ -157,7 +163,8 @@ class Scenario:
                     excursion[k] = 10.0 * np.sqrt(np.trapezoid(
                         self.noise[channel].density(band), band))
             populations = echo_populations(
-                evaluation, self.hamiltonian, np.repeat([0.0, excursion[0]], 2),
+                seq.phase_time, seq.rabi, self.hamiltonian,
+                np.repeat([0.0, excursion[0]], 2),
                 np.repeat([0.0, excursion[1]], 2), field=self.ac_field,
                 final_phase=[seq.final_phase, seq.alternate_final_phase] * 2,
                 m_i_values=seq.m_i_values())
@@ -175,9 +182,22 @@ class Scenario:
             if not usable:
                 raise ConfigError("decay envelope at phase_time or optimal "
                                   "phase time is not a positive float")
+        # the scaling curves divide by the field response
+        for scheme in self.schemes:
+            response = self.field_response(scheme)
+            if not (0.0 < response < math.inf and 1.0 / response < math.inf):
+                raise ConfigError(f"scheme {scheme}: field response "
+                                  f"{response:.3g} per tesla is not positive "
+                                  "and finite with a finite reciprocal")
 
-    def noise_model(self, channel: str):
-        return self.noise.get(channel)
+    def field_response(self, scheme: str) -> float:
+        """Analytic small-signal response ``|dS/dB|`` (1/T) of a scheme."""
+        env = 1.0
+        if self.decay is not None:
+            env = self.decay.envelope(self.sequence.phase_time)
+        return signal_response_per_tesla(
+            self.readout, self.sequence.phase_time, self.hamiltonian.gamma_e,
+            env, scheme)
 
     def channel_seed(self, channel: str) -> np.random.SeedSequence:
         return np.random.SeedSequence((self.master_seed,
@@ -287,8 +307,7 @@ def scenario_from_mapping(mapping: dict, base_dir: Path | str = ".") -> Scenario
             ac_field = AcField(**ac)
         readout = ReadoutConfig(
             **_fields(mapping.get("readout"), "readout", _READOUT_KEYS,
-                      required=("photon_rate_cps",)),
-            sequence_time=sequence.sequence_time)
+                      required=("photon_rate_cps",)))
         noise = {}
         for channel, section in _section(mapping.get("noise"), "noise",
                                          CHANNELS).items():
@@ -329,12 +348,15 @@ def _to_section(obj, keys: dict) -> dict:
 
 
 def scenario_to_mapping(s: Scenario) -> dict:
-    """Inverse of :func:`scenario_from_mapping` (parametric PSDs only)."""
+    """Inverse of :func:`scenario_from_mapping`, except that a tabulated
+    spectrum appears by value (its frequencies and densities), which the
+    hash digests but a scenario file does not hold."""
     noise = {}
     for channel, model in s.noise.items():
         if isinstance(model, TabulatedPsd):
-            raise ConfigError("tabulated spectra serialize by file reference; "
-                              "keep the original scenario file")
+            noise[channel] = {"freqs_Hz": list(model.freqs),
+                              "density": list(model.values)}
+            continue
         noise[channel] = {
             "white": model.white,
             "flicker": [list(c) for c in model.flicker],
@@ -376,14 +398,6 @@ def load_scenario(path) -> Scenario:
         except yaml.YAMLError as exc:
             raise ConfigError(f"{path}: {exc}") from exc
     return scenario_from_mapping(mapping, base_dir=path.parent)
-
-
-def save_scenario(scenario: Scenario, path) -> Path:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as fh:
-        yaml.safe_dump(scenario_to_mapping(scenario), fh, sort_keys=False)
-    return path
 
 
 def scenario_hash(scenario: Scenario) -> str:

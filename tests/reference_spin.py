@@ -265,40 +265,44 @@ def field_integral(field, static_field: float, t_start: float,
         - math.cos(w * (t_start + duration) + field.phase))
 
 
-def simulate_full(seq, params: FullParams, amplitude_error: float = 0.0,
-                  frequency_error: float = 0.0, field=None, decay=None, *,
+def simulate_full(phase_time: float, rabi: float, params: FullParams,
+                  amplitude_error: float = 0.0, frequency_error: float = 0.0,
+                  field=None, decay=None, *, final_phase: float = math.pi / 2,
                   static_field: float = 0.0,
                   m_i_values=NUCLEAR_LEVELS) -> float:
-    """Final ``m_S = 0`` population of one pulse sequence in the full model.
+    """Final ``m_S = 0`` population of the echo
+    ``(pi/2)_x - T/2 - (pi)_x - T/2 - (pi/2)_final_phase`` in the full model.
 
+    The pulses take ``1/(4 rabi)``, ``1/(2 rabi)`` and ``1/(4 rabi)``.
     ``static_field`` (T) adds to the field during the free evolutions
     only, on top of the bias field of ``params``, which the carrier
     follows.
     """
-    state = polarized_state(m_i_values)
+    t_pi = 1.0 / (2.0 * rabi)
+    half = phase_time / 2.0
     frame = rotating_frame_diagonal(params, frequency_error)
     s_z_diag = np.real(np.diag(build_operators().s_z))
-    t_free = 0.0
-    for element in seq.elements:
-        if element.kind == "laser":
-            break
-        if element.kind == "pulse":
-            drive = DriveParams(rabi=element.nominal_rabi,
-                                carrier_detuning=frequency_error,
-                                amplitude_error=amplitude_error,
-                                phase=element.phase)
-            h = drive_hamiltonian_rotating(params, drive)
-            state = evolve(state, h, element.duration)
-        else:
-            # diagonal free evolution; the field integral is exact here
-            b_int = field_integral(field, static_field, t_free,
-                                   element.duration)
-            phase = frame * element.duration \
-                + TWO_PI * params.gamma_e * s_z_diag * b_int
-            state = QuantumState(state.amplitudes * np.exp(-1j * phase),
-                                 state.labels)
-            t_free += element.duration
+
+    def pulse(state, rotation, duration, phase):
+        drive = DriveParams(rabi=rotation / (TWO_PI * duration),
+                            carrier_detuning=frequency_error,
+                            amplitude_error=amplitude_error, phase=phase)
+        return evolve(state, drive_hamiltonian_rotating(params, drive),
+                      duration)
+
+    def free(state, t_start):
+        # diagonal free evolution; the field integral is exact here
+        b_int = field_integral(field, static_field, t_start, half)
+        phase = frame * half + TWO_PI * params.gamma_e * s_z_diag * b_int
+        return QuantumState(state.amplitudes * np.exp(-1j * phase),
+                            state.labels)
+
+    state = pulse(polarized_state(m_i_values), math.pi / 2, t_pi / 2, 0.0)
+    state = free(state, 0.0)
+    state = pulse(state, math.pi, t_pi, 0.0)
+    state = free(state, half)
+    state = pulse(state, math.pi / 2, t_pi / 2, final_phase)
     p = ms0_population(state)
     if decay is not None:
-        p = 0.5 + (p - 0.5) * decay.envelope(seq.phase_time)
+        p = 0.5 + (p - 0.5) * decay.envelope(phase_time)
     return float(p)

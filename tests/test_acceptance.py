@@ -130,7 +130,6 @@ def test_06_echo_phase_oracle(full_params, capsys):
     # Zeeman term, 4.6 mT bias) against the two-level production path,
     # which knows only gamma_e and the hyperfine coupling
     phase_time, rabi = 50e-6, 5e6
-    seq = sq.hahn_echo(phase_time, rabi, final_phase=0.0)
     b_max = 0.3 / (4 * GAMMA_E * phase_time)
     amplitudes = np.linspace(b_max / 10, b_max, 10)
     params = full_params.two_level()
@@ -138,14 +137,13 @@ def test_06_echo_phase_oracle(full_params, capsys):
     for b in amplitudes:
         field = sq.locked_field(b, phase_time)
         # the m_I = 0 block alone, then the hyperfine average
-        p, p_avg = (float(sq.echo_populations(seq, params, field=field,
-                                              m_i_values=m_i)[0])
-                    for m_i in ((0,), (-1, 0, 1)))
-        worst_full = max(worst_full,
-                         abs(p - simulate_full(seq, full_params, field=field,
-                                               m_i_values=(0,))),
-                         abs(p_avg - simulate_full(seq, full_params,
-                                                   field=field)))
+        p, p_avg = (float(sq.echo_populations(
+            phase_time, rabi, params, field=field, final_phase=0.0,
+            m_i_values=m_i)[0]) for m_i in ((0,), (-1, 0, 1)))
+        full, full_avg = (simulate_full(
+            phase_time, rabi, full_params, field=field, final_phase=0.0,
+            m_i_values=m_i) for m_i in ((0,), (-1, 0, 1)))
+        worst_full = max(worst_full, abs(p - full), abs(p_avg - full_avg))
         phi_sim = np.arccos(2 * p - 1)
         phi_ref = sq.analytic_echo_phase(b, phase_time, full_params.gamma_e)
         worst = max(worst, abs(phi_sim - phi_ref) / phi_ref)
@@ -235,10 +233,10 @@ def test_09_scaling_recovery(capsys):
     # shot-only per-evaluation deviation around one second
     budget = experiments.run_noise_budget(scenario, n_reference=4096)
     sigma1 = budget.sigma1["B"]
-    cfg = scenario.readout
-    freqs = np.logspace(-3, np.log10(1 / cfg.sequence_time), 800)
+    cfg, t_seq = scenario.readout, 160e-6
+    freqs = np.logspace(-3, np.log10(1 / t_seq), 800)
     window_a = filters.window_for_signal("A", cfg.laser_time, cfg.window_time,
-                                         cfg.sequence_time)
+                                         t_seq)
     density = scenario.noise["mw_amplitude"].density(freqs)
     converted = budget.slopes["mw_amplitude"] * \
         filters.filtered_cumulative_noise_descending(freqs, density, window_a,

@@ -8,11 +8,14 @@ import tempfile
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
 
+from nvmag import io as _io
 from nvmag.cli import _COMMANDS, main
+from nvmag.scenario import load_scenario, scenario_hash
 
 from conftest import SCENARIO_FILE
 
@@ -60,9 +63,11 @@ class TestValidate:
         ("substeps_per_period: 256, ", ""),
         ("", "readout: {photon_rate_cps: 1.0e+12, bin_width_s: 1.0e-6}\n"),
         ("", "bin_width_s: 1.0e-6\n"),
+        ("", "readout: {photon_rate_cps: 1.0e+12, laser_time_s: 1.2e-4}\n"),
     ], ids=["missing-psd-file", "envelope-overflow", "string-hyperfine-flag",
             "string-reference-flag", "retired-substeps-key",
-            "retired-bin-width-key", "unknown-top-level-key"])
+            "retired-bin-width-key", "unknown-top-level-key",
+            "overfull-sequence"])
     def test_bad_config_exits_1(self, tmp_path, capsys, sequence, extra):
         path = tmp_path / "bad.yaml"
         text = ("name: bad\nn_sequences: 64\n"
@@ -121,6 +126,33 @@ class TestValidate:
         assert main(["scaling", "--config", str(path),
                      "--out", str(tmp_path / "run")]) == 1
         assert synthesized == []
+
+    # a repolarization far slower than the laser pulse leaves both
+    # windows with the same dip: the window difference of B and D has no
+    # field response, while A keeps one
+    @pytest.mark.parametrize("schemes, code", [
+        (["B", "D"], 1), (["B"], 1), (["D"], 1), (["A"], 0), (["A", "C"], 0),
+    ], ids=["BD", "B", "D", "A", "AC"])
+    def test_slow_repolarization_rejects_referenced_schemes(
+            self, tmp_path, capsys, schemes, code):
+        mapping = yaml.safe_load(SCENARIO_FILE.read_text())
+        mapping.update(n_sequences=64, schemes=schemes)
+        mapping["readout"]["repolarization_time_s"] = 1e300
+        path = tmp_path / "slow.yaml"
+        path.write_text(yaml.safe_dump(mapping))
+        out = tmp_path / "run"
+        assert main(["validate", "--config", str(path)]) == code
+        assert main(["scaling", "--config", str(path),
+                     "--out", str(out)]) == code
+        if code:
+            assert "field response" in capsys.readouterr().err
+            assert not out.exists()
+            return
+        for scheme in schemes:
+            table = np.loadtxt(out / f"allan_{scheme}.csv", delimiter=",",
+                               skiprows=1, ndmin=2)
+            assert np.all(np.isfinite(table[:, 2]))
+            assert np.all(table[:, 2] > 0)
 
     def test_negative_seed_override_exits_1(self, tmp_path):
         out = tmp_path / "run"
@@ -186,6 +218,44 @@ class TestRunners:
         series_a = (a / "series_B.csv").read_bytes()
         series_b = (b / "series_B.csv").read_bytes()
         assert series_a != series_b
+
+
+class TestTabulatedSpectrum:
+    """A measured laser spectrum read from a file runs every command."""
+
+    def write(self, tmp_path, bump=1.0):
+        """The baseline with a tabulated ``1e-12 / f**2`` laser spectrum,
+        one density value scaled by ``bump``."""
+        f = np.logspace(-2, np.log10(5e4), 40)
+        density = 1e-12 / f**2
+        density[7] *= bump
+        _io.write_table(tmp_path / "psd.csv", ["f_Hz", "density"],
+                        [f, density])
+        mapping = yaml.safe_load(SCENARIO_FILE.read_text())
+        mapping["n_sequences"] = 64
+        mapping["noise"]["laser_intensity"] = {"file": "psd.csv"}
+        path = tmp_path / "tabulated.yaml"
+        path.write_text(yaml.safe_dump(mapping))
+        return path
+
+    def test_all_commands_run(self, tmp_path):
+        path = self.write(tmp_path)
+        for command in _COMMANDS:
+            out = tmp_path / command
+            args = [command, "--config", str(path)]
+            assert main(args + ([] if command == "validate"
+                                else ["--out", str(out)])) == 0, command
+            if command == "validate":
+                continue
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["outputs"]
+            for name, digest in manifest["outputs"].items():
+                assert _io.file_digest(out / name) == digest
+
+    def test_hash_tracks_the_table(self, tmp_path):
+        hashes = [scenario_hash(load_scenario(self.write(tmp_path, bump)))
+                  for bump in (1.0, 1.0, 1.5)]
+        assert hashes[0] == hashes[1] != hashes[2]
 
 
 def _entries(node, path=()):

@@ -74,6 +74,22 @@ class TestAcSweep:
         means = res.means["B"]
         assert np.argmin(means) == 2  # population minimum at phase pi
 
+    def test_referenced_response_follows_window_difference(self):
+        # at a 30 us repolarization the end window still carries 5% of the
+        # first window's spin dip, which B and D subtract; the analytic
+        # field response must follow.  Each pair shares one record, so
+        # shot noise moves the fitted ratios by about 1e-6.
+        s = make_scenario(n_sequences=4000, schemes=["A", "B", "C", "D"],
+                          readout={"photon_rate_cps": 9.277e18,
+                                   "repolarization_time_s": 30e-6})
+        res = experiments.run_ac_sweep(s, np.linspace(0.0, 5e-8, 5))
+        fit = res.response_amplitude
+        for unreferenced, referenced in (("A", "B"), ("C", "D")):
+            assert fit[referenced] / fit[unreferenced] == pytest.approx(
+                s.field_response(referenced) / s.field_response(unreferenced),
+                rel=1e-4)
+        assert fit["B"] / fit["A"] == pytest.approx(0.9502, abs=1e-4)
+
     def test_doubled_scheme_response(self):
         s = make_scenario(n_sequences=1024, schemes=["B", "D"])
         amps = np.linspace(0.0, 5e-8, 5)

@@ -5,19 +5,19 @@ import pytest
 from nvmag import sequences as sq
 from nvmag.readout import (ReadoutConfig, sequence_signals, pair_difference,
                            expected_window_counts, poisson_counts,
-                           window_dip_fraction)
+                           signal_response_per_tesla, window_dip_fraction)
 from reference_readout import (ReadoutRecord, bin_centres, bin_count,
                                difference_detector, extract_signal,
                                fluorescence_expectation, sample_counts,
                                simulate_record)
 
 BIN = 1e-6  # bin width of the per-bin reference records
+T_SEQ = 160e-6  # sequence spacing of the sampled series
 
 
 def small_cfg(**kw):
     defaults = dict(photon_rate=1e9, contrast=0.04, repolarization_time=1e-6,
-                    laser_time=100e-6, window_time=10e-6,
-                    sequence_time=160e-6)
+                    laser_time=100e-6, window_time=10e-6)
     defaults.update(kw)
     return ReadoutConfig(**defaults)
 
@@ -57,6 +57,30 @@ class TestFluorescence:
                                  t) / cfg.window_time
         got = expected_window_counts(0.2, cfg, 0) / cfg.window_time
         assert got == pytest.approx(mean_rate, rel=1e-9)
+
+    @pytest.mark.parametrize("tau, first, last", [
+        (1e300, 1.0, 1.0),         # no repolarization within the pulse
+        (1e-300, 1e-295, 0.0),     # instant repolarization: tau / window
+        (1e-6, 0.09999546000702374, 8.193640616392798e-41),  # baseline
+    ])
+    def test_dip_fraction_extremes(self, tau, first, last):
+        # the mean of exp(-t/tau) over each window, which a difference of
+        # two exponentials would cancel to 0 for a slow repolarization
+        cfg = small_cfg(repolarization_time=tau)
+        assert window_dip_fraction(cfg, 0) == pytest.approx(first, rel=1e-15)
+        assert window_dip_fraction(cfg, 1) == pytest.approx(last, rel=1e-15)
+
+    def test_referenced_schemes_respond_through_window_difference(self):
+        cfg = small_cfg(repolarization_time=30e-6)
+        d0, d1 = (window_dip_fraction(cfg, k) for k in (0, 1))
+        response = {s: signal_response_per_tesla(cfg, 50e-6, 28.7e9, 1.0, s)
+                    for s in "ABCD"}
+        assert response["A"] == pytest.approx(
+            cfg.contrast * d0 * 0.5 * 4 * 28.7e9 * 50e-6, rel=1e-15)
+        assert response["B"] / response["A"] == pytest.approx(
+            (d0 - d1) / d0, rel=1e-14)
+        assert response["C"] == 2 * response["A"]
+        assert response["D"] == 2 * response["B"]
 
 
 class TestSampling:
@@ -185,7 +209,7 @@ class TestExtraction:
                 (True, ("A", "B"), np.full(n, 0.3)),
                 (True, ("C", "D"), np.tile([0.3, 0.8], n // 2))):
             cfg = small_cfg(photon_rate=1e10, laser_time=20e-6,
-                            window_time=5e-6, sequence_time=40e-6,
+                            window_time=5e-6,
                             reference_enabled=reference)
             dip_bias = cfg.contrast * (bin_width
                                        / cfg.repolarization_time) ** 2 / 24
@@ -231,8 +255,8 @@ class TestReferencingPenalty:
         n = 1 << 17
         rng = np.random.default_rng(9)
         _, s_b = sequence_signals(np.full(n, 0.5), cfg, rng)
-        grid = analysis.default_time_grid(n, cfg.sequence_time, min_blocks=64)
-        curve = analysis.std_vs_time(s_b, cfg.sequence_time, grid)
+        grid = analysis.default_time_grid(n, T_SEQ, min_blocks=64)
+        curve = analysis.std_vs_time(s_b, T_SEQ, grid)
         slope, _ = analysis.fit_log_slope(curve, grid[0], grid[-1])
         assert slope == pytest.approx(-0.5, abs=0.03)
 
@@ -246,7 +270,7 @@ class TestLaserNoiseRejection:
         n = 30_000
         cfg_on = small_cfg(photon_rate=9.277e18)
         cfg_off = small_cfg(photon_rate=9.277e18, reference_enabled=False)
-        duration = n * cfg_on.sequence_time
+        duration = n * T_SEQ
         # flicker level giving 1% RMS within the band the run resolves
         level = 1e-4 / duration
         model = PsdModel("laser_intensity", flicker=((level, 2.0),),
@@ -254,7 +278,7 @@ class TestLaserNoiseRejection:
         trace = synthesize_trace(model, duration, cfg_on.window_time / 2,
                                  seed=31)
         assert 0.002 < trace.samples.std() < 0.05
-        starts = np.arange(n) * cfg_on.sequence_time + 50.2e-6
+        starts = np.arange(n) * T_SEQ + 50.2e-6
         eps = (trace.value_at(starts + cfg_on.window_time / 2),
                trace.value_at(starts + cfg_on.laser_time
                               - cfg_on.window_time / 2))
@@ -278,12 +302,12 @@ class TestLaserNoiseRejection:
         from nvmag.noise import PsdModel, synthesize_trace
         n = 20_000
         cfg = small_cfg(photon_rate=9.277e18)
-        duration = n * cfg.sequence_time
+        duration = n * T_SEQ
         model = PsdModel("laser_intensity",
                          flicker=((1e-4 / duration, 2.0),),
                          f_min=1e-3, f_max=5e4)
         trace = synthesize_trace(model, duration, cfg.window_time / 2, seed=8)
-        starts = np.arange(n) * cfg.sequence_time + 50.2e-6
+        starts = np.arange(n) * T_SEQ + 50.2e-6
         eps = (trace.value_at(starts + cfg.window_time / 2),
                trace.value_at(starts + cfg.laser_time - cfg.window_time / 2))
         p = np.full(n, 0.5)
@@ -311,12 +335,12 @@ class TestSchemeDInsensitivity:
     def test_slow_amplitude_wander_biases_b_not_d(self, params):
         # constant drive-amplitude offset: the slowest possible wander
         cfg = small_cfg(photon_rate=1e14)
-        seq = sq.hahn_echo(50e-6, 5e6)
         n = 40_000
         dg = np.full(n, 5e-3)
         phases = np.where(np.arange(n) % 2 == 0, np.pi / 2, -np.pi / 2)
-        p_noisy = sq.echo_populations(seq, params, dg, 0.0, final_phase=phases)
-        p_clean = sq.echo_populations(seq, params, 0.0, 0.0,
+        p_noisy = sq.echo_populations(50e-6, 5e6, params, dg, 0.0,
+                                      final_phase=phases)
+        p_clean = sq.echo_populations(50e-6, 5e6, params, 0.0, 0.0,
                                       final_phase=phases)
         rng = np.random.default_rng(17)
         s_a_n, s_b_n = sequence_signals(p_noisy, cfg, rng,

@@ -7,9 +7,8 @@ import yaml
 from nvmag.noise import TabulatedPsd
 from conftest import SCENARIO_FILE
 from nvmag.scenario import (ConfigError, MAX_LASER_SAMPLES_PER_SEQUENCE,
-                            load_scenario, save_scenario,
-                            scenario_from_mapping, scenario_to_mapping,
-                            scenario_hash)
+                            load_scenario, scenario_from_mapping,
+                            scenario_to_mapping, scenario_hash)
 from nvmag import io as _io
 from nvmag.spin import HamiltonianParams
 
@@ -199,7 +198,9 @@ class TestRoundTrip:
         assert m1 == m2
 
     def test_yaml_file_round_trip(self, baseline_scenario, tmp_path):
-        path = save_scenario(baseline_scenario, tmp_path / "copy.yaml")
+        path = tmp_path / "copy.yaml"
+        path.write_text(yaml.safe_dump(scenario_to_mapping(baseline_scenario),
+                                       sort_keys=False))
         s2 = load_scenario(path)
         assert scenario_to_mapping(s2) == scenario_to_mapping(baseline_scenario)
 
@@ -234,7 +235,7 @@ class TestPsdIngestion:
         m = copy.deepcopy(MINIMAL)
         m["noise"] = {"laser_intensity": {"file": "laser.csv"}}
         s = scenario_from_mapping(m, base_dir=tmp_path)
-        model = s.noise_model("laser_intensity")
+        model = s.noise["laser_intensity"]
         assert isinstance(model, TabulatedPsd)
         assert model.density(f[25]) == pytest.approx(dens[25], rel=1e-9)
         assert model.density(0.1) == 0.0
