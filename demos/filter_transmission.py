@@ -2,37 +2,38 @@
 
 A pulsed measurement integrates the detector over discrete windows, so it
 owns a transfer function for slow noise: the magnitude of the Fourier
-transform of its signal integration window.  Referencing the first window
-against the end of the laser pulse (scheme B) rejects DC; differencing
-two consecutive sequences (schemes C/D) adds another factor
-2|sin(w T_seq / 2)| of low-frequency suppression.  Microwave noise only
-enters through the state preparation, so within one sequence it is never
-referenced: a scheme-D measurement filters optical noise with window D
-but microwave noise with window C.
+transform of its signal integration window.  Every scheme starts from
+the window at the start of the laser pulse, 2|sin(w dt / 2)| / w.
+Referencing it against the end of the pulse (schemes B/D) multiplies by
+2|sin(w (tL - dt) / 2)| and rejects DC; differencing two consecutive
+sequences (schemes C/D) multiplies by another 2|sin(w T_seq / 2)|.
+Microwave noise only enters through the state preparation, so within one
+sequence it is never referenced: a scheme-D measurement filters optical
+noise with window D but microwave noise with window C.
 """
 
 import numpy as np
 
-from nvmag.filters import (window_for_signal, filter_transmission_numeric,
-                           filter_transmission_analytic_b,
-                           filter_scheme_for_channel)
+from nvmag.filters import filter_scheme_for_channel, filter_transmission
 from nvmag.io import write_table
+from nvmag.readout import REFERENCED_SCHEMES, SCHEME_SEQUENCES
 
 T_L, D_T, T_SEQ = 100e-6, 10e-6, 160e-6
 
-print("integration windows (t_start, t_end, weight):")
+print("factors multiplying the start-window transmission 2|sin(w dt/2)|/w:")
 for scheme in "ABCD":
-    w = window_for_signal(scheme, T_L, D_T, T_SEQ)
-    segs = ", ".join(f"[{s * 1e6:.0f}us,{e * 1e6:.0f}us]{w_:+.0f}"
-                     for s, e, w_ in w.segments)
-    print(f"  {scheme}: {segs}")
+    factors = []
+    if scheme in REFERENCED_SCHEMES:
+        factors.append(f"referenced 2|sin(w (tL - dt)/2)|, tL - dt = "
+                       f"{(T_L - D_T) * 1e6:.0f}us")
+    if SCHEME_SEQUENCES[scheme] == 2:
+        factors.append(f"paired 2|sin(w T_seq/2)|, T_seq = {T_SEQ * 1e6:.0f}us")
+    print(f"  {scheme}: {'; '.join(factors) or 'none'}")
 
 freqs = np.logspace(0, np.log10(1 / T_SEQ), 500)
 omega = 2 * np.pi * freqs
-curves = {}
-for scheme in "ABCD":
-    w = window_for_signal(scheme, T_L, D_T, T_SEQ)
-    curves[scheme] = filter_transmission_numeric(w, omega) / w.gain
+curves = {s: filter_transmission(s, omega, T_L, D_T, T_SEQ) / D_T
+          for s in "ABCD"}
 
 print("\nnormalized transmission at selected frequencies:")
 print(f"{'f_Hz':>10} " + " ".join(f"{s:>9}" for s in "ABCD"))
@@ -43,17 +44,8 @@ for f_probe in (1.0, 10.0, 100.0, 1000.0, 6000.0):
 print("(A passes DC; B suppresses it linearly; C/D add another factor "
       "of w*T_seq)")
 
-# the closed form of the scheme-B transmission agrees with the direct
-# segment-integral evaluation everywhere
-num = filter_transmission_numeric(window_for_signal("B", T_L, D_T, T_SEQ),
-                                  omega)
-ana = filter_transmission_analytic_b(omega, T_L, D_T)
-print(f"\nclosed form vs numeric scheme-B transmission: "
-      f"max deviation {np.max(np.abs(num - ana)):.2e} "
-      f"(peak {ana.max():.2e})")
-
 print("\nfilter applied per (scheme, channel):")
-for scheme in ("B", "D"):
+for scheme in REFERENCED_SCHEMES:
     for channel in ("laser_intensity", "mw_amplitude"):
         print(f"  scheme {scheme}, {channel:16s} -> window "
               f"{filter_scheme_for_channel(scheme, channel)}")

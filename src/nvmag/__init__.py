@@ -6,7 +6,8 @@ Library layout:
 * :mod:`nvmag.sequences` -- the spin echo, AC response, pulse errors
 * :mod:`nvmag.noise` -- parametric PSDs, correlated-trace synthesis,
   downward cumulative noise
-* :mod:`nvmag.filters` -- integration-window filter functions
+* :mod:`nvmag.filters` -- closed-form filter functions of the readout
+  schemes
 * :mod:`nvmag.readout` -- window-level photon readout and scheme signals
 * :mod:`nvmag.analysis` -- Allan/std scaling and sensitivity limits
 * :mod:`nvmag.scenario`, :mod:`nvmag.experiments`, :mod:`nvmag.cli` --
@@ -22,9 +23,7 @@ from .sequences import (AcField, CoherenceDecay, locked_field,
                         pulse_error_response)
 from .noise import (PsdModel, TabulatedPsd, NoiseTrace, synthesize_trace,
                     cumulative_rss_descending)
-from .filters import (IntegrationWindow, window_for_signal,
-                      filter_transmission_numeric,
-                      filter_transmission_analytic_b,
+from .filters import (check_windows, filter_transmission,
                       filter_scheme_for_channel,
                       filtered_cumulative_noise_descending)
 from .readout import ReadoutConfig, ReadoutSeries, sequence_signals

@@ -30,8 +30,6 @@ class ScalingCurve:
 
     times: np.ndarray        # s, strictly increasing, multiples of spacing
     values: np.ndarray
-    estimator: str           # "allan" | "std"
-    sample_spacing: float    # s
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
@@ -110,7 +108,7 @@ def allan_deviation(samples, t_prime: float, taus) -> ScalingCurve:
             raise ValueError(f"fewer than 2 blocks at tau={tau}")
         d = np.diff(x)
         values[k] = np.sqrt(0.5 * np.mean(d * d))
-    return ScalingCurve(taus, values, "allan", t_prime)
+    return ScalingCurve(taus, values)
 
 
 def std_vs_time(samples, t_prime: float, times) -> ScalingCurve:
@@ -124,7 +122,7 @@ def std_vs_time(samples, t_prime: float, times) -> ScalingCurve:
         if x.size < 2:
             raise ValueError(f"fewer than 2 blocks at t={t}")
         values[k] = np.std(x, ddof=1)
-    return ScalingCurve(times, values, "std", t_prime)
+    return ScalingCurve(times, values)
 
 
 def default_time_grid(n_samples: int, t_prime: float,

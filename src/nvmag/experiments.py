@@ -6,9 +6,10 @@ shot noise is drawn in chunks of ``CHUNK_SIZE`` sequences, each from its
 own seed, so the draws depend on that fixed chunk size.
 
 Schemes are computed per group: A and B share one window record (echo
-populations at the constant final phase and one photon draw, on B's
+populations at the constant final phase and one photon draw, on one
 shot-noise stream), and C and D share one (alternating final phases, on
-D's stream).  Requesting A or C next to B or D costs only the extraction.
+another; see :data:`SCHEME_GROUPS`).  Requesting A or C next to B or D
+costs only the extraction.
 """
 
 from __future__ import annotations
@@ -19,15 +20,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import analysis, filters, io as _io, noise as _noise, readout, sequences
-from .readout import ReadoutSeries, SCHEME_STREAMS, SCHEME_SEQUENCES
+from .readout import ReadoutSeries, SCHEME_SEQUENCES
 from .scenario import Scenario, RunManifest, CHUNK_SIZE
 
 #: seed-stream offset separating the short shot-only reference run
 SIGMA1_STREAM_OFFSET = 100
-#: schemes extracted from one window record, keyed by the scheme whose
-#: shot-noise stream the record draws on; the first member reads ``S_A``,
-#: the second ``S_B`` (pair-differenced when the group is paired)
-SCHEME_GROUPS = {"B": ("A", "B"), "D": ("C", "D")}
+#: schemes extracted from one window record, keyed by the record's
+#: shot-noise stream; the first member reads ``S_A``, the second ``S_B``
+#: (pair-differenced when the group is paired)
+SCHEME_GROUPS = {11: ("A", "B"), 13: ("C", "D")}
 #: frequency points of the noise budgets
 BUDGET_GRID_POINTS = 400
 #: scheme whose integration windows filter the budgets
@@ -110,19 +111,19 @@ def _scheme_series(scenario: Scenario, dg, df, eps_pair,
     """Readout series of every requested scheme, keyed in scenario order.
 
     Each scheme group is drawn once: one window record (populations and
-    shot noise) per group, on the stream of the group's referenced scheme
-    plus ``stream_offset``.  A and B are the ``S_A`` and ``S_B`` of one
-    constant-final-phase record; C and D pair-difference those of one
-    alternating-final-phase record.  B and D therefore never depend on
-    whether A or C are requested.
+    shot noise) per group, on the group's stream plus ``stream_offset``.
+    A and B are the ``S_A`` and ``S_B`` of one constant-final-phase
+    record; C and D pair-difference those of one alternating-final-phase
+    record.  B and D therefore never depend on whether A or C are
+    requested.
     """
     s = scenario.sequence
     n = len(dg)
     series = {}
-    for stream_scheme, members in SCHEME_GROUPS.items():
+    for stream, members in SCHEME_GROUPS.items():
         if not any(m in scenario.schemes for m in members):
             continue
-        paired = SCHEME_SEQUENCES[stream_scheme] == 2
+        paired = SCHEME_SEQUENCES[members[0]] == 2
         # index into (final_phase, alternate_final_phase) per sequence
         parity = np.arange(n) % 2 if paired else np.zeros(n, dtype=np.int64)
         populations = sequences.echo_populations(
@@ -135,7 +136,7 @@ def _scheme_series(scenario: Scenario, dg, df, eps_pair,
         balance = _balance_populations(scenario)[parity]
         s_a, s_b = _sample_window_record(
             scenario, populations, eps_pair, balance,
-            SCHEME_STREAMS[stream_scheme] + stream_offset)
+            stream + stream_offset)
         spacing = (2 if paired else 1) * s.sequence_time
         for scheme, values in zip(members, (s_a, s_b)):
             if scheme in scenario.schemes:
@@ -345,13 +346,19 @@ def run_noise_budget(scenario: Scenario, out_dir=None,
     """Cumulative noise budgets, raw and filtered, in signal units.
 
     Every channel's spectral density is integrated downward from the
-    inverse sequence length and converted to per-evaluation signal units
-    through its linear error slope, so the curves compare directly
-    against the shot-noise-only per-evaluation deviation measured from a
-    short reference run.  Filtered budgets apply the integration-window
-    transmission of :data:`BUDGET_SCHEME` (microwave channels see the
-    unreferenced-within-sequence variant, see
-    :func:`nvmag.filters.filter_scheme_for_channel`).
+    inverse sequence length ``1/T_seq`` and converted to per-evaluation
+    signal units through its linear error slope, so the curves compare
+    directly against the shot-noise-only per-evaluation deviation
+    measured from a short reference run.  Microwave noise converts
+    through the signal slope of :data:`BUDGET_SCHEME`.  Filtered budgets
+    apply the integration-window transmission of :data:`BUDGET_SCHEME`
+    (microwave channels see the unreferenced-within-sequence variant,
+    see :func:`nvmag.filters.filter_scheme_for_channel`).
+
+    The band differs from the Monte Carlo runners': they sample
+    microwave noise once per sequence, so they resolve it only up to
+    ``1/(2 T_seq)``, and the budget's top octave has no counterpart
+    there.
     """
     cfg, t_seq = scenario.readout, scenario.sequence.sequence_time
     f_top = 1.0 / t_seq
@@ -360,7 +367,7 @@ def run_noise_budget(scenario: Scenario, out_dir=None,
                         BUDGET_GRID_POINTS)
 
     slope_g, slope_f = error_conversion_slopes(scenario)
-    ds_dp = readout.signal_slope_per_population(cfg)
+    ds_dp = readout.signal_slope_per_population(cfg, BUDGET_SCHEME)
     level = 1.0 - cfg.contrast * 0.5 * readout.window_dip_fraction(cfg, 0)
     slopes = {
         "laser_intensity": level,
@@ -373,12 +380,11 @@ def run_noise_budget(scenario: Scenario, out_dir=None,
         density = model.density(freqs)
         raw[channel] = slopes[channel] * _noise.cumulative_rss_descending(
             freqs, density, f_top)
-        window = filters.window_for_signal(
-            filters.filter_scheme_for_channel(BUDGET_SCHEME, channel),
-            cfg.laser_time, cfg.window_time, t_seq)
         filtered[channel] = slopes[channel] * \
-            filters.filtered_cumulative_noise_descending(freqs, density,
-                                                         window, f_top)
+            filters.filtered_cumulative_noise_descending(
+                freqs, density,
+                filters.filter_scheme_for_channel(BUDGET_SCHEME, channel),
+                cfg.laser_time, cfg.window_time, t_seq, f_top)
 
     # shot-noise-only reference deviation per evaluation
     n_ref = n_reference + (n_reference % 2)

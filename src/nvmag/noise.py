@@ -110,15 +110,9 @@ class NoiseTrace:
 
     samples: np.ndarray
     dt: float
-    channel: str = ""
-    seed: object = None
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=float)
-
-    @property
-    def duration(self) -> float:
-        return self.samples.size * self.dt
 
     def value_at(self, times) -> np.ndarray:
         """Nearest-sample lookup; raises ``ValueError`` when a time's
@@ -158,7 +152,7 @@ def synthesize_trace(model, duration: float, dt: float, seed) -> NoiseTrace:
     spectrum *= scale
     del scale
     samples = np.fft.irfft(spectrum, n)
-    return NoiseTrace(samples, dt, getattr(model, "channel", ""), seed)
+    return NoiseTrace(samples, dt)
 
 
 def cumulative_rss_descending(freqs, density, f_high: float) -> np.ndarray:

@@ -25,13 +25,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-#: shot-noise seed stream per scheme group: A and B are read from one
-#: record drawn on B's stream, C and D from one drawn on D's
-SCHEME_STREAMS = {"B": 11, "D": 13}
-#: per-scheme spin-response multiplier relative to one scheme-B window pair
-SCHEME_RESPONSE = {"A": 1.0, "B": 1.0, "C": 2.0, "D": 2.0}
-#: evaluations per extracted value (C/D consume two sequences)
+#: evaluations per extracted value: the paired schemes C/D difference two
+#: sequences at opposite final phases, which also doubles their response
 SCHEME_SEQUENCES = {"A": 1, "B": 1, "C": 2, "D": 2}
+#: schemes that subtract the end window of the laser pulse
+REFERENCED_SCHEMES = ("B", "D")
 
 #: above this expected count the exact generator is replaced by its
 #: Gaussian limit: numpy's transformed-rejection sampler loses a few
@@ -176,10 +174,14 @@ def pair_difference(values: np.ndarray) -> np.ndarray:
     return values[0::2] - values[1::2]
 
 
-def signal_slope_per_population(cfg: ReadoutConfig) -> float:
-    """``dS/dp`` of the scheme A/B signals: contrast times the first-window
-    repolarization weight."""
-    return cfg.contrast * window_dip_fraction(cfg, 0)
+def signal_slope_per_population(cfg: ReadoutConfig, scheme: str) -> float:
+    """``dS/dp`` of one sequence's signal: contrast times the first
+    window's repolarization weight, less the last window's for the
+    referenced schemes B and D."""
+    dip = window_dip_fraction(cfg, 0)
+    if scheme in REFERENCED_SCHEMES:
+        dip -= window_dip_fraction(cfg, 1)
+    return cfg.contrast * dip
 
 
 def signal_response_per_tesla(cfg: ReadoutConfig, phase_time: float,
@@ -189,14 +191,10 @@ def signal_response_per_tesla(cfg: ReadoutConfig, phase_time: float,
 
     Combines the echo phase per tesla ``4 gamma_e phase_time``, the
     population slope ``envelope / 2`` at the equal-population point, the
-    per-population signal slope, and the scheme multiplier.  The signal
-    slope is ``contrast`` times the first window's dip fraction, less the
-    last window's for the referenced schemes B and D.
+    per-population signal slope, and the number of sequences the scheme
+    differences.
     """
     phase_per_tesla = 4.0 * gamma_e * phase_time
     pop_per_phase = decay_envelope / 2.0
-    dip = window_dip_fraction(cfg, 0)
-    if scheme in ("B", "D"):
-        dip -= window_dip_fraction(cfg, 1)
-    return (SCHEME_RESPONSE[scheme] * (cfg.contrast * dip)
+    return (SCHEME_SEQUENCES[scheme] * signal_slope_per_population(cfg, scheme)
             * pop_per_phase * phase_per_tesla)

@@ -11,8 +11,7 @@ the master seed and a fixed stream offset (noise channels 1-3, photon
 shot noise 4 with per-scheme-group and per-chunk keys), so results never
 depend on scheme order.  They do depend on :data:`CHUNK_SIZE`: each chunk
 of that many sequences draws its shot noise from its own seed.  Schemes
-A and B share one shot-noise draw (on B's stream), and C and D share one
-(on D's).
+A and B share one shot-noise draw, and C and D share another.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ import yaml
 
 from . import __version__, io as _io
 from .analysis import optimal_phase_time
-from .filters import window_for_signal
+from .filters import check_windows
 from .noise import PsdModel, TabulatedPsd, CHANNELS
 from .readout import (ReadoutConfig, SCHEME_SEQUENCES,
                       signal_response_per_tesla)
@@ -127,7 +126,8 @@ class Scenario:
             raise ConfigError("ensemble and analysis values must be finite")
         if self.n_centres <= 0 or self.total_time <= 0:
             raise ConfigError("n_centres and total_time must be positive")
-        if any(s in ("C", "D") for s in self.schemes) and self.n_sequences % 2:
+        if any(SCHEME_SEQUENCES[s] == 2 for s in self.schemes) \
+                and self.n_sequences % 2:
             raise ConfigError("paired schemes need an even n_sequences")
         for channel in self.noise:
             if channel not in CHANNELS:
@@ -136,9 +136,7 @@ class Scenario:
         try:  # the pulses must fit the free evolution, and every scheme's
             # integration window must be resolvable
             echo_time = seq.echo_time
-            for scheme in SCHEME_SEQUENCES:
-                window_for_signal(scheme, rd.laser_time, rd.window_time,
-                                  seq.sequence_time)
+            check_windows(rd.laser_time, rd.window_time, seq.sequence_time)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         if echo_time + rd.laser_time > seq.sequence_time + 1e-15:

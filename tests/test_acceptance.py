@@ -20,6 +20,7 @@ from nvmag import sequences as sq
 from nvmag.cli import main as cli_main
 from nvmag.scenario import CHUNK_SIZE, load_scenario, scenario_from_mapping
 from conftest import SCENARIO_FILE
+from reference_filters import filter_transmission_numeric, window_for_signal
 from reference_spin import simulate_full
 
 GAMMA_E = 28.7e9
@@ -80,26 +81,32 @@ def test_03_optimal_phase_time(capsys):
 def test_04_filter_closed_form(capsys):
     t_l, d_t, t_seq = 100e-6, 10e-6, 160e-6
     omega = 2 * np.pi * np.logspace(0, 6, 1000)
-    window_b = filters.window_for_signal("B", t_l, d_t, t_seq)
-    num = filters.filter_transmission_numeric(window_b, omega)
-    ana = filters.filter_transmission_analytic_b(omega, t_l, d_t)
-    peak = ana.max()
-    allowance = np.maximum(1e-9 * ana, 1e-15 * peak)
-    agree = np.all(np.abs(num - ana) <= allowance)
-    # zero-frequency limits: X_B rolls off linearly to zero, X_A keeps
-    # the window area
+    margins = {}
+    for scheme in "ABCD":
+        num = filter_transmission_numeric(
+            window_for_signal(scheme, t_l, d_t, t_seq), omega)
+        ana = filters.filter_transmission(scheme, omega, t_l, d_t, t_seq)
+        allowance = np.maximum(1e-9 * ana, 1e-15 * ana.max())
+        margins[scheme] = np.max(np.abs(num - ana) / allowance)
+    agree = all(m <= 1.0 for m in margins.values())
+    # zero-frequency limits: X_A keeps the window area exactly, every
+    # referenced or paired filter vanishes exactly, and X_B rolls off
+    # linearly towards it
+    dc = {s: filters.filter_transmission(s, 0.0, t_l, d_t, t_seq)
+          for s in "ABCD"}
+    exact_dc = dc["A"] == d_t and dc["B"] == dc["C"] == dc["D"] == 0.0
     lows = 2 * np.pi * np.array([1e-4, 1e-5, 1e-6])
-    x_low = filters.filter_transmission_numeric(window_b, lows)
-    b_dc = x_low[-1] < 1e-9 * peak and np.all(
+    x_low = filters.filter_transmission("B", lows, t_l, d_t, t_seq)
+    peak_b = filters.filter_transmission("B", omega, t_l, d_t, t_seq).max()
+    b_dc = x_low[-1] < 1e-9 * peak_b and np.all(
         np.abs(x_low[1:] / x_low[:-1] - 0.1) < 1e-3)
-    window_a = filters.window_for_signal("A", t_l, d_t, t_seq)
-    a_dc = abs(filters.filter_transmission_numeric(window_a, 0.0) - d_t) < 1e-15
-    ok = bool(agree and b_dc and a_dc)
-    margin = np.max(np.abs(num - ana) / allowance)
+    ok = bool(agree and exact_dc and b_dc)
     with capsys.disabled():
         report("04 filter closed form", ok,
-               f"1000 log-spaced freqs, worst dev at {margin:.1e} of the "
-               f"1e-9 relative allowance, DC limits ok={b_dc and a_dc}")
+               "1000 log-spaced freqs, worst dev of A/B/C/D at "
+               + "/".join(f"{margins[s]:.1e}" for s in "ABCD")
+               + f" of the 1e-9 relative allowance, DC limits "
+               f"ok={bool(exact_dc and b_dc)}")
 
 
 def test_05_pulse_error_linearity(full_params, capsys):
@@ -235,12 +242,11 @@ def test_09_scaling_recovery(capsys):
     sigma1 = budget.sigma1["B"]
     cfg, t_seq = scenario.readout, 160e-6
     freqs = np.logspace(-3, np.log10(1 / t_seq), 800)
-    window_a = filters.window_for_signal("A", cfg.laser_time, cfg.window_time,
-                                         t_seq)
     density = scenario.noise["mw_amplitude"].density(freqs)
     converted = budget.slopes["mw_amplitude"] * \
-        filters.filtered_cumulative_noise_descending(freqs, density, window_a,
-                                                     freqs[-1])
+        filters.filtered_cumulative_noise_descending(
+            freqs, density, "A", cfg.laser_time, cfg.window_time, t_seq,
+            freqs[-1])
     above = converted > sigma1
     crossing = freqs[above][-1] if above.any() else np.nan
     crossing_ok = 0.05 < crossing < 20.0

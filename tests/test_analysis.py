@@ -116,7 +116,6 @@ class TestStdVsTime:
     def test_estimator_tag_and_grid(self, rng):
         samples = rng.standard_normal(1000)
         curve = std_vs_time(samples, 0.5, [0.5, 1.0, 2.0])
-        assert curve.estimator == "std"
         npt.assert_allclose(curve.times, [0.5, 1.0, 2.0])
 
 
@@ -231,26 +230,26 @@ class TestOptimalPhaseTime:
 class TestFitLogSlope:
     def test_exact_power_law(self):
         t = np.logspace(0, 3, 40)
-        curve = ScalingCurve(t, 2.5 * t ** -0.75, "std", 1.0)
+        curve = ScalingCurve(t, 2.5 * t ** -0.75)
         slope, intercept = fit_log_slope(curve, 1.0, 1e3)
         assert slope == pytest.approx(-0.75, abs=1e-10)
         assert 10 ** intercept == pytest.approx(2.5, rel=1e-9)
 
     def test_constant_curve(self):
         t = np.logspace(0, 2, 10)
-        curve = ScalingCurve(t, np.full(10, 4.0), "std", 1.0)
+        curve = ScalingCurve(t, np.full(10, 4.0))
         slope, _ = fit_log_slope(curve, 1.0, 100.0)
         assert slope == pytest.approx(0.0, abs=1e-12)
 
     def test_rejects_nonpositive_values(self):
         t = np.logspace(0, 2, 10)
-        curve = ScalingCurve(t, np.zeros(10), "std", 1.0)
+        curve = ScalingCurve(t, np.zeros(10))
         with pytest.raises(ValueError):
             fit_log_slope(curve, 1.0, 100.0)
 
     def test_needs_three_points(self):
         t = np.array([1.0, 2.0])
-        curve = ScalingCurve(t, np.array([1.0, 2.0]), "std", 1.0)
+        curve = ScalingCurve(t, np.array([1.0, 2.0]))
         with pytest.raises(ValueError):
             fit_log_slope(curve, 1.0, 2.0)
 

@@ -5,7 +5,8 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from nvmag import analysis, experiments, io as _io, noise, sequences as sq
+from nvmag import (analysis, experiments, io as _io, noise, readout,
+                   sequences as sq)
 from nvmag.scenario import scenario_from_mapping
 
 
@@ -190,6 +191,23 @@ class TestNoiseBudget:
         assert res.sigma1["D"] == pytest.approx(np.sqrt(2) * expected_b,
                                                 rel=0.05)
 
+    def test_microwave_slope_subtracts_the_end_window_dip(self):
+        # at a 30 us repolarization the end window still carries 5% of the
+        # spin dip, which the budget's referenced scheme D subtracts: the
+        # microwave slopes shrink by the sampled B/A response ratio
+        s = make_scenario(n_sequences=512,
+                          readout={"photon_rate_cps": 9.277e18,
+                                   "repolarization_time_s": 30e-6})
+        res = experiments.run_noise_budget(s, n_reference=256)
+        slope_g, slope_f = experiments.error_conversion_slopes(s)
+        d0, d1 = (readout.window_dip_fraction(s.readout, k) for k in (0, 1))
+        assert (d0 - d1) / d0 == pytest.approx(0.950213, abs=1e-6)
+        per_population = s.readout.contrast * (d0 - d1)
+        assert res.slopes["mw_amplitude"] == slope_g * per_population
+        assert res.slopes["mw_frequency"] == slope_f * per_population
+        assert res.slopes["mw_amplitude"] == pytest.approx(0.0068170,
+                                                           rel=1e-4)
+
     def test_filtered_amplitude_budget_below_sigma1(self, baseline_scenario):
         res = experiments.run_noise_budget(baseline_scenario, n_reference=2048)
         assert np.all(res.filtered["mw_amplitude"] <= res.sigma1["B"])
@@ -206,7 +224,7 @@ NOISY = {
 
 
 class TestSchemeGroups:
-    """A/B share one window record on B's stream, C/D one on D's."""
+    """A/B share one window record on one stream, C/D one on another."""
 
     @pytest.mark.parametrize("alone, grouped", [(["B"], ["A", "B"]),
                                                 (["D"], ["C", "D"])])
@@ -225,7 +243,6 @@ class TestSchemeGroups:
         assert budgets[0].sigma1[scheme] == budgets[1].sigma1[scheme]
 
     def test_one_draw_per_group_feeds_both_schemes(self, monkeypatch):
-        from nvmag import readout
         draws = []
         original = readout.sequence_signals
 
