@@ -8,14 +8,16 @@ the closed-form sensitivity; the sweep is how that amplitude is measured
 in practice.
 """
 
+import dataclasses
+
 import numpy as np
 
 from nvmag.experiments import run_ac_sweep
 from nvmag.scenario import load_scenario
 from nvmag.sequences import analytic_echo_phase
 
-scenario = load_scenario("scenarios/baseline.yaml")
-scenario.n_sequences = 4000
+scenario = dataclasses.replace(load_scenario("scenarios/baseline.yaml"),
+                               n_sequences=4000)
 
 gamma = scenario.hamiltonian.gamma_e
 phase_time = scenario.sequence.phase_time

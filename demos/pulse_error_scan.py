@@ -22,10 +22,10 @@ PHASE_TIME, RABI = 50e-6, 5e6
 amplitude_errors = np.logspace(-4, -1, 25)
 frequency_errors = np.logspace(1, 5, 25)
 
-dz_g = pulse_error_response(amplitude_errors, [0.0], phase_time=PHASE_TIME,
-                            rabi=RABI, params=params)[:, 0]
-dz_f = pulse_error_response([0.0], frequency_errors, phase_time=PHASE_TIME,
-                            rabi=RABI, params=params)[0, :]
+dz_g = pulse_error_response(amplitude_errors, 0.0, phase_time=PHASE_TIME,
+                            rabi=RABI, params=params)
+dz_f = pulse_error_response(0.0, frequency_errors, phase_time=PHASE_TIME,
+                            rabi=RABI, params=params)
 
 print("relative amplitude error -> population error")
 for x, z in zip(amplitude_errors[::4], dz_g[::4]):
@@ -46,8 +46,8 @@ print("(both are 1: linear response in the small-error decade)")
 
 # single-block comparison: without the ensemble average the amplitude
 # response at the working point is quadratic, not linear
-dz_g0 = pulse_error_response(amplitude_errors, [0.0], phase_time=PHASE_TIME,
-                             rabi=RABI, params=params, m_i_values=(0,))[:, 0]
+dz_g0 = pulse_error_response(amplitude_errors, 0.0, phase_time=PHASE_TIME,
+                             rabi=RABI, params=params, m_i_values=(0,))
 print(f"resonant-block-only amplitude slope:               "
       f"{log_slope(amplitude_errors, dz_g0, 1e-4, 1e-3):.3f}")
 

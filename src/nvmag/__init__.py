@@ -18,9 +18,8 @@ Library layout:
 __version__ = "0.1.0"
 
 from .spin import HamiltonianParams
-from .sequences import (AcField, CoherenceDecay, locked_field,
-                        analytic_echo_phase, pi_pulse_time, echo_populations,
-                        pulse_error_response)
+from .sequences import (CoherenceDecay, analytic_echo_phase, pi_pulse_time,
+                        echo_populations, pulse_error_response)
 from .noise import (PsdModel, TabulatedPsd, NoiseTrace, synthesize_trace,
                     cumulative_rss_descending)
 from .filters import (check_windows, filter_transmission,
@@ -32,7 +31,6 @@ from .analysis import (ScalingCurve, SensitivityInputs, allan_deviation,
                        projection_limit_simplified, optimal_phase_time,
                        fit_log_slope)
 from .scenario import (Scenario, SequenceSettings, ConfigError, RunManifest,
-                       load_scenario, scenario_from_mapping,
-                       scenario_to_mapping, scenario_hash)
+                       load_scenario, scenario_from_mapping, scenario_hash)
 from .experiments import (run_ac_sweep, run_scaling_experiment,
                           run_error_scaling, run_noise_budget)

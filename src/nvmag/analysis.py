@@ -75,7 +75,7 @@ class SensitivityInputs:
         return (t / self.t2) ** self.decay_exponent
 
 
-def _block_count(n_samples: int, t_prime: float, tau: float) -> int:
+def _block_count(t_prime: float, tau: float) -> int:
     m = tau / t_prime
     m_int = int(round(m))
     if m_int < 1 or abs(m - m_int) > 1e-9 * max(1.0, m):
@@ -102,7 +102,7 @@ def allan_deviation(samples, t_prime: float, taus) -> ScalingCurve:
     taus = np.atleast_1d(np.asarray(taus, dtype=float))
     values = np.empty(taus.shape)
     for k, tau in enumerate(taus):
-        m = _block_count(samples.size, t_prime, tau)
+        m = _block_count(t_prime, tau)
         x = block_means(samples, m)
         if x.size < 2:
             raise ValueError(f"fewer than 2 blocks at tau={tau}")
@@ -117,7 +117,7 @@ def std_vs_time(samples, t_prime: float, times) -> ScalingCurve:
     times = np.atleast_1d(np.asarray(times, dtype=float))
     values = np.empty(times.shape)
     for k, t in enumerate(times):
-        m = _block_count(samples.size, t_prime, t)
+        m = _block_count(t_prime, t)
         x = block_means(samples, m)
         if x.size < 2:
             raise ValueError(f"fewer than 2 blocks at t={t}")

@@ -80,10 +80,10 @@ def _balance_populations(scenario: Scenario) -> np.ndarray:
     to balance the reference."""
     s = scenario.sequence
     out = []
-    for phase in (s.final_phase, s.alternate_final_phase):
+    for phase in (s.final_phase, -s.final_phase):
         p = sequences.echo_populations(
             s.phase_time, s.rabi, scenario.hamiltonian, 0.0, 0.0,
-            field=scenario.ac_field, decay=scenario.decay, final_phase=phase,
+            decay=scenario.decay, final_phase=phase,
             m_i_values=s.m_i_values())
         out.append(float(p[0]))
     return np.asarray(out)
@@ -107,15 +107,15 @@ def _sample_window_record(scenario: Scenario, populations, eps_pair,
 
 
 def _scheme_series(scenario: Scenario, dg, df, eps_pair,
-                   stream_offset: int = 0, ac_field=None) -> dict:
+                   stream_offset: int = 0, field_amplitude=0.0) -> dict:
     """Readout series of every requested scheme, keyed in scenario order.
 
     Each scheme group is drawn once: one window record (populations and
     shot noise) per group, on the group's stream plus ``stream_offset``.
     A and B are the ``S_A`` and ``S_B`` of one constant-final-phase
-    record; C and D pair-difference those of one alternating-final-phase
-    record.  B and D therefore never depend on whether A or C are
-    requested.
+    record; C and D pair-difference those of one record alternating
+    between ``final_phase`` and ``-final_phase``.  B and D therefore
+    never depend on whether A or C are requested.
     """
     s = scenario.sequence
     n = len(dg)
@@ -124,14 +124,12 @@ def _scheme_series(scenario: Scenario, dg, df, eps_pair,
         if not any(m in scenario.schemes for m in members):
             continue
         paired = SCHEME_SEQUENCES[members[0]] == 2
-        # index into (final_phase, alternate_final_phase) per sequence
+        # index into (final_phase, -final_phase) per sequence
         parity = np.arange(n) % 2 if paired else np.zeros(n, dtype=np.int64)
         populations = sequences.echo_populations(
             s.phase_time, s.rabi, scenario.hamiltonian, dg, df,
-            field=ac_field if ac_field is not None else scenario.ac_field,
-            decay=scenario.decay,
-            final_phase=np.array([s.final_phase,
-                                  s.alternate_final_phase])[parity],
+            field_amplitude=field_amplitude, decay=scenario.decay,
+            final_phase=np.array([s.final_phase, -s.final_phase])[parity],
             m_i_values=s.m_i_values())
         balance = _balance_populations(scenario)[parity]
         s_a, s_b = _sample_window_record(
@@ -149,14 +147,10 @@ def _scheme_series(scenario: Scenario, dg, df, eps_pair,
 def error_conversion_slopes(scenario: Scenario, dg=3e-4, df=30.0):
     """Small-error population slopes (per relative amplitude, per Hz)."""
     s = scenario.sequence
-    dz_g = sequences.pulse_error_response(
-        [dg], [0.0], phase_time=s.phase_time, rabi=s.rabi,
+    dz_g, dz_f = sequences.pulse_error_response(
+        [dg, 0.0], [0.0, df], phase_time=s.phase_time, rabi=s.rabi,
         params=scenario.hamiltonian, final_phase=s.final_phase,
-        m_i_values=s.m_i_values())[0, 0]
-    dz_f = sequences.pulse_error_response(
-        [0.0], [df], phase_time=s.phase_time, rabi=s.rabi,
-        params=scenario.hamiltonian, final_phase=s.final_phase,
-        m_i_values=s.m_i_values())[0, 0]
+        m_i_values=s.m_i_values())
     return dz_g / dg, dz_f / df
 
 
@@ -196,8 +190,7 @@ def run_ac_sweep(scenario: Scenario, amplitudes, out_dir=None) -> SweepResult:
         eps = tuple(None if e is None else e[sl] for e in eps_all)
         series = _scheme_series(
             scenario, dg_all[sl], df_all[sl], eps,
-            stream_offset=1000 * (k + 1),
-            ac_field=sequences.locked_field(amp, phase_time))
+            stream_offset=1000 * (k + 1), field_amplitude=amp)
         for scheme, s in series.items():
             means[scheme][k] = s.values.mean()
 
@@ -312,8 +305,8 @@ def run_error_scaling(scenario: Scenario, amplitude_errors=None,
     kwargs = dict(phase_time=s.phase_time, rabi=s.rabi,
                   params=scenario.hamiltonian, final_phase=s.final_phase,
                   m_i_values=s.m_i_values())
-    dz_g = sequences.pulse_error_response(amplitude_errors, [0.0], **kwargs)[:, 0]
-    dz_f = sequences.pulse_error_response([0.0], frequency_errors, **kwargs)[0, :]
+    dz_g = sequences.pulse_error_response(amplitude_errors, 0.0, **kwargs)
+    dz_f = sequences.pulse_error_response(0.0, frequency_errors, **kwargs)
     result = ErrorScalingResult(amplitude_errors, dz_g, frequency_errors, dz_f)
     if out_dir is not None:
         manifest = RunManifest.start(scenario)

@@ -25,6 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .sequences import analytic_echo_phase
+
 #: evaluations per extracted value: the paired schemes C/D difference two
 #: sequences at opposite final phases, which also doubles their response
 SCHEME_SEQUENCES = {"A": 1, "B": 1, "C": 2, "D": 2}
@@ -189,12 +191,13 @@ def signal_response_per_tesla(cfg: ReadoutConfig, phase_time: float,
                               scheme: str) -> float:
     """Small-signal response ``|dS/dB|`` of a scheme at the working point.
 
-    Combines the echo phase per tesla ``4 gamma_e phase_time``, the
-    population slope ``envelope / 2`` at the equal-population point, the
+    Combines the echo phase per tesla
+    (:func:`nvmag.sequences.analytic_echo_phase` of 1 T), the population
+    slope ``envelope / 2`` at the equal-population point, the
     per-population signal slope, and the number of sequences the scheme
     differences.
     """
-    phase_per_tesla = 4.0 * gamma_e * phase_time
+    phase_per_tesla = analytic_echo_phase(1.0, phase_time, gamma_e)
     pop_per_phase = decay_envelope / 2.0
     return (SCHEME_SEQUENCES[scheme] * signal_slope_per_population(cfg, scheme)
             * pop_per_phase * phase_per_tesla)

@@ -1,4 +1,4 @@
-"""Scenario configuration: schema, validation, YAML round trip, manifests.
+"""Scenario configuration: schema, validation, hashing, manifests.
 
 A scenario is one fully specified simulation setup: Hamiltonian and
 sequence parameters, readout configuration, per-channel noise models,
@@ -32,8 +32,7 @@ from .filters import check_windows
 from .noise import PsdModel, TabulatedPsd, CHANNELS
 from .readout import (ReadoutConfig, SCHEME_SEQUENCES,
                       signal_response_per_tesla)
-from .sequences import (AcField, CoherenceDecay, echo_populations,
-                        pi_pulse_time)
+from .sequences import CoherenceDecay, echo_populations, pi_pulse_time
 from .spin import HamiltonianParams
 
 #: fixed seed-stream offsets per noise channel; shot noise uses
@@ -53,18 +52,19 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class SequenceSettings:
-    """Echo timing and drive settings of one field evaluation."""
+    """Echo timing and drive settings of one field evaluation.  The
+    second sequence of the paired schemes C and D runs at
+    ``-final_phase``."""
 
     phase_time: float = 50e-6
     sequence_time: float = 160e-6
     rabi: float = 5e6
     final_phase: float = math.pi / 2
-    alternate_final_phase: float = -math.pi / 2
     hyperfine_average: bool = True
 
     def __post_init__(self):
         values = (self.phase_time, self.sequence_time, self.rabi,
-                  self.final_phase, self.alternate_final_phase)
+                  self.final_phase)
         if not all(math.isfinite(v) for v in values):
             raise ConfigError("sequence settings must be finite")
         if self.phase_time <= 0 or self.sequence_time <= 0 or self.rabi <= 0:
@@ -83,9 +83,10 @@ class SequenceSettings:
                                                      self.rabi)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Scenario:
-    """One complete, validated simulation setup."""
+    """One complete, validated simulation setup; frozen, so every change
+    goes through ``dataclasses.replace`` and is validated again."""
 
     name: str
     master_seed: int = 1
@@ -94,7 +95,6 @@ class Scenario:
     hamiltonian: HamiltonianParams = field(default_factory=HamiltonianParams)
     sequence: SequenceSettings = field(default_factory=SequenceSettings)
     decay: CoherenceDecay | None = None
-    ac_field: AcField | None = None
     readout: ReadoutConfig = field(
         default_factory=lambda: ReadoutConfig(photon_rate=1e9))
     noise: dict = field(default_factory=dict)
@@ -163,8 +163,8 @@ class Scenario:
             populations = echo_populations(
                 seq.phase_time, seq.rabi, self.hamiltonian,
                 np.repeat([0.0, excursion[0]], 2),
-                np.repeat([0.0, excursion[1]], 2), field=self.ac_field,
-                final_phase=[seq.final_phase, seq.alternate_final_phase] * 2,
+                np.repeat([0.0, excursion[1]], 2),
+                final_phase=[seq.final_phase, -seq.final_phase] * 2,
                 m_i_values=seq.m_i_values())
         if not np.all(np.isfinite(populations)):
             raise ConfigError("echo populations are not finite at the working "
@@ -207,7 +207,7 @@ class Scenario:
 
 
 # ---------------------------------------------------------------------------
-# mapping <-> dataclasses
+# mapping -> dataclasses
 # ---------------------------------------------------------------------------
 
 #: per section, YAML key (with its unit suffix) -> dataclass field; the
@@ -217,11 +217,8 @@ _HAMILTONIAN_KEYS = {"gamma_e_Hz_per_T": "gamma_e",
 _SEQUENCE_KEYS = {
     "phase_time_s": "phase_time", "sequence_time_s": "sequence_time",
     "rabi_Hz": "rabi", "final_phase_rad": "final_phase",
-    "alternate_final_phase_rad": "alternate_final_phase",
     "hyperfine_average": "hyperfine_average"}
 _DECAY_KEYS = {"t2_s": "t2", "exponent": "exponent"}
-_AC_FIELD_KEYS = {"amplitude_T": "amplitude", "frequency_Hz": "frequency",
-                  "phase_rad": "phase"}
 _READOUT_KEYS = {
     "photon_rate_cps": "photon_rate", "contrast": "contrast",
     "repolarization_time_s": "repolarization_time",
@@ -229,8 +226,7 @@ _READOUT_KEYS = {
     "window_time_s": "window_time", "reference_enabled": "reference_enabled"}
 _FLAGS = ("hyperfine_average", "reference_enabled")
 _TOP_KEYS = ("name", "master_seed", "n_sequences", "schemes", "hamiltonian",
-             "sequence", "decay", "ac_field", "readout", "ensemble", "noise",
-             "analysis")
+             "sequence", "decay", "readout", "ensemble", "noise", "analysis")
 _NOISE_KEYS = ("file", "white", "flicker", "f_min_Hz", "f_max_Hz")
 
 
@@ -298,11 +294,6 @@ def scenario_from_mapping(mapping: dict, base_dir: Path | str = ".") -> Scenario
         if mapping.get("decay") is not None:
             decay = CoherenceDecay(**_fields(mapping["decay"], "decay",
                                              _DECAY_KEYS, required=("t2_s",)))
-        ac = _fields(mapping.get("ac_field"), "ac_field", _AC_FIELD_KEYS)
-        ac_field = None
-        if ac.get("amplitude", 0.0) != 0.0:
-            ac.setdefault("frequency", 1.0 / sequence.phase_time)
-            ac_field = AcField(**ac)
         readout = ReadoutConfig(
             **_fields(mapping.get("readout"), "readout", _READOUT_KEYS,
                       required=("photon_rate_cps",)))
@@ -326,7 +317,6 @@ def scenario_from_mapping(mapping: dict, base_dir: Path | str = ".") -> Scenario
                 mapping.get("hamiltonian"), "hamiltonian", _HAMILTONIAN_KEYS)),
             sequence=sequence,
             decay=decay,
-            ac_field=ac_field,
             readout=readout,
             noise=noise,
             n_centres=float(ens.get("n_centres", 1.4e11)),
@@ -339,51 +329,6 @@ def scenario_from_mapping(mapping: dict, base_dir: Path | str = ".") -> Scenario
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(str(exc)) from exc
     return scenario
-
-
-def _to_section(obj, keys: dict) -> dict:
-    return {key: getattr(obj, attr) for key, attr in keys.items()}
-
-
-def scenario_to_mapping(s: Scenario) -> dict:
-    """Inverse of :func:`scenario_from_mapping`, except that a tabulated
-    spectrum appears by value (its frequencies and densities), which the
-    hash digests but a scenario file does not hold."""
-    noise = {}
-    for channel, model in s.noise.items():
-        if isinstance(model, TabulatedPsd):
-            noise[channel] = {"freqs_Hz": list(model.freqs),
-                              "density": list(model.values)}
-            continue
-        noise[channel] = {
-            "white": model.white,
-            "flicker": [list(c) for c in model.flicker],
-            "f_min_Hz": model.f_min,
-            "f_max_Hz": None if math.isinf(model.f_max) else model.f_max,
-        }
-        if noise[channel]["f_max_Hz"] is None:
-            del noise[channel]["f_max_Hz"]
-    mapping = {
-        "name": s.name,
-        "master_seed": s.master_seed,
-        "n_sequences": s.n_sequences,
-        "schemes": list(s.schemes),
-        "hamiltonian": _to_section(s.hamiltonian, _HAMILTONIAN_KEYS),
-        "sequence": _to_section(s.sequence, _SEQUENCE_KEYS),
-        "readout": _to_section(s.readout, _READOUT_KEYS),
-        "ensemble": {"n_centres": s.n_centres},
-        "noise": noise,
-        "analysis": {"total_time_s": s.total_time},
-    }
-    if s.decay is not None:
-        mapping["decay"] = _to_section(s.decay, _DECAY_KEYS)
-    if s.ac_field is not None:
-        mapping["ac_field"] = _to_section(s.ac_field, _AC_FIELD_KEYS)
-    if s.sigma1 is not None:
-        mapping["analysis"]["sigma1"] = s.sigma1
-    if s.response_amplitude is not None:
-        mapping["analysis"]["response_amplitude"] = s.response_amplitude
-    return mapping
 
 
 def load_scenario(path) -> Scenario:
@@ -399,8 +344,8 @@ def load_scenario(path) -> Scenario:
 
 
 def scenario_hash(scenario: Scenario) -> str:
-    """Digest of the canonicalized configuration."""
-    canon = json.dumps(scenario_to_mapping(scenario), sort_keys=True)
+    """Digest of the validated values, tabulated spectra included."""
+    canon = json.dumps(asdict(scenario), sort_keys=True)
     return hashlib.sha256(canon.encode()).hexdigest()
 
 

@@ -8,11 +8,13 @@ population responds to an in-phase AC field of period ``T``.
 two-level model of :mod:`nvmag.spin`, vectorized over independent
 evaluations.
 
-Conventions: the AC field acts only while the spin evolves freely (the
-pulses are hundreds of times shorter than the free evolutions and the
-field accumulated during them is neglected), and its time coordinate is
-the accumulated free-evolution time, so the sine's zero crossing falls on
-the refocusing pulse regardless of pulse durations.
+The only test field is that phase-locked sine
+``B(t) = amplitude * sin(2 pi t / T)``, given by its amplitude alone.
+It acts only while the spin evolves freely (the pulses are hundreds of
+times shorter than the free evolutions and the field accumulated during
+them is neglected), and its time coordinate is the accumulated
+free-evolution time, so the sine's zero crossing falls on the refocusing
+pulse regardless of pulse durations.
 """
 
 from __future__ import annotations
@@ -26,34 +28,6 @@ from . import spin
 from .spin import TWO_PI, HamiltonianParams
 
 NUCLEAR_LEVELS = spin.NUCLEAR_LEVELS
-
-
-@dataclass(frozen=True)
-class AcField:
-    """Sinusoidal test field ``B(t) = amplitude * sin(2 pi f t + phase)``.
-
-    For the phase-locked protocol ``frequency = 1/phase_time`` and
-    ``phase = 0``, putting the zero crossing on the refocusing pulse.
-    """
-
-    amplitude: float           # T
-    frequency: float           # Hz
-    phase: float = 0.0         # rad
-
-    def __post_init__(self):
-        if not all(math.isfinite(v) for v in (self.amplitude, self.frequency,
-                                               self.phase)):
-            raise ValueError("AC field parameters must be finite")
-        if self.frequency <= 0:
-            raise ValueError("field frequency must be positive")
-
-    def value(self, t):
-        return self.amplitude * np.sin(TWO_PI * self.frequency * t + self.phase)
-
-
-def locked_field(amplitude: float, phase_time: float) -> AcField:
-    """Field phase-locked to an echo of free-evolution time ``phase_time``."""
-    return AcField(amplitude=amplitude, frequency=1.0 / phase_time)
 
 
 @dataclass(frozen=True)
@@ -100,18 +74,6 @@ def pi_pulse_time(phase_time: float, rabi: float) -> float:
     return t_pi
 
 
-def _field_integral(field: AcField | None, t_start: float,
-                    duration: float) -> float:
-    """Exact ``integral B(t) dt`` over a free evolution:
-    ``A/w [cos(w t0 + phi) - cos(w (t0 + d) + phi)]`` for the sine."""
-    if field is None or field.amplitude == 0.0:
-        return 0.0
-    w = TWO_PI * field.frequency
-    return field.amplitude / w * (
-        math.cos(w * t_start + field.phase)
-        - math.cos(w * (t_start + duration) + field.phase))
-
-
 def _pulse(rotation: float, duration: float, phase, dg, b_z, g, e):
     """A drive pulse of nominal angle ``rotation`` about the axis at
     ``phase``, with relative amplitude error ``dg``."""
@@ -123,7 +85,7 @@ def _pulse(rotation: float, duration: float, phase, dg, b_z, g, e):
 
 def echo_populations(phase_time: float, rabi: float,
                      params: HamiltonianParams, amplitude_error=0.0,
-                     frequency_error=0.0, field: AcField | None = None,
+                     frequency_error=0.0, field_amplitude=0.0,
                      decay: CoherenceDecay | None = None, *,
                      final_phase=math.pi / 2,
                      m_i_values=NUCLEAR_LEVELS) -> np.ndarray:
@@ -134,9 +96,10 @@ def echo_populations(phase_time: float, rabi: float,
     :func:`pi_pulse_time` and half of it.  ``amplitude_error``,
     ``frequency_error`` (Hz) and ``final_phase`` may be scalars or
     equal-length arrays; each entry is one independent evaluation, with
-    the errors held constant within it.  Populations are averaged over
-    the hyperfine blocks in ``m_i_values`` (the drive is referenced to
-    the ``m_I = 0`` line).
+    the errors held constant within it.  ``field_amplitude`` (T) is the
+    amplitude of the phase-locked test field.  Populations are averaged
+    over the hyperfine blocks in ``m_i_values`` (the drive is referenced
+    to the ``m_I = 0`` line).
     """
     t_pi = pi_pulse_time(phase_time, rabi)
     half = phase_time / 2.0
@@ -149,10 +112,13 @@ def echo_populations(phase_time: float, rabi: float,
         dg, df = np.broadcast_arrays(dg, df)
     n = dg.shape[0]
 
-    # field phase of each free evolution; the free evolutions are diagonal,
-    # with excited-level energy -2*pi*delta - gamma_rad * B(t)
-    field_phase = [TWO_PI * params.gamma_e * _field_integral(field, t0, half)
-                   for t0 in (0.0, half)]
+    # field phase of each free evolution, from the exact integral
+    # A/w [cos(w t0) - cos(w (t0 + T/2))] of the locked sine; the free
+    # evolutions are diagonal, with excited-level energy
+    # -2*pi*delta - gamma_rad * B(t)
+    w = TWO_PI * (1.0 / phase_time)
+    field_phase = [TWO_PI * params.gamma_e * (field_amplitude / w * (
+        math.cos(w * t0) - math.cos(w * (t0 + half)))) for t0 in (0.0, half)]
     p_total = np.zeros(n)
     for m_i in m_i_values:
         delta = df + params.hyperfine * m_i  # Hz, per evaluation
@@ -176,22 +142,19 @@ def pulse_error_response(amplitude_errors, frequency_errors, *,
                          params: HamiltonianParams | None = None,
                          final_phase: float = math.pi / 2,
                          m_i_values=NUCLEAR_LEVELS) -> np.ndarray:
-    """Population error table over a grid of drive errors.
+    """Population errors ``|p(dg, df) - p(0, 0)|`` at zero field and the
+    equal-population working point.
 
-    Returns ``|p(dg, df) - p(0, 0)|`` for every pair of the given relative
-    amplitude errors and carrier frequency errors (Hz), at zero field and
-    the equal-population working point.  Shape is
-    ``(len(amplitude_errors), len(frequency_errors))``.
+    The relative amplitude errors and carrier frequency errors (Hz)
+    broadcast against each other; each pair is one evaluation.
     """
     if params is None:
         params = HamiltonianParams()
     dg = np.asarray(amplitude_errors, dtype=float)
     df = np.asarray(frequency_errors, dtype=float)
     if not (np.all(np.isfinite(dg)) and np.all(np.isfinite(df))):
-        raise ValueError("error grids must be finite")
-    gg, ff = np.meshgrid(dg, df, indexing="ij")
+        raise ValueError("drive errors must be finite")
     kwargs = dict(final_phase=final_phase, m_i_values=m_i_values)
-    p = echo_populations(phase_time, rabi, params, gg.ravel(), ff.ravel(),
-                         **kwargs)
+    p = echo_populations(phase_time, rabi, params, dg, df, **kwargs)
     p0 = echo_populations(phase_time, rabi, params, 0.0, 0.0, **kwargs)[0]
-    return np.abs(p.reshape(gg.shape) - p0)
+    return np.abs(p - p0)

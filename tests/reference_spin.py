@@ -252,6 +252,28 @@ def block_detunings(params, carrier_detuning: float,
     return carrier_detuning + params.hyperfine * m_i
 
 
+@dataclass(frozen=True)
+class AcField:
+    """Test field ``B(t) = amplitude * sin(2 pi frequency t + phase)``.
+
+    The package evaluates only the phase-locked case
+    (:func:`locked_field`); the reference also takes unlocked fields.
+    """
+
+    amplitude: float           # T
+    frequency: float           # Hz
+    phase: float = 0.0         # rad
+
+    def value(self, t):
+        return self.amplitude * np.sin(TWO_PI * self.frequency * t + self.phase)
+
+
+def locked_field(amplitude: float, phase_time: float) -> AcField:
+    """The package's test field: period ``phase_time``, zero crossing on
+    the refocusing pulse."""
+    return AcField(amplitude=amplitude, frequency=1.0 / phase_time)
+
+
 def field_integral(field, static_field: float, t_start: float,
                    duration: float) -> float:
     """``integral B(t) dt`` over a free evolution: a static offset plus the

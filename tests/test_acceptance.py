@@ -21,7 +21,7 @@ from nvmag.cli import main as cli_main
 from nvmag.scenario import CHUNK_SIZE, load_scenario, scenario_from_mapping
 from conftest import SCENARIO_FILE
 from reference_filters import filter_transmission_numeric, window_for_signal
-from reference_spin import simulate_full
+from reference_spin import locked_field, simulate_full
 
 GAMMA_E = 28.7e9
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -115,12 +115,12 @@ def test_05_pulse_error_linearity(full_params, capsys):
     t0 = time.time()
     dg = np.logspace(-4, -3, 10)
     df = np.logspace(1, 2, 10)
-    dz_g = sq.pulse_error_response(dg, [0.0], phase_time=50e-6, rabi=5e6,
-                                   params=params)[:, 0]
-    dz_f = sq.pulse_error_response([0.0], df, phase_time=50e-6, rabi=5e6,
-                                   params=params)[0, :]
-    dz_00 = sq.pulse_error_response([0.0], [0.0], phase_time=50e-6, rabi=5e6,
-                                    params=params)[0, 0]
+    dz_g = sq.pulse_error_response(dg, 0.0, phase_time=50e-6, rabi=5e6,
+                                   params=params)
+    dz_f = sq.pulse_error_response(0.0, df, phase_time=50e-6, rabi=5e6,
+                                   params=params)
+    dz_00 = sq.pulse_error_response(0.0, 0.0, phase_time=50e-6, rabi=5e6,
+                                    params=params)[0]
     slope_g = np.polyfit(np.log10(dg), np.log10(dz_g), 1)[0]
     slope_f = np.polyfit(np.log10(df), np.log10(dz_f), 1)[0]
     elapsed = time.time() - t0
@@ -142,13 +142,13 @@ def test_06_echo_phase_oracle(full_params, capsys):
     params = full_params.two_level()
     worst, worst_full = 0.0, 0.0
     for b in amplitudes:
-        field = sq.locked_field(b, phase_time)
         # the m_I = 0 block alone, then the hyperfine average
         p, p_avg = (float(sq.echo_populations(
-            phase_time, rabi, params, field=field, final_phase=0.0,
+            phase_time, rabi, params, field_amplitude=b, final_phase=0.0,
             m_i_values=m_i)[0]) for m_i in ((0,), (-1, 0, 1)))
         full, full_avg = (simulate_full(
-            phase_time, rabi, full_params, field=field, final_phase=0.0,
+            phase_time, rabi, full_params,
+            field=locked_field(b, phase_time), final_phase=0.0,
             m_i_values=m_i) for m_i in ((0,), (-1, 0, 1)))
         worst_full = max(worst_full, abs(p - full), abs(p_avg - full_avg))
         phi_sim = np.arccos(2 * p - 1)

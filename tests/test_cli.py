@@ -64,10 +64,13 @@ class TestValidate:
         ("", "readout: {photon_rate_cps: 1.0e+12, bin_width_s: 1.0e-6}\n"),
         ("", "bin_width_s: 1.0e-6\n"),
         ("", "readout: {photon_rate_cps: 1.0e+12, laser_time_s: 1.2e-4}\n"),
+        ("alternate_final_phase_rad: -1.0, ", ""),
+        ("", "ac_field: {amplitude_T: 0.0}\n"),
     ], ids=["missing-psd-file", "envelope-overflow", "string-hyperfine-flag",
             "string-reference-flag", "retired-substeps-key",
             "retired-bin-width-key", "unknown-top-level-key",
-            "overfull-sequence"])
+            "overfull-sequence", "retired-alternate-phase-key",
+            "retired-ac-field-section"])
     def test_bad_config_exits_1(self, tmp_path, capsys, sequence, extra):
         path = tmp_path / "bad.yaml"
         text = ("name: bad\nn_sequences: 64\n"
@@ -80,9 +83,12 @@ class TestValidate:
         assert main(["scaling", "--config", str(path),
                      "--out", str(tmp_path / "run")]) == 1
         err = capsys.readouterr().err
-        for key in ("missing.csv", "substeps_per_period", "bin_width_s"):
+        if "missing.csv" in extra:
+            assert "missing.csv" in err
+        for key in ("substeps_per_period", "bin_width_s",
+                    "alternate_final_phase_rad", "ac_field"):
             if key in text + extra:
-                assert key in err
+                assert f"unknown key '{key}'" in err
 
     # each of these made the sweep exit 2, or fit two parameters to one
     # point and exit 0

@@ -263,3 +263,27 @@ class TestSchemeGroups:
         npt.assert_array_equal(res["D"].series.values,
                                b_paired[0::2] - b_paired[1::2])
         assert list(res) == ["A", "B", "C", "D"]
+
+    def test_second_paired_sequence_runs_at_negated_final_phase(
+            self, monkeypatch):
+        calls = []
+        original = readout.sequence_signals
+
+        def recording(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(readout, "sequence_signals", recording)
+        s = make_scenario(n_sequences=64, schemes=["C", "D"],
+                          sequence={"phase_time_s": 50e-6,
+                                    "sequence_time_s": 160e-6,
+                                    "rabi_Hz": 5e6, "final_phase_rad": 0.7})
+        experiments.run_scaling_experiment(s)
+        (populations, _, _, _, balance), = calls
+        q = s.sequence
+        for sl, phase in ((slice(0, None, 2), 0.7), (slice(1, None, 2), -0.7)):
+            echo = sq.echo_populations(q.phase_time, q.rabi, s.hamiltonian,
+                                       decay=s.decay, final_phase=phase,
+                                       m_i_values=q.m_i_values())[0]
+            npt.assert_allclose(populations[sl], echo, rtol=0, atol=1e-14)
+            npt.assert_allclose(balance[sl], echo, rtol=0, atol=1e-14)

@@ -1,14 +1,14 @@
 import copy
+import dataclasses
 
 import numpy as np
 import pytest
-import yaml
 
 from nvmag.noise import TabulatedPsd
 from conftest import SCENARIO_FILE
 from nvmag.scenario import (ConfigError, MAX_LASER_SAMPLES_PER_SEQUENCE,
                             load_scenario, scenario_from_mapping,
-                            scenario_to_mapping, scenario_hash)
+                            scenario_hash)
 from nvmag import io as _io
 from nvmag.spin import HamiltonianParams
 
@@ -46,7 +46,7 @@ class TestLoading:
     def test_minimal_mapping(self):
         s = scenario_from_mapping(copy.deepcopy(MINIMAL))
         assert s.name == "unit"
-        assert s.decay is None and s.ac_field is None
+        assert s.decay is None
 
     def test_required_keys(self):
         bad = copy.deepcopy(MINIMAL)
@@ -191,27 +191,19 @@ class TestValidation:
 
 
 class TestRoundTrip:
-    def test_serialize_parse_is_idempotent(self, baseline_scenario):
-        m1 = scenario_to_mapping(baseline_scenario)
-        s2 = scenario_from_mapping(copy.deepcopy(m1))
-        m2 = scenario_to_mapping(s2)
-        assert m1 == m2
-
-    def test_yaml_file_round_trip(self, baseline_scenario, tmp_path):
-        path = tmp_path / "copy.yaml"
-        path.write_text(yaml.safe_dump(scenario_to_mapping(baseline_scenario),
-                                       sort_keys=False))
-        s2 = load_scenario(path)
-        assert scenario_to_mapping(s2) == scenario_to_mapping(baseline_scenario)
-
     def test_hash_is_stable(self, baseline_scenario):
         again = load_scenario(SCENARIO_FILE)
         assert scenario_hash(baseline_scenario) == scenario_hash(again)
 
     def test_hash_tracks_content(self, baseline_scenario):
-        other = load_scenario(SCENARIO_FILE)
-        other.master_seed += 1
+        other = dataclasses.replace(
+            baseline_scenario, master_seed=baseline_scenario.master_seed + 1)
         assert scenario_hash(other) != scenario_hash(baseline_scenario)
+
+    def test_scenario_is_frozen(self, baseline_scenario):
+        # an assignment would bypass validation
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            baseline_scenario.n_sequences = 1
 
 
 class TestSeedStreams:

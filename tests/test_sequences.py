@@ -3,10 +3,10 @@ import numpy.testing as npt
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nvmag.sequences import (AcField, CoherenceDecay, locked_field,
-                             analytic_echo_phase, pi_pulse_time,
-                             echo_populations, pulse_error_response)
-from reference_spin import simulate_full
+from nvmag.sequences import (CoherenceDecay, analytic_echo_phase,
+                             pi_pulse_time, echo_populations,
+                             pulse_error_response)
+from reference_spin import AcField, locked_field, simulate_full
 
 PHASE_TIME = 50e-6
 RABI = 5e6
@@ -32,11 +32,6 @@ class TestBuilders:
             pi_pulse_time(100e-9, 1e6)
         with pytest.raises(ValueError, match="half the free evolution"):
             echo_populations(100e-9, 1e6, params)
-
-    def test_locked_field(self):
-        f = locked_field(1e-9, PHASE_TIME)
-        assert f.frequency == pytest.approx(1.0 / PHASE_TIME)
-        assert f.phase == 0.0
 
 
 class TestAnalyticOracles:
@@ -84,8 +79,8 @@ class TestSimulation:
 
     def test_population_matches_phase_oracle(self, params):
         for b in (2e-9, 1e-8, 3e-8):
-            p = population(params, field=locked_field(b, PHASE_TIME),
-                           final_phase=0.0, m_i_values=(0,))
+            p = population(params, field_amplitude=b, final_phase=0.0,
+                           m_i_values=(0,))
             phi_expected = analytic_echo_phase(b, PHASE_TIME, params.gamma_e)
             phi_sim = np.arccos(2 * p - 1)
             assert phi_sim == pytest.approx(phi_expected, rel=1e-2)
@@ -117,8 +112,8 @@ class TestSimulation:
         amps = np.linspace(1e-9, 5.2e-8, 10)  # phases up to ~0.3 rad
         phis = []
         for b in amps:
-            p = population(params, field=locked_field(b, PHASE_TIME),
-                           final_phase=0.0, m_i_values=(0,))
+            p = population(params, field_amplitude=b, final_phase=0.0,
+                           m_i_values=(0,))
             phis.append(np.arccos(2 * p - 1))
         phis = np.asarray(phis)
         assert phis[-1] <= 0.31
@@ -127,12 +122,10 @@ class TestSimulation:
 
     def test_working_point_has_maximal_field_sensitivity(self, params):
         db = 2e-9
-        field_p = locked_field(db, PHASE_TIME)
-        field_m = locked_field(-db, PHASE_TIME)
         responses = {}
         for phase in np.linspace(0, np.pi, 9):
-            pp, pm = (population(params, field=f, final_phase=phase,
-                                 m_i_values=(0,)) for f in (field_p, field_m))
+            pp, pm = (population(params, field_amplitude=b, final_phase=phase,
+                                 m_i_values=(0,)) for b in (db, -db))
             responses[phase] = abs(pp - pm)
         best = max(responses, key=responses.get)
         assert best == pytest.approx(np.pi / 2)
@@ -141,23 +134,20 @@ class TestSimulation:
         cases = [((0.0, 0.0), 0.0), ((0.02, 0.0), 0.0), ((0.0, 3e4), 0.0),
                  ((0.01, -2e4), 1e-8), ((-0.03, 1e5), 5e-9)]
         for (dg, df), b in cases:
-            field = locked_field(b, PHASE_TIME) if b else None
-            fast = population(full_params.two_level(), dg, df, field=field)
+            fast = population(full_params.two_level(), dg, df,
+                              field_amplitude=b)
             full = simulate_full(PHASE_TIME, RABI, full_params, dg, df,
-                                 field=field)
+                                 field=locked_field(b, PHASE_TIME))
             assert fast == pytest.approx(full, abs=1e-9)
 
-    @pytest.mark.parametrize("method", ["two_level", "full"])
-    def test_unlocked_field_matches_quadrature(self, full_params, method):
+    def test_unlocked_field_matches_quadrature(self, full_params):
         # a field neither at the echo frequency nor zero at the refocusing
-        # pulse: the exact field integral must still give the echo phase
-        # gamma_rad * (int_0^{T/2} B - int_{T/2}^T B), here by quadrature
+        # pulse: the reference model's exact field integral must still
+        # give the echo phase gamma_rad * (int_0^{T/2} B - int_{T/2}^T B),
+        # here by quadrature
         field = AcField(amplitude=3e-8, frequency=0.7 / PHASE_TIME, phase=0.4)
-        kwargs = dict(field=field, final_phase=0.0, m_i_values=(0,))
-        if method == "two_level":
-            p = population(full_params.two_level(), **kwargs)
-        else:
-            p = simulate_full(PHASE_TIME, RABI, full_params, **kwargs)
+        p = simulate_full(PHASE_TIME, RABI, full_params, field=field,
+                          final_phase=0.0, m_i_values=(0,))
         halves = []
         for lo, hi in ((0.0, PHASE_TIME / 2), (PHASE_TIME / 2, PHASE_TIME)):
             t = np.linspace(lo, hi, 200_001)
@@ -167,9 +157,8 @@ class TestSimulation:
 
     def test_decay_envelope_scales_contrast(self, params):
         decay = CoherenceDecay(t2=100e-6)  # exponent 1 -> envelope exp(-1/2)
-        field = locked_field(1e-8, PHASE_TIME)
-        p = population(params, field=field, decay=decay, final_phase=0.0,
-                       m_i_values=(0,))
+        p = population(params, field_amplitude=1e-8, decay=decay,
+                       final_phase=0.0, m_i_values=(0,))
         phi = analytic_echo_phase(1e-8, PHASE_TIME, params.gamma_e)
         expected = 0.5 * (1 + np.exp(-0.5) * np.cos(phi))
         assert p == pytest.approx(expected, rel=1e-6)
@@ -189,10 +178,10 @@ class TestSimulation:
             assert batch[k] == pytest.approx(single, abs=1e-14)
 
     def test_alternating_final_phase_batch(self, params):
-        field = locked_field(2e-8, PHASE_TIME)
         phases = np.array([np.pi / 2, -np.pi / 2])
-        p = echo_populations(PHASE_TIME, RABI, params, 0.0, 0.0, field=field,
-                             final_phase=phases, m_i_values=(0,))
+        p = echo_populations(PHASE_TIME, RABI, params, 0.0, 0.0,
+                             field_amplitude=2e-8, final_phase=phases,
+                             m_i_values=(0,))
         phi = analytic_echo_phase(2e-8, PHASE_TIME, params.gamma_e)
         npt.assert_allclose(p, [0.5 * (1 + np.cos(phi + np.pi / 2)),
                                 0.5 * (1 + np.cos(phi - np.pi / 2))], rtol=1e-4)
@@ -200,30 +189,32 @@ class TestSimulation:
 
 class TestPulseErrorResponse:
     def test_zero_error_is_exactly_zero(self, params):
-        dz = pulse_error_response([0.0], [0.0], phase_time=PHASE_TIME,
+        dz = pulse_error_response(0.0, 0.0, phase_time=PHASE_TIME,
                                   rabi=RABI, params=params)
-        assert dz[0, 0] <= 1e-12
+        assert dz[0] <= 1e-12
 
     def test_amplitude_error_scan_is_linear(self, params):
         dg = np.logspace(-4, -3, 6)
-        dz = pulse_error_response(dg, [0.0], phase_time=PHASE_TIME,
-                                  rabi=RABI, params=params)[:, 0]
+        dz = pulse_error_response(dg, 0.0, phase_time=PHASE_TIME,
+                                  rabi=RABI, params=params)
         slope = np.polyfit(np.log10(dg), np.log10(dz), 1)[0]
         assert slope == pytest.approx(1.0, abs=0.05)
 
     def test_frequency_error_scan_is_linear(self, params):
         df = np.logspace(1, 2, 6)
-        dz = pulse_error_response([0.0], df, phase_time=PHASE_TIME,
-                                  rabi=RABI, params=params)[0, :]
+        dz = pulse_error_response(0.0, df, phase_time=PHASE_TIME,
+                                  rabi=RABI, params=params)
         slope = np.polyfit(np.log10(df), np.log10(dz), 1)[0]
         assert slope == pytest.approx(1.0, abs=0.05)
 
-    def test_grid_shape_and_finiteness(self, params):
-        dz = pulse_error_response([1e-3, 1e-2], [0.0, 1e3, 1e4],
-                                  phase_time=PHASE_TIME, rabi=RABI,
-                                  params=params)
-        assert dz.shape == (2, 3)
-        assert np.all(np.isfinite(dz)) and np.all(dz >= 0)
+    def test_error_pairs_are_independent_evaluations(self, params):
+        # the two error arguments pair up entry by entry
+        dg, df = [1e-3, 0.0, 1e-2], [0.0, 1e3, 1e4]
+        kwargs = dict(phase_time=PHASE_TIME, rabi=RABI, params=params)
+        dz = pulse_error_response(dg, df, **kwargs)
+        assert dz.shape == (3,) and np.all(dz >= 0)
+        for k in range(3):
+            assert dz[k] == pulse_error_response(dg[k], df[k], **kwargs)[0]
 
     def test_rejects_non_finite_grids(self, params):
         with pytest.raises(ValueError):
