@@ -14,7 +14,7 @@ two-window difference signal yields the photon rate R0.
 
 import math
 
-from nvmag.analysis import SensitivityInputs, sensitivity_eq1
+from nvmag.analysis import sensitivity_eq1
 from nvmag.readout import ReadoutConfig, window_dip_fraction
 
 TARGET = 0.9e-12 / 5.3          # T/sqrt(Hz), shot-noise-limited scheme B
@@ -44,9 +44,7 @@ print(f"scenario default (scenarios/baseline.yaml):      9.277e+18 counts/s")
 assert abs(r0 - 9.277e18) / r0 < 1e-3
 
 # round trip through the closed form
-inputs = SensitivityInputs(
-    sigma1=math.sqrt(2.0 / (r0 * cfg.window_time)),
-    contrast_amplitude=amplitude, phase_time=PHASE_TIME,
-    sequence_time=SEQUENCE_TIME, total_time=1.0, gamma_e=GAMMA_E)
-print(f"round trip:                         {sensitivity_eq1(inputs):.6e} "
+b_min = sensitivity_eq1(math.sqrt(2.0 / (r0 * cfg.window_time)), amplitude,
+                        PHASE_TIME, 1.0 / SEQUENCE_TIME, GAMMA_E)
+print(f"round trip:                         {b_min:.6e} "
       f"T (target {TARGET:.6e})")

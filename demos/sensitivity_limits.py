@@ -8,29 +8,27 @@ including the optimal choice of phase-accumulation time.
 
 import numpy as np
 
-from nvmag.analysis import (SensitivityInputs, sensitivity_eq1,
-                            projection_limit_eq2, projection_limit_simplified,
-                            optimal_phase_time)
+from nvmag.analysis import (sensitivity_eq1, projection_limit_eq2,
+                            projection_limit_simplified, optimal_phase_time)
+from nvmag.sequences import CoherenceDecay
 
 # operating point: 50 us of phase accumulation inside a 160 us evaluation,
 # 1.4e11 centres, coherence time 100 us (so the echo decay factor is
 # exp(-1/2)), one second of total measurement time
-inputs = SensitivityInputs(
-    sigma1=0.01,              # per-evaluation deviation (dimensionless)
-    contrast_amplitude=0.04,  # signal modulation amplitude
-    phase_time=50e-6,
-    sequence_time=160e-6,
-    total_time=1.0,
-    n_centres=1.4e11,
-    t2=100e-6,
-)
+PHASE_TIME, SEQUENCE_TIME, TOTAL_TIME = 50e-6, 160e-6, 1.0
+N_CENTRES, GAMMA_E = 1.4e11, 28.7e9
+evaluations = TOTAL_TIME / SEQUENCE_TIME
+envelope = CoherenceDecay(t2=100e-6).envelope(PHASE_TIME)
 
+# per-evaluation deviation 0.01 (dimensionless), signal amplitude 0.04
+b_min = sensitivity_eq1(0.01, 0.04, PHASE_TIME, evaluations, GAMMA_E)
 print("pulsed-detection resolution with sigma1 = 0.01, amplitude 0.04:")
-print(f"  B_min(1 s) = {sensitivity_eq1(inputs):.3e} T")
-print(f"  ({inputs.evaluations:.0f} evaluations per second)")
+print(f"  B_min(1 s) = {b_min:.3e} T")
+print(f"  ({evaluations:.0f} evaluations per second)")
 print()
 
-b_qpn = projection_limit_eq2(inputs)
+b_qpn = projection_limit_eq2(N_CENTRES, evaluations, PHASE_TIME, envelope,
+                             GAMMA_E)
 print("spin projection limit of the same configuration:")
 print(f"  B_QPN = {b_qpn:.3e} T/sqrt(Hz)  =  {b_qpn * 1e15:.2f} fT/sqrt(Hz)")
 print()
@@ -50,8 +48,9 @@ for n in (1.0, 1e6, 1.4e11):
     print(f"  N = {n:8.1e}:  {b:.3e} T/sqrt(Hz)")
 
 # the two expressions agree exactly at the optimum
-check = SensitivityInputs(n_centres=1.4e11, phase_time=t2 / 2,
-                          sequence_time=t2 / 2, total_time=1.0, t2=t2)
-assert np.isclose(projection_limit_eq2(check),
-                  projection_limit_simplified(1.4e11, 1.0, t2), rtol=1e-12)
+# (back-to-back sequences, so one second holds 1 / t_opt evaluations)
+check = projection_limit_eq2(N_CENTRES, 1.0 / t_opt, t_opt,
+                             CoherenceDecay(t2=t2).envelope(t_opt), GAMMA_E)
+assert np.isclose(check, projection_limit_simplified(N_CENTRES, 1.0, t2),
+                  rtol=1e-12)
 print("\nconsistency of the general and optimal-time forms: ok")

@@ -14,7 +14,7 @@ Library layout:
   seeded scenario runs
 """
 
-# set before the submodule imports: the run manifest records it
+# set before the submodule imports: the run record holds it
 __version__ = "0.1.0"
 
 from .spin import HamiltonianParams
@@ -26,11 +26,11 @@ from .filters import (check_windows, filter_transmission,
                       filter_scheme_for_channel,
                       filtered_cumulative_noise_descending)
 from .readout import ReadoutConfig, ReadoutSeries, sequence_signals
-from .analysis import (ScalingCurve, SensitivityInputs, allan_deviation,
+from .analysis import (ScalingCurve, allan_deviation,
                        std_vs_time, sensitivity_eq1, projection_limit_eq2,
                        projection_limit_simplified, optimal_phase_time,
                        fit_log_slope)
-from .scenario import (Scenario, SequenceSettings, ConfigError, RunManifest,
+from .scenario import (Scenario, SequenceSettings, ConfigError, write_run,
                        load_scenario, scenario_from_mapping, scenario_hash)
 from .experiments import (run_ac_sweep, run_scaling_experiment,
                           run_error_scaling, run_noise_budget)

@@ -40,41 +40,6 @@ class ScalingCurve:
             raise ValueError("deviations must be non-negative")
 
 
-@dataclass(frozen=True)
-class SensitivityInputs:
-    """Inputs of the closed-form sensitivity expressions."""
-
-    sigma1: float = 0.0             # per-evaluation deviation, dimensionless
-    contrast_amplitude: float = 0.0  # signal modulation amplitude
-    phase_time: float = 50e-6       # s
-    sequence_time: float = 160e-6   # s
-    total_time: float = 1.0         # s
-    n_centres: float = 1.0
-    t2: float = 100e-6              # s
-    decay_exponent: float = 1.0
-    gamma_e: float = 28.7e9         # Hz/T
-
-    def __post_init__(self):
-        positive = (self.phase_time, self.sequence_time, self.total_time,
-                    self.n_centres, self.t2, self.gamma_e)
-        if any(v <= 0 for v in positive):
-            raise ValueError("sensitivity inputs must be positive")
-        if self.phase_time > self.sequence_time:
-            raise ValueError("phase_time cannot exceed sequence_time")
-
-    @property
-    def gamma_rad(self) -> float:
-        return TWO_PI * self.gamma_e
-
-    @property
-    def evaluations(self) -> float:
-        return self.total_time / self.sequence_time
-
-    def decay_delta(self, phase_time: float | None = None) -> float:
-        t = self.phase_time if phase_time is None else phase_time
-        return (t / self.t2) ** self.decay_exponent
-
-
 def _block_count(t_prime: float, tau: float) -> int:
     m = tau / t_prime
     m_int = int(round(m))
@@ -139,29 +104,27 @@ def default_time_grid(n_samples: int, t_prime: float,
     return m * t_prime
 
 
-def sensitivity_eq1(inputs: SensitivityInputs) -> float:
-    """Field resolution of pulsed detection after ``total_time``.
+def sensitivity_eq1(sigma1: float, amplitude: float, phase_time: float,
+                    evaluations: float, gamma_e: float) -> float:
+    """Field resolution of pulsed detection after ``evaluations`` echoes.
 
-    ``B_min = sigma1 / (gamma_rad * A * phase_time * sqrt(n))`` with
-    ``n = total_time / sequence_time`` evaluations.
+    ``B_min = sigma1 / (gamma_rad * A * phase_time * sqrt(evaluations))``
+    for the per-evaluation deviation ``sigma1`` and signal amplitude ``A``.
     """
-    n = inputs.evaluations
-    if n < 1:
-        raise ValueError("total_time must cover at least one sequence")
-    return inputs.sigma1 / (inputs.gamma_rad * inputs.contrast_amplitude
-                            * inputs.phase_time * math.sqrt(n))
+    return sigma1 / (TWO_PI * gamma_e * amplitude * phase_time
+                     * math.sqrt(evaluations))
 
 
-def projection_limit_eq2(inputs: SensitivityInputs) -> float:
+def projection_limit_eq2(n_centres: float, evaluations: float,
+                         phase_time: float, envelope: float,
+                         gamma_e: float) -> float:
     """Spin-projection-limited field resolution of an ``N``-spin ensemble.
 
-    ``B = 1 / (gamma_rad sqrt(N) sqrt(t/T_seq) T_phi exp(-delta))`` with
-    the coherence decay ``delta = (T_phi / T2)**k``.
+    ``B = 1 / (gamma_rad sqrt(N) sqrt(evaluations) T_phi envelope)``,
+    with the echo contrast ``envelope = exp(-(T_phi / t2)**k)``.
     """
-    envelope = math.exp(-inputs.decay_delta())
-    return 1.0 / (inputs.gamma_rad * math.sqrt(inputs.n_centres)
-                  * math.sqrt(inputs.evaluations) * inputs.phase_time
-                  * envelope)
+    return 1.0 / (TWO_PI * gamma_e * math.sqrt(n_centres)
+                  * math.sqrt(evaluations) * phase_time * envelope)
 
 
 def projection_limit_simplified(n_centres: float, total_time: float,

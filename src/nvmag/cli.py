@@ -23,8 +23,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import analysis, experiments, io as _io, sequences
-from .scenario import ConfigError, RunManifest, Scenario, load_scenario
+from . import analysis, experiments, sequences
+from .scenario import (ConfigError, Scenario, load_scenario, utc_now,
+                       write_run)
 
 _COMMANDS = ("validate", "sensitivity", "sweep", "scaling", "error-scaling",
              "budget")
@@ -83,39 +84,31 @@ def _out_dir(args, scenario: Scenario) -> Path:
 
 
 def _run_sensitivity(scenario: Scenario, out_dir: Path) -> None:
-    inputs = analysis.SensitivityInputs(
-        sigma1=scenario.sigma1 or 0.0,
-        contrast_amplitude=scenario.response_amplitude or 0.0,
-        phase_time=scenario.sequence.phase_time,
-        sequence_time=scenario.sequence.sequence_time,
-        total_time=scenario.total_time,
-        n_centres=scenario.n_centres,
-        t2=scenario.decay.t2 if scenario.decay else 2 * scenario.sequence.phase_time,
-        decay_exponent=scenario.decay.exponent if scenario.decay else 1.0,
-        gamma_e=scenario.hamiltonian.gamma_e,
-    )
-    b_qpn = analysis.projection_limit_eq2(inputs)
-    coeff = analysis.projection_limit_simplified(
-        1.0, 1.0, 1.0, gamma_e=inputs.gamma_e)
-    t_opt = analysis.optimal_phase_time(inputs.t2, inputs.decay_exponent)
+    started = utc_now()
+    seq, decay = scenario.sequence, scenario.decay
+    gamma_e = scenario.hamiltonian.gamma_e
+    evaluations = scenario.total_time / seq.sequence_time
+    b_qpn = analysis.projection_limit_eq2(
+        scenario.n_centres, evaluations, seq.phase_time,
+        decay.envelope(seq.phase_time), gamma_e)
+    coeff = analysis.projection_limit_simplified(1.0, 1.0, 1.0, gamma_e)
+    t_opt = analysis.optimal_phase_time(decay.t2, decay.exponent)
     print(f"projection limit B_QPN = {b_qpn:.6g} T/sqrt(Hz) "
-          f"({b_qpn * 1e15:.2f} fT/sqrt(Hz)) for N = {inputs.n_centres:.3g}, "
-          f"phase time {inputs.phase_time * 1e6:.3g} us")
+          f"({b_qpn * 1e15:.2f} fT/sqrt(Hz)) for N = {scenario.n_centres:.3g}, "
+          f"phase time {seq.phase_time * 1e6:.3g} us")
     print(f"optimal-time coefficient sqrt(2e)/gamma = {coeff:.6g} T*sqrt(s)")
     print(f"optimal phase time = {t_opt:.6g} s")
     header = ["b_qpn_T_per_sqrtHz", "simplified_coefficient", "optimal_phase_time_s"]
     cols = [np.array([b_qpn]), np.array([coeff]), np.array([t_opt])]
-    b_eq1 = None
-    if scenario.sigma1 and scenario.response_amplitude:
-        b_eq1 = analysis.sensitivity_eq1(inputs)
+    if scenario.sigma1 is not None and scenario.response_amplitude is not None:
+        b_eq1 = analysis.sensitivity_eq1(scenario.sigma1,
+                                         scenario.response_amplitude,
+                                         seq.phase_time, evaluations, gamma_e)
         print(f"pulsed-detection resolution B_min = {b_eq1:.6g} T "
-              f"after {inputs.total_time:.3g} s")
+              f"after {scenario.total_time:.3g} s")
         header.append("b_min_T")
         cols.append(np.array([b_eq1]))
-    manifest = RunManifest.start(scenario)
-    path = _io.write_table(out_dir / "sensitivity.csv", header, cols)
-    manifest.add_output(path)
-    manifest.finish(out_dir)
+    write_run(scenario, out_dir, started, {"sensitivity.csv": (header, cols)})
 
 
 def main(argv=None) -> int:

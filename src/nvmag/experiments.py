@@ -19,9 +19,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import analysis, filters, io as _io, noise as _noise, readout, sequences
+from . import analysis, filters, noise as _noise, readout, sequences
 from .readout import ReadoutSeries, SCHEME_SEQUENCES
-from .scenario import Scenario, RunManifest, CHUNK_SIZE
+from .scenario import Scenario, CHUNK_SIZE, utc_now, write_run
 
 #: seed-stream offset separating the short shot-only reference run
 SIGMA1_STREAM_OFFSET = 100
@@ -175,6 +175,7 @@ def run_ac_sweep(scenario: Scenario, amplitudes, out_dir=None) -> SweepResult:
     its fitted modulation amplitude is the signal amplitude entering the
     closed-form sensitivity.
     """
+    started = utc_now()
     amplitudes = np.asarray(amplitudes, dtype=float)
     n = scenario.n_sequences
     n_total = n * amplitudes.size
@@ -204,16 +205,13 @@ def run_ac_sweep(scenario: Scenario, amplitudes, out_dir=None) -> SweepResult:
 
     result = SweepResult(amplitudes, means, response)
     if out_dir is not None:
-        manifest = RunManifest.start(scenario)
-        header = ["b_ac_T"] + [f"mean_signal_{s}" for s in scenario.schemes]
-        cols = [amplitudes] + [means[s] for s in scenario.schemes]
-        result.outputs.append(_io.write_table(
-            f"{out_dir}/sweep.csv", header, cols))
-        result.outputs.append(_io.write_table(
-            f"{out_dir}/sweep_response.csv",
-            [f"response_amplitude_{s}" for s in scenario.schemes],
-            [np.array([response[s]]) for s in scenario.schemes]))
-        _finalize(manifest, result.outputs, out_dir)
+        schemes = scenario.schemes
+        result.outputs = write_run(scenario, out_dir, started, {
+            "sweep.csv": (["b_ac_T"] + [f"mean_signal_{s}" for s in schemes],
+                          [amplitudes] + [means[s] for s in schemes]),
+            "sweep_response.csv": (
+                [f"response_amplitude_{s}" for s in schemes],
+                [np.array([response[s]]) for s in schemes])})
     return result
 
 
@@ -243,6 +241,7 @@ def run_scaling_experiment(scenario: Scenario, out_dir=None) -> ScalingResult:
     deviation averages down, with correlated microwave and laser noise
     sampled across sequences from the scenario's spectral models.
     """
+    started = utc_now()
     n = scenario.n_sequences
     dg, df = _mw_error_samples(scenario, n)
     eps = _laser_window_noise(scenario, n)
@@ -258,20 +257,18 @@ def run_scaling_experiment(scenario: Scenario, out_dir=None) -> ScalingResult:
 
     result = ScalingResult(out)
     if out_dir is not None:
-        manifest = RunManifest.start(scenario)
+        tables = {}
         for scheme, sc in out.items():
-            result.outputs.append(_io.write_table(
-                f"{out_dir}/series_{scheme}.csv",
+            tables[f"series_{scheme}.csv"] = (
                 ["index", "time_s", "value"],
                 [np.arange(sc.series.values.size), sc.series.times(),
-                 sc.series.values]))
+                 sc.series.values])
             for curve, tag in ((sc.allan, "allan"), (sc.std, "std")):
-                result.outputs.append(_io.write_table(
-                    f"{out_dir}/{tag}_{scheme}.csv",
+                tables[f"{tag}_{scheme}.csv"] = (
                     ["tau_s", "deviation", "deviation_T"],
                     [curve.times, curve.values,
-                     curve.values / sc.response_per_tesla]))
-        _finalize(manifest, result.outputs, out_dir)
+                     curve.values / sc.response_per_tesla])
+        result.outputs = write_run(scenario, out_dir, started, tables)
     return result
 
 
@@ -295,6 +292,7 @@ def run_error_scaling(scenario: Scenario, amplitude_errors=None,
     Emits the two limiting scans (one error at a time) of the population
     error at the working point.
     """
+    started = utc_now()
     if amplitude_errors is None:
         amplitude_errors = np.logspace(-4, -1, 25)
     if frequency_errors is None:
@@ -309,14 +307,11 @@ def run_error_scaling(scenario: Scenario, amplitude_errors=None,
     dz_f = sequences.pulse_error_response(0.0, frequency_errors, **kwargs)
     result = ErrorScalingResult(amplitude_errors, dz_g, frequency_errors, dz_f)
     if out_dir is not None:
-        manifest = RunManifest.start(scenario)
-        result.outputs.append(_io.write_table(
-            f"{out_dir}/error_scaling_amplitude.csv",
-            ["delta_g", "delta_z"], [amplitude_errors, dz_g]))
-        result.outputs.append(_io.write_table(
-            f"{out_dir}/error_scaling_frequency.csv",
-            ["delta_f_Hz", "delta_z"], [frequency_errors, dz_f]))
-        _finalize(manifest, result.outputs, out_dir)
+        result.outputs = write_run(scenario, out_dir, started, {
+            "error_scaling_amplitude.csv": (["delta_g", "delta_z"],
+                                            [amplitude_errors, dz_g]),
+            "error_scaling_frequency.csv": (["delta_f_Hz", "delta_z"],
+                                            [frequency_errors, dz_f])})
     return result
 
 
@@ -348,11 +343,16 @@ def run_noise_budget(scenario: Scenario, out_dir=None,
     (microwave channels see the unreferenced-within-sequence variant,
     see :func:`nvmag.filters.filter_scheme_for_channel`).
 
-    The band differs from the Monte Carlo runners': they sample
-    microwave noise once per sequence, so they resolve it only up to
+    Two differences from the Monte Carlo runners.  They sample microwave
+    noise once per sequence, so they resolve it only up to
     ``1/(2 T_seq)``, and the budget's top octave has no counterpart
-    there.
+    there.  And :func:`error_conversion_slopes` takes the slopes of the
+    undecayed echo, while the runners scale the echo by the decay
+    envelope: on the baseline the budget's microwave slopes are
+    ``exp(1/2)`` times those the runners sample.  The baseline's
+    amplitude flicker level is calibrated against these slopes.
     """
+    started = utc_now()
     cfg, t_seq = scenario.readout, scenario.sequence.sequence_time
     f_top = 1.0 / t_seq
     f_floor = 1.0 / (scenario.n_sequences * t_seq)
@@ -388,24 +388,14 @@ def run_noise_budget(scenario: Scenario, out_dir=None,
 
     result = BudgetResult(freqs, raw, filtered, sigma1, slopes)
     if out_dir is not None:
-        manifest = RunManifest.start(scenario)
+        tables = {}
         for channel in scenario.noise:
-            result.outputs.append(_io.write_table(
-                f"{out_dir}/budget_raw_{channel}.csv",
-                ["f_Hz", "cumulative_value"], [freqs, raw[channel]]))
-            result.outputs.append(_io.write_table(
-                f"{out_dir}/budget_filtered_{BUDGET_SCHEME}_{channel}.csv",
-                ["f_Hz", "cumulative_value"], [freqs, filtered[channel]]))
+            tables[f"budget_raw_{channel}.csv"] = (
+                ["f_Hz", "cumulative_value"], [freqs, raw[channel]])
+            tables[f"budget_filtered_{BUDGET_SCHEME}_{channel}.csv"] = (
+                ["f_Hz", "cumulative_value"], [freqs, filtered[channel]])
         schemes = sorted(sigma1)
-        result.outputs.append(_io.write_table(
-            f"{out_dir}/sigma1.csv",
-            [f"sigma1_{s}" for s in schemes],
-            [np.array([sigma1[s]]) for s in schemes]))
-        _finalize(manifest, result.outputs, out_dir)
+        tables["sigma1.csv"] = ([f"sigma1_{s}" for s in schemes],
+                                [np.array([sigma1[s]]) for s in schemes])
+        result.outputs = write_run(scenario, out_dir, started, tables)
     return result
-
-
-def _finalize(manifest: RunManifest, outputs, out_dir) -> None:
-    for path in outputs:
-        manifest.add_output(path)
-    manifest.finish(out_dir)

@@ -1,4 +1,4 @@
-"""Scenario configuration: schema, validation, hashing, manifests.
+"""Scenario configuration: schema, validation, hashing, the run record.
 
 A scenario is one fully specified simulation setup: Hamiltonian and
 sequence parameters, readout configuration, per-channel noise models,
@@ -16,12 +16,15 @@ A and B share one shot-noise draw, and C and D share another.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field, asdict
+from collections.abc import Mapping
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 import yaml
@@ -94,16 +97,17 @@ class Scenario:
     schemes: tuple[str, ...] = ("B", "D")
     hamiltonian: HamiltonianParams = field(default_factory=HamiltonianParams)
     sequence: SequenceSettings = field(default_factory=SequenceSettings)
-    decay: CoherenceDecay | None = None
+    decay: CoherenceDecay = CoherenceDecay()
     readout: ReadoutConfig = field(
         default_factory=lambda: ReadoutConfig(photon_rate=1e9))
-    noise: dict = field(default_factory=dict)
+    noise: Mapping = field(default_factory=dict)  # read-only once built
     n_centres: float = 1.4e11
     total_time: float = 1.0
     sigma1: float | None = None
     response_amplitude: float | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "noise", MappingProxyType(dict(self.noise)))
         if not self.name:
             raise ConfigError("scenario name must be non-empty")
         if self.master_seed < 0:
@@ -124,8 +128,8 @@ class Scenario:
                    if v is not None]
         if not all(math.isfinite(v) for v in values):
             raise ConfigError("ensemble and analysis values must be finite")
-        if self.n_centres <= 0 or self.total_time <= 0:
-            raise ConfigError("n_centres and total_time must be positive")
+        if not all(v > 0 for v in values):
+            raise ConfigError("ensemble and analysis values must be positive")
         if any(SCHEME_SEQUENCES[s] == 2 for s in self.schemes) \
                 and self.n_sequences % 2:
             raise ConfigError("paired schemes need an even n_sequences")
@@ -142,6 +146,8 @@ class Scenario:
         if echo_time + rd.laser_time > seq.sequence_time + 1e-15:
             raise ConfigError("echo plus laser window do not fit in "
                               "sequence_time")
+        if self.total_time < seq.sequence_time:
+            raise ConfigError("total_time must cover at least one sequence")
         laser = self.noise.get("laser_intensity")
         if laser is not None and not laser.is_zero and 2.0 * seq.sequence_time \
                 > MAX_LASER_SAMPLES_PER_SEQUENCE * rd.window_time:
@@ -169,17 +175,15 @@ class Scenario:
         if not np.all(np.isfinite(populations)):
             raise ConfigError("echo populations are not finite at the working "
                               "point or under microwave noise")
-        if self.decay is not None:
-            try:  # runners scale the echo by the envelope; the sensitivity
-                # command reports the optimal phase time
-                usable = self.decay.envelope(seq.phase_time) > 0.0 and \
-                    math.isfinite(optimal_phase_time(self.decay.t2,
-                                                     self.decay.exponent))
-            except OverflowError:
-                usable = False
-            if not usable:
-                raise ConfigError("decay envelope at phase_time or optimal "
-                                  "phase time is not a positive float")
+        try:  # runners scale the echo by the envelope; the sensitivity
+            # command reports the optimal phase time (inf without decay)
+            usable = self.decay.envelope(seq.phase_time) > 0.0 and \
+                optimal_phase_time(self.decay.t2, self.decay.exponent) > 0.0
+        except OverflowError:
+            usable = False
+        if not usable:
+            raise ConfigError("decay envelope at phase_time or optimal "
+                              "phase time is not positive")
         # the scaling curves divide by the field response
         for scheme in self.schemes:
             response = self.field_response(scheme)
@@ -190,12 +194,9 @@ class Scenario:
 
     def field_response(self, scheme: str) -> float:
         """Analytic small-signal response ``|dS/dB|`` (1/T) of a scheme."""
-        env = 1.0
-        if self.decay is not None:
-            env = self.decay.envelope(self.sequence.phase_time)
         return signal_response_per_tesla(
             self.readout, self.sequence.phase_time, self.hamiltonian.gamma_e,
-            env, scheme)
+            self.decay.envelope(self.sequence.phase_time), scheme)
 
     def channel_seed(self, channel: str) -> np.random.SeedSequence:
         return np.random.SeedSequence((self.master_seed,
@@ -290,10 +291,10 @@ def scenario_from_mapping(mapping: dict, base_dir: Path | str = ".") -> Scenario
         sequence = SequenceSettings(**_fields(
             mapping.get("sequence"), "sequence", _SEQUENCE_KEYS,
             required=("phase_time_s", "sequence_time_s")))
-        decay = None
-        if mapping.get("decay") is not None:
-            decay = CoherenceDecay(**_fields(mapping["decay"], "decay",
-                                             _DECAY_KEYS, required=("t2_s",)))
+        # no decay section is no decay; a present one needs t2_s
+        decay = CoherenceDecay(**_fields(
+            mapping.get("decay", {"t2_s": math.inf}), "decay", _DECAY_KEYS,
+            required=("t2_s",)))
         readout = ReadoutConfig(
             **_fields(mapping.get("readout"), "readout", _READOUT_KEYS,
                       required=("photon_rate_cps",)))
@@ -343,40 +344,42 @@ def load_scenario(path) -> Scenario:
     return scenario_from_mapping(mapping, base_dir=path.parent)
 
 
+def _plain(value):
+    """JSON form of a dataclass or a read-only mapping."""
+    if isinstance(value, Mapping):
+        return dict(value)
+    return {f.name: getattr(value, f.name) for f in dataclasses.fields(value)}
+
+
 def scenario_hash(scenario: Scenario) -> str:
     """Digest of the validated values, tabulated spectra included."""
-    canon = json.dumps(asdict(scenario), sort_keys=True)
+    canon = json.dumps(scenario, default=_plain, sort_keys=True)
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
 # ---------------------------------------------------------------------------
-# run manifest
+# run record
 # ---------------------------------------------------------------------------
 
-@dataclass
-class RunManifest:
-    """Record of one scenario run: config digest, seed and output digests."""
+def utc_now() -> str:
+    """The current UTC time as an ISO 8601 string."""
+    return datetime.now(timezone.utc).isoformat()
 
-    scenario_hash: str
-    seed: int
-    tool_version: str = __version__
-    started: str = ""
-    finished: str = ""
-    outputs: dict = field(default_factory=dict)
 
-    @classmethod
-    def start(cls, scenario: Scenario) -> "RunManifest":
-        return cls(scenario_hash=scenario_hash(scenario),
-                   seed=scenario.master_seed,
-                   started=datetime.now(timezone.utc).isoformat())
-
-    def add_output(self, path) -> None:
-        path = Path(path)
-        self.outputs[path.name] = _io.file_digest(path)
-
-    def finish(self, out_dir) -> Path:
-        self.finished = datetime.now(timezone.utc).isoformat()
-        path = Path(out_dir) / "manifest.json"
-        with open(path, "w") as fh:
-            json.dump(asdict(self), fh, indent=2, sort_keys=True)
-        return path
+def write_run(scenario: Scenario, out_dir, started: str,
+              tables: dict) -> list[Path]:
+    """Write ``{file name: (header, columns)}`` tables into ``out_dir``,
+    then ``manifest.json``: scenario hash, seed, tool version, the
+    ``started`` and finishing times, and the SHA-256 of every table.
+    Returns the table paths."""
+    out_dir = Path(out_dir)
+    # positional, through the module: the benchmark tracer wraps it
+    outputs = [_io.write_table(out_dir / name, header, columns)
+               for name, (header, columns) in tables.items()]
+    manifest = {"scenario_hash": scenario_hash(scenario),
+                "seed": scenario.master_seed, "tool_version": __version__,
+                "started": started, "finished": utc_now(),
+                "outputs": {p.name: _io.file_digest(p) for p in outputs}}
+    with open(out_dir / "manifest.json", "w") as fh:
+        json.dump(manifest, fh, indent=2, sort_keys=True)
+    return outputs

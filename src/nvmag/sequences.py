@@ -32,15 +32,16 @@ NUCLEAR_LEVELS = spin.NUCLEAR_LEVELS
 
 @dataclass(frozen=True)
 class CoherenceDecay:
-    """Echo contrast envelope ``exp(-(T/t2)**exponent)``."""
+    """Echo contrast envelope ``exp(-(T/t2)**exponent)``; the default
+    ``t2 = inf`` is no decay (envelope 1)."""
 
-    t2: float
+    t2: float = math.inf
     exponent: float = 1.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.t2) and math.isfinite(self.exponent)):
-            raise ValueError("decay parameters must be finite")
-        if self.t2 <= 0 or self.exponent <= 0:
+        if not math.isfinite(self.exponent):
+            raise ValueError("decay exponent must be finite")
+        if not (self.t2 > 0 and self.exponent > 0):
             raise ValueError("coherence time and exponent must be positive")
 
     def envelope(self, phase_time: float) -> float:
@@ -86,7 +87,7 @@ def _pulse(rotation: float, duration: float, phase, dg, b_z, g, e):
 def echo_populations(phase_time: float, rabi: float,
                      params: HamiltonianParams, amplitude_error=0.0,
                      frequency_error=0.0, field_amplitude=0.0,
-                     decay: CoherenceDecay | None = None, *,
+                     decay: CoherenceDecay = CoherenceDecay(), *,
                      final_phase=math.pi / 2,
                      m_i_values=NUCLEAR_LEVELS) -> np.ndarray:
     """``m_S = 0`` populations after the echo
@@ -99,7 +100,7 @@ def echo_populations(phase_time: float, rabi: float,
     the errors held constant within it.  ``field_amplitude`` (T) is the
     amplitude of the phase-locked test field.  Populations are averaged
     over the hyperfine blocks in ``m_i_values`` (the drive is referenced
-    to the ``m_I = 0`` line).
+    to the ``m_I = 0`` line), and ``decay`` scales their contrast.
     """
     t_pi = pi_pulse_time(phase_time, rabi)
     half = phase_time / 2.0
@@ -132,9 +133,7 @@ def echo_populations(phase_time: float, rabi: float,
         g, _ = _pulse(math.pi / 2, t_pi / 2, fp, dg, b_z, g, e)
         p_total += np.abs(g) ** 2
     p = p_total / len(m_i_values)
-    if decay is not None:
-        p = 0.5 + (p - 0.5) * decay.envelope(phase_time)
-    return p
+    return 0.5 + (p - 0.5) * decay.envelope(phase_time)
 
 
 def pulse_error_response(amplitude_errors, frequency_errors, *,

@@ -5,7 +5,7 @@ import numpy.testing as npt
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nvmag.analysis import (ScalingCurve, SensitivityInputs, allan_deviation,
+from nvmag.analysis import (ScalingCurve, allan_deviation,
                             std_vs_time, sensitivity_eq1, projection_limit_eq2,
                             projection_limit_simplified, optimal_phase_time,
                             fit_log_slope, default_time_grid)
@@ -119,41 +119,37 @@ class TestStdVsTime:
         npt.assert_allclose(curve.times, [0.5, 1.0, 2.0])
 
 
+def b_min(sigma1=0.01, amplitude=0.04, phase_time=50e-6,
+          sequence_time=160e-6, total_time=1.0):
+    return sensitivity_eq1(sigma1, amplitude, phase_time,
+                           total_time / sequence_time, 28.7e9)
+
+
 class TestSensitivityClosedForms:
     def test_zero_deviation_zero_resolution(self):
-        inputs = SensitivityInputs(sigma1=0.0, contrast_amplitude=0.04)
-        assert sensitivity_eq1(inputs) == 0.0
+        assert b_min(sigma1=0.0) == 0.0
 
     def test_sqrt_time_scaling(self):
-        a = SensitivityInputs(sigma1=0.01, contrast_amplitude=0.04,
-                              total_time=1.0)
-        b = SensitivityInputs(sigma1=0.01, contrast_amplitude=0.04,
-                              total_time=2.0)
-        assert sensitivity_eq1(a) / sensitivity_eq1(b) == \
+        assert b_min(total_time=1.0) / b_min(total_time=2.0) == \
             pytest.approx(np.sqrt(2.0), rel=1e-12)
 
     def test_reference_point(self):
-        inputs = SensitivityInputs(sigma1=0.01, contrast_amplitude=0.04,
-                                   phase_time=50e-6, sequence_time=160e-6,
-                                   total_time=1.0)
         # independent arithmetic of the same expression
         expected = 0.01 / (GAMMA_RAD * 0.04 * 50e-6 * np.sqrt(1.0 / 160e-6))
-        assert sensitivity_eq1(inputs) == pytest.approx(expected, rel=1e-12)
+        assert b_min() == pytest.approx(expected, rel=1e-12)
         assert expected == pytest.approx(3.5e-10, rel=0.01)
 
     def test_projection_limit_reference_point(self):
-        inputs = SensitivityInputs(n_centres=1.4e11, phase_time=50e-6,
-                                   sequence_time=160e-6, total_time=1.0,
-                                   t2=100e-6)
-        got = projection_limit_eq2(inputs)
+        got = projection_limit_eq2(1.4e11, 1.0 / 160e-6, 50e-6,
+                                   math.exp(-0.5), 28.7e9)
         expected = 1.0 / (GAMMA_RAD * np.sqrt(1.4e11) * np.sqrt(1 / 160e-6)
                           * 50e-6 * np.exp(-0.5))
         assert got == pytest.approx(expected, rel=1e-12)
         assert got == pytest.approx(6.2e-15, rel=0.01)
 
     def test_projection_limit_scales_with_ensemble_size(self):
-        a = projection_limit_eq2(SensitivityInputs(n_centres=1e11))
-        b = projection_limit_eq2(SensitivityInputs(n_centres=4e11))
+        a, b = (projection_limit_eq2(n, 6250.0, 50e-6, 1.0, 28.7e9)
+                for n in (1e11, 4e11))
         assert a / b == pytest.approx(2.0, rel=1e-12)
 
     def test_simplified_form_coefficient(self):
@@ -165,26 +161,16 @@ class TestSensitivityClosedForms:
         # back-to-back limit, exponential decay, optimal phase time
         t2, n, t = 100e-6, 1.4e11, 1.0
         t_phi = optimal_phase_time(t2)
-        inputs = SensitivityInputs(n_centres=n, phase_time=t_phi,
-                                   sequence_time=t_phi, total_time=t, t2=t2)
-        assert projection_limit_eq2(inputs) == pytest.approx(
-            projection_limit_simplified(n, t, t2), rel=1e-12)
+        got = projection_limit_eq2(n, t / t_phi, t_phi, math.exp(-t_phi / t2),
+                                   28.7e9)
+        assert got == pytest.approx(projection_limit_simplified(n, t, t2),
+                                    rel=1e-12)
 
     def test_monotonicity(self):
-        base = dict(sigma1=0.01, contrast_amplitude=0.04, phase_time=50e-6,
-                    sequence_time=160e-6, total_time=1.0)
-        b0 = sensitivity_eq1(SensitivityInputs(**base))
-        for key, value in (("total_time", 2.0), ("contrast_amplitude", 0.08),
+        b0 = b_min()
+        for key, value in (("total_time", 2.0), ("amplitude", 0.08),
                            ("phase_time", 100e-6)):
-            kw = dict(base)
-            kw[key] = value
-            assert sensitivity_eq1(SensitivityInputs(**kw)) < b0
-
-    def test_input_validation(self):
-        with pytest.raises(ValueError):
-            SensitivityInputs(phase_time=-1.0)
-        with pytest.raises(ValueError):
-            SensitivityInputs(phase_time=1.0, sequence_time=0.5)
+            assert b_min(**{key: value}) < b0
 
 
 class TestOptimalPhaseTime:

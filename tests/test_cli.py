@@ -175,6 +175,51 @@ class TestValidate:
 
 
 class TestSensitivity:
+    def write(self, tmp_path, drop=(), **analysis):
+        """The baseline without the sections in ``drop``, with the given
+        ``analysis`` keys."""
+        mapping = yaml.safe_load(SCENARIO_FILE.read_text())
+        for key in drop:
+            del mapping[key]
+        mapping["analysis"].update(analysis)
+        path = tmp_path / "sens.yaml"
+        path.write_text(yaml.safe_dump(mapping))
+        return str(path)
+
+    def test_no_decay_section_is_no_decay(self, tmp_path, capsys):
+        path = self.write(tmp_path, drop=("decay",))
+        assert main(["sensitivity", "--config", path,
+                     "--out", str(tmp_path / "run")]) == 0
+        out = capsys.readouterr().out
+        line = [l for l in out.splitlines() if "projection limit" in l][0]
+        # envelope 1, as the Monte Carlo of the same scenario samples
+        expected = 1.0 / (2 * math.pi * 28.7e9 * math.sqrt(1.4e11)
+                          * math.sqrt(1.0 / 160e-6) * 50e-6)
+        assert float(line.split("=")[1].split()[0]) == \
+            pytest.approx(expected, rel=1e-5)
+        assert "optimal phase time = inf s" in out
+
+    # each of these passed validate, then made sensitivity exit 2 or
+    # print a negative resolution
+    @pytest.mark.parametrize("analysis", [
+        {"sigma1": 0.01, "total_time_s": 1e-5},
+        {"sigma1": 0.01, "response_amplitude": -0.04},
+        {"sigma1": 0.0, "response_amplitude": 0.04},
+    ], ids=["under-one-sequence", "negative-response", "zero-sigma1"])
+    def test_bad_analysis_exits_1(self, tmp_path, capsys, analysis):
+        path = self.write(tmp_path, **analysis)
+        out = tmp_path / "run"
+        assert main(["validate", "--config", path]) == 1
+        assert main(["sensitivity", "--config", path, "--out", str(out)]) == 1
+        assert "B_min" not in capsys.readouterr().out
+        assert not out.exists()
+
+    def test_b_min_line(self, tmp_path, capsys):
+        path = self.write(tmp_path, sigma1=0.01, response_amplitude=0.04)
+        assert main(["sensitivity", "--config", path,
+                     "--out", str(tmp_path / "run")]) == 0
+        assert "B_min = 3.50726e-10 T" in capsys.readouterr().out
+
     def test_projection_limit_line(self, tmp_path, capsys):
         t0 = time.time()
         code = main(["sensitivity", "--config", SCENARIO,

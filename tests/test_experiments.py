@@ -1,5 +1,6 @@
 import copy
 import json
+from datetime import datetime, timezone
 
 import numpy as np
 import numpy.testing as npt
@@ -208,6 +209,24 @@ class TestNoiseBudget:
         assert res.slopes["mw_amplitude"] == pytest.approx(0.0068170,
                                                            rel=1e-4)
 
+    @pytest.mark.parametrize("channel", [0, 1], ids=["amplitude", "frequency"])
+    def test_budget_slopes_omit_the_decay_envelope(self, baseline_scenario,
+                                                   channel):
+        # the sampled (decayed) echo's slope is the envelope times the
+        # budget's conversion slope
+        s, q = baseline_scenario, baseline_scenario.sequence
+        step = (3e-4, 30.0)[channel]
+        errors = [[0.0, 0.0], [0.0, 0.0]]
+        errors[channel][1] = step
+        p = sq.echo_populations(q.phase_time, q.rabi, s.hamiltonian, *errors,
+                                decay=s.decay, final_phase=q.final_phase,
+                                m_i_values=q.m_i_values())
+        sampled = abs(p[1] - p[0]) / step
+        budget = experiments.error_conversion_slopes(s)[channel]
+        envelope = s.decay.envelope(q.phase_time)
+        assert envelope == pytest.approx(np.exp(-0.5), rel=1e-15)
+        assert sampled == pytest.approx(envelope * budget, rel=1e-9)
+
     def test_filtered_amplitude_budget_below_sigma1(self, baseline_scenario):
         res = experiments.run_noise_budget(baseline_scenario, n_reference=2048)
         assert np.all(res.filtered["mw_amplitude"] <= res.sigma1["B"])
@@ -221,6 +240,37 @@ NOISY = {
     "mw_amplitude": {"flicker": [[6.8e-9, 1.0]], "f_min_Hz": 1e-3,
                      "f_max_Hz": 6250.0},
 }
+
+
+class TestRunRecord:
+    RUNNERS = {
+        "sweep": lambda s, out: experiments.run_ac_sweep(s, [0.0, 1e-8],
+                                                         out_dir=out),
+        "scaling": lambda s, out: experiments.run_scaling_experiment(
+            s, out_dir=out),
+        "budget": lambda s, out: experiments.run_noise_budget(
+            s, out_dir=out, n_reference=64),
+    }
+
+    @pytest.mark.parametrize("runner", RUNNERS)
+    def test_started_before_the_work(self, tmp_path, monkeypatch, runner):
+        calls = []
+        original = experiments._scheme_series
+
+        def recording(*args, **kwargs):
+            calls.append(datetime.now(timezone.utc))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "_scheme_series", recording)
+        result = self.RUNNERS[runner](make_scenario(n_sequences=64), tmp_path)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert set(manifest) == {"scenario_hash", "seed", "tool_version",
+                                 "started", "finished", "outputs"}
+        started = datetime.fromisoformat(manifest["started"])
+        assert started <= calls[0] <= datetime.fromisoformat(
+            manifest["finished"])
+        assert sorted(manifest["outputs"]) == sorted(
+            p.name for p in result.outputs)
 
 
 class TestSchemeGroups:

@@ -4,7 +4,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from nvmag.noise import TabulatedPsd
+from nvmag.noise import PsdModel, TabulatedPsd
+from nvmag.sequences import CoherenceDecay
 from conftest import SCENARIO_FILE
 from nvmag.scenario import (ConfigError, MAX_LASER_SAMPLES_PER_SEQUENCE,
                             load_scenario, scenario_from_mapping,
@@ -46,7 +47,8 @@ class TestLoading:
     def test_minimal_mapping(self):
         s = scenario_from_mapping(copy.deepcopy(MINIMAL))
         assert s.name == "unit"
-        assert s.decay is None
+        assert s.decay == CoherenceDecay()  # no decay: envelope 1
+        assert s.decay.envelope(s.sequence.phase_time) == 1.0
 
     def test_required_keys(self):
         bad = copy.deepcopy(MINIMAL)
@@ -204,6 +206,19 @@ class TestRoundTrip:
         # an assignment would bypass validation
         with pytest.raises(dataclasses.FrozenInstanceError):
             baseline_scenario.n_sequences = 1
+
+    def test_noise_is_read_only(self, baseline_scenario):
+        loud = PsdModel("mw_amplitude", white=1e300)
+        with pytest.raises(TypeError):
+            baseline_scenario.noise["mw_amplitude"] = loud
+        # a rebuilt scenario is validated again
+        with pytest.raises(ConfigError):
+            dataclasses.replace(baseline_scenario,
+                                noise={"mw_amplitude": loud})
+
+    def test_baseline_hash_is_pinned(self, baseline_scenario):
+        assert scenario_hash(baseline_scenario) == (
+            "1f116aea8676961c12178975421a4797a0d7b8a53d33e4eeb245485e827694f8")
 
 
 class TestSeedStreams:
