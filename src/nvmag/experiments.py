@@ -55,24 +55,24 @@ def _mw_error_samples(scenario: Scenario, n: int):
             continue
         trace = _noise.synthesize_trace(model, n * t_seq, t_seq,
                                         scenario.channel_seed(channel))
-        out[channel] = trace.samples[:n]
+        out[channel] = trace.samples[0]
     return out["mw_amplitude"], out["mw_frequency"]
 
 
 def _laser_window_noise(scenario: Scenario, n: int):
-    """Relative laser noise at the two window centres of each sequence."""
+    """Relative laser noise of each sequence averaged over its two
+    integration windows, synthesized at the window centres."""
     model = scenario.noise.get("laser_intensity")
     if model is None or model.is_zero:
         return (None, None)
     cfg, s = scenario.readout, scenario.sequence
-    dt = cfg.window_time / 2.0
-    trace = _noise.synthesize_trace(model, n * s.sequence_time, dt,
-                                    scenario.channel_seed("laser_intensity"))
     # the laser pulse starts when the echo ends
-    starts = np.arange(n) * s.sequence_time + s.echo_time
-    t1 = starts + cfg.window_time / 2.0
-    t2 = starts + cfg.laser_time - cfg.window_time / 2.0
-    return trace.value_at(t1), trace.value_at(t2)
+    centres = (s.echo_time + cfg.window_time / 2.0,
+               s.echo_time + cfg.laser_time - cfg.window_time / 2.0)
+    trace = _noise.synthesize_trace(
+        model, n * s.sequence_time, s.sequence_time,
+        scenario.channel_seed("laser_intensity"), centres, cfg.window_time)
+    return tuple(trace.samples)
 
 
 def _balance_populations(scenario: Scenario) -> np.ndarray:

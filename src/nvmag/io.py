@@ -10,6 +10,18 @@ import numpy as np
 
 #: rows formatted by one string-formatting call in :func:`write_table`
 _BLOCK_ROWS = 4096
+#: integer magnitudes below this print alike under ``%d`` and ``%.12g``
+_INT_LIMIT = 10 ** 12
+
+
+def _column_format(col: np.ndarray) -> str:
+    """``%d`` for an integer column whose values print alike under
+    ``%d`` and ``%.12g`` (the cheaper format), else ``%.12g``."""
+    if np.issubdtype(col.dtype, np.integer) and (
+            col.size == 0 or (col.min() > -_INT_LIMIT
+                              and col.max() < _INT_LIMIT)):
+        return "%d"
+    return "%.12g"
 
 
 def write_table(path, header: list[str], columns) -> Path:
@@ -19,22 +31,27 @@ def write_table(path, header: list[str], columns) -> Path:
     ``deviation``); all columns must share one length.  Values are written
     as ``%.12g``, giving the bytes of ``np.savetxt(path, data,
     delimiter=",", header=..., comments="", fmt="%.12g")``, but formatted a
-    block of rows per call instead of one row per call.
+    block of rows per call instead of one row per call, and integer
+    columns below 1e12 in magnitude as ``%d``, which prints them alike.
     """
     path = Path(path)
-    cols = [np.asarray(c) for c in columns]
+    cols = [np.atleast_1d(np.asarray(c)) for c in columns]
     if len(cols) != len(header):
         raise ValueError("one header entry per column required")
     if any(c.shape != cols[0].shape for c in cols):
         raise ValueError("columns must share one length")
-    data = np.column_stack(cols)
-    row_fmt = ",".join(["%.12g"] * data.shape[1]) + "\n"
+    n_cols, n_rows = len(cols), len(cols[0])
+    row_fmt = ",".join(_column_format(c) for c in cols) + "\n"
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="latin1") as fh:
         fh.write(",".join(header) + "\n")
-        for start in range(0, len(data), _BLOCK_ROWS):
-            block = data[start:start + _BLOCK_ROWS]
-            fh.write((row_fmt * len(block)) % tuple(block.ravel().tolist()))
+        for start in range(0, n_rows, _BLOCK_ROWS):
+            stop = min(start + _BLOCK_ROWS, n_rows)
+            # row-major values; integer columns stay Python ints
+            values = [None] * ((stop - start) * n_cols)
+            for j, c in enumerate(cols):
+                values[j::n_cols] = c[start:stop].tolist()
+            fh.write((row_fmt * (stop - start)) % tuple(values))
     return path
 
 

@@ -6,7 +6,10 @@ or by tabulated spectra read from two-column text files.  Traces are
 synthesized by shaping white Gaussian noise in the frequency domain with
 a Hermitian-symmetric spectrum and exact variance scaling, so a trace's
 periodogram fluctuates around the model density and its total variance
-matches the band integral of the model.
+matches the band integral of the model.  A process read at a few
+offsets per sample spacing, averaged over a window (the laser noise of
+the two integration windows), is drawn on the read grid from the
+spectrum of the finer trace folded onto it.
 """
 
 from __future__ import annotations
@@ -106,52 +109,101 @@ class TabulatedPsd:
 
 @dataclass
 class NoiseTrace:
-    """A sampled noise realization; zero-mean by construction."""
+    """A sampled noise realization, one row per read offset, sampled
+    every ``dt``."""
 
     samples: np.ndarray
     dt: float
 
     def __post_init__(self):
-        self.samples = np.asarray(self.samples, dtype=float)
-
-    def value_at(self, times) -> np.ndarray:
-        """Nearest-sample lookup; raises ``ValueError`` when a time's
-        nearest sample lies outside the trace."""
-        pos = np.round(np.asarray(times, dtype=float) / self.dt)
-        # written so that a NaN time fails the check as well
-        if pos.size and not (pos.min() >= 0
-                             and pos.max() <= self.samples.size - 1):
-            raise ValueError("times outside the trace extent")
-        return self.samples[pos.astype(np.int64)]
+        self.samples = np.atleast_2d(np.asarray(self.samples, dtype=float))
 
 
-def synthesize_trace(model, duration: float, dt: float, seed) -> NoiseTrace:
-    """Draw a stationary Gaussian trace whose PSD follows ``model``.
+def synthesize_trace(model, duration: float, dt: float, seed,
+                     offsets=(0.0,), window: float = 0.0) -> NoiseTrace:
+    """Draw a stationary Gaussian process whose PSD follows ``model``,
+    read every ``dt`` at each of ``offsets``.
 
-    White Gaussian noise is shaped in the frequency domain: rFFT bin ``k``
-    at frequency ``f_k`` is scaled by ``sqrt(S(f_k) / (2 dt))`` so that the
-    expected sample variance equals the density integrated over the
-    resolvable band ``[1/duration, 1/(2 dt)]``.  The DC bin is zeroed, so
-    flicker components are cut off below ``1/duration`` and the trace has
-    zero mean.
+    Row ``i`` of the result holds the process at ``j * dt + offsets[i]``
+    for ``n = duration / dt`` reads ``j``, averaged over ``window``
+    centred there.  The process is the circular trace that shaping white
+    noise in the frequency domain gives on a fine grid of ``M`` samples
+    per ``dt`` (two per window, ``M = 1`` without one; offsets round to
+    the fine grid): fine rFFT bin ``k`` at frequency ``f_k`` carries the
+    two-sided power ``P_k = S(f_k) / (2 h)`` of the fine spacing
+    ``h = dt / M``, times ``sinc^2(f_k window)`` for the window average,
+    so the variance of a read is the filtered density integrated over
+    ``[1/duration, 1/(2 h)]``.  The fine DC bin is zeroed.
+
+    The fine trace is never formed.  Its reads form a stationary process
+    on the ``n``-point grid whose cross-spectrum in bin ``r`` folds the
+    ``M`` aliases ``k = r + n m``::
+
+        C_ab[r] = exp(2 pi i r (a - b) / (n M))
+                  * mean_m P_k exp(2 pi i m (a - b) / M)
+
+    for fine offsets ``a``, ``b``.  Independent white draws of length
+    ``n``, one per offset, are shaped per bin by the Cholesky factor of
+    ``C``, so memory stays O(n) and work O(n M).
     """
     if dt <= 0:
         raise ValueError("sample spacing must be positive")
     if duration < 2 * dt:
         raise ValueError("duration must cover at least two samples")
+    if not (math.isfinite(window) and window >= 0):
+        raise ValueError("averaging window must be finite and non-negative")
     n = int(round(duration / dt))
+    aliases = max(1, round(2.0 * dt / window)) if window else 1
+    h = dt / aliases
+    fine = [round(t / h) for t in offsets]
+    n_fine = n * aliases
+    bins = np.arange(n // 2 + 1)
     rng = np.random.default_rng(seed)
-    # in place throughout: the white draw, the frequency grid and the
-    # scale are freed as soon as they are used, which bounds peak memory
-    # on long traces without changing a bit of the result
-    spectrum = np.fft.rfft(rng.standard_normal(n))
-    scale = model.density(np.fft.rfftfreq(n, dt))
-    scale /= 2.0 * dt
-    np.sqrt(scale, out=scale)
-    scale[0] = 0.0
-    spectrum *= scale
-    del scale
-    samples = np.fft.irfft(spectrum, n)
+    white = rng.standard_normal((len(fine), n))
+
+    # one block of n/2 + 1 alias bins at a time
+    power = np.zeros(bins.size)
+    cross = {(i, j): np.zeros(bins.size, dtype=complex)
+             for i in range(len(fine)) for j in range(i)}
+    for m in range(aliases):
+        k = bins + n * m
+        f = np.minimum(k, n_fine - k) * (1.0 / (n_fine * h))
+        p = model.density(f)
+        p /= 2.0 * h
+        if window:
+            avg = np.sinc(f * window)
+            avg *= avg
+            p *= avg
+        if m == 0:
+            p[0] = 0.0
+        power += p
+        for (i, j), acc in cross.items():
+            acc += p * np.exp(2j * math.pi * m * (fine[i] - fine[j]) / aliases)
+    power /= aliases
+
+    # C = L L^H bin by bin (Cholesky-Banachiewicz); a bin without power
+    # gets a zero column
+    factor = {}
+    for i in range(len(fine)):
+        for j in range(i):
+            c = cross[i, j] / aliases * np.exp(
+                2j * math.pi * bins * (fine[i] - fine[j]) / n_fine)
+            for q in range(j):
+                c -= factor[i, q] * np.conj(factor[j, q])
+            factor[i, j] = np.divide(c, factor[j, j],
+                                     out=np.zeros_like(c),
+                                     where=factor[j, j] > 0)
+        diag = power - sum(np.abs(factor[i, q]) ** 2 for q in range(i))
+        factor[i, i] = np.sqrt(np.maximum(diag, 0.0))
+
+    spectra = [np.fft.rfft(w) for w in white]
+    del white
+    samples = np.empty((len(fine), n))
+    for i in range(len(fine)):
+        shaped = spectra[0] * factor[i, 0]
+        for j in range(1, i + 1):
+            shaped += spectra[j] * factor[i, j]
+        samples[i] = np.fft.irfft(shaped, n)
     return NoiseTrace(samples, dt)
 
 

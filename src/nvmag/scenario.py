@@ -44,8 +44,10 @@ CHANNEL_STREAMS = {"laser_intensity": 1, "mw_amplitude": 2, "mw_frequency": 3}
 SHOT_STREAM = 4
 #: sequences per Monte Carlo chunk; every digest depends on it
 CHUNK_SIZE = 1 << 14
-#: laser-noise trace samples per sequence (two per integration window)
-#: above which validation rejects a scenario instead of allocating them
+#: fine-grid samples per sequence (two per integration window) above
+#: which validation rejects laser noise: the synthesis folds that many
+#: spectral aliases onto every sequence-grid bin, so its work grows as
+#: ``n_sequences`` times this count while its memory does not
 MAX_LASER_SAMPLES_PER_SEQUENCE = 4096
 
 
@@ -152,9 +154,10 @@ class Scenario:
         if laser is not None and not laser.is_zero and 2.0 * seq.sequence_time \
                 > MAX_LASER_SAMPLES_PER_SEQUENCE * rd.window_time:
             raise ConfigError(
-                "laser noise needs more than "
-                f"{MAX_LASER_SAMPLES_PER_SEQUENCE} trace samples per sequence "
-                "(2 * sequence_time / window_time)")
+                "laser noise would fold more than "
+                f"{MAX_LASER_SAMPLES_PER_SEQUENCE} fine-grid trace samples "
+                "per sequence (2 * sequence_time / window_time) onto the "
+                "sequence grid")
         # the echo must stay finite at the working point and under
         # microwave noise excursions of ten standard deviations over the
         # band a scaling run resolves

@@ -3,7 +3,9 @@
 The package shapes white noise to a model density
 (:func:`nvmag.noise.synthesize_trace`) but never estimates a spectrum or
 integrates one in closed form; the tests do both, with the functions
-here.
+here.  The point-sampled reads of a fine trace, which the package
+replaced by window averages synthesized on the read grid, are kept here
+as a reference too.
 """
 
 from __future__ import annotations
@@ -11,6 +13,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from nvmag.noise import synthesize_trace
 
 
 def band_variance(model, f_lo: float, f_hi: float) -> float:
@@ -39,12 +43,50 @@ def estimate_psd(trace, segment_length: int):
     an even ``segment_length``) Nyquist are not.
     """
     n = segment_length
-    if trace.samples.size < 2 * n:
+    x, = trace.samples
+    if x.size < 2 * n:
         raise ValueError("trace must cover at least two segments")
-    segments = trace.samples[:trace.samples.size // n * n].reshape(-1, n)
+    segments = x[:x.size // n * n].reshape(-1, n)
     segments = segments - segments.mean(axis=1, keepdims=True)
     window = 0.5 - 0.5 * np.cos(2.0 * math.pi * np.arange(n) / n)
     power = np.abs(np.fft.rfft(segments * window, axis=1)) ** 2
     density = power.mean(axis=0) * trace.dt / np.sum(window ** 2)
     density[1:(n + 1) // 2] *= 2.0
     return np.fft.rfftfreq(n, trace.dt), density
+
+
+def value_at(trace, times) -> np.ndarray:
+    """Nearest-sample lookup in a one-row trace; raises ``ValueError``
+    when a time's nearest sample lies outside the trace."""
+    x, = trace.samples
+    pos = np.round(np.asarray(times, dtype=float) / trace.dt)
+    # written so that a NaN time fails the check as well
+    if pos.size and not (pos.min() >= 0 and pos.max() <= x.size - 1):
+        raise ValueError("times outside the trace extent")
+    return x[pos.astype(np.int64)]
+
+
+def point_sampled_window_noise(model, n: int, sequence_time: float,
+                               centres, window: float, seed):
+    """Laser noise read as point samples at the window centres of ``n``
+    sequences from one trace at half-window spacing, without averaging
+    over the window."""
+    trace = synthesize_trace(model, n * sequence_time, window / 2.0, seed)
+    starts = np.arange(n) * sequence_time
+    return tuple(value_at(trace, starts + c) for c in centres)
+
+
+def fine_grid_covariance(model, n: int, sequence_time: float, aliases: int,
+                         lag: int, window: float = 0.0) -> float:
+    """Exact covariance at ``lag`` fine samples of the circular trace of
+    ``n * aliases`` samples that :func:`nvmag.noise.synthesize_trace`
+    models, averaged over ``window`` when one is given; summed over
+    every fine frequency bin."""
+    n_fine = n * aliases
+    h = sequence_time / aliases
+    k = np.arange(n_fine)
+    f = np.minimum(k, n_fine - k) / (n_fine * h)
+    power = model.density(f) / (2.0 * h) * np.sinc(f * window) ** 2
+    power[0] = 0.0
+    return float(np.sum(power * np.cos(2.0 * math.pi * k * lag / n_fine))
+                 / n_fine)

@@ -107,9 +107,9 @@ class TestValidate:
         assert "configuration error" in capsys.readouterr().err
         assert not out.exists()
 
-    # a laser-noise trace of 3.2e10 samples per sequence (14.9 TiB in all)
-    # and one of 2e5 per sequence (about 32 GB): both must be refused
-    # before any trace is synthesized
+    # laser noise folding 3.2e10 fine-grid samples per sequence (1e12
+    # spectrum evaluations in 3.2e10 blocks) and 2e5 per sequence (2e9
+    # evaluations): both must be refused before any trace is synthesized
     @pytest.mark.parametrize("overrides", [
         {"n_sequences": 64, "readout": {"window_time_s": 1e-14}},
         {"sequence": {"sequence_time_s": 1.0}},

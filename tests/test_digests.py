@@ -6,7 +6,12 @@ dropped; refactors that claim byte-identical outputs are held to it.
 The three ``budget_filtered_D_*`` digests were re-recorded when the
 closed-form filters replaced the segment integrals: only their last row
 moved, at 1/T_seq where the paired filter vanishes and both values are
-rounding residue of that zero (below 1e-29).
+rounding residue of that zero (below 1e-29).  The ``scaling`` and
+``sweep`` digests were re-recorded when laser noise became the window
+average synthesized at the window centres on the sequence grid: a new
+random stream for that channel and a filtered spectrum.  The
+``scaling-no-laser`` case, recorded before that change, pins the
+microwave synthesis it shares.
 numpy does not promise the same random streams across releases, so the
 check is skipped under any other numpy version than the recorded one.
 """
@@ -24,15 +29,22 @@ from conftest import SCENARIO_FILE
 
 NUMPY_VERSION = "2.4.6"
 
-#: command -> (scenario overrides, extra arguments)
+BASELINE = yaml.safe_load(SCENARIO_FILE.read_text())
+#: three chunks per scheme group
+SCALING = {"n_sequences": 2 * CHUNK_SIZE + 4096,
+           "schemes": ["A", "B", "C", "D"]}
+
+#: case -> (command, scenario overrides, extra arguments)
 RUNS = {
-    "sensitivity": ({}, []),
-    "error-scaling": ({}, []),
-    "budget": ({}, []),
-    # three chunks per scheme group
-    "scaling": ({"n_sequences": 2 * CHUNK_SIZE + 4096,
-                 "schemes": ["A", "B", "C", "D"]}, []),
-    "sweep": ({"n_sequences": 4096}, ["--points", "3"]),
+    "sensitivity": ("sensitivity", {}, []),
+    "error-scaling": ("error-scaling", {}, []),
+    "budget": ("budget", {}, []),
+    "scaling": ("scaling", SCALING, []),
+    # the microwave channels alone
+    "scaling-no-laser": ("scaling", {**SCALING, "noise": {
+        k: v for k, v in BASELINE["noise"].items()
+        if k != "laser_intensity"}}, []),
+    "sweep": ("sweep", {"n_sequences": 4096}, ["--points", "3"]),
 }
 
 DIGESTS = {
@@ -64,43 +76,68 @@ DIGESTS = {
     },
     "scaling": {
         "allan_A.csv":
-            "b9f46b37641dbf4cb29b03e9c6f48912d1bd00059e1e4dd8c625abf3bc5b09d5",
+            "1038eb812b18ca9d3e1513d8938e9a07786260ba48e97f0147485ce4a44b16d3",
         "allan_B.csv":
-            "575fa32f13e0e81fa6fb1011ee2ad00136972220cfa6735df362c12ab970ec5b",
+            "bf4edbd11d4dc148cf266665ff53720a76e7fee9c881eeb3911ef35d63ede0f1",
         "allan_C.csv":
-            "5dc6f8d7f81efd13f1c6b8275be9e096b3266ca7505915207e6c6020b789076d",
+            "835a59aecc926f9c4a0b4980543f26ee6a99c2685e677c8bcb362355ba13df96",
         "allan_D.csv":
-            "92571416e01b7d0d3eb5c5c848b778056a962ee5fbd9bafc93223574ea618b36",
+            "aa9627698bcae057684a2f4be0826e4111eb2a7e8bca0d36e990c4020d419e6e",
         "series_A.csv":
-            "d69584c0b1cd93d5e0df224ac43a79c9fc73c844871240ccb7cd834b44b9c7e9",
+            "fc319a7d9912d40b4f5947353e260d0c9a12599bf0ffcf4234e7de2a4a25c96a",
         "series_B.csv":
-            "5038ffbb798f90c6abac21dd690757365e138708bbebb39c4b537b491dbac120",
+            "0e56dbc3877a93bd86c8bdb178b5a058a06ca4b672839d97c75ae0c16d10d8ac",
         "series_C.csv":
-            "ae28ae84879b7bdc309b3148b2135a7160a10990126d60ce301d0807837d0622",
+            "d5f878e7a0c8b2e16f3ddb727e12941207284d48c8f3296a89d3470417af90dc",
         "series_D.csv":
-            "a81000e7807d208788610caad47a598dee5e8a0670876cf6e1b918beafc82bd2",
+            "fd346603a3fb01c3b240d2d802d9313a9e6127689ffda5e3c28f9b03159de924",
         "std_A.csv":
-            "55d2a666c32b824559c39442f252557916c478302899426a86c8bf0d9e83217e",
+            "51d1014b24ebca5f0408791110e7a6547f1730a0de06a64ccd20135004fd10ed",
         "std_B.csv":
-            "bb68f708d4794fe8d73e9e88c7a6b0494cbd0a4c56b669d481e3d4fd51509c39",
+            "cce7e6cc6bc921ce82742f6961ecb9434702153416319f585414fb9db39adeb7",
         "std_C.csv":
-            "d6acd7bb61274606577369a50726b4acfc683d38291f41dc797199ed2611be04",
+            "0746964d915974d7215b8d1da9a1b22ca6c7b722b35c9cf78998759de5372bbc",
         "std_D.csv":
-            "f4b402f45778021071da8a32d2e725f416afcd76374c61f90e20138e10891e83",
+            "30272dd445095cc7c37345f6cb7fba567522e8f391812ae423d53b76cfee4189",
+    },
+    "scaling-no-laser": {
+        "allan_A.csv":
+            "529291ecceb272d7e994c1021ab8613a324168397dedd92d8b4f8981eae91fda",
+        "allan_B.csv":
+            "1775f02dcd47533074b09cb002e444fdf2ce7baa849e6b84214d231ea2abf397",
+        "allan_C.csv":
+            "79c242dd6151987beae892c40503ba7ee6cc62fde438087481da4c079ddd409a",
+        "allan_D.csv":
+            "8e7fbffa92c13f32baed2b118d4d9403b918be1172965f688413f3a96f7a90fa",
+        "series_A.csv":
+            "c9d03d429b0cf520aeaf65288ee7c90f942b957d8747f5187f25e7f5312e4279",
+        "series_B.csv":
+            "b683191ab920c7bb36ed4c1d9bbaa9fa466bbbefd93b4c213bc94b730b4792fd",
+        "series_C.csv":
+            "53cb3117e813a5af3f939f1d73e936e283403ee324f1fea3c3989e195999b332",
+        "series_D.csv":
+            "0a723676af97018ca6dd262f2725ff2b92d9a4a4cc984984e45d6aab1f9b0280",
+        "std_A.csv":
+            "e0aa4eea9502b0a912beedafb5b794f3e407879b206cff07dcd3033d6c7999fe",
+        "std_B.csv":
+            "0e9c28763edeae61f64ca9de79ac7408b1bf7cceaa5cb65a8ad054abd138092a",
+        "std_C.csv":
+            "a3a37f98a028ea8cbfd2b529ab659cb8adeebce1e7e304e0a1238752118aa786",
+        "std_D.csv":
+            "6431bc9890b501f4e11bba17260f975630fa1ede1f799b674ce230131ce28569",
     },
     "sweep": {
         "sweep.csv":
-            "1eff5c7d77ea5836ba52899ef085df2a8fc4b510c423296e313693d5303ae097",
+            "cc6b365f305c6aa9ab27db9a338c59b9777759782920cba0cb314d9c5be23a50",
         "sweep_response.csv":
-            "2479f31f7243796fe7e1f377b355aebb643f3705bd21dc467d190d5a7d1d743d",
+            "f5ecd32f1274bd14c4c12bfddc5f62f876ab5e6c32ae2d0b2212c4c5099b034a",
     },
 }
 
 
-def table_digests(command, tmp_path):
-    overrides, extra = RUNS[command]
-    mapping = yaml.safe_load(SCENARIO_FILE.read_text())
-    mapping.update(overrides)
+def table_digests(case, tmp_path):
+    command, overrides, extra = RUNS[case]
+    mapping = {**BASELINE, **overrides}
     path = tmp_path / "scenario.yaml"
     path.write_text(yaml.safe_dump(mapping))
     out = tmp_path / "out"
@@ -115,6 +152,6 @@ def table_digests(command, tmp_path):
 @pytest.mark.skipif(np.__version__ != NUMPY_VERSION,
                     reason=f"digests recorded with numpy {NUMPY_VERSION}; "
                            f"numpy {np.__version__} may draw other streams")
-@pytest.mark.parametrize("command", sorted(RUNS))
-def test_tables_match_recorded_digests(command, tmp_path):
-    assert table_digests(command, tmp_path) == DIGESTS[command]
+@pytest.mark.parametrize("case", sorted(RUNS))
+def test_tables_match_recorded_digests(case, tmp_path):
+    assert table_digests(case, tmp_path) == DIGESTS[case]

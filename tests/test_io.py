@@ -14,7 +14,17 @@ FLOATS = st.one_of(
     st.sampled_from([0.0, -0.0, 1e-300, -1e-300, 1e300, -1e300,
                      math.nan, math.inf, -math.inf]),
 )
-INTS = st.integers(-(2 ** 63), 2 ** 63 - 1)
+#: integers the writer prints as %d, with the edges of that range drawn
+#: often
+NARROW_INTS = st.one_of(
+    st.integers(-(10 ** 12 - 1), 10 ** 12 - 1),
+    st.sampled_from([10 ** 12 - 1, -(10 ** 12 - 1), 0]),
+)
+#: the same with the first magnitude past the %d range
+EDGE_INTS = st.one_of(NARROW_INTS, st.sampled_from([10 ** 12, -(10 ** 12)]))
+#: the whole int64 range
+INTS = st.one_of(st.integers(-(2 ** 63), 2 ** 63 - 1),
+                 st.sampled_from([2 ** 63 - 1, -(2 ** 63)]))
 #: block edges of the writer plus small tables
 ROWS = st.one_of(st.sampled_from([0, 1, 4095, 4096, 4097]),
                  st.integers(0, 20))
@@ -25,10 +35,10 @@ def tables(draw):
     n = draw(ROWS)
     cols = []
     for _ in range(draw(st.integers(1, 4))):
-        if draw(st.booleans()):
-            cols.append(draw(hnp.arrays(np.float64, n, elements=FLOATS)))
-        else:
-            cols.append(draw(hnp.arrays(np.int64, n, elements=INTS)))
+        elements = draw(st.sampled_from([FLOATS, INTS, NARROW_INTS,
+                                         EDGE_INTS]))
+        dtype = np.float64 if elements is FLOATS else np.int64
+        cols.append(draw(hnp.arrays(dtype, n, elements=elements)))
     return cols
 
 

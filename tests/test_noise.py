@@ -4,7 +4,8 @@ import pytest
 
 from nvmag.noise import (PsdModel, TabulatedPsd, NoiseTrace, synthesize_trace,
                          cumulative_rss_descending)
-from reference_noise import band_variance, estimate_psd
+from reference_noise import (band_variance, estimate_psd,
+                             fine_grid_covariance, value_at)
 
 
 class TestPsdModel:
@@ -71,7 +72,7 @@ class TestSynthesis:
 
     def test_white_trace_is_uncorrelated(self):
         m = PsdModel("laser_intensity", white=1.0)
-        x = synthesize_trace(m, 1.0, 1e-5, seed=11).samples
+        x, = synthesize_trace(m, 1.0, 1e-5, seed=11).samples
         n = x.size
         x = x - x.mean()
         var = x.var()
@@ -96,6 +97,29 @@ class TestSynthesis:
             model = m.density(f[band]).mean()
             assert est == pytest.approx(model, rel=0.10)
 
+    def test_window_centres_match_fine_grid_covariance(self):
+        # reads at two offsets, window-averaged, carry the covariances of
+        # the fine trace they are folded from: both variances, the cross
+        # term within a sequence and the two one-sequence lags
+        m = PsdModel("laser_intensity", white=1e-13,
+                     flicker=((1e-9, 1.0), (3e-10, 0.5)), f_min=1e-2,
+                     f_max=5e4)
+        t_seq, window, n, aliases = 160e-6, 10e-6, 256, 32
+        a, b = 11, 29
+        lags = (0, 0, b - a, aliases, aliases + a - b)
+        moments = []
+        for seed in range(600):
+            x, y = synthesize_trace(m, n * t_seq, t_seq, seed,
+                                    (a * window / 2, b * window / 2),
+                                    window).samples
+            x1 = np.roll(x, -1)
+            moments.append([x @ x, y @ y, x @ y, x @ x1, x1 @ y])
+        moments = np.array(moments) / n
+        for k, lag in enumerate(lags):
+            exact = fine_grid_covariance(m, n, t_seq, aliases, lag, window)
+            error = moments[:, k].std() / np.sqrt(len(moments))
+            assert abs(moments[:, k].mean() - exact) < 5 * error
+
     def test_rejects_bad_sampling(self):
         m = PsdModel("laser_intensity", white=1.0)
         with pytest.raises(ValueError):
@@ -105,13 +129,13 @@ class TestSynthesis:
 
     def test_value_at_lookup(self):
         tr = NoiseTrace(np.arange(10.0), dt=0.5)
-        npt.assert_allclose(tr.value_at([0.0, 0.6, 4.7]), [0.0, 1.0, 9.0])
+        npt.assert_allclose(value_at(tr, [0.0, 0.6, 4.7]), [0.0, 1.0, 9.0])
 
     @pytest.mark.parametrize("t", [-0.3, 4.8, 100.0, np.nan])
     def test_value_at_outside_trace_raises(self, t):
         tr = NoiseTrace(np.arange(10.0), dt=0.5)
         with pytest.raises(ValueError, match="outside the trace"):
-            tr.value_at([1.0, t])
+            value_at(tr, [1.0, t])
 
 
 class TestEstimatePsd:

@@ -15,6 +15,13 @@ BIN = 1e-6  # bin width of the per-bin reference records
 T_SEQ = 160e-6  # sequence spacing of the sampled series
 
 
+def window_centres(cfg, echo_time=50.2e-6):
+    """Centres of the two integration windows within a sequence, for a
+    laser pulse that starts when the echo ends."""
+    return (echo_time + cfg.window_time / 2,
+            echo_time + cfg.laser_time - cfg.window_time / 2)
+
+
 def small_cfg(**kw):
     defaults = dict(photon_rate=1e9, contrast=0.04, repolarization_time=1e-6,
                     laser_time=100e-6, window_time=10e-6)
@@ -275,13 +282,11 @@ class TestLaserNoiseRejection:
         level = 1e-4 / duration
         model = PsdModel("laser_intensity", flicker=((level, 2.0),),
                          f_min=1e-3, f_max=5e4)
-        trace = synthesize_trace(model, duration, cfg_on.window_time / 2,
-                                 seed=31)
+        trace = synthesize_trace(model, duration, T_SEQ, 31,
+                                 window_centres(cfg_on),
+                                 cfg_on.window_time)
         assert 0.002 < trace.samples.std() < 0.05
-        starts = np.arange(n) * T_SEQ + 50.2e-6
-        eps = (trace.value_at(starts + cfg_on.window_time / 2),
-               trace.value_at(starts + cfg_on.laser_time
-                              - cfg_on.window_time / 2))
+        eps = tuple(trace.samples)
         p = np.full(n, 0.5)
 
         _, s_b_shot = sequence_signals(p, cfg_off, np.random.default_rng(1))
@@ -306,10 +311,9 @@ class TestLaserNoiseRejection:
         model = PsdModel("laser_intensity",
                          flicker=((1e-4 / duration, 2.0),),
                          f_min=1e-3, f_max=5e4)
-        trace = synthesize_trace(model, duration, cfg.window_time / 2, seed=8)
-        starts = np.arange(n) * T_SEQ + 50.2e-6
-        eps = (trace.value_at(starts + cfg.window_time / 2),
-               trace.value_at(starts + cfg.laser_time - cfg.window_time / 2))
+        eps = tuple(synthesize_trace(model, duration, T_SEQ, 8,
+                                     window_centres(cfg),
+                                     cfg.window_time).samples)
         p = np.full(n, 0.5)
         _, s_matched = sequence_signals(p, cfg, np.random.default_rng(3),
                                         laser_eps=eps, balance_population=0.5)
@@ -317,6 +321,54 @@ class TestLaserNoiseRejection:
                                          laser_eps=eps, balance_population=0.30)
         assert s_mismatch.std() > 2 * s_matched.std()
 
+    def test_window_averages_follow_the_filter_functions(self):
+        # white laser noise, reference beam off and no shot noise to speak
+        # of: each scheme's laser variance is the filter-function integral
+        # level^2 int S |X_s(2 pi f)|^2 df / window_time^2 over the band
+        # the synthesis resolves, 1/(n T_seq) to 1/window_time
+        from nvmag.filters import filter_transmission
+        from nvmag.noise import PsdModel, synthesize_trace
+        from reference_noise import point_sampled_window_noise
+        n, runs, s0 = 4096, 300, 1e-9
+        cfg = small_cfg(photon_rate=1e30, reference_enabled=False)
+        model = PsdModel("laser_intensity", white=s0)
+        t_l, t_w = cfg.laser_time, cfg.window_time
+        # bright population: both windows read the steady-state level
+        p = np.ones(n)
+        level = expected_window_counts(1.0, cfg, 0) / cfg.window_counts
+        assert expected_window_counts(1.0, cfg, 1) / cfg.window_counts \
+            == level
+        f = np.linspace(1.0 / (n * T_SEQ), 1.0 / t_w, 200_001)
+
+        def laser_variances(eps, seed):
+            s_a, s_b = sequence_signals(p, cfg, np.random.default_rng(seed),
+                                        laser_eps=eps)
+            values = {"A": s_a - level, "B": s_b}
+            values["C"] = pair_difference(values["A"])
+            values["D"] = pair_difference(values["B"])
+            return {k: np.mean(v ** 2) for k, v in values.items()}
+
+        draws = [laser_variances(
+            tuple(synthesize_trace(model, n * T_SEQ, T_SEQ, seed,
+                                   window_centres(cfg), t_w).samples), seed)
+            for seed in range(runs)]
+        predicted = {}
+        for scheme in "ABCD":
+            x = filter_transmission(scheme, 2 * np.pi * f, t_l, t_w, T_SEQ)
+            predicted[scheme] = level ** 2 * np.trapezoid(s0 * x ** 2, f) \
+                / t_w ** 2
+            v = np.array([d[scheme] for d in draws])
+            # five standard errors of the mean over the realizations
+            assert abs(v.mean() - predicted[scheme]) \
+                < 5 * v.std() / np.sqrt(runs)
+
+        # point samples at the window centres miss the window average:
+        # for white noise they read 1 / int_0^1 sinc^2 = 2.2 times the
+        # variance of scheme A
+        point = np.mean([laser_variances(point_sampled_window_noise(
+            model, n, T_SEQ, window_centres(cfg), t_w, seed), seed)["A"]
+            for seed in range(20)])
+        assert point > 2.0 * predicted["A"]
 
     def test_negative_laser_gain_clips_both_channels(self):
         # an excursion below -100% clips the reference channel as well as
