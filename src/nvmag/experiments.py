@@ -1,9 +1,14 @@
 """Scenario runners wiring spin simulation, noise, readout and analysis.
 
 Every runner is deterministic given (scenario, master seed): noise traces
-are synthesized up front from fixed per-channel seed streams, and photon
-shot noise is drawn in chunks of ``CHUNK_SIZE`` sequences, each from its
-own seed, so the draws depend on that fixed chunk size.
+are synthesized up front from fixed per-channel seed streams, and the
+rest of a window record is evaluated in chunks of ``CHUNK_SIZE``
+sequences.  Each chunk gets its echo populations, its photon draw (from
+the chunk's own seed) and its window signals in one step, so no
+population array spans the run.  The draws depend on that fixed chunk
+size, and so do the last bits of the populations: numpy's vectorized
+kernels may round the tail of an array differently from its body, so
+chunks always start at multiples of ``CHUNK_SIZE``.
 
 Schemes are computed per group: A and B share one window record (echo
 populations at the constant final phase and one photon draw, on one
@@ -89,21 +94,31 @@ def _balance_populations(scenario: Scenario) -> np.ndarray:
     return np.asarray(out)
 
 
-def _sample_window_record(scenario: Scenario, populations, eps_pair,
-                          balance, stream: int):
-    """Chunk-seeded window-level ``(S_A, S_B)`` of every sequence."""
-    n = populations.size
-    parts = []
+def _sample_window_record(scenario: Scenario, dg, df, parity, eps_pair,
+                          stream: int, field_amplitude=0.0):
+    """Chunk-seeded window-level ``(S_A, S_B)`` of every sequence.
+
+    Sequence ``k`` runs at the final phase ``(final_phase,
+    -final_phase)[parity[k]]`` with drive errors ``dg[k]``, ``df[k]``; its
+    echo, photon draw and signals are evaluated one chunk at a time.
+    """
+    s = scenario.sequence
+    phases = np.array([s.final_phase, -s.final_phase])
+    balance = _balance_populations(scenario)
+    n = dg.size
+    s_a, s_b = np.empty(n), np.empty(n)
     for index in range((n + CHUNK_SIZE - 1) // CHUNK_SIZE):
         sl = slice(index * CHUNK_SIZE, min((index + 1) * CHUNK_SIZE, n))
+        populations = sequences.echo_populations(
+            s.phase_time, s.rabi, scenario.hamiltonian, dg[sl], df[sl],
+            field_amplitude=field_amplitude, decay=scenario.decay,
+            final_phase=phases[parity[sl]], m_i_values=s.m_i_values())
         rng = np.random.default_rng(scenario.shot_seed(stream, index))
         eps = (None if eps_pair[0] is None else eps_pair[0][sl],
                None if eps_pair[1] is None else eps_pair[1][sl])
-        parts.append(readout.sequence_signals(populations[sl],
-                                              scenario.readout, rng, eps,
-                                              balance[sl]))
-    return (np.concatenate([p[0] for p in parts]),
-            np.concatenate([p[1] for p in parts]))
+        s_a[sl], s_b[sl] = readout.sequence_signals(
+            populations, scenario.readout, rng, eps, balance[parity[sl]])
+    return s_a, s_b
 
 
 def _scheme_series(scenario: Scenario, dg, df, eps_pair,
@@ -126,15 +141,9 @@ def _scheme_series(scenario: Scenario, dg, df, eps_pair,
         paired = SCHEME_SEQUENCES[members[0]] == 2
         # index into (final_phase, -final_phase) per sequence
         parity = np.arange(n) % 2 if paired else np.zeros(n, dtype=np.int64)
-        populations = sequences.echo_populations(
-            s.phase_time, s.rabi, scenario.hamiltonian, dg, df,
-            field_amplitude=field_amplitude, decay=scenario.decay,
-            final_phase=np.array([s.final_phase, -s.final_phase])[parity],
-            m_i_values=s.m_i_values())
-        balance = _balance_populations(scenario)[parity]
         s_a, s_b = _sample_window_record(
-            scenario, populations, eps_pair, balance,
-            stream + stream_offset)
+            scenario, dg, df, parity, eps_pair, stream + stream_offset,
+            field_amplitude)
         spacing = (2 if paired else 1) * s.sequence_time
         for scheme, values in zip(members, (s_a, s_b)):
             if scheme in scenario.schemes:

@@ -178,6 +178,19 @@ class Scenario:
         if not np.all(np.isfinite(populations)):
             raise ConfigError("echo populations are not finite at the working "
                               "point or under microwave noise")
+        # the photon rate must stay positive under laser noise excursions
+        # of ten standard deviations over the band the window averages
+        # resolve: the run's length down to one integration window
+        if laser is not None:
+            band = np.geomspace(1.0 / (self.n_sequences * seq.sequence_time),
+                                1.0 / rd.window_time, 64)
+            with np.errstate(all="ignore"):  # judged by the result below
+                excursion = 10.0 * np.sqrt(np.trapezoid(laser.density(band),
+                                                        band))
+            if not excursion < 1.0:
+                raise ConfigError(
+                    "laser noise: ten-sigma relative intensity excursion "
+                    f"{excursion:.3g} is not below 1")
         try:  # runners scale the echo by the envelope; the sensitivity
             # command reports the optimal phase time (inf without decay)
             usable = self.decay.envelope(seq.phase_time) > 0.0 and \

@@ -4,9 +4,21 @@ Every field evaluation is the phase-locked spin echo
 ``(pi/2)_x - T/2 - (pi)_x - T/2 - (pi/2)_phi``, fixed by the phase time
 ``T``, the Rabi frequency and the final phase ``phi``.  Its ``m_S = 0``
 population responds to an in-phase AC field of period ``T``.
-:func:`echo_populations` propagates its five stages through the
-two-level model of :mod:`nvmag.spin`, vectorized over independent
-evaluations.
+:func:`echo_populations` evaluates it in the two-level model of
+:mod:`nvmag.spin`, vectorized over independent evaluations.
+
+The free evolutions need no propagation of their own.  A diagonal phase
+``D(a) = diag(1, e^{ia})`` shifts the axis of a pulse it passes,
+``D(a) P(phi) = P(phi + a) D(a)``, and leaves ``|0>`` unchanged, so the
+echo ``P(phi) D(a2) P_pi(0) D(a1) P(0)`` on ``|0>`` is the three
+rotations ``P(phi) P_pi(a2) P(a1 + a2)``, where ``a_k`` is the detuning
+phase plus the field phase of half ``k``.  All three pulses share one
+coupling, the pi pulse lasting twice as long, so per hyperfine block one
+``sin``/``cos`` pair of the pi/2 angle gives every pulse (the pi pulse by
+the double angle).  One pair of the carrier error's detuning phase gives
+both ``a_k`` of every block, since a block's hyperfine offset and the
+field phases only rotate it by constants, and the final phase's pair is
+taken once per call.
 
 The only test field is that phase-locked sine
 ``B(t) = amplitude * sin(2 pi t / T)``, given by its amplitude alone.
@@ -75,15 +87,6 @@ def pi_pulse_time(phase_time: float, rabi: float) -> float:
     return t_pi
 
 
-def _pulse(rotation: float, duration: float, phase, dg, b_z, g, e):
-    """A drive pulse of nominal angle ``rotation`` about the axis at
-    ``phase``, with relative amplitude error ``dg``."""
-    omega = rotation / (TWO_PI * duration) * (1.0 + dg)
-    b_x = math.pi * omega * np.cos(phase)
-    b_y = math.pi * omega * np.sin(phase)
-    return spin.su2_apply(b_x, b_y, b_z, duration, g, e)
-
-
 def echo_populations(phase_time: float, rabi: float,
                      params: HamiltonianParams, amplitude_error=0.0,
                      frequency_error=0.0, field_amplitude=0.0,
@@ -111,27 +114,49 @@ def echo_populations(phase_time: float, rabi: float,
         dg, df, fp = np.broadcast_arrays(dg, df, fp)
     else:
         dg, df = np.broadcast_arrays(dg, df)
-    n = dg.shape[0]
 
     # field phase of each free evolution, from the exact integral
     # A/w [cos(w t0) - cos(w (t0 + T/2))] of the locked sine; the free
     # evolutions are diagonal, with excited-level energy
     # -2*pi*delta - gamma_rad * B(t)
     w = TWO_PI * (1.0 / phase_time)
-    field_phase = [TWO_PI * params.gamma_e * (field_amplitude / w * (
-        math.cos(w * t0) - math.cos(w * (t0 + half)))) for t0 in (0.0, half)]
-    p_total = np.zeros(n)
+    f1, f2 = (TWO_PI * params.gamma_e * (field_amplitude / w * (
+        math.cos(w * t0) - math.cos(w * (t0 + half)))) for t0 in (0.0, half))
+    # drive coupling (half the angular Rabi rate), the same for all three
+    # pulses: the pi pulse lasts twice as long as the pi/2 pulses
+    b_xy = math.pi * rabi * (1.0 + dg)
+    b_xy2 = b_xy * b_xy
+    # the final pulse's drive axis
+    x3, y3 = b_xy * np.cos(fp), b_xy * np.sin(fp)
+    # detuning phase d = 2 pi (T/2) delta of each half, from the carrier
+    # error's turns reduced to one turn; the hyperfine offset of a block
+    # and the field phases only rotate it by a constant
+    turns = half * df
+    turns -= np.rint(turns)
+    d = TWO_PI * turns
+    cd, sd = np.cos(d), np.sin(d)
+    c2d, s2d = cd * cd - sd * sd, 2.0 * sd * cd
+    p_total = 0.0
     for m_i in m_i_values:
-        delta = df + params.hyperfine * m_i  # Hz, per evaluation
-        b_z = math.pi * delta
-        detuning_phase = TWO_PI * delta * half
-        g, e = _pulse(math.pi / 2, t_pi / 2, 0.0, dg, b_z,
-                      np.ones(n, dtype=complex), np.zeros(n, dtype=complex))
-        e = e * np.exp(1j * (detuning_phase + field_phase[0]))
-        g, e = _pulse(math.pi, t_pi, 0.0, dg, b_z, g, e)
-        e = e * np.exp(1j * (detuning_phase + field_phase[1]))
-        g, _ = _pulse(math.pi / 2, t_pi / 2, fp, dg, b_z, g, e)
-        p_total += np.abs(g) ** 2
+        hf = TWO_PI * half * params.hyperfine * m_i
+        # a2 = d + hf + f2 and a1 + a2 = 2 (d + hf) + f1 + f2
+        r2 = (math.cos(hf + f2), math.sin(hf + f2))
+        r12 = (math.cos(2.0 * hf + f1 + f2), math.sin(2.0 * hf + f1 + f2))
+        b_z = math.pi * (df + params.hyperfine * m_i)
+        norm = np.sqrt(b_xy2 + b_z * b_z)
+        theta = norm * (t_pi / 2.0)
+        c1, s1 = np.cos(theta), np.sin(theta)
+        # sin(theta)/|b| -> t_pi/2 as |b| -> 0
+        k1 = np.divide(s1, norm, out=np.full(norm.shape, t_pi / 2.0),
+                       where=norm > 0.0)
+        g, e = spin.su2_apply(c1, k1, b_xy * (c2d * r12[0] - s2d * r12[1]),
+                              b_xy * (s2d * r12[0] + c2d * r12[1]),
+                              b_z, 1.0, 0.0)
+        g, e = spin.su2_apply(1.0 - 2.0 * s1 * s1, 2.0 * c1 * k1,
+                              b_xy * (cd * r2[0] - sd * r2[1]),
+                              b_xy * (sd * r2[0] + cd * r2[1]), b_z, g, e)
+        g, _ = spin.su2_apply(c1, k1, x3, y3, b_z, g, e)
+        p_total = p_total + (g.real * g.real + g.imag * g.imag)
     p = p_total / len(m_i_values)
     return 0.5 + (p - 0.5) * decay.envelope(phase_time)
 

@@ -7,6 +7,13 @@ the nuclear Zeeman term and a static bias field cancel, so only
 ``gamma_e`` and the hyperfine coupling reach any output.  The
 9-dimensional model that shows this is the reference in
 ``tests/reference_spin.py``.
+
+Every pulse of the echo is one SU(2) rotation ``cos(theta) - i k (b.sigma)``
+with ``k = sin(theta)/|b|``.  :func:`su2_apply` applies such a rotation
+from its cosine and ``k``, which the caller computes, so one set of
+trigonometry can serve several pulses (the echo's pi pulse is the double
+angle of its pi/2 pulses).  The exponential ``exp(-i t b.sigma)`` from the
+coupling and a duration is the reference in ``tests/reference_spin.py``.
 """
 
 from __future__ import annotations
@@ -35,25 +42,18 @@ class HamiltonianParams:
             raise ValueError("hyperfine coupling and gamma_e must be positive")
 
 
-def su2_apply(b_x, b_y, b_z, duration, amp_g, amp_e):
-    """Apply ``exp(-i t (b_x sx + b_y sy + b_z sz))`` to batched 2-level states.
+def su2_apply(cos_t, k, b_x, b_y, b_z, amp_g, amp_e):
+    """Apply the rotation ``cos_t - i k (b_x sx + b_y sy + b_z sz)`` to
+    batched 2-level states.
 
-    Coefficients are in rad/s (they are half the angular Rabi/detuning
-    rates); any of them may be scalars or arrays broadcastable against the
-    state amplitudes.  Basis order is (``m_S = 0``, ``m_S = -1``) with
-    ``sz = diag(+1, -1)``.  Returns the new ``(amp_g, amp_e)``.
+    For ``exp(-i t b.sigma)`` the caller passes ``cos_t = cos(|b| t)`` and
+    ``k = sin(|b| t)/|b|`` (``t`` where ``|b| = 0``); the coupling is in
+    rad/s (half the angular Rabi/detuning rates).  Every argument may be a
+    scalar or an array broadcastable against the others.  Basis order is
+    (``m_S = 0``, ``m_S = -1``) with ``sz = diag(+1, -1)``.  Returns the
+    new ``(amp_g, amp_e)``.
     """
-    b_x = np.asarray(b_x, dtype=float)
-    b_y = np.asarray(b_y, dtype=float)
-    b_z = np.asarray(b_z, dtype=float)
-    norm = np.sqrt(b_x**2 + b_y**2 + b_z**2)
-    theta = norm * duration
-    cos_t = np.cos(theta)
-    # sin(theta)/|b| -> duration as |b| -> 0
-    safe = np.where(norm > 0.0, norm, 1.0)
-    k = np.where(norm > 0.0, np.sin(theta) / safe, duration)
-    u00 = cos_t - 1j * k * b_z
-    u01 = -1j * k * (b_x - 1j * b_y)
-    u10 = -1j * k * (b_x + 1j * b_y)
-    u11 = cos_t + 1j * k * b_z
-    return u00 * amp_g + u01 * amp_e, u10 * amp_g + u11 * amp_e
+    # the rotation is [[a, b], [-conj(b), conj(a)]]
+    a = cos_t - 1j * (k * b_z)
+    b = (-k) * (b_y + 1j * b_x)
+    return a * amp_g + b * amp_e, np.conj(a) * amp_e - np.conj(b) * amp_g

@@ -1,5 +1,5 @@
 """Full 9-dimensional NV ground-state model: the reference for the
-two-level echo propagator.
+two-level echo.
 
 The electron spin (S = 1) is modelled together with the 14N nuclear spin
 (I = 1) on the 9-dimensional product space, with the complete static
@@ -10,6 +10,11 @@ frame of a carrier locked to the ``m_I = 0`` line
 (:func:`nvmag.sequences.echo_populations`), where the zero-field
 splitting, the nuclear Zeeman term and the static field cancel.  Tests
 compare the two.
+
+The module also keeps that two-level echo as it was first written, five
+stages in order, each pulse the exponential of its own coupling and
+duration (:func:`su2_exp`, :func:`echo_populations_stagewise`): the
+reference for the package's three shared-trigonometry rotations.
 
 All constructors take plain frequencies in Hz (and fields in tesla);
 every matrix is in angular units (rad/s).  Basis ordering is descending
@@ -328,3 +333,80 @@ def simulate_full(phase_time: float, rabi: float, params: FullParams,
     if decay is not None:
         p = 0.5 + (p - 0.5) * decay.envelope(phase_time)
     return float(p)
+
+
+# ---------------------------------------------------------------------------
+# the two-level echo, stage by stage
+# ---------------------------------------------------------------------------
+
+def su2_exp(b_x, b_y, b_z, duration, amp_g, amp_e):
+    """Apply ``exp(-i t (b_x sx + b_y sy + b_z sz))`` to batched 2-level
+    states, from the coupling (rad/s) and the duration ``t``: the
+    reference for :func:`nvmag.spin.su2_apply`, which takes the rotation's
+    cosine and ``sin/|b|`` instead.  Returns the new ``(amp_g, amp_e)``.
+    """
+    b_x = np.asarray(b_x, dtype=float)
+    b_y = np.asarray(b_y, dtype=float)
+    b_z = np.asarray(b_z, dtype=float)
+    norm = np.sqrt(b_x**2 + b_y**2 + b_z**2)
+    theta = norm * duration
+    cos_t = np.cos(theta)
+    # sin(theta)/|b| -> duration as |b| -> 0
+    safe = np.where(norm > 0.0, norm, 1.0)
+    k = np.where(norm > 0.0, np.sin(theta) / safe, duration)
+    u00 = cos_t - 1j * k * b_z
+    u01 = -1j * k * (b_x - 1j * b_y)
+    u10 = -1j * k * (b_x + 1j * b_y)
+    u11 = cos_t + 1j * k * b_z
+    return u00 * amp_g + u01 * amp_e, u10 * amp_g + u11 * amp_e
+
+
+def _pulse(rotation: float, duration: float, phase, dg, b_z, g, e):
+    """A drive pulse of nominal angle ``rotation`` about the axis at
+    ``phase``, with relative amplitude error ``dg``."""
+    omega = rotation / (TWO_PI * duration) * (1.0 + dg)
+    b_x = math.pi * omega * np.cos(phase)
+    b_y = math.pi * omega * np.sin(phase)
+    return su2_exp(b_x, b_y, b_z, duration, g, e)
+
+
+def echo_populations_stagewise(phase_time: float, rabi: float,
+                               params: HamiltonianParams, amplitude_error=0.0,
+                               frequency_error=0.0, field_amplitude=0.0,
+                               decay=None, *, final_phase=math.pi / 2,
+                               m_i_values=NUCLEAR_LEVELS) -> np.ndarray:
+    """The two-level echo of :func:`nvmag.sequences.echo_populations`
+    propagated through its five stages in order: each pulse an
+    exponential of its own coupling and duration, each free evolution a
+    diagonal phase on the excited level."""
+    t_pi = 1.0 / (2.0 * rabi)
+    half = phase_time / 2.0
+    dg = np.atleast_1d(np.asarray(amplitude_error, dtype=float))
+    df = np.atleast_1d(np.asarray(frequency_error, dtype=float))
+    fp = np.asarray(final_phase, dtype=float)
+    if fp.ndim:
+        dg, df, fp = np.broadcast_arrays(dg, df, fp)
+    else:
+        dg, df = np.broadcast_arrays(dg, df)
+    n = dg.shape[0]
+    # field phase of each free evolution; excited-level energy
+    # -2*pi*delta - gamma_rad * B(t)
+    field = locked_field(field_amplitude, phase_time)
+    field_phase = [TWO_PI * params.gamma_e * field_integral(field, 0.0, t0, half)
+                   for t0 in (0.0, half)]
+    p_total = np.zeros(n)
+    for m_i in m_i_values:
+        delta = df + params.hyperfine * m_i  # Hz, per evaluation
+        b_z = math.pi * delta
+        detuning_phase = TWO_PI * delta * half
+        g, e = _pulse(math.pi / 2, t_pi / 2, 0.0, dg, b_z,
+                      np.ones(n, dtype=complex), np.zeros(n, dtype=complex))
+        e = e * np.exp(1j * (detuning_phase + field_phase[0]))
+        g, e = _pulse(math.pi, t_pi, 0.0, dg, b_z, g, e)
+        e = e * np.exp(1j * (detuning_phase + field_phase[1]))
+        g, _ = _pulse(math.pi / 2, t_pi / 2, fp, dg, b_z, g, e)
+        p_total += np.abs(g) ** 2
+    p = p_total / len(m_i_values)
+    if decay is not None:
+        p = 0.5 + (p - 0.5) * decay.envelope(phase_time)
+    return p

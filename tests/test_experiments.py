@@ -8,7 +8,7 @@ import pytest
 
 from nvmag import (analysis, experiments, io as _io, noise, readout,
                    sequences as sq)
-from nvmag.scenario import scenario_from_mapping
+from nvmag.scenario import CHUNK_SIZE, scenario_from_mapping
 
 
 def read_table(path):
@@ -337,3 +337,47 @@ class TestSchemeGroups:
                                        m_i_values=q.m_i_values())[0]
             npt.assert_allclose(populations[sl], echo, rtol=0, atol=1e-14)
             npt.assert_allclose(balance[sl], echo, rtol=0, atol=1e-14)
+
+
+class TestChunkedEcho:
+    """The echo is evaluated one chunk at a time, and every chunk starts
+    at a multiple of ``CHUNK_SIZE``: that bounds the memory of a run, and
+    numpy rounds an array's tail differently from its body, so other
+    boundaries would change the last bits of the populations."""
+
+    STEP = 1e-9
+
+    def record_chunks(self, monkeypatch, n):
+        # drive errors that encode each sequence's index in its record
+        def indexed(scenario, n_total):
+            return (np.arange(n_total) % n) * self.STEP, np.zeros(n_total)
+
+        chunks = []
+        original = sq.echo_populations
+
+        def recording(*args, **kwargs):
+            dg = np.asarray(args[3])
+            if dg.ndim:  # not the working-point balance
+                chunks.append((round(dg[0] / self.STEP), dg.size))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "_mw_error_samples", indexed)
+        monkeypatch.setattr(sq, "echo_populations", recording)
+        return chunks
+
+    def test_scaling_run(self, monkeypatch):
+        n = 2 * CHUNK_SIZE + 4096
+        chunks = self.record_chunks(monkeypatch, n)
+        s = make_scenario(n_sequences=n, schemes=["A", "B", "C", "D"])
+        experiments.run_scaling_experiment(s)
+        record = [(0, CHUNK_SIZE), (CHUNK_SIZE, CHUNK_SIZE),
+                  (2 * CHUNK_SIZE, 4096)]
+        assert chunks == 2 * record  # one record per scheme group
+
+    def test_sweep(self, monkeypatch):
+        n = CHUNK_SIZE + 2048
+        chunks = self.record_chunks(monkeypatch, n)
+        s = make_scenario(n_sequences=n, schemes=["B", "D"])
+        experiments.run_ac_sweep(s, [0.0, 5e-8])
+        record = [(0, CHUNK_SIZE), (CHUNK_SIZE, 2048)]
+        assert chunks == 4 * record  # two amplitudes, two groups each

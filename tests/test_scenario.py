@@ -128,6 +128,8 @@ class TestValidation:
         ("analysis", "total_time_s", -1.0),
         ("readout", "reference_ratio", 1e305),
         ("noise", "mw_amplitude", {"white": 1e300}),
+        ("noise", "laser_intensity", {"white": 1e-6}),
+        ("noise", "laser_intensity", {"flicker": [[1e300, 2.0]]}),
     ], ids=["substring-scheme", "empty-scheme", "duplicate-scheme",
             "no-scheme", "nan-photon-rate", "nan-t2", "negative-seed",
             "pulses-too-long", "laser-overruns-sequence",
@@ -137,7 +139,8 @@ class TestValidation:
             "unresolvable-window", "overlapping-windows",
             "envelope-underflow", "zero-exponent", "optimum-overflow",
             "no-centres", "negative-total-time", "infinite-reference-counts",
-            "non-finite-echo-mw-noise"])
+            "non-finite-echo-mw-noise", "laser-excursion-reaches-one",
+            "laser-flicker-overflows-rate"])
     def test_runner_failures_are_config_errors(self, section, key, value):
         m = copy.deepcopy(MINIMAL)
         m["decay"] = {"t2_s": 100e-6}

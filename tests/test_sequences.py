@@ -3,10 +3,12 @@ import numpy.testing as npt
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from nvmag.spin import HamiltonianParams
 from nvmag.sequences import (CoherenceDecay, analytic_echo_phase,
                              pi_pulse_time, echo_populations,
                              pulse_error_response)
-from reference_spin import AcField, locked_field, simulate_full
+from reference_spin import (AcField, echo_populations_stagewise,
+                            locked_field, simulate_full)
 
 PHASE_TIME = 50e-6
 RABI = 5e6
@@ -185,6 +187,50 @@ class TestSimulation:
         phi = analytic_echo_phase(2e-8, PHASE_TIME, params.gamma_e)
         npt.assert_allclose(p, [0.5 * (1 + np.cos(phi + np.pi / 2)),
                                 0.5 * (1 + np.cos(phi - np.pi / 2))], rtol=1e-4)
+
+
+class TestAgainstStagewiseEcho:
+    """The three shared-trigonometry rotations against the five stages
+    propagated one by one, each pulse the exponential of its own
+    coupling and duration."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**31 - 1),
+           dg_scale=st.sampled_from([0.0, 1e-4, 1e-2, 0.3]),
+           df_scale=st.sampled_from([0.0, 10.0, 1e4, 3e6]),
+           amplitude=st.floats(-1e-6, 1e-6),
+           decay=st.sampled_from([CoherenceDecay(), CoherenceDecay(t2=100e-6),
+                                  CoherenceDecay(t2=70e-6, exponent=2.0)]),
+           final_phase=st.floats(-np.pi, np.pi),
+           m_i_values=st.sampled_from([(-1, 0, 1), (0,), (1,)]))
+    def test_matches_stagewise_echo(self, seed, dg_scale, df_scale,
+                                    amplitude, decay, final_phase,
+                                    m_i_values):
+        params = HamiltonianParams()
+        r = np.random.default_rng(seed)
+        dg = r.normal(size=64) * dg_scale
+        df = r.normal(size=64) * df_scale
+        # both final phases, alternating as the paired schemes run them
+        phases = np.where(np.arange(64) % 2, -final_phase, final_phase)
+        kwargs = dict(field_amplitude=amplitude, final_phase=phases,
+                      m_i_values=m_i_values)
+        got = echo_populations(PHASE_TIME, RABI, params, dg, df,
+                               decay=decay, **kwargs)
+        want = echo_populations_stagewise(PHASE_TIME, RABI, params, dg, df,
+                                          decay=decay, **kwargs)
+        npt.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_zero_coupling_block(self, params):
+        # dg = -1 switches the drive off and df = 0 leaves the m_I = 0
+        # block on resonance: |b| = 0, and the state stays in |0>
+        for phase in (np.pi / 2, -np.pi / 2, 0.3):
+            got = echo_populations(PHASE_TIME, RABI, params, -1.0, 0.0,
+                                   final_phase=phase, m_i_values=(0,))
+            want = echo_populations_stagewise(PHASE_TIME, RABI, params, -1.0,
+                                              0.0, final_phase=phase,
+                                              m_i_values=(0,))
+            npt.assert_array_equal(got, [1.0])
+            npt.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 class TestPulseErrorResponse:

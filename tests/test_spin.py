@@ -8,7 +8,7 @@ from nvmag.spin import HamiltonianParams
 from reference_spin import (FullParams, DriveParams, build_operators,
                             static_hamiltonian, drive_hamiltonian_rotating,
                             evolve, transition_frequencies, basis_index,
-                            block_detunings, product_state)
+                            block_detunings, product_state, su2_exp)
 
 TWO_PI = 2 * np.pi
 
@@ -206,7 +206,7 @@ class TestTwoLevelHelpers:
         npt.assert_allclose(d, [1e3 - 2.16e6, 1e3, 1e3 + 2.16e6])
 
     def test_su2_identity_at_zero_coupling(self):
-        g, e = spin.su2_apply(0.0, 0.0, 0.0, 1e-6,
+        g, e = spin.su2_apply(1.0, 1e-6, 0.0, 0.0, 0.0,
                               np.array([1.0 + 0j]), np.array([0.0 + 0j]))
         npt.assert_allclose(g, [1.0], atol=1e-15)
         npt.assert_allclose(e, [0.0], atol=1e-15)
@@ -218,7 +218,10 @@ class TestTwoLevelHelpers:
         e = np.zeros(100, dtype=complex)
         for _ in range(10_000):
             b = rng.normal(size=3) * 1e7
-            g, e = spin.su2_apply(b[0], b[1], b[2], rng.uniform(0, 1e-7), g, e)
+            theta = np.linalg.norm(b) * rng.uniform(0, 1e-7)
+            g, e = spin.su2_apply(np.cos(theta),
+                                  np.sin(theta) / np.linalg.norm(b),
+                                  b[0], b[1], b[2], g, e)
         norms = np.abs(g) ** 2 + np.abs(e) ** 2
         npt.assert_allclose(norms, 1.0, atol=1e-9)
 
@@ -230,7 +233,23 @@ class TestTwoLevelHelpers:
                                 amplitude_error=dg))
         full = evolve(product_state(0, 0), h, t)
         p_full = full.population(basis_index(-1, 0))
-        g, e = spin.su2_apply(np.pi * rabi * (1 + dg), 0.0, np.pi * df, t,
+        b_x, b_z = np.pi * rabi * (1 + dg), np.pi * df
+        norm = np.hypot(b_x, b_z)
+        g, e = spin.su2_apply(np.cos(norm * t), np.sin(norm * t) / norm,
+                              b_x, 0.0, b_z,
                               np.array([1.0 + 0j]), np.array([0.0 + 0j]))
         p_fast = abs(e[0]) ** 2
         assert p_fast == pytest.approx(p_full, abs=1e-12)
+
+    @settings(max_examples=50, deadline=None)
+    @given(b=st.lists(st.floats(-1e8, 1e8), min_size=3, max_size=3),
+           t=st.floats(0.0, 1e-6), seed=st.integers(0, 2**31 - 1))
+    def test_su2_matches_exponential(self, b, t, seed):
+        # the rotation from its cosine and sin/|b| is exp(-i t b.sigma)
+        r = np.random.default_rng(seed)
+        amp = r.normal(size=(2, 4)) + 1j * r.normal(size=(2, 4))
+        norm = float(np.linalg.norm(b))
+        k = np.sin(norm * t) / norm if norm > 0 else t
+        got = spin.su2_apply(np.cos(norm * t), k, *b, amp[0], amp[1])
+        want = su2_exp(*b, t, amp[0], amp[1])
+        npt.assert_allclose(got, want, rtol=0, atol=1e-12)
