@@ -28,8 +28,6 @@ from . import analysis, filters, noise as _noise, readout, sequences
 from .readout import ReadoutSeries, SCHEME_SEQUENCES
 from .scenario import Scenario, CHUNK_SIZE, utc_now, write_run
 
-#: seed-stream offset separating the short shot-only reference run
-SIGMA1_STREAM_OFFSET = 100
 #: schemes extracted from one window record, keyed by the record's
 #: shot-noise stream; the first member reads ``S_A``, the second ``S_B``
 #: (pair-differenced when the group is paired)
@@ -81,8 +79,9 @@ def _laser_window_noise(scenario: Scenario, n: int):
 
 
 def _balance_populations(scenario: Scenario) -> np.ndarray:
-    """Noise-free working-point populations at the two final phases, used
-    to balance the reference."""
+    """Noise-free working-point populations at the two final phases: the
+    reference's balance points and the budget's shot-only operating
+    points."""
     s = scenario.sequence
     out = []
     for phase in (s.final_phase, -s.final_phase):
@@ -338,15 +337,15 @@ class BudgetResult:
     outputs: list = field(default_factory=list)
 
 
-def run_noise_budget(scenario: Scenario, out_dir=None,
-                     n_reference: int = 4096) -> BudgetResult:
+def run_noise_budget(scenario: Scenario, out_dir=None) -> BudgetResult:
     """Cumulative noise budgets, raw and filtered, in signal units.
 
     Every channel's spectral density is integrated downward from the
     inverse sequence length ``1/T_seq`` and converted to per-evaluation
     signal units through its linear error slope, so the curves compare
-    directly against the shot-noise-only per-evaluation deviation
-    measured from a short reference run.  Microwave noise converts
+    directly against the shot-noise-only per-evaluation deviation, the
+    exact Poisson deviation of the noise-free working point (see
+    :func:`nvmag.readout.shot_variance`).  Microwave noise converts
     through the signal slope of :data:`BUDGET_SCHEME`.  Filtered budgets
     apply the integration-window transmission of :data:`BUDGET_SCHEME`
     (microwave channels see the unreferenced-within-sequence variant,
@@ -388,12 +387,15 @@ def run_noise_budget(scenario: Scenario, out_dir=None,
                 filters.filter_scheme_for_channel(BUDGET_SCHEME, channel),
                 cfg.laser_time, cfg.window_time, t_seq, f_top)
 
-    # shot-noise-only reference deviation per evaluation
-    n_ref = n_reference + (n_reference % 2)
-    series = _scheme_series(scenario, np.zeros(n_ref), np.zeros(n_ref),
-                            (None, None), stream_offset=SIGMA1_STREAM_OFFSET)
-    sigma1 = {scheme: float(s.values.std(ddof=1))
-              for scheme, s in series.items()}
+    # shot-noise-only deviation per evaluation at the two final phases;
+    # the paired schemes difference one sequence at each
+    var_a, var_b = readout.shot_variance(cfg, _balance_populations(scenario))
+    sigma1 = {}
+    for members in SCHEME_GROUPS.values():
+        n_phases = SCHEME_SEQUENCES[members[0]]
+        for scheme, var in zip(members, (var_a, var_b)):
+            sigma1[scheme] = float(np.sqrt(var[:n_phases].sum()))
+    sigma1 = {scheme: sigma1[scheme] for scheme in scenario.schemes}
 
     result = BudgetResult(freqs, raw, filtered, sigma1, slopes)
     if out_dir is not None:

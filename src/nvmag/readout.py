@@ -168,6 +168,28 @@ def sequence_signals(populations, cfg: ReadoutConfig, rng,
     return s_a, s_b
 
 
+def shot_variance(cfg: ReadoutConfig, population):
+    """Exact variances of ``(S_A, S_B)`` of one noise-free sequence whose
+    population is also the reference's balance population.
+
+    The windows' signal and reference counts are independent Poisson
+    draws, so ``Var S_A = (mu1 + r1^2 rho) / W^2`` and ``Var S_B = (mu1 +
+    mu2 + (r1^2 + r2^2) rho) / W^2`` with ``muk`` the window means, ``rho``
+    the reference mean, ``rk = muk / rho`` and ``W`` the window counts;
+    the ``rho`` terms drop with the reference off.  In the Gaussian count
+    limit the rounding adds at most ``1/12`` count^2 per draw, omitted.
+    """
+    mu1 = expected_window_counts(population, cfg, 0)
+    mu2 = expected_window_counts(population, cfg, 1)
+    var1, var2 = mu1, mu2
+    if cfg.reference_enabled:
+        rho = cfg.window_counts * cfg.reference_ratio
+        var1 = var1 + mu1 * mu1 / rho
+        var2 = var2 + mu2 * mu2 / rho
+    norm2 = cfg.window_counts ** 2
+    return var1 / norm2, (var1 + var2) / norm2
+
+
 def pair_difference(values: np.ndarray) -> np.ndarray:
     """Consecutive-pair differences ``x[0]-x[1], x[2]-x[3], ...``."""
     values = np.asarray(values)

@@ -158,17 +158,28 @@ class Scenario:
                 f"{MAX_LASER_SAMPLES_PER_SEQUENCE} fine-grid trace samples "
                 "per sequence (2 * sequence_time / window_time) onto the "
                 "sequence grid")
-        # the echo must stay finite at the working point and under
         # microwave noise excursions of ten standard deviations over the
-        # band a scaling run resolves
+        # band a scaling run resolves must keep the drive's sign and the
+        # carrier on the m_I = 0 line it is locked to, and the echo must
+        # stay finite there and at the working point
         band = np.geomspace(1.0 / (self.n_sequences * seq.sequence_time),
                             0.5 / seq.sequence_time, 64)
         excursion = [0.0, 0.0]
-        with np.errstate(all="ignore"):  # judged by the result below
+        with np.errstate(all="ignore"):  # judged by the results below
             for k, channel in enumerate(("mw_amplitude", "mw_frequency")):
                 if channel in self.noise:
                     excursion[k] = 10.0 * np.sqrt(np.trapezoid(
                         self.noise[channel].density(band), band))
+        if not excursion[0] < 1.0:
+            raise ConfigError(
+                "microwave amplitude noise: ten-sigma relative excursion "
+                f"{excursion[0]:.3g} is not below 1")
+        if not excursion[1] < self.hamiltonian.hyperfine:
+            raise ConfigError(
+                "microwave frequency noise: ten-sigma carrier excursion "
+                f"{excursion[1]:.3g} Hz is not below the hyperfine "
+                f"splitting {self.hamiltonian.hyperfine:.3g} Hz")
+        with np.errstate(all="ignore"):  # judged by the result below
             populations = echo_populations(
                 seq.phase_time, seq.rabi, self.hamiltonian,
                 np.repeat([0.0, excursion[0]], 2),

@@ -238,7 +238,7 @@ def test_09_scaling_recovery(capsys):
 
     # precondition: the converted amplitude-noise budget crosses the
     # shot-only per-evaluation deviation around one second
-    budget = experiments.run_noise_budget(scenario, n_reference=4096)
+    budget = experiments.run_noise_budget(scenario)
     sigma1 = budget.sigma1["B"]
     cfg, t_seq = scenario.readout, 160e-6
     freqs = np.logspace(-3, np.log10(1 / t_seq), 800)

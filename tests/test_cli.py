@@ -66,11 +66,14 @@ class TestValidate:
         ("", "readout: {photon_rate_cps: 1.0e+12, laser_time_s: 1.2e-4}\n"),
         ("alternate_final_phase_rad: -1.0, ", ""),
         ("", "ac_field: {amplitude_T: 0.0}\n"),
+        ("", "noise: {mw_frequency: {flicker: [[1.0e+300, 1.0]]}}\n"),
+        ("", "noise: {mw_amplitude: {white: 1.0e+6}}\n"),
     ], ids=["missing-psd-file", "envelope-overflow", "string-hyperfine-flag",
             "string-reference-flag", "retired-substeps-key",
             "retired-bin-width-key", "unknown-top-level-key",
             "overfull-sequence", "retired-alternate-phase-key",
-            "retired-ac-field-section"])
+            "retired-ac-field-section", "carrier-leaves-its-line",
+            "drive-changes-sign"])
     def test_bad_config_exits_1(self, tmp_path, capsys, sequence, extra):
         path = tmp_path / "bad.yaml"
         text = ("name: bad\nn_sequences: 64\n"

@@ -167,7 +167,7 @@ class TestNoiseBudget:
         s = make_scenario(
             n_sequences=512,
             noise={"mw_amplitude": {"white": 0.0}})
-        res = experiments.run_noise_budget(s, n_reference=256)
+        res = experiments.run_noise_budget(s)
         npt.assert_array_equal(res.raw["mw_amplitude"], 0.0)
         npt.assert_array_equal(res.filtered["mw_amplitude"], 0.0)
 
@@ -176,7 +176,7 @@ class TestNoiseBudget:
         s = make_scenario(
             n_sequences=512,
             noise={"laser_intensity": {"white": s0}})
-        res = experiments.run_noise_budget(s, n_reference=256)
+        res = experiments.run_noise_budget(s)
         f_top = 1.0 / s.sequence.sequence_time
         expected = res.slopes["laser_intensity"] * np.sqrt(
             s0 * (f_top - res.freqs))
@@ -184,13 +184,24 @@ class TestNoiseBudget:
                             rtol=1e-9, atol=1e-30)
 
     def test_sigma1_matches_shot_prediction(self):
-        s = make_scenario(n_sequences=512)
-        res = experiments.run_noise_budget(s, n_reference=4096)
-        r0_dt = s.readout.photon_rate * s.readout.window_time
-        expected_b = 2.0 / np.sqrt(r0_dt)     # reference subtraction on
-        assert res.sigma1["B"] == pytest.approx(expected_b, rel=0.05)
-        assert res.sigma1["D"] == pytest.approx(np.sqrt(2) * expected_b,
-                                                rel=0.05)
+        # the noise-free Monte Carlo samples the exact shot variance the
+        # budget reports, for exact Poisson counts (1e9 cps) and their
+        # Gaussian limit, with the reference on and off; s^2 / sigma^2 of
+        # m values has the standard deviation sqrt(2 / (m - 1))
+        n = 1 << 16
+        for rate in (1e9, 9.277e18):
+            for reference in (True, False):
+                s = make_scenario(n_sequences=n, schemes=["A", "B", "C", "D"],
+                                  readout={"photon_rate_cps": rate,
+                                           "reference_enabled": reference})
+                sigma1 = experiments.run_noise_budget(s).sigma1
+                series = experiments._scheme_series(
+                    s, np.zeros(n), np.zeros(n), (None, None))
+                for scheme, sampled in series.items():
+                    m = sampled.values.size
+                    ratio = sampled.values.var(ddof=1) / sigma1[scheme] ** 2
+                    assert abs(ratio - 1.0) < 5 * np.sqrt(2 / (m - 1)), \
+                        (rate, reference, scheme, ratio)
 
     def test_microwave_slope_subtracts_the_end_window_dip(self):
         # at a 30 us repolarization the end window still carries 5% of the
@@ -199,7 +210,7 @@ class TestNoiseBudget:
         s = make_scenario(n_sequences=512,
                           readout={"photon_rate_cps": 9.277e18,
                                    "repolarization_time_s": 30e-6})
-        res = experiments.run_noise_budget(s, n_reference=256)
+        res = experiments.run_noise_budget(s)
         slope_g, slope_f = experiments.error_conversion_slopes(s)
         d0, d1 = (readout.window_dip_fraction(s.readout, k) for k in (0, 1))
         assert (d0 - d1) / d0 == pytest.approx(0.950213, abs=1e-6)
@@ -227,8 +238,19 @@ class TestNoiseBudget:
         assert envelope == pytest.approx(np.exp(-0.5), rel=1e-15)
         assert sampled == pytest.approx(envelope * budget, rel=1e-9)
 
+    def test_tables_do_not_depend_on_the_seed(self, tmp_path):
+        # the budget draws no random numbers
+        runs = [experiments.run_noise_budget(
+            make_scenario(n_sequences=512, master_seed=seed,
+                          schemes=["A", "B", "C", "D"], noise=NOISY),
+            out_dir=tmp_path / str(seed)) for seed in (1, 2)]
+        assert [p.name for p in runs[0].outputs] == \
+            [p.name for p in runs[1].outputs]
+        for a, b in zip(runs[0].outputs, runs[1].outputs):
+            assert a.read_bytes() == b.read_bytes()
+
     def test_filtered_amplitude_budget_below_sigma1(self, baseline_scenario):
-        res = experiments.run_noise_budget(baseline_scenario, n_reference=2048)
+        res = experiments.run_noise_budget(baseline_scenario)
         assert np.all(res.filtered["mw_amplitude"] <= res.sigma1["B"])
         # while the raw budget exceeds it at low frequency
         assert res.raw["mw_amplitude"].max() > res.sigma1["B"]
@@ -248,20 +270,20 @@ class TestRunRecord:
                                                          out_dir=out),
         "scaling": lambda s, out: experiments.run_scaling_experiment(
             s, out_dir=out),
-        "budget": lambda s, out: experiments.run_noise_budget(
-            s, out_dir=out, n_reference=64),
+        "budget": lambda s, out: experiments.run_noise_budget(s, out_dir=out),
     }
 
     @pytest.mark.parametrize("runner", RUNNERS)
     def test_started_before_the_work(self, tmp_path, monkeypatch, runner):
+        # every runner evaluates the echo
         calls = []
-        original = experiments._scheme_series
+        original = sq.echo_populations
 
         def recording(*args, **kwargs):
             calls.append(datetime.now(timezone.utc))
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(experiments, "_scheme_series", recording)
+        monkeypatch.setattr(sq, "echo_populations", recording)
         result = self.RUNNERS[runner](make_scenario(n_sequences=64), tmp_path)
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert set(manifest) == {"scenario_hash", "seed", "tool_version",
@@ -288,7 +310,7 @@ class TestSchemeGroups:
         sweeps = [experiments.run_ac_sweep(s, [0.0, 5e-8]) for s in runs]
         npt.assert_array_equal(sweeps[0].means[scheme],
                                sweeps[1].means[scheme])
-        budgets = [experiments.run_noise_budget(s, n_reference=512)
+        budgets = [experiments.run_noise_budget(s)
                    for s in runs]
         assert budgets[0].sigma1[scheme] == budgets[1].sigma1[scheme]
 

@@ -188,6 +188,21 @@ class TestValidation:
             with pytest.raises(ConfigError, match="trace samples"):
                 scenario_from_mapping(m)
 
+    @pytest.mark.parametrize("channel, limit", [("mw_amplitude", 1.0),
+                                                ("mw_frequency", 2.16e6)])
+    @pytest.mark.parametrize("factor", [0.99, 1.01])
+    def test_microwave_excursion_bounded(self, channel, limit, factor):
+        # white noise over the scaling band 1/(n T_seq) to 1/(2 T_seq),
+        # scaled so its ten-sigma excursion is the factor times the limit
+        band = 0.5 / 160e-6 - 1.0 / (64 * 160e-6)
+        m = copy.deepcopy(MINIMAL)
+        m["noise"] = {channel: {"white": (factor * limit / 10) ** 2 / band}}
+        if factor < 1:
+            scenario_from_mapping(m)
+        else:
+            with pytest.raises(ConfigError, match="ten-sigma"):
+                scenario_from_mapping(m)
+
     def test_non_finite_noise_level_rejected(self):
         m = copy.deepcopy(MINIMAL)
         m["noise"] = {"laser_intensity": {"white": float("nan")}}
