@@ -179,15 +179,15 @@ def shot_variance(cfg: ReadoutConfig, population):
     the ``rho`` terms drop with the reference off.  In the Gaussian count
     limit the rounding adds at most ``1/12`` count^2 per draw, omitted.
     """
-    mu1 = expected_window_counts(population, cfg, 0)
-    mu2 = expected_window_counts(population, cfg, 1)
-    var1, var2 = mu1, mu2
+    # in units of W counts, so that a bright scenario's W^2 cannot overflow
+    norm = cfg.window_counts
+    e1 = expected_window_counts(population, cfg, 0) / norm
+    e2 = expected_window_counts(population, cfg, 1) / norm
+    var1, var2 = e1, e2
     if cfg.reference_enabled:
-        rho = cfg.window_counts * cfg.reference_ratio
-        var1 = var1 + mu1 * mu1 / rho
-        var2 = var2 + mu2 * mu2 / rho
-    norm2 = cfg.window_counts ** 2
-    return var1 / norm2, (var1 + var2) / norm2
+        var1 = var1 + e1 * e1 / cfg.reference_ratio
+        var2 = var2 + e2 * e2 / cfg.reference_ratio
+    return var1 / norm, (var1 + var2) / norm
 
 
 def pair_difference(values: np.ndarray) -> np.ndarray:
