@@ -1,14 +1,15 @@
 """Scenario runners wiring spin simulation, noise, readout and analysis.
 
-Every runner is deterministic given (scenario, master seed): noise traces
-are synthesized up front from fixed per-channel seed streams, and the
-rest of a window record is evaluated in chunks of ``CHUNK_SIZE``
-sequences.  Each chunk gets its echo populations, its photon draw (from
-the chunk's own seed) and its window signals in one step, so no
-population array spans the run.  The draws depend on that fixed chunk
-size, and so do the last bits of the populations: numpy's vectorized
-kernels may round the tail of an array differently from its body, so
-chunks always start at multiples of ``CHUNK_SIZE``.
+Every runner is deterministic given (scenario, master seed): one noise
+record of plain arrays (:func:`_noise_record`) is synthesized up front
+from fixed per-channel seed streams, and the rest of a window record is
+evaluated in chunks of ``CHUNK_SIZE`` sequences.  Each chunk gets its
+echo populations, its photon draw (from the chunk's own seed) and its
+window signals in one step, so no population array spans the run.  The
+draws depend on that fixed chunk size, and so do the last bits of the
+populations: numpy's vectorized kernels may round the tail of an array
+differently from its body, so chunks always start at multiples of
+``CHUNK_SIZE``.
 
 Schemes are computed per group: A and B share one window record (echo
 populations at the constant final phase and one photon draw, on one
@@ -42,40 +43,32 @@ BUDGET_SCHEME = "D"
 # shared plumbing
 # ---------------------------------------------------------------------------
 
-def _mw_error_samples(scenario: Scenario, n: int):
-    """Per-sequence (amplitude error, frequency error) noise samples.
+def _noise_record(scenario: Scenario, n: int):
+    """Drive errors ``(dg, df)`` of every sequence and the relative laser
+    noise ``eps`` of its two integration windows, shape ``(2, n)``.
 
-    One sample per sequence: microwave noise with correlation times
-    longer than one sequence is constant within it, so traces are
-    synthesized directly at the sequence spacing.
+    Microwave noise with correlation times longer than one sequence is
+    constant within it, so its traces are read once per sequence; laser
+    noise is the average over each window, read at the window centres.
+    An absent or zero channel reads as zeros.
     """
-    t_seq = scenario.sequence.sequence_time
-    out = {}
-    for channel in ("mw_amplitude", "mw_frequency"):
-        model = scenario.noise.get(channel)
-        if model is None or model.is_zero or n < 2:
-            out[channel] = np.zeros(n)
-            continue
-        trace = _noise.synthesize_trace(model, n * t_seq, t_seq,
-                                        scenario.channel_seed(channel))
-        out[channel] = trace.samples[0]
-    return out["mw_amplitude"], out["mw_frequency"]
-
-
-def _laser_window_noise(scenario: Scenario, n: int):
-    """Relative laser noise of each sequence averaged over its two
-    integration windows, synthesized at the window centres."""
-    model = scenario.noise.get("laser_intensity")
-    if model is None or model.is_zero:
-        return (None, None)
     cfg, s = scenario.readout, scenario.sequence
     # the laser pulse starts when the echo ends
     centres = (s.echo_time + cfg.window_time / 2.0,
                s.echo_time + cfg.laser_time - cfg.window_time / 2.0)
-    trace = _noise.synthesize_trace(
-        model, n * s.sequence_time, s.sequence_time,
-        scenario.channel_seed("laser_intensity"), centres, cfg.window_time)
-    return tuple(trace.samples)
+    reads = {"mw_amplitude": ((0.0,), 0.0), "mw_frequency": ((0.0,), 0.0),
+             "laser_intensity": (centres, cfg.window_time)}
+    record = []
+    for channel, (offsets, window) in reads.items():
+        model = scenario.noise.get(channel)
+        if model is None or model.is_zero:
+            record.append(np.zeros((len(offsets), n)))
+        else:
+            record.append(_noise.synthesize_trace(
+                model, n * s.sequence_time, s.sequence_time,
+                scenario.channel_seed(channel), offsets, window).samples)
+    (dg,), (df,), eps = record
+    return dg, df, eps
 
 
 def _balance_populations(scenario: Scenario) -> np.ndarray:
@@ -93,13 +86,14 @@ def _balance_populations(scenario: Scenario) -> np.ndarray:
     return np.asarray(out)
 
 
-def _sample_window_record(scenario: Scenario, dg, df, parity, eps_pair,
+def _sample_window_record(scenario: Scenario, dg, df, parity, eps,
                           stream: int, field_amplitude=0.0):
     """Chunk-seeded window-level ``(S_A, S_B)`` of every sequence.
 
     Sequence ``k`` runs at the final phase ``(final_phase,
-    -final_phase)[parity[k]]`` with drive errors ``dg[k]``, ``df[k]``; its
-    echo, photon draw and signals are evaluated one chunk at a time.
+    -final_phase)[parity[k]]`` with drive errors ``dg[k]``, ``df[k]`` and
+    window laser noise ``eps[:, k]``; its echo, photon draw and signals
+    are evaluated one chunk at a time.
     """
     s = scenario.sequence
     phases = np.array([s.final_phase, -s.final_phase])
@@ -113,14 +107,13 @@ def _sample_window_record(scenario: Scenario, dg, df, parity, eps_pair,
             field_amplitude=field_amplitude, decay=scenario.decay,
             final_phase=phases[parity[sl]], m_i_values=s.m_i_values())
         rng = np.random.default_rng(scenario.shot_seed(stream, index))
-        eps = (None if eps_pair[0] is None else eps_pair[0][sl],
-               None if eps_pair[1] is None else eps_pair[1][sl])
         s_a[sl], s_b[sl] = readout.sequence_signals(
-            populations, scenario.readout, rng, eps, balance[parity[sl]])
+            populations, scenario.readout, rng, eps[:, sl],
+            balance[parity[sl]])
     return s_a, s_b
 
 
-def _scheme_series(scenario: Scenario, dg, df, eps_pair,
+def _scheme_series(scenario: Scenario, dg, df, eps,
                    stream_offset: int = 0, field_amplitude=0.0) -> dict:
     """Readout series of every requested scheme, keyed in scenario order.
 
@@ -141,7 +134,7 @@ def _scheme_series(scenario: Scenario, dg, df, eps_pair,
         # index into (final_phase, -final_phase) per sequence
         parity = np.arange(n) % 2 if paired else np.zeros(n, dtype=np.int64)
         s_a, s_b = _sample_window_record(
-            scenario, dg, df, parity, eps_pair, stream + stream_offset,
+            scenario, dg, df, parity, eps, stream + stream_offset,
             field_amplitude)
         spacing = (2 if paired else 1) * s.sequence_time
         for scheme, values in zip(members, (s_a, s_b)):
@@ -187,8 +180,7 @@ def run_ac_sweep(scenario: Scenario, amplitudes, out_dir=None) -> SweepResult:
     amplitudes = np.asarray(amplitudes, dtype=float)
     n = scenario.n_sequences
     n_total = n * amplitudes.size
-    dg_all, df_all = _mw_error_samples(scenario, n_total)
-    eps_all = _laser_window_noise(scenario, n_total)
+    dg_all, df_all, eps_all = _noise_record(scenario, n_total)
 
     phase_time = scenario.sequence.phase_time
     gamma_e = scenario.hamiltonian.gamma_e
@@ -196,9 +188,8 @@ def run_ac_sweep(scenario: Scenario, amplitudes, out_dir=None) -> SweepResult:
 
     for k, amp in enumerate(amplitudes):
         sl = slice(k * n, (k + 1) * n)
-        eps = tuple(None if e is None else e[sl] for e in eps_all)
         series = _scheme_series(
-            scenario, dg_all[sl], df_all[sl], eps,
+            scenario, dg_all[sl], df_all[sl], eps_all[:, sl],
             stream_offset=1000 * (k + 1), field_amplitude=amp)
         for scheme, s in series.items():
             means[scheme][k] = s.values.mean()
@@ -251,8 +242,7 @@ def run_scaling_experiment(scenario: Scenario, out_dir=None) -> ScalingResult:
     """
     started = utc_now()
     n = scenario.n_sequences
-    dg, df = _mw_error_samples(scenario, n)
-    eps = _laser_window_noise(scenario, n)
+    dg, df, eps = _noise_record(scenario, n)
     out = {}
     for scheme, series in _scheme_series(scenario, dg, df, eps).items():
         grid = analysis.default_time_grid(series.values.size, series.spacing)

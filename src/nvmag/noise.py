@@ -6,10 +6,11 @@ or by tabulated spectra read from two-column text files.  Traces are
 synthesized by shaping white Gaussian noise in the frequency domain with
 a Hermitian-symmetric spectrum and exact variance scaling, so a trace's
 periodogram fluctuates around the model density and its total variance
-matches the band integral of the model.  A process read at a few
+matches the band integral of the model.  A process read at one or two
 offsets per sample spacing, averaged over a window (the laser noise of
 the two integration windows), is drawn on the read grid from the
-spectrum of the finer trace folded onto it.
+spectrum of the finer trace folded onto it, through the closed 2x2
+factor of the two reads' covariance.
 """
 
 from __future__ import annotations
@@ -122,7 +123,7 @@ class NoiseTrace:
 def synthesize_trace(model, duration: float, dt: float, seed,
                      offsets=(0.0,), window: float = 0.0) -> NoiseTrace:
     """Draw a stationary Gaussian process whose PSD follows ``model``,
-    read every ``dt`` at each of ``offsets``.
+    read every ``dt`` at one or two ``offsets``.
 
     Row ``i`` of the result holds the process at ``j * dt + offsets[i]``
     for ``n = duration / dt`` reads ``j``, averaged over ``window``
@@ -136,35 +137,40 @@ def synthesize_trace(model, duration: float, dt: float, seed,
     ``[1/duration, 1/(2 h)]``.  The fine DC bin is zeroed.
 
     The fine trace is never formed.  Its reads form a stationary process
-    on the ``n``-point grid whose cross-spectrum in bin ``r`` folds the
-    ``M`` aliases ``k = r + n m``::
+    on the ``n``-point grid whose spectrum in bin ``r`` folds the ``M``
+    aliases ``k = r + n m``: each read has the power ``P = mean_m P_k``,
+    and two reads at fine offsets ``a``, ``b`` the cross-spectrum::
 
-        C_ab[r] = exp(2 pi i r (a - b) / (n M))
-                  * mean_m P_k exp(2 pi i m (a - b) / M)
+        C[r] = exp(2 pi i r (b - a) / (n M))
+               * mean_m P_k exp(2 pi i m (b - a) / M)
 
-    for fine offsets ``a``, ``b``.  Independent white draws of length
-    ``n``, one per offset, are shaped per bin by the Cholesky factor of
-    ``C``, so memory stays O(n) and work O(n M).
+    Independent white draws of length ``n``, one per read, are shaped
+    per bin by the factor of ``[[P, conj(C)], [C, P]] = L L^H``,
+    ``l00 = sqrt(P)``, ``l10 = C / l00``, ``l11 = sqrt(P - |l10|^2)``
+    (zeros in a bin without power): memory stays O(n), work O(n M).
     """
+    if len(offsets) not in (1, 2):
+        raise ValueError("need one or two read offsets")
     if dt <= 0:
         raise ValueError("sample spacing must be positive")
     if duration < 2 * dt:
         raise ValueError("duration must cover at least two samples")
     if not (math.isfinite(window) and window >= 0):
         raise ValueError("averaging window must be finite and non-negative")
+    two = len(offsets) == 2
     n = int(round(duration / dt))
     aliases = max(1, round(2.0 * dt / window)) if window else 1
     h = dt / aliases
-    fine = [round(t / h) for t in offsets]
+    lag = round(offsets[-1] / h) - round(offsets[0] / h)
     n_fine = n * aliases
     bins = np.arange(n // 2 + 1)
     rng = np.random.default_rng(seed)
-    white = rng.standard_normal((len(fine), n))
+    white = rng.standard_normal((len(offsets), n))
 
     # one block of n/2 + 1 alias bins at a time
     power = np.zeros(bins.size)
-    cross = {(i, j): np.zeros(bins.size, dtype=complex)
-             for i in range(len(fine)) for j in range(i)}
+    if two:
+        cross = np.zeros(bins.size, dtype=complex)
     for m in range(aliases):
         k = bins + n * m
         f = np.minimum(k, n_fine - k) * (1.0 / (n_fine * h))
@@ -177,33 +183,22 @@ def synthesize_trace(model, duration: float, dt: float, seed,
         if m == 0:
             p[0] = 0.0
         power += p
-        for (i, j), acc in cross.items():
-            acc += p * np.exp(2j * math.pi * m * (fine[i] - fine[j]) / aliases)
+        if two:
+            cross += p * np.exp(2j * math.pi * m * lag / aliases)
     power /= aliases
-
-    # C = L L^H bin by bin (Cholesky-Banachiewicz); a bin without power
-    # gets a zero column
-    factor = {}
-    for i in range(len(fine)):
-        for j in range(i):
-            c = cross[i, j] / aliases * np.exp(
-                2j * math.pi * bins * (fine[i] - fine[j]) / n_fine)
-            for q in range(j):
-                c -= factor[i, q] * np.conj(factor[j, q])
-            factor[i, j] = np.divide(c, factor[j, j],
-                                     out=np.zeros_like(c),
-                                     where=factor[j, j] > 0)
-        diag = power - sum(np.abs(factor[i, q]) ** 2 for q in range(i))
-        factor[i, i] = np.sqrt(np.maximum(diag, 0.0))
 
     spectra = [np.fft.rfft(w) for w in white]
     del white
-    samples = np.empty((len(fine), n))
-    for i in range(len(fine)):
-        shaped = spectra[0] * factor[i, 0]
-        for j in range(1, i + 1):
-            shaped += spectra[j] * factor[i, j]
-        samples[i] = np.fft.irfft(shaped, n)
+    samples = np.empty((len(offsets), n))
+    l00 = np.sqrt(np.maximum(power, 0.0))
+    samples[0] = np.fft.irfft(spectra[0] * l00, n)
+    if two:
+        c = cross / aliases * np.exp(2j * math.pi * bins * lag / n_fine)
+        l10 = np.divide(c, l00, out=np.zeros_like(c), where=l00 > 0)
+        l11 = np.sqrt(np.maximum(power - np.abs(l10) ** 2, 0.0))
+        shaped = spectra[0] * l10
+        shaped += spectra[1] * l11
+        samples[1] = np.fft.irfft(shaped, n)
     return NoiseTrace(samples, dt)
 
 

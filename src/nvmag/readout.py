@@ -133,23 +133,24 @@ def expected_window_counts(p, cfg: ReadoutConfig, window: int):
 
 
 def sequence_signals(populations, cfg: ReadoutConfig, rng,
-                     laser_eps=(None, None),
+                     laser_eps=0.0,
                      balance_population: float = 0.5):
     """Window-level sampled ``(S_A, S_B)`` for a batch of sequences.
 
     Counts are drawn per integration window (the window sum of an
     inhomogeneous Poisson process is Poisson with the integrated mean, so
-    no per-bin sampling is needed).  ``laser_eps`` optionally holds the
-    relative laser noise at the two window positions of every sequence.
+    no per-bin sampling is needed).  ``laser_eps`` is the relative laser
+    noise at the two window positions of every sequence, anything that
+    broadcasts to ``(2, n)``.
     """
     p = np.asarray(populations, dtype=float)
     # relative laser intensity at the two windows, shared by both channels
-    gains = [np.ones(p.shape) if eps is None else 1.0 + np.asarray(eps)
-             for eps in laser_eps]
-    if any(np.any(g < 0) for g in gains):
+    gains = np.broadcast_to(1.0 + np.asarray(laser_eps, dtype=float),
+                            (2,) + p.shape)
+    if np.any(gains < 0):
         warnings.warn("laser noise drove the photon rate negative; clipping",
                       RuntimeWarning, stacklevel=2)
-        gains = [np.clip(g, 0.0, None) for g in gains]
+        gains = np.clip(gains, 0.0, None)
     n1 = poisson_counts(rng, expected_window_counts(p, cfg, 0) * gains[0])
     n2 = poisson_counts(rng, expected_window_counts(p, cfg, 1) * gains[1])
 

@@ -291,6 +291,14 @@ def _fields(value, context: str, keys: dict, required=()) -> dict:
     return out
 
 
+def _integer(value, key: str) -> int:
+    """A count or seed; ``int`` would read ``true`` as 1 and ``7.5`` as 7."""
+    if isinstance(value, bool) or (isinstance(value, float)
+                                   and not value.is_integer()):
+        raise ConfigError(f"scenario: {key} must be an integer")
+    return int(value)
+
+
 def _noise_from_mapping(channel: str, section: dict, base_dir: Path):
     if "file" in section:
         try:
@@ -336,11 +344,14 @@ def scenario_from_mapping(mapping: dict, base_dir: Path | str = ".") -> Scenario
                        ("total_time_s", "sigma1", "response_amplitude"))
         sigma1 = ana.get("sigma1")
         response = ana.get("response_amplitude")
+        schemes = mapping.get("schemes", ["B", "D"])
+        if not isinstance(schemes, list):  # a string would split into letters
+            raise ConfigError("scenario: schemes must be a list")
         scenario = Scenario(
             name=str(_require(mapping, "name", "scenario")),
-            master_seed=int(mapping.get("master_seed", 1)),
-            n_sequences=int(mapping.get("n_sequences", 2)),
-            schemes=tuple(mapping.get("schemes", ["B", "D"])),
+            master_seed=_integer(mapping.get("master_seed", 1), "master_seed"),
+            n_sequences=_integer(mapping.get("n_sequences", 2), "n_sequences"),
+            schemes=tuple(schemes),
             hamiltonian=HamiltonianParams(**_fields(
                 mapping.get("hamiltonian"), "hamiltonian", _HAMILTONIAN_KEYS)),
             sequence=sequence,

@@ -68,19 +68,25 @@ class TestValidate:
         ("", "ac_field: {amplitude_T: 0.0}\n"),
         ("", "noise: {mw_frequency: {flicker: [[1.0e+300, 1.0]]}}\n"),
         ("", "noise: {mw_amplitude: {white: 1.0e+6}}\n"),
+        ("", "n_sequences: 2000.9\n"),
+        ("", "master_seed: 7.5\n"),
+        ("", "master_seed: true\n"),
+        ("", "schemes: BD\n"),
     ], ids=["missing-psd-file", "envelope-overflow", "string-hyperfine-flag",
             "string-reference-flag", "retired-substeps-key",
             "retired-bin-width-key", "unknown-top-level-key",
             "overfull-sequence", "retired-alternate-phase-key",
             "retired-ac-field-section", "carrier-leaves-its-line",
-            "drive-changes-sign"])
+            "drive-changes-sign", "fractional-count", "fractional-seed",
+            "boolean-seed", "string-schemes"])
     def test_bad_config_exits_1(self, tmp_path, capsys, sequence, extra):
         path = tmp_path / "bad.yaml"
-        text = ("name: bad\nn_sequences: 64\n"
-                f"sequence: {{{sequence}phase_time_s: 5.0e-5, "
+        text = (f"name: bad\nsequence: {{{sequence}phase_time_s: 5.0e-5, "
                 "sequence_time_s: 1.6e-4}\n")
-        if not extra.startswith("readout"):
-            text += "readout: {photon_rate_cps: 1.0e+12}\n"
+        for key, value in (("n_sequences", "64"),
+                           ("readout", "{photon_rate_cps: 1.0e+12}")):
+            if not extra.startswith(key):
+                text += f"{key}: {value}\n"
         path.write_text(text + extra)
         assert main(["validate", "--config", str(path)]) == 1
         assert main(["scaling", "--config", str(path),
@@ -88,6 +94,9 @@ class TestValidate:
         err = capsys.readouterr().err
         if "missing.csv" in extra:
             assert "missing.csv" in err
+        for key in ("n_sequences", "master_seed", "schemes"):
+            if extra.startswith(key):
+                assert f"{key} must be" in err
         for key in ("substeps_per_period", "bin_width_s",
                     "alternate_final_phase_rad", "ac_field"):
             if key in text + extra:

@@ -196,7 +196,7 @@ class TestNoiseBudget:
                                            "reference_enabled": reference})
                 sigma1 = experiments.run_noise_budget(s).sigma1
                 series = experiments._scheme_series(
-                    s, np.zeros(n), np.zeros(n), (None, None))
+                    s, np.zeros(n), np.zeros(n), np.zeros((2, n)))
                 for scheme, sampled in series.items():
                     m = sampled.values.size
                     ratio = sampled.values.var(ddof=1) / sigma1[scheme] ** 2
@@ -372,7 +372,8 @@ class TestChunkedEcho:
     def record_chunks(self, monkeypatch, n):
         # drive errors that encode each sequence's index in its record
         def indexed(scenario, n_total):
-            return (np.arange(n_total) % n) * self.STEP, np.zeros(n_total)
+            return ((np.arange(n_total) % n) * self.STEP, np.zeros(n_total),
+                    np.zeros((2, n_total)))
 
         chunks = []
         original = sq.echo_populations
@@ -383,7 +384,7 @@ class TestChunkedEcho:
                 chunks.append((round(dg[0] / self.STEP), dg.size))
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(experiments, "_mw_error_samples", indexed)
+        monkeypatch.setattr(experiments, "_noise_record", indexed)
         monkeypatch.setattr(sq, "echo_populations", recording)
         return chunks
 

@@ -120,6 +120,25 @@ class TestSynthesis:
             error = moments[:, k].std() / np.sqrt(len(moments))
             assert abs(moments[:, k].mean() - exact) < 5 * error
 
+    def test_two_reads_at_one_offset_are_one_process(self):
+        # at lag 0 the cross-spectrum is the power itself, so both rows
+        # are one realization: l11 is only the square root of the
+        # rounding residue of P - |l10|^2, about 3e-8 of the row RMS,
+        # where a fold without the cross term leaves sqrt(2) of it
+        m = PsdModel("laser_intensity", white=1e-13,
+                     flicker=((1e-9, 1.0),), f_min=1e-2, f_max=5e4)
+        for offset, window in ((55e-6, 10e-6), (0.0, 0.0)):
+            x, y = synthesize_trace(m, 256 * 160e-6, 160e-6, 5,
+                                    (offset, offset), window).samples
+            assert np.max(np.abs(x - y)) < 1e-6 * np.sqrt(np.mean(x ** 2))
+
+    @pytest.mark.parametrize("offsets", [(), (0.0, 1e-5, 2e-5)],
+                             ids=["none", "three"])
+    def test_rejects_other_read_counts(self, offsets):
+        m = PsdModel("laser_intensity", white=1.0)
+        with pytest.raises(ValueError, match="one or two"):
+            synthesize_trace(m, 1.0, 1e-3, seed=1, offsets=offsets)
+
     def test_rejects_bad_sampling(self):
         m = PsdModel("laser_intensity", white=1.0)
         with pytest.raises(ValueError):

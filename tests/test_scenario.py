@@ -63,6 +63,14 @@ class TestLoading:
         s = scenario_from_mapping(m)
         assert s.readout.photon_rate == pytest.approx(9.3e18)
 
+    def test_integral_floats_accepted(self):
+        # YAML reads 1.0e+6 as a float; an integral one is a valid count
+        m = copy.deepcopy(MINIMAL)
+        m.update(n_sequences=1.0e+6, master_seed=7.0)
+        s = scenario_from_mapping(m)
+        assert (s.n_sequences, s.master_seed) == (1000000, 7)
+        assert type(s.n_sequences) is int and type(s.master_seed) is int
+
 
 class TestValidation:
     def test_empty_name(self):
