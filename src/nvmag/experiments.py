@@ -15,7 +15,9 @@ Schemes are computed per group: A and B share one window record (echo
 populations at the constant final phase and one photon draw, on one
 shot-noise stream), and C and D share one (alternating final phases, on
 another; see :data:`SCHEME_GROUPS`).  Requesting A or C next to B or D
-costs only the extraction.
+costs only the extraction.  The two groups differ only in the echo's
+final pulse and in the photon draw, so one echo call per chunk serves
+both: the pulses before the final one are computed once for the chunk.
 """
 
 from __future__ import annotations
@@ -86,33 +88,6 @@ def _balance_populations(scenario: Scenario) -> np.ndarray:
     return np.asarray(out)
 
 
-def _sample_window_record(scenario: Scenario, dg, df, parity, eps,
-                          stream: int, field_amplitude=0.0):
-    """Chunk-seeded window-level ``(S_A, S_B)`` of every sequence.
-
-    Sequence ``k`` runs at the final phase ``(final_phase,
-    -final_phase)[parity[k]]`` with drive errors ``dg[k]``, ``df[k]`` and
-    window laser noise ``eps[:, k]``; its echo, photon draw and signals
-    are evaluated one chunk at a time.
-    """
-    s = scenario.sequence
-    phases = np.array([s.final_phase, -s.final_phase])
-    balance = _balance_populations(scenario)
-    n = dg.size
-    s_a, s_b = np.empty(n), np.empty(n)
-    for index in range((n + CHUNK_SIZE - 1) // CHUNK_SIZE):
-        sl = slice(index * CHUNK_SIZE, min((index + 1) * CHUNK_SIZE, n))
-        populations = sequences.echo_populations(
-            s.phase_time, s.rabi, scenario.hamiltonian, dg[sl], df[sl],
-            field_amplitude=field_amplitude, decay=scenario.decay,
-            final_phase=phases[parity[sl]], m_i_values=s.m_i_values())
-        rng = np.random.default_rng(scenario.shot_seed(stream, index))
-        s_a[sl], s_b[sl] = readout.sequence_signals(
-            populations, scenario.readout, rng, eps[:, sl],
-            balance[parity[sl]])
-    return s_a, s_b
-
-
 def _scheme_series(scenario: Scenario, dg, df, eps,
                    stream_offset: int = 0, field_amplitude=0.0) -> dict:
     """Readout series of every requested scheme, keyed in scenario order.
@@ -123,21 +98,45 @@ def _scheme_series(scenario: Scenario, dg, df, eps,
     record; C and D pair-difference those of one record alternating
     between ``final_phase`` and ``-final_phase``.  B and D therefore
     never depend on whether A or C are requested.
+
+    Sequence ``k`` of a group has drive errors ``dg[k]``, ``df[k]`` and
+    window laser noise ``eps[:, k]``.  The records are evaluated one
+    chunk at a time: one echo call per chunk gives every group's
+    populations (the groups differ only in the final pulse), then each
+    group draws its photons from the chunk's own seed on its stream.
     """
     s = scenario.sequence
     n = len(dg)
+    # (stream, members, paired) of every requested group
+    groups = [(stream, members, SCHEME_SEQUENCES[members[0]] == 2)
+              for stream, members in SCHEME_GROUPS.items()
+              if any(m in scenario.schemes for m in members)]
+    phases = np.array([s.final_phase, -s.final_phase])
+    balance = _balance_populations(scenario)
+    # (S_A, S_B) per group
+    records = [(np.empty(n), np.empty(n)) for _ in groups]
+    for index in range((n + CHUNK_SIZE - 1) // CHUNK_SIZE):
+        sl = slice(index * CHUNK_SIZE, min((index + 1) * CHUNK_SIZE, n))
+        # index into (final_phase, -final_phase) per sequence and group
+        alternating = np.arange(sl.start, sl.stop) % 2
+        parity = np.stack([alternating if paired else
+                           np.zeros_like(alternating)
+                           for _, _, paired in groups])
+        populations = sequences.echo_populations(
+            s.phase_time, s.rabi, scenario.hamiltonian, dg[sl], df[sl],
+            field_amplitude=field_amplitude, decay=scenario.decay,
+            final_phase=phases[parity], m_i_values=s.m_i_values())
+        for g, (stream, _, _) in enumerate(groups):
+            rng = np.random.default_rng(
+                scenario.shot_seed(stream + stream_offset, index))
+            records[g][0][sl], records[g][1][sl] = readout.sequence_signals(
+                populations[g], scenario.readout, rng, eps[:, sl],
+                balance[parity[g]])
+
     series = {}
-    for stream, members in SCHEME_GROUPS.items():
-        if not any(m in scenario.schemes for m in members):
-            continue
-        paired = SCHEME_SEQUENCES[members[0]] == 2
-        # index into (final_phase, -final_phase) per sequence
-        parity = np.arange(n) % 2 if paired else np.zeros(n, dtype=np.int64)
-        s_a, s_b = _sample_window_record(
-            scenario, dg, df, parity, eps, stream + stream_offset,
-            field_amplitude)
+    for (_, members, paired), record in zip(groups, records):
         spacing = (2 if paired else 1) * s.sequence_time
-        for scheme, values in zip(members, (s_a, s_b)):
+        for scheme, values in zip(members, record):
             if scheme in scenario.schemes:
                 if paired:
                     values = readout.pair_difference(values)

@@ -70,6 +70,11 @@ class PsdModel:
         return out
 
     @property
+    def band(self) -> tuple[float, float]:
+        """Frequencies outside ``[lo, hi]`` have exactly zero density."""
+        return self.f_min, self.f_max
+
+    @property
     def is_zero(self) -> bool:
         return self.white == 0.0 and all(a == 0.0 for a, _ in self.flicker)
 
@@ -102,6 +107,11 @@ class TabulatedPsd:
         if np.isscalar(freqs):
             return float(out)
         return out
+
+    @property
+    def band(self) -> tuple[float, float]:
+        """Frequencies outside ``[lo, hi]`` have exactly zero density."""
+        return self.freqs[0], self.freqs[-1]
 
     @property
     def is_zero(self) -> bool:
@@ -147,7 +157,12 @@ def synthesize_trace(model, duration: float, dt: float, seed,
     Independent white draws of length ``n``, one per read, are shaped
     per bin by the factor of ``[[P, conj(C)], [C, P]] = L L^H``,
     ``l00 = sqrt(P)``, ``l10 = C / l00``, ``l11 = sqrt(P - |l10|^2)``
-    (zeros in a bin without power): memory stays O(n), work O(n M).
+    (zeros in a bin without power).
+
+    The fold skips every alias ``m >= 1`` with no bin inside
+    ``model.band``, whose density is exactly zero: its terms would add
+    zeros to sums that start at ``+0.0``, so no bit changes.  Memory
+    stays O(n), and work is O(n) per alias that overlaps the band.
     """
     if len(offsets) not in (1, 2):
         raise ValueError("need one or two read offsets")
@@ -167,13 +182,23 @@ def synthesize_trace(model, duration: float, dt: float, seed,
     rng = np.random.default_rng(seed)
     white = rng.standard_normal((len(offsets), n))
 
+    def freq(k):
+        return np.minimum(k, n_fine - k) * (1.0 / (n_fine * h))
+
+    # each alias block's frequencies are monotonic, so its end bins
+    # bound them
+    lo, hi = model.band
+    ends = freq(np.arange(aliases)[:, None] * n + [0, bins[-1]])
+    in_band = (ends.max(axis=1) >= lo) & (ends.min(axis=1) <= hi)
+
     # one block of n/2 + 1 alias bins at a time
     power = np.zeros(bins.size)
     if two:
         cross = np.zeros(bins.size, dtype=complex)
     for m in range(aliases):
-        k = bins + n * m
-        f = np.minimum(k, n_fine - k) * (1.0 / (n_fine * h))
+        if m and not in_band[m]:
+            continue
+        f = freq(bins + n * m)
         p = model.density(f)
         p /= 2.0 * h
         if window:

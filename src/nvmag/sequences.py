@@ -18,7 +18,9 @@ coupling, the pi pulse lasting twice as long, so per hyperfine block one
 the double angle).  One pair of the carrier error's detuning phase gives
 both ``a_k`` of every block, since a block's hyperfine offset and the
 field phases only rotate it by constants, and the final phase's pair is
-taken once per call.
+taken once per call.  Several final phases against the same evaluations
+(the rows of a 2-D ``final_phase``) share everything up to the final
+pulse.
 
 The only test field is that phase-locked sine
 ``B(t) = amplitude * sin(2 pi t / T)``, given by its amplitude alone.
@@ -104,16 +106,20 @@ def echo_populations(phase_time: float, rabi: float,
     amplitude of the phase-locked test field.  Populations are averaged
     over the hyperfine blocks in ``m_i_values`` (the drive is referenced
     to the ``m_I = 0`` line), and ``decay`` scales their contrast.
+
+    A 2-D ``final_phase`` of shape ``(rows, n)`` runs every row against
+    the same ``n`` evaluations and returns ``(rows, n)`` populations.
+    Everything before the final pulse is computed once; the final pulse,
+    the population and the envelope run per row on 1-D arrays, so each
+    row equals, bit for bit, a call with that row as ``final_phase``.
     """
     t_pi = pi_pulse_time(phase_time, rabi)
     half = phase_time / 2.0
     dg = np.atleast_1d(np.asarray(amplitude_error, dtype=float))
     df = np.atleast_1d(np.asarray(frequency_error, dtype=float))
     fp = np.asarray(final_phase, dtype=float)
-    if fp.ndim:
-        dg, df, fp = np.broadcast_arrays(dg, df, fp)
-    else:
-        dg, df = np.broadcast_arrays(dg, df)
+    rows = fp if fp.ndim == 2 else [fp]
+    dg, df = np.broadcast_arrays(dg, df, rows[0])[:2]
 
     # field phase of each free evolution, from the exact integral
     # A/w [cos(w t0) - cos(w (t0 + T/2))] of the locked sine; the free
@@ -126,8 +132,8 @@ def echo_populations(phase_time: float, rabi: float,
     # pulses: the pi pulse lasts twice as long as the pi/2 pulses
     b_xy = math.pi * rabi * (1.0 + dg)
     b_xy2 = b_xy * b_xy
-    # the final pulse's drive axis
-    x3, y3 = b_xy * np.cos(fp), b_xy * np.sin(fp)
+    # the final pulse's drive axis, per row
+    axes = [(b_xy * np.cos(row), b_xy * np.sin(row)) for row in rows]
     # detuning phase d = 2 pi (T/2) delta of each half, from the carrier
     # error's turns reduced to one turn; the hyperfine offset of a block
     # and the field phases only rotate it by a constant
@@ -136,7 +142,7 @@ def echo_populations(phase_time: float, rabi: float,
     d = TWO_PI * turns
     cd, sd = np.cos(d), np.sin(d)
     c2d, s2d = cd * cd - sd * sd, 2.0 * sd * cd
-    p_total = 0.0
+    p_total = [0.0] * len(axes)
     for m_i in m_i_values:
         hf = TWO_PI * half * params.hyperfine * m_i
         # a2 = d + hf + f2 and a1 + a2 = 2 (d + hf) + f1 + f2
@@ -155,10 +161,12 @@ def echo_populations(phase_time: float, rabi: float,
         g, e = spin.su2_apply(1.0 - 2.0 * s1 * s1, 2.0 * c1 * k1,
                               b_xy * (cd * r2[0] - sd * r2[1]),
                               b_xy * (sd * r2[0] + cd * r2[1]), b_z, g, e)
-        g, _ = spin.su2_apply(c1, k1, x3, y3, b_z, g, e)
-        p_total = p_total + (g.real * g.real + g.imag * g.imag)
-    p = p_total / len(m_i_values)
-    return 0.5 + (p - 0.5) * decay.envelope(phase_time)
+        for r, (x3, y3) in enumerate(axes):
+            g3, _ = spin.su2_apply(c1, k1, x3, y3, b_z, g, e)
+            p_total[r] = p_total[r] + (g3.real * g3.real + g3.imag * g3.imag)
+    envelope = decay.envelope(phase_time)
+    out = [0.5 + (p / len(m_i_values) - 0.5) * envelope for p in p_total]
+    return np.stack(out) if fp.ndim == 2 else out[0]
 
 
 def pulse_error_response(amplitude_errors, frequency_errors, *,

@@ -5,7 +5,8 @@ The package shapes white noise to a model density
 integrates one in closed form; the tests do both, with the functions
 here.  The point-sampled reads of a fine trace, which the package
 replaced by window averages synthesized on the read grid, are kept here
-as a reference too.
+as a reference too, and so is the synthesis that folds every alias,
+in band or not.
 """
 
 from __future__ import annotations
@@ -90,3 +91,48 @@ def fine_grid_covariance(model, n: int, sequence_time: float, aliases: int,
     power[0] = 0.0
     return float(np.sum(power * np.cos(2.0 * math.pi * k * lag / n_fine))
                  / n_fine)
+
+
+def full_fold_trace(model, duration: float, dt: float, seed,
+                    offsets=(0.0,), window: float = 0.0):
+    """:func:`nvmag.noise.synthesize_trace` folding all ``M`` aliases
+    ``0..M-1``, including those wholly outside the model's band; returns
+    the ``(len(offsets), n)`` samples."""
+    two = len(offsets) == 2
+    n = int(round(duration / dt))
+    aliases = max(1, round(2.0 * dt / window)) if window else 1
+    h = dt / aliases
+    lag = round(offsets[-1] / h) - round(offsets[0] / h)
+    n_fine = n * aliases
+    bins = np.arange(n // 2 + 1)
+    white = np.random.default_rng(seed).standard_normal((len(offsets), n))
+
+    power = np.zeros(bins.size)
+    cross = np.zeros(bins.size, dtype=complex)
+    for m in range(aliases):
+        k = bins + n * m
+        f = np.minimum(k, n_fine - k) * (1.0 / (n_fine * h))
+        p = model.density(f)
+        p /= 2.0 * h
+        if window:
+            avg = np.sinc(f * window)
+            avg *= avg
+            p *= avg
+        if m == 0:
+            p[0] = 0.0
+        power += p
+        cross += p * np.exp(2j * math.pi * m * lag / aliases)
+    power /= aliases
+
+    spectra = [np.fft.rfft(w) for w in white]
+    samples = np.empty((len(offsets), n))
+    l00 = np.sqrt(np.maximum(power, 0.0))
+    samples[0] = np.fft.irfft(spectra[0] * l00, n)
+    if two:
+        c = cross / aliases * np.exp(2j * math.pi * bins * lag / n_fine)
+        l10 = np.divide(c, l00, out=np.zeros_like(c), where=l00 > 0)
+        l11 = np.sqrt(np.maximum(power - np.abs(l10) ** 2, 0.0))
+        shaped = spectra[0] * l10
+        shaped += spectra[1] * l11
+        samples[1] = np.fft.irfft(shaped, n)
+    return samples

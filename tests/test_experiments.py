@@ -360,6 +360,32 @@ class TestSchemeGroups:
             npt.assert_allclose(populations[sl], echo, rtol=0, atol=1e-14)
             npt.assert_allclose(balance[sl], echo, rtol=0, atol=1e-14)
 
+    @pytest.mark.parametrize("field", [0.0, 5e-8])
+    def test_paired_even_sequences_share_the_single_echo(self, monkeypatch,
+                                                         field):
+        # both groups' populations come from one echo per chunk; C/D's
+        # even sequences run at A/B's final phase, so their populations
+        # are A/B's bit for bit
+        populations = []
+        original = readout.sequence_signals
+
+        def recording(*args, **kwargs):
+            populations.append(np.array(args[0]))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(readout, "sequence_signals", recording)
+        n = CHUNK_SIZE + 6
+        s = make_scenario(n_sequences=n, schemes=["A", "B", "C", "D"],
+                          noise=NOISY)
+        dg, df, eps = experiments._noise_record(s, n)
+        experiments._scheme_series(s, dg, df, eps, field_amplitude=field)
+        # per chunk, A/B's draw comes first, then C/D's
+        single = np.concatenate(populations[0::2])
+        paired = np.concatenate(populations[1::2])
+        assert single.size == paired.size == n
+        npt.assert_array_equal(paired[0::2], single[0::2])
+        assert not np.array_equal(paired[1::2], single[1::2])
+
 
 class TestChunkedEcho:
     """The echo is evaluated one chunk at a time, and every chunk starts
@@ -395,7 +421,7 @@ class TestChunkedEcho:
         experiments.run_scaling_experiment(s)
         record = [(0, CHUNK_SIZE), (CHUNK_SIZE, CHUNK_SIZE),
                   (2 * CHUNK_SIZE, 4096)]
-        assert chunks == 2 * record  # one record per scheme group
+        assert chunks == record  # one echo per chunk, shared by both groups
 
     def test_sweep(self, monkeypatch):
         n = CHUNK_SIZE + 2048
@@ -403,4 +429,4 @@ class TestChunkedEcho:
         s = make_scenario(n_sequences=n, schemes=["B", "D"])
         experiments.run_ac_sweep(s, [0.0, 5e-8])
         record = [(0, CHUNK_SIZE), (CHUNK_SIZE, 2048)]
-        assert chunks == 4 * record  # two amplitudes, two groups each
+        assert chunks == 2 * record  # two amplitudes, one echo per chunk

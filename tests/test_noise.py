@@ -1,11 +1,14 @@
+import math
+
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nvmag.noise import (PsdModel, TabulatedPsd, NoiseTrace, synthesize_trace,
                          cumulative_rss_descending)
 from reference_noise import (band_variance, estimate_psd,
-                             fine_grid_covariance, value_at)
+                             fine_grid_covariance, full_fold_trace, value_at)
 
 
 class TestPsdModel:
@@ -155,6 +158,91 @@ class TestSynthesis:
         tr = NoiseTrace(np.arange(10.0), dt=0.5)
         with pytest.raises(ValueError, match="outside the trace"):
             value_at(tr, [1.0, t])
+
+
+class TestBandLimitedFold:
+    """The fold skips the aliases with no bin in the model's band and
+    must give the full fold's samples bit for bit."""
+
+    T_SEQ = 160e-6
+
+    @staticmethod
+    def bits(x):
+        return np.ascontiguousarray(x).view(np.int64)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), n=st.integers(2, 40), aliases=st.integers(1, 12),
+           windowed=st.booleans(), two=st.booleans(),
+           seed=st.integers(0, 2**31 - 1))
+    def test_matches_full_fold(self, data, n, aliases, windowed, two, seed):
+        dt = self.T_SEQ
+        if not windowed:
+            aliases = 1
+        window = 2.0 * dt / aliases if windowed else 0.0
+        h = dt / aliases
+        n_fine = n * aliases
+        # the first and last bin of every alias block, by the expression
+        # the fold uses: a band edge exactly on one of them, or just
+        # beside it, decides whether that alias is folded
+        k = np.arange(aliases)[:, None] * n + [0, n // 2]
+        edges = (np.minimum(k, n_fine - k) * (1.0 / (n_fine * h))).ravel()
+        edge = data.draw(st.sampled_from(sorted(set(edges.tolist()))))
+        near = data.draw(st.sampled_from(
+            [edge, np.nextafter(edge, 0.0), np.nextafter(edge, np.inf)]))
+        top = 1.0 / (2.0 * h)
+        free = st.floats(0.0, 1.2 * top)
+        if data.draw(st.booleans(), label="tabulated"):
+            freqs = sorted(set(data.draw(st.lists(free, min_size=1,
+                                                  max_size=5)) + [near]))
+            if len(freqs) < 2:
+                freqs.append(freqs[0] + top)
+            values = data.draw(st.lists(st.floats(0.0, 4.0),
+                                        min_size=len(freqs),
+                                        max_size=len(freqs)))
+            model = TabulatedPsd("laser_intensity", tuple(freqs),
+                                 tuple(values))
+        else:
+            other = data.draw(st.one_of(free, st.just(math.inf)))
+            lo, hi = sorted((near, other))
+            if lo == hi:
+                hi = math.inf
+            model = PsdModel("laser_intensity", white=1e-3,
+                             flicker=((2e-2, 1.0),), f_min=lo, f_max=hi)
+        if two:
+            a, b = data.draw(st.tuples(st.integers(0, 2 * aliases),
+                                       st.integers(0, 2 * aliases)))
+            offsets = (a * h, b * h)
+        else:
+            offsets = (data.draw(st.integers(0, 2 * aliases)) * h,)
+        got = synthesize_trace(model, n * dt, dt, seed, offsets,
+                               window).samples
+        want = full_fold_trace(model, n * dt, dt, seed, offsets, window)
+        npt.assert_array_equal(self.bits(got), self.bits(want))
+
+    def test_baseline_laser_channel_folds_only_its_band(self):
+        # f_max = 5e4 Hz = 8 / T_seq and 32 aliases of 10 us windows:
+        # alias 8 starts on f_max (one ulp below it here), and aliases
+        # 9-23 lie wholly above it
+        model = PsdModel("laser_intensity", white=1e-13,
+                         flicker=((1e-9, 1.0),), f_min=1e-2, f_max=5e4)
+        evaluated = []
+
+        class Counting:
+            band = model.band
+
+            @staticmethod
+            def density(f):
+                evaluated.append(f.size)
+                return model.density(f)
+
+        n, window = 256, 10e-6
+        offsets = (55e-6, 145e-6)
+        got = synthesize_trace(Counting(), n * self.T_SEQ, self.T_SEQ, 3,
+                               offsets, window).samples
+        want = full_fold_trace(model, n * self.T_SEQ, self.T_SEQ, 3,
+                               offsets, window)
+        npt.assert_array_equal(self.bits(got), self.bits(want))
+        assert evaluated == [n // 2 + 1] * 17
 
 
 class TestEstimatePsd:

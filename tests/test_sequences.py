@@ -189,6 +189,37 @@ class TestSimulation:
                                 0.5 * (1 + np.cos(phi - np.pi / 2))], rtol=1e-4)
 
 
+class TestSharedEcho:
+    """A 2-D final phase runs every row against the same evaluations:
+    the rows share the pulses before the final one, and each row equals
+    the call with that row alone, bit for bit (the scheme groups' echo
+    in :func:`nvmag.experiments._scheme_series`)."""
+
+    @pytest.mark.parametrize("n", [1, 7, 8, 3616, 16389])
+    @pytest.mark.parametrize("field", [0.0, 3e-8])
+    @pytest.mark.parametrize("decay", [CoherenceDecay(),
+                                       CoherenceDecay(t2=100e-6)])
+    @pytest.mark.parametrize("m_i_values", [(1, 0, -1), (0,)])
+    def test_rows_equal_one_call_per_row(self, params, n, field, decay,
+                                         m_i_values):
+        r = np.random.default_rng(n)
+        dg = r.normal(size=n) * 1e-3
+        df = r.normal(size=n) * 1e4
+        phase = np.pi / 2
+        # the constant final phase of A/B and the alternating one of C/D
+        final = np.stack([np.full(n, phase),
+                          np.where(np.arange(n) % 2, -phase, phase)])
+        kwargs = dict(field_amplitude=field, decay=decay,
+                      m_i_values=m_i_values)
+        shared = echo_populations(PHASE_TIME, RABI, params, dg, df,
+                                  final_phase=final, **kwargs)
+        assert shared.shape == (2, n)
+        for row, p in zip(final, shared):
+            alone = echo_populations(PHASE_TIME, RABI, params, dg, df,
+                                     final_phase=row, **kwargs)
+            npt.assert_array_equal(p, alone)
+
+
 class TestAgainstStagewiseEcho:
     """The three shared-trigonometry rotations against the five stages
     propagated one by one, each pulse the exponential of its own
