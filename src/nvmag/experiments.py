@@ -266,9 +266,10 @@ def run_scaling_experiment(scenario: Scenario, out_dir=None) -> ScalingResult:
     """
     started = utc_now()
     n = scenario.n_sequences
-    dg, df, eps = _noise_record(scenario, n)
     out = {}
-    for scheme, series in _scheme_series(scenario, dg, df, eps).items():
+    # the noise record is freed once the series are drawn
+    for scheme, series in _scheme_series(
+            scenario, *_noise_record(scenario, n)).items():
         grid = analysis.default_time_grid(series.values.size, series.spacing)
         out[scheme] = SchemeScaling(
             series=series,
@@ -280,11 +281,16 @@ def run_scaling_experiment(scenario: Scenario, out_dir=None) -> ScalingResult:
     result = ScalingResult(out)
     if out_dir is not None:
         tables = {}
+        # schemes of one spacing (A/B, C/D) share their index and time
+        # columns
+        axes = {}
         for scheme, sc in out.items():
+            if sc.series.spacing not in axes:
+                axes[sc.series.spacing] = [np.arange(sc.series.values.size),
+                                           sc.series.times()]
             tables[f"series_{scheme}.csv"] = (
                 ["index", "time_s", "value"],
-                [np.arange(sc.series.values.size), sc.series.times(),
-                 sc.series.values])
+                [*axes[sc.series.spacing], sc.series.values])
             for curve, tag in ((sc.allan, "allan"), (sc.std, "std")):
                 tables[f"{tag}_{scheme}.csv"] = (
                     ["tau_s", "deviation", "deviation_T"],

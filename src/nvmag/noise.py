@@ -10,7 +10,9 @@ matches the band integral of the model.  A process read at one or two
 offsets per sample spacing, averaged over a window (the laser noise of
 the two integration windows), is drawn on the read grid from the
 spectrum of the finer trace folded onto it, through the closed 2x2
-factor of the two reads' covariance.
+factor of the two reads' covariance.  A synthesis holds the white
+spectra of its rows, its output and the temporaries of one block of
+``_BLOCK_BINS`` frequency bins, which it folds and shapes at a time.
 """
 
 from __future__ import annotations
@@ -21,6 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 CHANNELS = ("laser_intensity", "mw_amplitude", "mw_frequency")
+#: rFFT bins that :func:`synthesize_trace` folds and shapes at once
+_BLOCK_BINS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -161,8 +165,11 @@ def synthesize_trace(model, duration: float, dt: float, seed,
 
     The fold skips every alias ``m >= 1`` with no bin inside
     ``model.band``, whose density is exactly zero: its terms would add
-    zeros to sums that start at ``+0.0``, so no bit changes.  Memory
-    stays O(n), and work is O(n) per alias that overlaps the band.
+    zeros to sums that start at ``+0.0``, so no bit changes.  Work is
+    O(n) per alias that overlaps the band.  The fold and the shaping go
+    one block of ``_BLOCK_BINS`` bins at a time, in place, so the
+    transient memory is the white spectra of the rows, the output and
+    one block's temporaries.
     """
     if len(offsets) not in (1, 2):
         raise ValueError("need one or two read offsets")
@@ -178,9 +185,10 @@ def synthesize_trace(model, duration: float, dt: float, seed,
     h = dt / aliases
     lag = round(offsets[-1] / h) - round(offsets[0] / h)
     n_fine = n * aliases
-    bins = np.arange(n // 2 + 1)
+    n_bins = n // 2 + 1
     rng = np.random.default_rng(seed)
-    white = rng.standard_normal((len(offsets), n))
+    # one white row at a time gives the stream of one (rows, n) draw
+    spectra = [np.fft.rfft(rng.standard_normal(n)) for _ in offsets]
 
     def freq(k):
         return np.minimum(k, n_fine - k) * (1.0 / (n_fine * h))
@@ -188,42 +196,49 @@ def synthesize_trace(model, duration: float, dt: float, seed,
     # each alias block's frequencies are monotonic, so its end bins
     # bound them
     lo, hi = model.band
-    ends = freq(np.arange(aliases)[:, None] * n + [0, bins[-1]])
+    ends = freq(np.arange(aliases)[:, None] * n + [0, n_bins - 1])
     in_band = (ends.max(axis=1) >= lo) & (ends.min(axis=1) <= hi)
+    folded = [m for m in range(aliases) if m == 0 or in_band[m]]
 
-    # one block of n/2 + 1 alias bins at a time
-    power = np.zeros(bins.size)
-    if two:
-        cross = np.zeros(bins.size, dtype=complex)
-    for m in range(aliases):
-        if m and not in_band[m]:
-            continue
-        f = freq(bins + n * m)
-        p = model.density(f)
-        p /= 2.0 * h
-        if window:
-            avg = np.sinc(f * window)
-            avg *= avg
-            p *= avg
-        if m == 0:
-            p[0] = 0.0
-        power += p
+    def shape(block):
+        # fold the bins of ``block``, then shape both white spectra there
+        # in place; row 1 reads row 0's white spectrum, so it goes first
+        bins = np.arange(block.start, block.stop)
+        power = np.zeros(bins.size)
         if two:
-            cross += p * np.exp(2j * math.pi * m * lag / aliases)
-    power /= aliases
+            cross = np.zeros(bins.size, dtype=complex)
+        for m in folded:
+            f = freq(bins + n * m)
+            p = model.density(f)
+            p /= 2.0 * h
+            if window:
+                avg = np.sinc(f * window)
+                avg *= avg
+                p *= avg
+            if m == 0 and block.start == 0:
+                p[0] = 0.0
+            power += p
+            if two:
+                cross += p * np.exp(2j * math.pi * m * lag / aliases)
+        power /= aliases
 
-    spectra = [np.fft.rfft(w) for w in white]
-    del white
+        l00 = np.sqrt(np.maximum(power, 0.0))
+        if two:
+            c = cross / aliases * np.exp(2j * math.pi * bins * lag / n_fine)
+            l10 = np.divide(c, l00, out=np.zeros_like(c), where=l00 > 0)
+            l11 = np.sqrt(np.maximum(power - np.abs(l10) ** 2, 0.0))
+            s1 = spectra[1][block]
+            s1 *= l11
+            s1 += spectra[0][block] * l10
+        spectra[0][block] *= l00
+
+    # the block's temporaries are freed before the next one is folded
+    for start in range(0, n_bins, _BLOCK_BINS):
+        shape(slice(start, min(start + _BLOCK_BINS, n_bins)))
+
     samples = np.empty((len(offsets), n))
-    l00 = np.sqrt(np.maximum(power, 0.0))
-    samples[0] = np.fft.irfft(spectra[0] * l00, n)
-    if two:
-        c = cross / aliases * np.exp(2j * math.pi * bins * lag / n_fine)
-        l10 = np.divide(c, l00, out=np.zeros_like(c), where=l00 > 0)
-        l11 = np.sqrt(np.maximum(power - np.abs(l10) ** 2, 0.0))
-        shaped = spectra[0] * l10
-        shaped += spectra[1] * l11
-        samples[1] = np.fft.irfft(shaped, n)
+    for row, spectrum in enumerate(spectra):
+        np.fft.irfft(spectrum, n, out=samples[row])
     return NoiseTrace(samples, dt)
 
 

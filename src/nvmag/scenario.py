@@ -20,6 +20,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -116,6 +117,10 @@ class Scenario:
             raise ConfigError("scenario name must hold no NUL and keep its "
                               "default output directory '<name>-error-"
                               "scaling' within 255 bytes")
+        if any(sep and sep in self.name for sep in (os.sep, os.altsep)):
+            raise ConfigError("scenario name must hold no path separator, "
+                              "so its default output directory stays "
+                              "inside out/")
         if self.master_seed < 0:
             raise ConfigError("master_seed must be non-negative")
         if not self.schemes:

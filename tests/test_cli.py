@@ -129,6 +129,28 @@ class TestValidate:
             assert main(["error-scaling", "--config", str(path)]) == 0
             assert (tmp_path / "out" / f"{name}-error-scaling").is_dir()
 
+    # a name holding a path separator passed validate, and the default
+    # directory out/<name>-<command> then left out/: one level up, or
+    # anywhere on disk for an absolute name
+    @pytest.mark.parametrize("name", ["../escaped", "nested/name", None],
+                             ids=["parent", "nested", "absolute"])
+    def test_name_must_keep_the_default_directory_in_out(
+            self, tmp_path, monkeypatch, capsys, name):
+        if name is None:
+            name = str(tmp_path / "escaped")
+        mapping = yaml.safe_load(SCENARIO_FILE.read_text())
+        mapping["name"] = name
+        path = tmp_path / "named.yaml"
+        path.write_text(yaml.safe_dump(mapping))
+        run = tmp_path / "run"
+        run.mkdir()
+        monkeypatch.chdir(run)
+        assert main(["validate", "--config", str(path)]) == 1
+        assert main(["sensitivity", "--config", str(path)]) == 1
+        assert "scenario name" in capsys.readouterr().err
+        assert sorted(tmp_path.iterdir()) == [path, run]
+        assert not any(run.iterdir())
+
     # each of these made the sweep exit 2, or fit two parameters to one
     # point and exit 0
     @pytest.mark.parametrize("args", [

@@ -1,12 +1,17 @@
 import math
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from nvmag import noise
 from nvmag.noise import (PsdModel, TabulatedPsd, NoiseTrace, synthesize_trace,
                          cumulative_rss_descending)
+from nvmag.scenario import load_scenario
+
+from conftest import SCENARIO_FILE
 from reference_noise import (band_variance, estimate_psd,
                              fine_grid_covariance, full_fold_trace, value_at)
 
@@ -159,10 +164,36 @@ class TestSynthesis:
         with pytest.raises(ValueError, match="outside the trace"):
             value_at(tr, [1.0, t])
 
+    # the transient is the white spectra (as large as the output), the
+    # output and one block, so it falls toward 2x the output as n grows;
+    # folding the whole spectrum at once peaked near 6.5x
+    @pytest.mark.parametrize("channel", ["laser_intensity", "mw_amplitude"])
+    def test_peak_memory_stays_near_the_output(self, channel):
+        scenario = load_scenario(SCENARIO_FILE)
+        cfg, s = scenario.readout, scenario.sequence
+        if channel == "laser_intensity":
+            offsets = (s.echo_time + cfg.window_time / 2.0,
+                       s.echo_time + cfg.laser_time - cfg.window_time / 2.0)
+            window = cfg.window_time
+        else:
+            offsets, window = (0.0,), 0.0
+        n = 2**18
+        tracemalloc.start()
+        try:
+            samples = synthesize_trace(
+                scenario.noise[channel], n * s.sequence_time,
+                s.sequence_time, 5, offsets, window).samples
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert samples.shape == (len(offsets), n)
+        assert peak <= 2.5 * samples.nbytes
+
 
 class TestBandLimitedFold:
-    """The fold skips the aliases with no bin in the model's band and
-    must give the full fold's samples bit for bit."""
+    """The fold skips the aliases with no bin in the model's band, goes
+    one block of bins at a time, and must give the full fold's samples
+    bit for bit."""
 
     T_SEQ = 160e-6
 
@@ -214,12 +245,16 @@ class TestBandLimitedFold:
             offsets = (a * h, b * h)
         else:
             offsets = (data.draw(st.integers(0, 2 * aliases)) * h,)
-        got = synthesize_trace(model, n * dt, dt, seed, offsets,
-                               window).samples
         want = full_fold_trace(model, n * dt, dt, seed, offsets, window)
-        npt.assert_array_equal(self.bits(got), self.bits(want))
+        # small blocks put block edges inside the 2-21 bins of these traces
+        for block in (1, 2, 5, 7, noise._BLOCK_BINS):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(noise, "_BLOCK_BINS", block)
+                got = synthesize_trace(model, n * dt, dt, seed, offsets,
+                                       window).samples
+            npt.assert_array_equal(self.bits(got), self.bits(want))
 
-    def test_baseline_laser_channel_folds_only_its_band(self):
+    def test_baseline_laser_channel_folds_only_its_band(self, monkeypatch):
         # f_max = 5e4 Hz = 8 / T_seq and 32 aliases of 10 us windows:
         # alias 8 starts on f_max (one ulp below it here), and aliases
         # 9-23 lie wholly above it
@@ -237,12 +272,18 @@ class TestBandLimitedFold:
 
         n, window = 256, 10e-6
         offsets = (55e-6, 145e-6)
-        got = synthesize_trace(Counting(), n * self.T_SEQ, self.T_SEQ, 3,
-                               offsets, window).samples
+        bins = n // 2 + 1
         want = full_fold_trace(model, n * self.T_SEQ, self.T_SEQ, 3,
                                offsets, window)
-        npt.assert_array_equal(self.bits(got), self.bits(want))
-        assert evaluated == [n // 2 + 1] * 17
+        # one block of all 129 bins, then blocks of 50, 50 and 29
+        for block in (noise._BLOCK_BINS, 50):
+            monkeypatch.setattr(noise, "_BLOCK_BINS", block)
+            evaluated.clear()
+            got = synthesize_trace(Counting(), n * self.T_SEQ, self.T_SEQ, 3,
+                                   offsets, window).samples
+            npt.assert_array_equal(self.bits(got), self.bits(want))
+            assert evaluated == [size for start in range(0, bins, block)
+                                 for size in [min(block, bins - start)] * 17]
 
 
 class TestEstimatePsd:
