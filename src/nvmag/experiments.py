@@ -18,16 +18,28 @@ another; see :data:`SCHEME_GROUPS`).  Requesting A or C next to B or D
 costs only the extraction.  The two groups differ only in the echo's
 final pulse and in the photon draw, so one echo call per chunk serves
 both: the pulses before the final one are computed once for the chunk.
+C and D are pair-differenced chunk by chunk, so no full-length window
+record is kept.
+
+All numpy work stays in the calling process.  The scaling run's
+``series_<scheme>.csv`` tables are formatted meanwhile on the other
+usable CPUs: :func:`run_scaling_experiment` forks their formatters (an
+:class:`nvmag.io.SeriesStream`) before the noise record, publishes each
+chunk's rows to them, and joins them when it writes its tables.  The
+bytes of every table do not depend on the number of CPUs.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
-from . import analysis, filters, noise as _noise, readout, sequences
+from . import (analysis, filters, io as _io, noise as _noise, readout,
+               sequences)
 from .readout import ReadoutSeries, SCHEME_SEQUENCES
 from .scenario import Scenario, CHUNK_SIZE, utc_now, write_run
 
@@ -89,7 +101,8 @@ def _balance_populations(scenario: Scenario) -> np.ndarray:
 
 
 def _scheme_series(scenario: Scenario, dg, df, eps,
-                   stream_offset: int = 0, field_amplitude=0.0) -> dict:
+                   stream_offset: int = 0, field_amplitude=0.0,
+                   tables=None) -> dict:
     """Readout series of every requested scheme, keyed in scenario order.
 
     Each scheme group is drawn once: one window record (populations and
@@ -103,7 +116,10 @@ def _scheme_series(scenario: Scenario, dg, df, eps,
     window laser noise ``eps[:, k]``.  The records are evaluated one
     chunk at a time: one echo call per chunk gives every group's
     populations (the groups differ only in the final pulse), then each
-    group draws its photons from the chunk's own seed on its stream.
+    group draws its photons from the chunk's own seed on its stream, and
+    C and D are pair-differenced chunk by chunk.  Given an
+    :class:`nvmag.io.SeriesStream` keyed by scheme as ``tables``, the
+    series are its values, and each chunk's rows are published to it.
     """
     s = scenario.sequence
     n = len(dg)
@@ -113,8 +129,9 @@ def _scheme_series(scenario: Scenario, dg, df, eps,
               if any(m in scenario.schemes for m in members)]
     phases = np.array([s.final_phase, -s.final_phase])
     balance = _balance_populations(scenario)
-    # (S_A, S_B) per group
-    records = [(np.empty(n), np.empty(n)) for _ in groups]
+    values = {scheme: np.empty(n // SCHEME_SEQUENCES[scheme])
+              if tables is None else tables.values(scheme)
+              for scheme in scenario.schemes}
     for index in range((n + CHUNK_SIZE - 1) // CHUNK_SIZE):
         sl = slice(index * CHUNK_SIZE, min((index + 1) * CHUNK_SIZE, n))
         # index into (final_phase, -final_phase) per sequence and group
@@ -126,22 +143,23 @@ def _scheme_series(scenario: Scenario, dg, df, eps,
             s.phase_time, s.rabi, scenario.hamiltonian, dg[sl], df[sl],
             field_amplitude=field_amplitude, decay=scenario.decay,
             final_phase=phases[parity], m_i_values=s.m_i_values())
-        for g, (stream, _, _) in enumerate(groups):
+        for g, (stream, members, paired) in enumerate(groups):
             rng = np.random.default_rng(
                 scenario.shot_seed(stream + stream_offset, index))
-            records[g][0][sl], records[g][1][sl] = readout.sequence_signals(
+            signals = readout.sequence_signals(
                 populations[g], scenario.readout, rng, eps[:, sl],
                 balance[parity[g]])
+            rows = slice(sl.start // 2, sl.stop // 2) if paired else sl
+            for scheme, signal in zip(members, signals):
+                if scheme in values:
+                    values[scheme][rows] = (readout.pair_difference(signal)
+                                            if paired else signal)
+                    if tables is not None:
+                        tables.publish(scheme, rows.stop)
 
-    series = {}
-    for (_, members, paired), record in zip(groups, records):
-        spacing = (2 if paired else 1) * s.sequence_time
-        for scheme, values in zip(members, record):
-            if scheme in scenario.schemes:
-                if paired:
-                    values = readout.pair_difference(values)
-                series[scheme] = ReadoutSeries(values, spacing, scheme)
-    return {scheme: series[scheme] for scheme in scenario.schemes}
+    return {scheme: ReadoutSeries(
+        v, SCHEME_SEQUENCES[scheme] * s.sequence_time, scheme)
+        for scheme, v in values.items()}
 
 
 def error_conversion_slopes(scenario: Scenario, dg=3e-4, df=30.0):
@@ -263,41 +281,59 @@ def run_scaling_experiment(scenario: Scenario, out_dir=None) -> ScalingResult:
     The test field is off: the run probes how the per-evaluation
     deviation averages down, with correlated microwave and laser noise
     sampled across sequences from the scenario's spectral models.
+
+    With ``out_dir``, the ``series_<scheme>.csv`` tables are formatted by
+    an :class:`nvmag.io.SeriesStream` on the spare CPUs while the series
+    and the estimators are computed here, and written with the rest.
     """
     started = utc_now()
     n = scenario.n_sequences
-    out = {}
-    # the noise record is freed once the series are drawn
-    for scheme, series in _scheme_series(
-            scenario, *_noise_record(scenario, n)).items():
-        grid = analysis.default_time_grid(series.values.size, series.spacing)
-        out[scheme] = SchemeScaling(
-            series=series,
-            allan=analysis.allan_deviation(series.values, series.spacing, grid),
-            std=analysis.std_vs_time(series.values, series.spacing, grid),
-            response_per_tesla=scenario.field_response(scheme),
-        )
-
-    result = ScalingResult(out)
-    if out_dir is not None:
-        tables = {}
-        # schemes of one spacing (A/B, C/D) share their index and time
-        # columns
-        axes = {}
-        for scheme, sc in out.items():
-            if sc.series.spacing not in axes:
-                axes[sc.series.spacing] = [np.arange(sc.series.values.size),
-                                           sc.series.times()]
-            tables[f"series_{scheme}.csv"] = (
-                ["index", "time_s", "value"],
-                [*axes[sc.series.spacing], sc.series.values])
-            for curve, tag in ((sc.allan, "allan"), (sc.std, "std")):
-                tables[f"{tag}_{scheme}.csv"] = (
-                    ["tau_s", "deviation", "deviation_T"],
-                    [curve.times, curve.values,
-                     curve.values / sc.response_per_tesla])
-        result.outputs = write_run(scenario, out_dir, started, tables)
+    t_seq = scenario.sequence.sequence_time
+    series_tables = contextlib.nullcontext() if out_dir is None else \
+        _io.SeriesStream({scheme: (
+            Path(out_dir) / f"series_{scheme}.csv",
+            n // SCHEME_SEQUENCES[scheme], SCHEME_SEQUENCES[scheme] * t_seq)
+            for scheme in scenario.schemes})
+    with series_tables as stream:
+        out = {}
+        # the noise record is freed once the series are drawn
+        for scheme, series in _scheme_series(
+                scenario, *_noise_record(scenario, n), tables=stream).items():
+            grid = analysis.default_time_grid(series.values.size,
+                                              series.spacing)
+            out[scheme] = SchemeScaling(
+                series=series,
+                allan=analysis.allan_deviation(series.values, series.spacing,
+                                               grid),
+                std=analysis.std_vs_time(series.values, series.spacing, grid),
+                response_per_tesla=scenario.field_response(scheme),
+            )
+        result = ScalingResult(out)
+        if out_dir is not None:
+            result.outputs = write_run(scenario, out_dir, started,
+                                       _scaling_tables(out), stream=stream)
     return result
+
+
+def _scaling_tables(schemes: dict) -> dict:
+    """The series, Allan and std tables of every scheme, for
+    :func:`nvmag.scenario.write_run`."""
+    tables = {}
+    # schemes of one spacing (A/B, C/D) share their index and time columns
+    axes = {}
+    for scheme, sc in schemes.items():
+        if sc.series.spacing not in axes:
+            axes[sc.series.spacing] = [np.arange(sc.series.values.size),
+                                       sc.series.times()]
+        tables[f"series_{scheme}.csv"] = (
+            ["index", "time_s", "value"],
+            [*axes[sc.series.spacing], sc.series.values])
+        for curve, tag in ((sc.allan, "allan"), (sc.std, "std")):
+            tables[f"{tag}_{scheme}.csv"] = (
+                ["tau_s", "deviation", "deviation_T"],
+                [curve.times, curve.values,
+                 curve.values / sc.response_per_tesla])
+    return tables
 
 
 # ---------------------------------------------------------------------------

@@ -46,10 +46,11 @@ def poisson_counts(rng: np.random.Generator, mean) -> np.ndarray:
     floats, which hold every count below 2**53 exactly and cannot wrap
     around the way an integer cast of a huge mean does."""
     mean = np.asarray(mean, dtype=float)
-    out = np.empty(mean.shape)
     small = mean < GAUSSIAN_COUNT_THRESHOLD
-    if small.any():
-        out[small] = rng.poisson(mean[small])
+    if not small.any():  # every mean in the Gaussian limit: no gather
+        return np.round(mean + np.sqrt(mean) * rng.standard_normal(mean.shape))
+    out = np.empty(mean.shape)
+    out[small] = rng.poisson(mean[small])
     big = ~small
     if big.any():
         m = mean[big]

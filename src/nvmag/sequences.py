@@ -161,8 +161,12 @@ def echo_populations(phase_time: float, rabi: float,
         g, e = spin.su2_apply(1.0 - 2.0 * s1 * s1, 2.0 * c1 * k1,
                               b_xy * (cd * r2[0] - sd * r2[1]),
                               b_xy * (sd * r2[0] + cd * r2[1]), b_z, g, e)
+        # the final pulse: only its m_S = 0 amplitude is read, so the
+        # first output of su2_apply is written out, and its term in the
+        # amplitude g, the same for every row, is taken once
+        a_g = (c1 - 1j * (k1 * b_z)) * g
         for r, (x3, y3) in enumerate(axes):
-            g3, _ = spin.su2_apply(c1, k1, x3, y3, b_z, g, e)
+            g3 = a_g + ((-k1) * (y3 + 1j * x3)) * e
             p_total[r] = p_total[r] + (g3.real * g3.real + g3.imag * g3.imag)
     envelope = decay.envelope(phase_time)
     out = [0.5 + (p / len(m_i_values) - 0.5) * envelope for p in p_total]

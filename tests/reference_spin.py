@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from nvmag.spin import NUCLEAR_LEVELS, TWO_PI, HamiltonianParams
+from nvmag.spin import NUCLEAR_LEVELS, TWO_PI, HamiltonianParams, su2_apply
 
 ELECTRON_LEVELS = (1, 0, -1)
 
@@ -410,3 +410,54 @@ def echo_populations_stagewise(phase_time: float, rabi: float,
     if decay is not None:
         p = 0.5 + (p - 0.5) * decay.envelope(phase_time)
     return p
+
+
+def echo_populations_su2(phase_time: float, rabi: float,
+                         params: HamiltonianParams, amplitude_error=0.0,
+                         frequency_error=0.0, field_amplitude=0.0,
+                         decay=None, *, final_phase=math.pi / 2,
+                         m_i_values=NUCLEAR_LEVELS) -> np.ndarray:
+    """:func:`nvmag.sequences.echo_populations` with its final pulse
+    through :func:`nvmag.spin.su2_apply` like the first two, which also
+    computes the excited amplitude that the population never reads: the
+    form the written-out final pulse is held to bit for bit."""
+    t_pi = 1.0 / (2.0 * rabi)
+    half = phase_time / 2.0
+    dg = np.atleast_1d(np.asarray(amplitude_error, dtype=float))
+    df = np.atleast_1d(np.asarray(frequency_error, dtype=float))
+    fp = np.asarray(final_phase, dtype=float)
+    rows = fp if fp.ndim == 2 else [fp]
+    dg, df = np.broadcast_arrays(dg, df, rows[0])[:2]
+    w = TWO_PI * (1.0 / phase_time)
+    f1, f2 = (TWO_PI * params.gamma_e * (field_amplitude / w * (
+        math.cos(w * t0) - math.cos(w * (t0 + half)))) for t0 in (0.0, half))
+    b_xy = math.pi * rabi * (1.0 + dg)
+    b_xy2 = b_xy * b_xy
+    axes = [(b_xy * np.cos(row), b_xy * np.sin(row)) for row in rows]
+    turns = half * df
+    turns -= np.rint(turns)
+    d = TWO_PI * turns
+    cd, sd = np.cos(d), np.sin(d)
+    c2d, s2d = cd * cd - sd * sd, 2.0 * sd * cd
+    p_total = [0.0] * len(axes)
+    for m_i in m_i_values:
+        hf = TWO_PI * half * params.hyperfine * m_i
+        r2 = (math.cos(hf + f2), math.sin(hf + f2))
+        r12 = (math.cos(2.0 * hf + f1 + f2), math.sin(2.0 * hf + f1 + f2))
+        b_z = math.pi * (df + params.hyperfine * m_i)
+        norm = np.sqrt(b_xy2 + b_z * b_z)
+        theta = norm * (t_pi / 2.0)
+        c1, s1 = np.cos(theta), np.sin(theta)
+        k1 = np.divide(s1, norm, out=np.full(norm.shape, t_pi / 2.0),
+                       where=norm > 0.0)
+        g, e = su2_apply(c1, k1, b_xy * (c2d * r12[0] - s2d * r12[1]),
+                         b_xy * (s2d * r12[0] + c2d * r12[1]), b_z, 1.0, 0.0)
+        g, e = su2_apply(1.0 - 2.0 * s1 * s1, 2.0 * c1 * k1,
+                         b_xy * (cd * r2[0] - sd * r2[1]),
+                         b_xy * (sd * r2[0] + cd * r2[1]), b_z, g, e)
+        for r, (x3, y3) in enumerate(axes):
+            g3, _ = su2_apply(c1, k1, x3, y3, b_z, g, e)
+            p_total[r] = p_total[r] + (g3.real * g3.real + g3.imag * g3.imag)
+    envelope = 1.0 if decay is None else decay.envelope(phase_time)
+    out = [0.5 + (p / len(m_i_values) - 0.5) * envelope for p in p_total]
+    return np.stack(out) if fp.ndim == 2 else out[0]

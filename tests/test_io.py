@@ -106,17 +106,54 @@ def test_write_table_bytes_do_not_depend_on_cpus(n_rows, cpus, tmp_path,
 def test_write_table_failure_leaves_no_worker_or_part(failing, cpus,
                                                       tmp_path, monkeypatch):
     _use_cpus(monkeypatch, cpus)
-    real_write_rows = _io._write_rows
+    real_take = _io._RowQueue.take
+    parent = os.getpid()
 
-    def failing_write_rows(fh, cols, row_fmt, start, stop):
-        if (start == 0) == (failing == "parent"):
+    # a worker takes rows as soon as it is forked, and the parent when it
+    # joins, whether or not rows are left
+    def failing_take(queue, taker, limit=None):
+        if (os.getpid() == parent) == (failing == "parent"):
             raise OSError("injected")
-        real_write_rows(fh, cols, row_fmt, start, stop)
+        real_take(queue, taker, limit)
 
-    monkeypatch.setattr(_io, "_write_rows", failing_write_rows)
+    monkeypatch.setattr(_io._RowQueue, "take", failing_take)
     n_rows = 3 * 4096 + 1
     expected = RuntimeError if failing == "worker" else OSError
     with pytest.raises(expected):
         _io.write_table(tmp_path / "t.csv", ["x", "y"],
                         [np.arange(n_rows), np.ones(n_rows)])
+    _assert_nothing_left(tmp_path)
+
+
+@pytest.mark.parametrize("workers_fail", [False, True])
+def test_write_table_takes_blocks_while_the_queue_is_full(
+        workers_fail, tmp_path, monkeypatch):
+    # one row per block: 20000 queue items, more than a pipe holds (8192
+    # at Linux's default 64 KiB), so the writer takes blocks itself while
+    # it queues; it ends even with every worker gone
+    _use_cpus(monkeypatch, 3)
+    monkeypatch.setattr(_io, "_BLOCK_ROWS", 1)
+    real_take = _io._RowQueue.take
+    parent = os.getpid()
+    taken_while_queueing = []
+
+    def take(queue, taker, limit=None):
+        if os.getpid() == parent:
+            taken_while_queueing.append(limit is not None)
+        elif workers_fail:
+            raise OSError("injected")
+        real_take(queue, taker, limit)
+
+    monkeypatch.setattr(_io._RowQueue, "take", take)
+    n_rows = 20000
+    cols = [np.arange(n_rows), np.linspace(0.0, 1.0, n_rows)]
+    if workers_fail:
+        with pytest.raises(RuntimeError):
+            _io.write_table(tmp_path / "t.csv", ["i", "x"], cols)
+        assert any(taken_while_queueing)
+    else:
+        path = _io.write_table(tmp_path / "t.csv", ["i", "x"], cols)
+        np.savetxt(tmp_path / "ref.csv", np.column_stack(cols),
+                   delimiter=",", header="i,x", comments="", fmt="%.12g")
+        assert path.read_bytes() == (tmp_path / "ref.csv").read_bytes()
     _assert_nothing_left(tmp_path)

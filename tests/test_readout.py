@@ -3,7 +3,8 @@ import numpy.testing as npt
 import pytest
 
 from nvmag import sequences as sq
-from nvmag.readout import (ReadoutConfig, sequence_signals, pair_difference,
+from nvmag.readout import (GAUSSIAN_COUNT_THRESHOLD, ReadoutConfig,
+                           sequence_signals, pair_difference,
                            expected_window_counts, poisson_counts,
                            signal_response_per_tesla, window_dip_fraction)
 from reference_readout import (ReadoutRecord, bin_centres, bin_count,
@@ -124,6 +125,34 @@ class TestSampling:
         assert counts[0] == pytest.approx(1e30, rel=1e-12)
         assert counts[1] == pytest.approx(1e13, rel=1e-5)
         assert counts[2] == np.round(counts[2]) >= 0
+
+    @pytest.mark.parametrize("mean", [
+        [2e12, 5e13, 1e30], np.full((2, 3), 3e12),    # all Gaussian
+        [0.0, 5.0, 1e6, 9.9e11], np.full((2, 3), 4.0),  # all exact
+        [5.0, 2e12, 0.0, 1e30, 7e11], [[1e13, 3.0], [2.0, 1e12]],  # mixed
+        [], 2e12, 5.0])
+    def test_draws_equal_the_masked_form(self, mean):
+        # the draws of one gather per regime and a scatter back, bit for
+        # bit, on the same stream; all-Gaussian means skip the gather
+        def masked(rng, mean):
+            mean = np.asarray(mean, dtype=float)
+            out = np.empty(mean.shape)
+            small = mean < GAUSSIAN_COUNT_THRESHOLD
+            if small.any():
+                out[small] = rng.poisson(mean[small])
+            big = ~small
+            if big.any():
+                m = mean[big]
+                out[big] = np.round(m + np.sqrt(m) * rng.standard_normal(
+                    m.shape))
+            return out
+
+        got_rng, want_rng = np.random.default_rng(3), np.random.default_rng(3)
+        for _ in range(2):  # the stream is left where it was left before
+            got = poisson_counts(got_rng, mean)
+            want = masked(want_rng, mean)
+            assert np.shape(got) == want.shape
+            npt.assert_array_equal(got, want)
 
 
 class TestDifferenceDetector:

@@ -8,7 +8,8 @@ from nvmag.sequences import (CoherenceDecay, analytic_echo_phase,
                              pi_pulse_time, echo_populations,
                              pulse_error_response)
 from reference_spin import (AcField, echo_populations_stagewise,
-                            locked_field, simulate_full)
+                            echo_populations_su2, locked_field,
+                            simulate_full)
 
 PHASE_TIME = 50e-6
 RABI = 5e6
@@ -262,6 +263,54 @@ class TestAgainstStagewiseEcho:
                                               m_i_values=(0,))
             npt.assert_array_equal(got, [1.0])
             npt.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+class TestFinalPulseWrittenOut:
+    """The final pulse computes only the ``m_S = 0`` amplitude, the one
+    the population reads; the populations equal, bit for bit, those of
+    that pulse through ``su2_apply``, which also computes the other."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**31 - 1),
+           dg_scale=st.sampled_from([0.0, 1e-4, 0.3]),
+           # zero detuning: r.normal() * 0.0 gives zeros of either sign
+           df_scale=st.sampled_from([0.0, 10.0, 3e6]),
+           amplitude=st.sampled_from([0.0, 3e-8, -1e-7]),
+           decay=st.sampled_from([CoherenceDecay(),
+                                  CoherenceDecay(t2=100e-6)]),
+           final_phase=st.sampled_from([np.pi / 2, -np.pi / 2, 0.0, 0.3]),
+           rows=st.sampled_from([0, 1, 2]),
+           m_i_values=st.sampled_from([(1, 0, -1), (0,)]))
+    def test_matches_su2_final_pulse(self, seed, dg_scale, df_scale,
+                                     amplitude, decay, final_phase, rows,
+                                     m_i_values):
+        params = HamiltonianParams()
+        r = np.random.default_rng(seed)
+        dg = r.normal(size=33) * dg_scale
+        df = r.normal(size=33) * df_scale
+        phases = np.where(np.arange(33) % 2, -final_phase, final_phase)
+        # a scalar phase, one row, or the (2, n) rows of both groups
+        final = [final_phase, phases,
+                 np.stack([np.full(33, final_phase), phases])][rows]
+        kwargs = dict(field_amplitude=amplitude, decay=decay,
+                      final_phase=final, m_i_values=m_i_values)
+        got = echo_populations(PHASE_TIME, RABI, params, dg, df, **kwargs)
+        want = echo_populations_su2(PHASE_TIME, RABI, params, dg, df,
+                                    **kwargs)
+        npt.assert_array_equal(got, want)
+
+    def test_zero_coupling_and_zero_detuning(self, params):
+        # |b| = 0 in the m_I = 0 block, and signed zero errors
+        dg = np.array([-1.0, 0.0, -0.0, 0.0, -1.0])
+        df = np.array([0.0, 0.0, -0.0, -0.0, -0.0])
+        for m_i_values in ((0,), (1, 0, -1)):
+            for phase in (np.pi / 2, -np.pi / 2, 0.0):
+                kwargs = dict(final_phase=phase, m_i_values=m_i_values)
+                npt.assert_array_equal(
+                    echo_populations(PHASE_TIME, RABI, params, dg, df,
+                                     **kwargs),
+                    echo_populations_su2(PHASE_TIME, RABI, params, dg, df,
+                                         **kwargs))
 
 
 class TestPulseErrorResponse:

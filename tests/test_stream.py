@@ -1,0 +1,132 @@
+"""The scaling run's series tables, formatted by forked workers while the
+run computes them (:class:`nvmag.io.SeriesStream`): the same bytes as a
+serial ``write_table`` of the finished run, on any number of CPUs, and
+no worker or part file left when the run fails."""
+
+import os
+
+import pytest
+
+from nvmag import analysis, experiments, io as _io, readout, scenario as sc
+from nvmag.scenario import CHUNK_SIZE
+
+from test_experiments import NOISY, make_scenario
+from test_io import _assert_nothing_left, _use_cpus
+
+STARTED = "2026-01-01T00:00:00Z"
+#: one chunk, two, three with a short last one, and five
+N_SEQUENCES = [CHUNK_SIZE, CHUNK_SIZE + 2, 2 * CHUNK_SIZE + 4096,
+               5 * CHUNK_SIZE - 2]
+SCHEME_SETS = [["B"], ["C", "D"], ["A", "B", "C", "D"]]
+
+#: (n, schemes) -> {file name: bytes} of the serial run
+_SERIAL = {}
+
+
+def _scenario(n, schemes):
+    return make_scenario(n_sequences=n, schemes=schemes, noise=NOISY)
+
+
+def _files(directory):
+    return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+
+
+@pytest.fixture
+def fixed_clock(monkeypatch):
+    # manifest.json records when the run started and finished
+    monkeypatch.setattr(experiments, "utc_now", lambda: STARTED)
+    monkeypatch.setattr(sc, "utc_now", lambda: STARTED)
+
+
+def _serial(n, schemes, directory, monkeypatch):
+    """The tables of the finished run, written on one CPU without a
+    stream."""
+    key = (n, tuple(schemes))
+    if key not in _SERIAL:
+        _use_cpus(monkeypatch, 1)
+        s = _scenario(n, schemes)
+        result = experiments.run_scaling_experiment(s)
+        sc.write_run(s, directory, STARTED,
+                     experiments._scaling_tables(result.schemes))
+        _SERIAL[key] = _files(directory)
+    return _SERIAL[key]
+
+
+@pytest.mark.parametrize("schemes", SCHEME_SETS)
+@pytest.mark.parametrize("n", N_SEQUENCES)
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_tables_equal_a_serial_write(cpus, n, schemes, tmp_path,
+                                     monkeypatch, fixed_clock):
+    want = _serial(n, schemes, tmp_path / "serial", monkeypatch)
+    _use_cpus(monkeypatch, cpus)
+    forks = []
+    real_fork = os.fork
+
+    def counting_fork():
+        forks.append(None)
+        return real_fork()
+
+    monkeypatch.setattr(_io.os, "fork", counting_fork)
+    out = tmp_path / "stream"
+    experiments.run_scaling_experiment(_scenario(n, schemes), out_dir=out)
+    got = _files(out)
+    assert list(got) == list(want)
+    for name in want:
+        assert got[name] == want[name], name
+    # the stream's workers; the Allan and std tables are one block each
+    assert len(forks) == cpus - 1
+    _assert_nothing_left(out)
+
+
+def test_series_values_survive_the_stream(tmp_path, monkeypatch):
+    # the returned series live in the memory shared with the workers
+    _use_cpus(monkeypatch, 2)
+    s = _scenario(CHUNK_SIZE + 2, ["A", "B", "C", "D"])
+    streamed = experiments.run_scaling_experiment(s, out_dir=tmp_path)
+    alone = experiments.run_scaling_experiment(s)
+    for scheme, want in alone.schemes.items():
+        got = streamed.schemes[scheme]
+        assert got.series.values.tobytes() == want.series.values.tobytes()
+        assert got.allan.values.tobytes() == want.allan.values.tobytes()
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_failing_worker_raises(cpus, tmp_path, monkeypatch):
+    _use_cpus(monkeypatch, cpus)
+    real_take = _io._RowQueue.take
+    parent = os.getpid()
+
+    def failing_take(queue, taker, limit=None):
+        if os.getpid() != parent:
+            raise OSError("injected")
+        real_take(queue, taker, limit)
+
+    monkeypatch.setattr(_io._RowQueue, "take", failing_take)
+    s = _scenario(2 * CHUNK_SIZE, ["A", "B", "C", "D"])
+    with pytest.raises(RuntimeError, match="table worker"):
+        experiments.run_scaling_experiment(s, out_dir=tmp_path)
+    _assert_nothing_left(tmp_path)
+
+
+@pytest.mark.parametrize("stage", ["chunk loop", "estimators"])
+def test_failing_run_leaves_nothing(stage, tmp_path, monkeypatch):
+    # the third call: the second chunk's first group, after the first
+    # chunk's rows were queued; the estimators of the third scheme
+    _use_cpus(monkeypatch, 2)
+    module, name = ((readout, "sequence_signals") if stage == "chunk loop"
+                    else (analysis, "std_vs_time"))
+    original = getattr(module, name)
+    calls = []
+
+    def failing(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 3:
+            raise ValueError("injected")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, failing)
+    s = _scenario(2 * CHUNK_SIZE, ["A", "B", "C", "D"])
+    with pytest.raises(ValueError, match="injected"):
+        experiments.run_scaling_experiment(s, out_dir=tmp_path)
+    assert len(calls) == 3
+    _assert_nothing_left(tmp_path)
