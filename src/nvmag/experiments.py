@@ -25,8 +25,11 @@ All numpy work stays in the calling process.  The scaling run's
 ``series_<scheme>.csv`` tables are formatted meanwhile on the other
 usable CPUs: :func:`run_scaling_experiment` forks their formatters (an
 :class:`nvmag.io.SeriesStream`) before the noise record, publishes each
-chunk's rows to them, and joins them when it writes its tables.  The
-bytes of every table do not depend on the number of CPUs.
+chunk's rows to them, and joins them when it writes its tables.  A and B
+share one length and spacing, and so do C and D, so each block of a
+pair's index and time text is formatted once, as bytes, and filled with
+each member's values.  No other table forks.  The bytes of every table
+do not depend on the number of CPUs.
 """
 
 from __future__ import annotations

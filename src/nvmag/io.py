@@ -1,21 +1,23 @@
 """Delimited-table output and spectrum ingestion.
 
 Formatting numbers as text is most of the cost of writing a large
-table, so :func:`write_table` spreads it over every usable CPU.  Rows
-are formatted a block of :data:`_BLOCK_ROWS` at a time; the blocks go
-onto a queue (:class:`_RowQueue`), and forked workers, one per usable
-CPU but one, take blocks from it and write them to their own part
-files.  The calling process takes the blocks still queued once it joins,
-reaps the workers and splices the parts into the table in row order.
-A table whose columns all exist is queued whole inside
-:func:`write_table`.  The series tables of the scaling run are queued
-while they are computed (:class:`SeriesStream`): their workers are
-forked before the Monte Carlo and format each chunk's rows while the
-caller computes the next chunks and the estimators, all numpy work
-staying in the caller.  The bytes depend on neither the number of CPUs
-nor which process formatted which block.  With one usable CPU, or where
-the process cannot fork, there are no workers and no shared memory, and
-every row is formatted in-process.
+table.  :func:`write_table` formats a table in-process as bytes, a block
+of :data:`_BLOCK_ROWS` rows per formatting call.  Only the series tables
+of the scaling run are formatted on the other usable CPUs, while their
+values are computed (:class:`SeriesStream`); all numpy work stays in the
+caller.  Series tables of one length and spacing form a group (A/B and
+C/D in the scaling run) and share their index and time columns: a block
+of a group is formatted once into a bytes template of
+``index,time,%.12g`` rows, which each member then fills with its own
+values.  A group's blocks go onto a queue (:class:`_RowQueue`) once
+every member has published them.  Forked workers, one per usable CPU but
+one, take blocks from it and write each member's rows to that member's
+binary part file.  The caller takes the blocks still queued once it
+joins, reaps the workers and splices the parts into each table in row
+order.  The bytes depend on neither the number of CPUs nor which process
+formatted which block.  With one usable CPU, or where the process cannot
+fork, nothing is forked, there is no shared memory, and every row is
+formatted in-process.
 """
 
 from __future__ import annotations
@@ -25,17 +27,20 @@ import mmap
 import os
 import struct
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 
-#: rows formatted by one string-formatting call in :func:`write_table`,
-#: and rows per queued block
+#: rows formatted by one string-formatting call, and rows per queued block
 _BLOCK_ROWS = 4096
 #: integer magnitudes below this print alike under ``%d`` and ``%.12g``
 _INT_LIMIT = 10 ** 12
-#: one queue item: a table's index and a block's index
+#: a series row with its index and time filled in and its value still to
+#: fill: the row :func:`write_table` prints for integer indices below
+#: :data:`_INT_LIMIT` and float times and values
+_SERIES_ROW = b"%d,%.12g,%%.12g\n"
+#: one queue item: a group's index and a block's index
 _ITEM = struct.Struct("=II")
 #: items per write to the queue: 512 bytes, the least ``PIPE_BUF`` POSIX
 #: allows, so every write is whole and every read of one item gets one
@@ -71,22 +76,6 @@ def _shared(n: int, dtype=float) -> np.ndarray:
                          count=n)
 
 
-def _write_rows(fh, cols, row_fmt: str) -> int:
-    """Write the rows of ``cols``, one formatting call per block of
-    :data:`_BLOCK_ROWS` rows; returns the bytes written."""
-    n_cols, n_rows = len(cols), len(cols[0])
-    written = 0
-    for lo in range(0, n_rows, _BLOCK_ROWS):
-        hi = min(lo + _BLOCK_ROWS, n_rows)
-        # row-major values; integer columns stay Python ints
-        values = [None] * ((hi - lo) * n_cols)
-        for j, c in enumerate(cols):
-            values[j::n_cols] = c[lo:hi].tolist()
-        # latin1: one byte per character
-        written += fh.write((row_fmt * (hi - lo)) % tuple(values))
-    return written
-
-
 def _send(out_fd: int, in_fd: int, offset: int, length: int) -> None:
     """Append ``length`` bytes of ``in_fd`` from ``offset`` at
     ``out_fd``'s position, copied by the kernel."""
@@ -98,35 +87,54 @@ def _send(out_fd: int, in_fd: int, offset: int, length: int) -> None:
         offset += sent
 
 
-class _Table(NamedTuple):
-    path: Path
-    row_fmt: str
+class _Group(NamedTuple):
+    """Series tables of one length and spacing, by name: one index and
+    time column serves them all."""
+    names: list
     n_rows: int
-    #: ``columns(lo, hi)`` gives every column's rows ``lo:hi``
-    columns: Callable
+    spacing: float
+
+    def template(self, block: int) -> tuple[int, int, bytes]:
+        """The rows ``lo:hi`` of ``block``, and their template: the rows
+        with the index and time formatted, which ``template %
+        tuple(values[lo:hi])`` fills with a member's values."""
+        lo = block * _BLOCK_ROWS
+        hi = min(lo + _BLOCK_ROWS, self.n_rows)
+        index = np.arange(lo, hi)
+        axes = [None] * (2 * (hi - lo))
+        axes[0::2] = index.tolist()
+        # equal, bit for bit, to rows lo:hi of index * spacing
+        axes[1::2] = (index * self.spacing).tolist()
+        return lo, hi, (_SERIES_ROW * (hi - lo)) % tuple(axes)
 
 
 class _RowQueue:
-    """Blocks of table rows formatted by ``n_workers`` forked workers and
-    the calling process, each into its own part files.
+    """Blocks of series groups formatted by ``n_workers`` forked workers
+    and the calling process, each into its own part file per table.
 
     The queue is a pipe of fixed-size items.  The workers take items until
-    the pipe is closed and empty, and record where each block went (its
-    taker, offset and length) in memory shared with the caller, which
+    the pipe is closed and empty, and record where each table's block went
+    (its taker, offset and length) in memory shared with the caller, which
     splices the blocks in row order.  Fork rather than spawn: a worker
-    reads the columns without a copy, and it only formats and writes, so
+    reads the values without a copy, and it only formats and writes, so
     it needs no lock that a thread of the parent (numpy's BLAS pool) could
     hold at the fork.
     """
 
-    def __init__(self, tables: list[_Table], n_workers: int):
-        self.tables, self.n_workers = tables, n_workers
-        counts = [_blocks(t.n_rows) for t in tables]
-        self.first_block = np.cumsum([0] + counts[:-1]).tolist()
+    def __init__(self, paths: dict, values: dict, groups: list[_Group],
+                 n_workers: int):
+        self.paths, self.values, self.groups = paths, values, groups
+        self.n_workers = n_workers
+        # name -> the rows of self.blocks that hold the table's blocks
+        self.spans, first = {}, 0
+        for group in groups:
+            for name in group.names:
+                self.spans[name] = slice(first, first + _blocks(group.n_rows))
+                first = self.spans[name].stop
         # (taker + 1, offset in its part, length) per block; 0: not written
-        self.blocks = _shared(3 * sum(counts), np.int64).reshape(-1, 3)
+        self.blocks = _shared(3 * first, np.int64).reshape(-1, 3)
         self.pids = []  # workers not yet reaped, in fork order
-        self._open = {}  # this process's part files: table -> [file, size]
+        self._open = {}  # this process's part files: name -> [file, size]
         self._joined = False
         self._read, self._write = os.pipe()
         # a full pipe makes the caller take a block instead of waiting
@@ -149,15 +157,15 @@ class _RowQueue:
             self.discard()
             raise
 
-    def part(self, t: int, taker: int) -> Path:
-        path = self.tables[t].path
+    def part(self, name, taker: int) -> Path:
+        path = self.paths[name]
         return path.with_name(f"{path.name}.part{taker}")
 
-    def put(self, t: int, first: int, stop: int) -> None:
-        """Queue blocks ``first:stop`` of table ``t``.  While the pipe is
+    def put(self, g: int, first: int, stop: int) -> None:
+        """Queue blocks ``first:stop`` of group ``g``.  While the pipe is
         full (the workers are behind, or gone) this process takes blocks
         itself."""
-        items = b"".join(_ITEM.pack(t, b) for b in range(first, stop))
+        items = b"".join(_ITEM.pack(g, b) for b in range(first, stop))
         step = _ITEM.size * _BATCH
         for i in range(0, len(items), step):
             while True:
@@ -174,20 +182,18 @@ class _RowQueue:
             item = os.read(self._read, _ITEM.size)
             if not item:
                 return
-            t, block = _ITEM.unpack(item)
-            table = self.tables[t]
-            part = self._open.get(t)
-            if part is None:
-                part = self._open[t] = [
-                    open(self.part(t, taker), "w", encoding="latin1"), 0]
-            lo = block * _BLOCK_ROWS
-            length = _write_rows(
-                part[0], table.columns(lo, min(lo + _BLOCK_ROWS,
-                                               table.n_rows)),
-                table.row_fmt)
-            self.blocks[self.first_block[t] + block] = taker + 1, part[1], \
-                length
-            part[1] += length
+            g, block = _ITEM.unpack(item)
+            lo, hi, template = self.groups[g].template(block)
+            for name in self.groups[g].names:
+                part = self._open.get(name)
+                if part is None:
+                    part = self._open[name] = [
+                        open(self.part(name, taker), "wb"), 0]
+                length = part[0].write(
+                    template % tuple(self.values[name][lo:hi].tolist()))
+                self.blocks[self.spans[name].start + block] = \
+                    taker + 1, part[1], length
+                part[1] += length
             if limit is not None:
                 limit -= 1
 
@@ -208,16 +214,14 @@ class _RowQueue:
                 raise RuntimeError(f"table worker {pid} exited {code}")
         self._joined = True
 
-    def splice(self, t: int, head: str) -> None:
-        """Write table ``t``, ``head`` and then its blocks in row order
+    def splice(self, name, head: bytes) -> None:
+        """Write table ``name``, ``head`` and then its blocks in row order
         from the parts, and remove its parts; after :meth:`join`."""
-        table = self.tables[t]
-        first = self.first_block[t]
+        path = self.paths[name]
         runs = []  # (taker + 1, offset, length), adjacent blocks merged
-        for taker, offset, length in self.blocks[
-                first:first + _blocks(table.n_rows)].tolist():
+        for taker, offset, length in self.blocks[self.spans[name]].tolist():
             if not taker:
-                raise RuntimeError(f"{table.path}: rows were never queued")
+                raise RuntimeError(f"{path}: rows were never queued")
             if runs and runs[-1][0] == taker \
                     and runs[-1][1] + runs[-1][2] == offset:
                 runs[-1][2] += length
@@ -225,19 +229,19 @@ class _RowQueue:
                 runs.append([taker, offset, length])
         parts = {}
         try:
-            with open(table.path, "w", encoding="latin1") as fh:
+            with open(path, "wb") as fh:
                 fh.write(head)
                 # not reopened for append: sendfile refuses an O_APPEND
                 # target
                 fh.flush()
                 for taker, offset, length in runs:
                     if taker not in parts:
-                        parts[taker] = open(self.part(t, taker - 1), "rb")
+                        parts[taker] = open(self.part(name, taker - 1), "rb")
                     _send(fh.fileno(), parts[taker].fileno(), offset, length)
         finally:
             for part in parts.values():
                 part.close()
-        self._remove_parts(t)
+        self._remove_parts(name)
 
     def discard(self) -> None:
         """Leave no worker and no part file: drop the blocks still queued,
@@ -254,8 +258,8 @@ class _RowQueue:
         while self.pids:
             os.waitpid(self.pids.pop(0), 0)
         self._close_parts()
-        for t in range(len(self.tables)):
-            self._remove_parts(t)
+        for name in self.paths:
+            self._remove_parts(name)
 
     def _close_input(self) -> None:
         if self._write is not None:
@@ -266,21 +270,9 @@ class _RowQueue:
         while self._open:
             self._open.popitem()[1][0].close()
 
-    def _remove_parts(self, t: int) -> None:
+    def _remove_parts(self, name) -> None:
         for taker in range(self.n_workers + 1):
-            self.part(t, taker).unlink(missing_ok=True)
-
-
-def _series_table(path, n_rows: int, spacing: float, values) -> _Table:
-    """The table ``index, index * spacing, values[index]``."""
-    def columns(lo, hi):
-        index = np.arange(lo, hi)
-        # equal, bit for bit, to rows lo:hi of the full columns
-        return [index, index * spacing, values[lo:hi]]
-    # the index column's format is set by its largest entry
-    row_fmt = ",".join(_column_format(c) for c in
-                       columns(max(n_rows - 1, 0), n_rows)) + "\n"
-    return _Table(Path(path), row_fmt, n_rows, columns)
+            self.part(name, taker).unlink(missing_ok=True)
 
 
 class SeriesStream:
@@ -288,10 +280,13 @@ class SeriesStream:
     computed.
 
     ``tables`` maps a name to ``(path, n_rows, spacing)``; row ``i`` of a
-    table reads ``i, i * spacing, values[i]``.  The workers are forked
-    when the stream is made.  The caller fills :meth:`values` of each name
-    and :meth:`publish`-es the rows that are final, and the workers format
-    them meanwhile.  :func:`write_table`, given the stream and one of its
+    table reads ``i, i * spacing, values[i]``.  Tables of one ``n_rows``
+    and ``spacing`` form a group, formatted from one template per block
+    (see the module docstring).  The workers are forked when the stream
+    is made.  The caller fills :meth:`values` of each name and
+    :meth:`publish`-es the rows that are final; a group's block is queued
+    once every member has published it, and the workers format it
+    meanwhile.  :func:`write_table`, given the stream and one of its
     paths, takes the rows still queued, reaps the workers and splices the
     parts.  On leaving the ``with`` block no worker or part file is left,
     whether the block returns or raises.
@@ -304,21 +299,27 @@ class SeriesStream:
     """
 
     def __init__(self, tables: dict):
+        groups = {}
+        for name, (_, n_rows, spacing) in tables.items():
+            groups.setdefault((n_rows, spacing), _Group(
+                [], n_rows, spacing)).names.append(name)
+        self._groups = list(groups.values())
+        self._group_of = {name: g for g, group in enumerate(self._groups)
+                          for name in group.names}
+        self._published = dict.fromkeys(tables, 0)  # blocks per table
+        self._queued = [0] * len(self._groups)  # blocks queued per group
         n_workers = min(_usable_cpus(), sum(
             _blocks(n_rows) for _, n_rows, _ in tables.values())) - 1
         new = _shared if n_workers > 0 else np.empty
         self._values = {name: new(n_rows)
                         for name, (_, n_rows, _) in tables.items()}
-        self._index = {name: t for t, name in enumerate(tables)}
-        self._queued = [0] * len(tables)  # blocks queued per table
         self._queue = None
         if n_workers > 0:
-            for path, _, _ in tables.values():
-                Path(path).parent.mkdir(parents=True, exist_ok=True)
-            self._queue = _RowQueue(
-                [_series_table(path, n_rows, spacing, self._values[name])
-                 for name, (path, n_rows, spacing) in tables.items()],
-                n_workers)
+            paths = {name: Path(path) for name, (path, _, _) in tables.items()}
+            for path in paths.values():
+                path.parent.mkdir(parents=True, exist_ok=True)
+            self._queue = _RowQueue(paths, self._values, self._groups,
+                                    n_workers)
 
     def __enter__(self):
         return self
@@ -332,32 +333,35 @@ class SeriesStream:
         return self._values[name]
 
     def publish(self, name, stop: int) -> None:
-        """Rows ``:stop`` of table ``name`` are final: queue the whole
-        blocks among them, and the last block once ``stop`` reaches the
-        end of the table."""
+        """Rows ``:stop`` of table ``name`` are final: its whole blocks
+        among them, and its last block once ``stop`` reaches the end of
+        the table, are published.  Queue the blocks of its group that
+        every member has published."""
         if self._queue is None:
             return
-        t = self._index[name]
-        n_rows = self._queue.tables[t].n_rows
-        blocks = _blocks(n_rows) if stop >= n_rows else stop // _BLOCK_ROWS
-        self._queue.put(t, self._queued[t], blocks)
-        self._queued[t] = blocks
+        g = self._group_of[name]
+        group = self._groups[g]
+        self._published[name] = _blocks(group.n_rows) \
+            if stop >= group.n_rows else stop // _BLOCK_ROWS
+        ready = min(self._published[member] for member in group.names)
+        self._queue.put(g, self._queued[g], ready)
+        self._queued[g] = ready
 
-    def _write(self, path: Path, head: str, cols) -> bool:
+    def _write(self, path: Path, head: bytes, cols) -> bool:
         """Write the table at ``path`` from the queued rows; False when
         this stream does not format it."""
         if self._queue is None:
             return False
-        tables = self._queue.tables
-        t = next((t for t, table in enumerate(tables)
-                  if table.path == path), None)
-        if t is None:
+        name = next((name for name, p in self._queue.paths.items()
+                     if p == path), None)
+        if name is None:
             return False
-        if len(cols) != 3 or len(cols[0]) != tables[t].n_rows:
+        n_rows = self._groups[self._group_of[name]].n_rows
+        if len(cols) != 3 or len(cols[0]) != n_rows:
             raise ValueError(f"{path}: columns differ from the stream's "
                              "table")
         self._queue.join()
-        self._queue.splice(t, head)
+        self._queue.splice(name, head)
         return True
 
 
@@ -367,19 +371,17 @@ def write_table(path, header: list[str], columns, *, stream=None) -> Path:
     Header entries name the columns including units (e.g. ``tau_s``,
     ``deviation``); all columns must share one length.  Values are written
     as ``%.12g``, giving the bytes of ``np.savetxt(path, data,
-    delimiter=",", header=..., comments="", fmt="%.12g")``, but formatted a
-    block of rows per call instead of one row per call, and integer
-    columns below 1e12 in magnitude as ``%d``, which prints them alike.
+    delimiter=",", header=..., comments="", fmt="%.12g")``, but formatted
+    as bytes a block of rows per call instead of one row per call, and
+    integer columns below 1e12 in magnitude as ``%d``, which prints them
+    alike.
 
-    A table of more than one block is queued whole for one forked worker
-    per usable CPU but one and for this process (see the module
-    docstring); a table of one block, or on one usable CPU, is formatted
-    here.  Given a :class:`SeriesStream` that holds ``path``, the rows
-    were formatted from the stream's values while they were computed,
-    and ``columns`` must be that table: this process takes the rows still
-    queued, reaps the stream's workers and splices the parts.  The bytes
-    do not depend on the number of CPUs, and no worker or part file of a
-    table queued here outlives the call, whether it returns or raises.
+    The table is formatted in this process, and nothing is forked.  Given
+    a :class:`SeriesStream` that holds ``path``, the rows were formatted
+    from the stream's group templates by its workers while the values
+    were computed, and ``columns`` must be that table: this process takes
+    the rows still queued, reaps the stream's workers and splices the
+    parts.  The bytes do not depend on the number of CPUs.
     """
     path = Path(path)
     cols = [np.atleast_1d(np.asarray(c)) for c in columns]
@@ -387,28 +389,22 @@ def write_table(path, header: list[str], columns, *, stream=None) -> Path:
         raise ValueError("one header entry per column required")
     if any(c.shape != cols[0].shape for c in cols):
         raise ValueError("columns must share one length")
-    head = ",".join(header) + "\n"
+    # latin1: one byte per character
+    head = (",".join(header) + "\n").encode("latin1")
     path.parent.mkdir(parents=True, exist_ok=True)
     if stream is not None and stream._write(path, head, cols):
         return path
-    n_rows = len(cols[0])
-    row_fmt = ",".join(_column_format(c) for c in cols) + "\n"
-    n_workers = min(_usable_cpus(), _blocks(n_rows)) - 1
-    if n_workers <= 0:
-        with open(path, "w", encoding="latin1") as fh:
-            fh.write(head)
-            _write_rows(fh, cols, row_fmt)
-        return path
-    # every row is ready at once
-    queue = _RowQueue([_Table(path, row_fmt, n_rows,
-                              lambda lo, hi: [c[lo:hi] for c in cols])],
-                      n_workers)
-    try:
-        queue.put(0, 0, _blocks(n_rows))
-        queue.join()
-        queue.splice(0, head)
-    finally:
-        queue.discard()
+    n_cols, n_rows = len(cols), len(cols[0])
+    row_fmt = (",".join(_column_format(c) for c in cols) + "\n").encode()
+    with open(path, "wb") as fh:
+        fh.write(head)
+        for lo in range(0, n_rows, _BLOCK_ROWS):
+            hi = min(lo + _BLOCK_ROWS, n_rows)
+            # row-major values; integer columns stay Python ints
+            values = [None] * ((hi - lo) * n_cols)
+            for j, c in enumerate(cols):
+                values[j::n_cols] = c[lo:hi].tolist()
+            fh.write((row_fmt * (hi - lo)) % tuple(values))
     return path
 
 

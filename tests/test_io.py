@@ -75,11 +75,8 @@ def _assert_nothing_left(directory):
         os.waitpid(-1, os.WNOHANG)
 
 
-@pytest.mark.parametrize("cpus", [1, 2, 3])
-@pytest.mark.parametrize("n_rows", [0, 1, 4095, 4096, 4097, 3 * 4096 + 1])
-def test_write_table_bytes_do_not_depend_on_cpus(n_rows, cpus, tmp_path,
-                                                  monkeypatch):
-    _use_cpus(monkeypatch, cpus)
+def _count_forks(monkeypatch):
+    """The list that gains one entry per fork from here on."""
     forks = []
     real_fork = os.fork
 
@@ -88,6 +85,45 @@ def test_write_table_bytes_do_not_depend_on_cpus(n_rows, cpus, tmp_path,
         return real_fork()
 
     monkeypatch.setattr(_io.os, "fork", counting_fork)
+    return forks
+
+
+#: the header of a series table
+SERIES_HEADER = ["index", "time_s", "value"]
+
+
+def _stream_series(directory, series, publish=None):
+    """Write a series table per entry of ``{name: (values, spacing)}``
+    through a :class:`nvmag.io.SeriesStream`, the rows published by
+    ``publish(stream)`` (all at once by default); returns ``{name:
+    (bytes, columns)}``."""
+    tables = {name: (directory / f"{name}.csv", len(v), spacing)
+              for name, (v, spacing) in series.items()}
+    out = {}
+    with _io.SeriesStream(tables) as stream:
+        for name, (v, _) in series.items():
+            stream.values(name)[:] = v
+        if publish is None:
+            for name, (v, _) in series.items():
+                stream.publish(name, len(v))
+        else:
+            publish(stream)
+        for name, (path, n_rows, spacing) in tables.items():
+            cols = [np.arange(n_rows), np.arange(n_rows) * spacing,
+                    stream.values(name)]
+            _io.write_table(path, SERIES_HEADER, cols, stream=stream)
+            out[name] = path.read_bytes(), cols
+    return out
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+@pytest.mark.parametrize("n_rows", [0, 1, 4095, 4096, 4097, 3 * 4096 + 1])
+def test_write_table_bytes_do_not_depend_on_cpus(n_rows, cpus, tmp_path,
+                                                  monkeypatch):
+    # write_table formats in-process on any number of CPUs: only a
+    # series stream forks
+    _use_cpus(monkeypatch, cpus)
+    forks = _count_forks(monkeypatch)
     rng = np.random.default_rng(n_rows)
     cols = [np.arange(n_rows), rng.standard_normal(n_rows) * 1e-7,
             rng.integers(-10 ** 15, 10 ** 15, n_rows)]
@@ -96,8 +132,7 @@ def test_write_table_bytes_do_not_depend_on_cpus(n_rows, cpus, tmp_path,
     np.savetxt(tmp_path / "ref.csv", np.column_stack(cols), delimiter=",",
                header=",".join(header), comments="", fmt="%.12g")
     assert path.read_bytes() == (tmp_path / "ref.csv").read_bytes()
-    n_blocks = -(-n_rows // _io._BLOCK_ROWS)
-    assert len(forks) == max(0, min(cpus, n_blocks) - 1)
+    assert not forks
     _assert_nothing_left(tmp_path)
 
 
@@ -105,12 +140,12 @@ def test_write_table_bytes_do_not_depend_on_cpus(n_rows, cpus, tmp_path,
 @pytest.mark.parametrize("cpus", [2, 3])
 def test_write_table_failure_leaves_no_worker_or_part(failing, cpus,
                                                       tmp_path, monkeypatch):
+    # a series stream's worker fails as soon as it is forked, or the
+    # parent when write_table joins the stream
     _use_cpus(monkeypatch, cpus)
     real_take = _io._RowQueue.take
     parent = os.getpid()
 
-    # a worker takes rows as soon as it is forked, and the parent when it
-    # joins, whether or not rows are left
     def failing_take(queue, taker, limit=None):
         if (os.getpid() == parent) == (failing == "parent"):
             raise OSError("injected")
@@ -120,8 +155,8 @@ def test_write_table_failure_leaves_no_worker_or_part(failing, cpus,
     n_rows = 3 * 4096 + 1
     expected = RuntimeError if failing == "worker" else OSError
     with pytest.raises(expected):
-        _io.write_table(tmp_path / "t.csv", ["x", "y"],
-                        [np.arange(n_rows), np.ones(n_rows)])
+        _stream_series(tmp_path, {"a": (np.ones(n_rows), 1.6e-4),
+                                  "b": (np.zeros(n_rows), 1.6e-4)})
     _assert_nothing_left(tmp_path)
 
 
@@ -129,8 +164,8 @@ def test_write_table_failure_leaves_no_worker_or_part(failing, cpus,
 def test_write_table_takes_blocks_while_the_queue_is_full(
         workers_fail, tmp_path, monkeypatch):
     # one row per block: 20000 queue items, more than a pipe holds (8192
-    # at Linux's default 64 KiB), so the writer takes blocks itself while
-    # it queues; it ends even with every worker gone
+    # at Linux's default 64 KiB), so the series stream takes blocks itself
+    # while it queues; it ends even with every worker gone
     _use_cpus(monkeypatch, 3)
     monkeypatch.setattr(_io, "_BLOCK_ROWS", 1)
     real_take = _io._RowQueue.take
@@ -145,15 +180,38 @@ def test_write_table_takes_blocks_while_the_queue_is_full(
         real_take(queue, taker, limit)
 
     monkeypatch.setattr(_io._RowQueue, "take", take)
-    n_rows = 20000
-    cols = [np.arange(n_rows), np.linspace(0.0, 1.0, n_rows)]
+    series = {"x": (np.linspace(0.0, 1.0, 20000), 1 / 3)}
     if workers_fail:
         with pytest.raises(RuntimeError):
-            _io.write_table(tmp_path / "t.csv", ["i", "x"], cols)
+            _stream_series(tmp_path, series)
         assert any(taken_while_queueing)
     else:
-        path = _io.write_table(tmp_path / "t.csv", ["i", "x"], cols)
+        got, cols = _stream_series(tmp_path, series)["x"]
         np.savetxt(tmp_path / "ref.csv", np.column_stack(cols),
-                   delimiter=",", header="i,x", comments="", fmt="%.12g")
-        assert path.read_bytes() == (tmp_path / "ref.csv").read_bytes()
+                   delimiter=",", header=",".join(SERIES_HEADER),
+                   comments="", fmt="%.12g")
+        assert got == (tmp_path / "ref.csv").read_bytes()
     _assert_nothing_left(tmp_path)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.data_too_large,
+                                 HealthCheck.too_slow])
+@given(spacing=st.one_of(st.sampled_from([1.6e-4, 3.2e-4, 1 / 3, 1e-300,
+                                          1e300, 5e-324, 0.0, -0.0]),
+                         st.floats(allow_nan=False, allow_infinity=False)),
+       block=st.integers(0, 300), data=st.data())
+def test_group_template_fills_to_row_formatting(spacing, block, data):
+    # the two-stage bytes template against one %.12g row per index
+    lo = block * _io._BLOCK_ROWS
+    n_rows = lo + data.draw(st.one_of(st.sampled_from([1, 4095, 4096]),
+                                      st.integers(1, 20)))
+    hi = min(lo + _io._BLOCK_ROWS, n_rows)
+    values = data.draw(hnp.arrays(np.float64, hi - lo, elements=FLOATS))
+    with np.errstate(over="ignore"):  # index * 1e300 may overflow
+        got_lo, got_hi, template = _io._Group(["a"], n_rows,
+                                              spacing).template(block)
+    assert (got_lo, got_hi) == (lo, hi)
+    want = "".join("%d,%.12g,%.12g\n" % (i, i * spacing, v)
+                   for i, v in zip(range(lo, hi), values.tolist()))
+    assert template % tuple(values.tolist()) == want.encode()

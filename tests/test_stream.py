@@ -1,17 +1,21 @@
 """The scaling run's series tables, formatted by forked workers while the
-run computes them (:class:`nvmag.io.SeriesStream`): the same bytes as a
-serial ``write_table`` of the finished run, on any number of CPUs, and
-no worker or part file left when the run fails."""
+run computes them (:class:`nvmag.io.SeriesStream`), one template per
+block of each group of tables that share a length and a spacing: the
+same bytes as a serial ``write_table`` of the finished run, on any number
+of CPUs, and no worker or part file left when the run fails."""
 
 import os
 
+import numpy as np
 import pytest
 
 from nvmag import analysis, experiments, io as _io, readout, scenario as sc
+from nvmag.readout import SCHEME_SEQUENCES
 from nvmag.scenario import CHUNK_SIZE
 
 from test_experiments import NOISY, make_scenario
-from test_io import _assert_nothing_left, _use_cpus
+from test_io import (SERIES_HEADER, _assert_nothing_left, _count_forks,
+                     _stream_series, _use_cpus)
 
 STARTED = "2026-01-01T00:00:00Z"
 #: one chunk, two, three with a short last one, and five
@@ -59,14 +63,7 @@ def test_tables_equal_a_serial_write(cpus, n, schemes, tmp_path,
                                      monkeypatch, fixed_clock):
     want = _serial(n, schemes, tmp_path / "serial", monkeypatch)
     _use_cpus(monkeypatch, cpus)
-    forks = []
-    real_fork = os.fork
-
-    def counting_fork():
-        forks.append(None)
-        return real_fork()
-
-    monkeypatch.setattr(_io.os, "fork", counting_fork)
+    forks = _count_forks(monkeypatch)
     out = tmp_path / "stream"
     experiments.run_scaling_experiment(_scenario(n, schemes), out_dir=out)
     got = _files(out)
@@ -130,3 +127,95 @@ def test_failing_run_leaves_nothing(stage, tmp_path, monkeypatch):
         experiments.run_scaling_experiment(s, out_dir=tmp_path)
     assert len(calls) == 3
     _assert_nothing_left(tmp_path)
+
+
+def _serial_bytes(directory, columns):
+    """``{name: bytes}`` of series tables ``{name: columns}`` written
+    without a stream."""
+    return {name: _io.write_table(directory / f"{name}.csv", SERIES_HEADER,
+                                  cols).read_bytes()
+            for name, cols in columns.items()}
+
+
+def _scheme_series(schemes, n):
+    """``{scheme: (values, spacing)}`` of the scaling run's series at ``n``
+    sequences: A/B and C/D are groups of one length and spacing."""
+    rng = np.random.default_rng(n)
+    t_seq = make_scenario().sequence.sequence_time
+    return {s: (rng.standard_normal(n // SCHEME_SEQUENCES[s]),
+                SCHEME_SEQUENCES[s] * t_seq) for s in schemes}
+
+
+def _chunks(n):
+    """The sequences drawn by the end of each chunk of the scaling run."""
+    return [min(stop, n) for stop in range(CHUNK_SIZE, n + CHUNK_SIZE,
+                                           CHUNK_SIZE)]
+
+
+def _publish_by_chunk(schemes, n):
+    """``publish(stream)``: each chunk's rows, scheme by scheme, as the
+    scaling run publishes them."""
+    def publish(stream):
+        for stop in _chunks(n):
+            for s in schemes:
+                stream.publish(s, stop // SCHEME_SEQUENCES[s])
+    return publish
+
+
+#: two groups of two, and two groups of one
+GROUPINGS = [["A", "B", "C", "D"], ["A", "C"]]
+
+
+@pytest.mark.parametrize("schemes", GROUPINGS)
+@pytest.mark.parametrize("n", [2 * CHUNK_SIZE, 2 * CHUNK_SIZE + 8198],
+                         ids=["whole-blocks", "short-last-block"])
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_group_templates_equal_a_serial_write(cpus, n, schemes, tmp_path,
+                                              monkeypatch):
+    _use_cpus(monkeypatch, cpus)
+    forks = _count_forks(monkeypatch)
+    got = _stream_series(tmp_path / "stream", _scheme_series(schemes, n),
+                         _publish_by_chunk(schemes, n))
+    assert len(forks) == cpus - 1
+    _assert_nothing_left(tmp_path / "stream")
+    want = _serial_bytes(tmp_path, {s: cols for s, (_, cols) in got.items()})
+    for s in schemes:
+        assert got[s][0] == want[s], s
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_group_waits_for_its_slowest_member(cpus, tmp_path, monkeypatch):
+    # A is published to the end before B publishes a row: no block of
+    # the A/B group is queued until B has published it too
+    _use_cpus(monkeypatch, cpus)
+    forks = _count_forks(monkeypatch)
+    queued = []  # blocks queued per put, in order
+    real_put = _io._RowQueue.put
+
+    def put(queue, g, first, stop):
+        if stop > first:
+            queued.append((g, first, stop))
+        real_put(queue, g, first, stop)
+
+    monkeypatch.setattr(_io._RowQueue, "put", put)
+    n = 5 * CHUNK_SIZE - 2
+
+    def publish(stream):
+        for stop in _chunks(n):
+            stream.publish("A", stop)
+        assert not queued
+        for stop in _chunks(n):
+            stream.publish("B", stop)
+            if cpus > 1:
+                assert queued[-1][2] == (_io._blocks(n) if stop == n
+                                         else stop // _io._BLOCK_ROWS)
+        assert sum(stop - first for _, first, stop in queued) == (
+            _io._blocks(n) if cpus > 1 else 0)
+
+    got = _stream_series(tmp_path / "stream", _scheme_series("AB", n),
+                         publish)
+    assert len(forks) == cpus - 1
+    _assert_nothing_left(tmp_path / "stream")
+    want = _serial_bytes(tmp_path, {s: cols for s, (_, cols) in got.items()})
+    for s in "AB":
+        assert got[s][0] == want[s], s
