@@ -49,10 +49,21 @@ def _block_count(t_prime: float, tau: float) -> int:
 
 
 def block_means(samples: np.ndarray, m: int) -> np.ndarray:
-    """Means of consecutive length-``m`` blocks; trailing partial dropped."""
+    """Means of consecutive length-``m`` blocks; trailing partial dropped.
+
+    Below 8 values numpy sums a row in sequence from ``+0.0``, so for
+    short blocks the column sums below give the bits of the row mean
+    (a NaN's sign aside), faster."""
     samples = np.asarray(samples, dtype=float)
     blocks = samples.size // m
-    return samples[:blocks * m].reshape(blocks, m).mean(axis=1)
+    rows = samples[:blocks * m].reshape(blocks, m)
+    if m >= 8:
+        return rows.mean(axis=1)
+    out = rows[:, 0] + 0.0
+    for j in range(1, m):
+        out += rows[:, j]
+    out /= m
+    return out
 
 
 def allan_deviation(samples, t_prime: float, taus) -> ScalingCurve:

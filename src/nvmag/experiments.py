@@ -28,8 +28,10 @@ usable CPUs: :func:`run_scaling_experiment` forks their formatters (an
 chunk's rows to them, and joins them when it writes its tables.  A and B
 share one length and spacing, and so do C and D, so each block of a
 pair's index and time text is formatted once, as bytes, and filled with
-each member's values.  No other table forks.  The bytes of every table
-do not depend on the number of CPUs.
+each member's values.  Those templates depend on no value, so the
+formatters format them while the noise record is synthesized, before
+the first row is published.  No other table forks.  The bytes of every
+table do not depend on the number of CPUs.
 """
 
 from __future__ import annotations

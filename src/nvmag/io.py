@@ -12,7 +12,10 @@ of a group is formatted once into a bytes template of
 values.  A group's blocks go onto a queue (:class:`_RowQueue`) once
 every member has published them.  Forked workers, one per usable CPU but
 one, take blocks from it and write each member's rows to that member's
-binary part file.  The caller takes the blocks still queued once it
+binary part file.  A template depends on no value, so until the first
+block is queued (while the caller synthesizes its noise record) each
+worker formats its share of the templates ahead, and fills its own when
+it takes that block.  The caller takes the blocks still queued once it
 joins, reaps the workers and splices the parts into each table in row
 order.  The bytes depend on neither the number of CPUs nor which process
 formatted which block.  With one usable CPU, or where the process cannot
@@ -25,6 +28,7 @@ from __future__ import annotations
 import hashlib
 import mmap
 import os
+import select
 import struct
 from pathlib import Path
 from typing import NamedTuple
@@ -112,13 +116,17 @@ class _RowQueue:
     """Blocks of series groups formatted by ``n_workers`` forked workers
     and the calling process, each into its own part file per table.
 
-    The queue is a pipe of fixed-size items.  The workers take items until
-    the pipe is closed and empty, and record where each table's block went
-    (its taker, offset and length) in memory shared with the caller, which
-    splices the blocks in row order.  Fork rather than spawn: a worker
-    reads the values without a copy, and it only formats and writes, so
-    it needs no lock that a thread of the parent (numpy's BLAS pool) could
-    hold at the fork.
+    The queue is a pipe of fixed-size items.  Until the first item is
+    queued, worker ``k`` formats the templates of every ``n_workers``-th
+    block from the ``k``-th, in the order of the blocks' start times (the
+    order they are queued in); the caller formats none ahead.  The
+    workers then take items until the pipe is closed and empty, filling
+    their own templates where they have them, and record where each
+    table's block went (its taker, offset and length) in memory shared
+    with the caller, which splices the blocks in row order.  Fork rather
+    than spawn: a worker reads the values without a copy, and it only
+    formats and writes, so it needs no lock that a thread of the parent
+    (numpy's BLAS pool) could hold at the fork.
     """
 
     def __init__(self, paths: dict, values: dict, groups: list[_Group],
@@ -135,6 +143,7 @@ class _RowQueue:
         self.blocks = _shared(3 * first, np.int64).reshape(-1, 3)
         self.pids = []  # workers not yet reaped, in fork order
         self._open = {}  # this process's part files: name -> [file, size]
+        self._templates = {}  # a worker's prepared (g, block) -> template
         self._joined = False
         self._read, self._write = os.pipe()
         # a full pipe makes the caller take a block instead of waiting
@@ -146,6 +155,7 @@ class _RowQueue:
                     code = 1
                     try:
                         os.close(self._write)
+                        self._prepare(taker)
                         self.take(taker)
                         self._close_parts()
                         code = 0
@@ -175,6 +185,18 @@ class _RowQueue:
                 except BlockingIOError:
                     self.take(0, limit=1)
 
+    def _prepare(self, taker: int) -> None:
+        """Format every ``n_workers``-th block's template from the
+        ``taker``-th, in the order the blocks are queued (by start time),
+        until the first block is queued."""
+        order = sorted((block * _BLOCK_ROWS * group.spacing, g, block)
+                       for g, group in enumerate(self.groups)
+                       for block in range(_blocks(group.n_rows)))
+        for _, g, block in order[taker - 1::self.n_workers]:
+            if select.select([self._read], [], [], 0)[0]:
+                return
+            self._templates[g, block] = self.groups[g].template(block)
+
     def take(self, taker: int, limit=None) -> None:
         """Format queued blocks into this process's part files until the
         queue is closed and empty, or ``limit`` blocks are done."""
@@ -183,7 +205,8 @@ class _RowQueue:
             if not item:
                 return
             g, block = _ITEM.unpack(item)
-            lo, hi, template = self.groups[g].template(block)
+            lo, hi, template = self._templates.pop((g, block), None) \
+                or self.groups[g].template(block)
             for name in self.groups[g].names:
                 part = self._open.get(name)
                 if part is None:

@@ -4,8 +4,9 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
-from nvmag.analysis import (ScalingCurve, allan_deviation,
+from nvmag.analysis import (ScalingCurve, allan_deviation, block_means,
                             std_vs_time, projection_limit_eq2,
                             projection_limit_simplified, optimal_phase_time,
                             fit_log_slope, default_time_grid)
@@ -30,6 +31,39 @@ def allan_oracle(samples, t_prime, taus):
             diffs[k] = means[k + 1] - means[k]
         out.append(np.sqrt(0.5 * np.mean(diffs * diffs)))
     return np.asarray(out)
+
+
+#: signed zeros, NaN, +-inf, subnormals and values that overflow a sum
+SPECIAL_FLOATS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324,
+                     -5e-324, 2.2e-308, 1e308, -1e308]),
+)
+#: signed zeros and subnormals alone, so that rows of -0.0 come up
+TINY_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, -5e-324])
+
+
+@settings(max_examples=300, deadline=None)
+@given(m=st.integers(1, 12), data=st.data())
+def test_block_means_bits_equal_the_row_mean(m, data):
+    # short blocks are summed column by column; every block length gives
+    # the bits of the reshape mean, lengths not a multiple of m included
+    n = data.draw(st.integers(0, 6 * m + m - 1))
+    elements = data.draw(st.sampled_from([SPECIAL_FLOATS, TINY_FLOATS]))
+    samples = data.draw(hnp.arrays(np.float64, n, elements=elements))
+    blocks = n // m
+    with np.errstate(all="ignore"):
+        want = samples[:blocks * m].reshape(blocks, m).mean(axis=1)
+        got = block_means(samples, m)
+    assert got.shape == want.shape
+    # an add of two NaNs returns one of them, and numpy's own row and
+    # column loops pick differently (a one-row reshape mean and a
+    # many-row one of the same row disagree), so a NaN's sign and
+    # payload are not compared
+    nan = np.isnan(want)
+    npt.assert_array_equal(np.isnan(got), nan)
+    assert got[~nan].view(np.uint64).tolist() == \
+        want[~nan].view(np.uint64).tolist()
 
 
 class TestAllan:

@@ -5,6 +5,7 @@ same bytes as a serial ``write_table`` of the finished run, on any number
 of CPUs, and no worker or part file left when the run fails."""
 
 import os
+import time
 
 import numpy as np
 import pytest
@@ -219,3 +220,224 @@ def test_group_waits_for_its_slowest_member(cpus, tmp_path, monkeypatch):
     want = _serial_bytes(tmp_path, {s: cols for s, (_, cols) in got.items()})
     for s in "AB":
         assert got[s][0] == want[s], s
+
+
+#: A-D with a short last block: 11 blocks of the A/B group, 6 of C/D
+TEMPLATE_N = 2 * CHUNK_SIZE + 8198
+
+
+def _trace_templates(monkeypatch, log, idle=()):
+    """Log each template a process formats to the file ``log``, one
+    ``taker phase group block`` line each: phase ``prepare`` within a
+    worker's ``_prepare``, ``take`` otherwise (taker 0, the caller, only
+    takes); a worker appends ``ready taker`` once it has prepared, or
+    ``failed taker`` if preparing raised.  A worker whose taker is in
+    ``idle`` takes no block."""
+    parent = os.getpid()
+    state = {"phase": "take", "taker": 0}
+    real_template = _io._Group.template
+    real_prepare = _io._RowQueue._prepare
+    real_take = _io._RowQueue.take
+
+    def write(line):
+        with open(log, "a") as fh:
+            fh.write(line + "\n")
+
+    def template(group, block):
+        write(f"{state['taker']} {state['phase']} {group.names[0]} {block}")
+        return real_template(group, block)
+
+    def prepare(queue, taker):
+        state.update(phase="prepare", taker=taker)
+        try:
+            real_prepare(queue, taker)
+        except BaseException:
+            write(f"failed {taker}")
+            raise
+        state["phase"] = "take"
+        write(f"ready {taker}")
+
+    def take(queue, taker, limit=None):
+        if os.getpid() != parent and taker in idle:
+            return
+        real_take(queue, taker, limit)
+
+    monkeypatch.setattr(_io._Group, "template", template)
+    monkeypatch.setattr(_io._RowQueue, "_prepare", prepare)
+    monkeypatch.setattr(_io._RowQueue, "take", take)
+
+
+def _log_lines(log):
+    return log.read_text().splitlines() if log.exists() else []
+
+
+def _wait_for(log, word, n_workers):
+    """Wait until ``n_workers`` lines of the log start with ``word``."""
+    deadline = time.monotonic() + 60
+    while sum(line.startswith(word) for line in _log_lines(log)) < n_workers:
+        assert time.monotonic() < deadline, f"workers not {word}"
+        time.sleep(0.001)
+
+
+def _stream_templates(tmp_path, monkeypatch, cpus, idle=()):
+    """A-D through a series stream on ``cpus`` CPUs, every row published
+    once each worker has prepared its templates.  Returns the prepared
+    ``{taker: [(group, block)]}``, the templates formatted while taking
+    ``{taker: [(group, block)]}``, and the taker of every ``(group,
+    block)``, after checking the bytes against a serial write."""
+    _use_cpus(monkeypatch, cpus)
+    forks = _count_forks(monkeypatch)
+    log = tmp_path / "templates.log"
+    _trace_templates(monkeypatch, log, idle)
+    streams = []
+
+    def publish(stream):
+        streams.append(stream)
+        _wait_for(log, "ready", cpus - 1)
+        _publish_by_chunk("ABCD", TEMPLATE_N)(stream)
+
+    got = _stream_series(tmp_path / "stream",
+                         _scheme_series("ABCD", TEMPLATE_N), publish)
+    assert len(forks) == cpus - 1
+    _assert_nothing_left(tmp_path / "stream")
+    want = _serial_bytes(tmp_path, {s: cols for s, (_, cols) in got.items()})
+    for s in "ABCD":
+        assert got[s][0] == want[s], s
+    prepared, formatted = {}, {}
+    for line in _log_lines(log):
+        if not line.startswith(("ready", "failed")):
+            taker, phase, group, block = line.split()
+            into = prepared if phase == "prepare" else formatted
+            into.setdefault(int(taker), []).append((group, int(block)))
+    queue = streams[0]._queue
+    takers = {} if queue is None else {
+        (group.names[0], block): int(queue.blocks[
+            queue.spans[group.names[0]].start + block][0]) - 1
+        for group in queue.groups for block in range(_io._blocks(
+            group.n_rows))}
+    return prepared, formatted, takers
+
+
+def _start_order():
+    """``(group, block)`` of A-D by start time, the order they are
+    queued in; the A/B group first at equal times."""
+    t_seq = make_scenario().sequence.sequence_time
+    pairs = [(block * _io._BLOCK_ROWS * SCHEME_SEQUENCES[group] * t_seq,
+              g, group, block)
+             for g, group in enumerate("AC")
+             for block in range(_io._blocks(
+                 TEMPLATE_N // SCHEME_SEQUENCES[group]))]
+    return [(group, block) for _, _, group, block in sorted(pairs)]
+
+
+def _assert_cache_used(prepared, formatted, takers):
+    """A block's taker formats its template unless it prepared it."""
+    want = {}
+    for pair, taker in takers.items():
+        if pair not in prepared.get(taker, []):
+            want.setdefault(taker, []).append(pair)
+    assert {t: sorted(p) for t, p in formatted.items()} == want
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_templates_are_prepared_before_the_first_block(cpus, tmp_path,
+                                                       monkeypatch):
+    # each worker prepares every (cpus - 1)-th template in queue order
+    # while nothing is queued, and fills its own when it takes the block
+    prepared, formatted, takers = _stream_templates(tmp_path, monkeypatch,
+                                                    cpus)
+    order = _start_order()
+    n_workers = cpus - 1
+    assert prepared == {taker: order[taker - 1::n_workers]
+                        for taker in range(1, n_workers + 1)}
+    assert sorted(takers) == (sorted(order) if cpus > 1 else [])
+    _assert_cache_used(prepared, formatted, takers)
+    if cpus == 2:
+        # the one worker prepared every template: it formats none while
+        # it takes, and the caller formats only what it takes itself
+        assert 1 not in formatted
+
+
+@pytest.mark.parametrize("cpus, idle", [(1, ()), (2, (1,)), (3, (1, 2)),
+                                        (3, (2,))],
+                         ids=["1-cpu", "2-cpus", "3-cpus", "3-cpus-one-idle"])
+def test_cached_templates_taken_by_another_process(cpus, idle, tmp_path,
+                                                   monkeypatch):
+    # idle workers prepare and then take nothing: the caller takes every
+    # block at join, formatting each template anew, or the other worker
+    # takes them and never uses the idle one's templates
+    prepared, formatted, takers = _stream_templates(tmp_path, monkeypatch,
+                                                    cpus, idle)
+    order = _start_order()
+    assert sorted(pair for pairs in prepared.values()
+                  for pair in pairs) == (sorted(order) if cpus > 1 else [])
+    assert not set(takers.values()) & set(idle)
+    _assert_cache_used(prepared, formatted, takers)
+    for taker in idle:
+        # every template an idle worker prepared was formatted again by
+        # the process that took its block
+        for pair in prepared[taker]:
+            assert pair in formatted[takers[pair]]
+    if len(idle) == cpus - 1 > 0:
+        assert sorted(formatted[0]) == sorted(order)
+
+
+def test_preparing_stops_once_a_block_is_queued(tmp_path, monkeypatch):
+    # the worker's first template is done only once every block is
+    # queued: it prepares no other, and takes every block it can
+    _use_cpus(monkeypatch, 2)
+    log = tmp_path / "templates.log"
+    published = tmp_path / "published"
+    parent = os.getpid()
+    real_template = _io._Group.template
+
+    def held_template(group, block):
+        deadline = time.monotonic() + 60
+        while os.getpid() != parent and not published.exists():
+            assert time.monotonic() < deadline, "nothing published"
+            time.sleep(0.001)
+        return real_template(group, block)
+
+    monkeypatch.setattr(_io._Group, "template", held_template)
+    _trace_templates(monkeypatch, log)
+
+    def publish(stream):
+        _wait_for(log, "1 prepare", 1)
+        _publish_by_chunk("ABCD", TEMPLATE_N)(stream)
+        published.touch()
+        _wait_for(log, "ready", 1)
+
+    got = _stream_series(tmp_path / "stream",
+                         _scheme_series("ABCD", TEMPLATE_N), publish)
+    _assert_nothing_left(tmp_path / "stream")
+    assert [line for line in _log_lines(log)
+            if " prepare " in line] == ["1 prepare A 0"]
+    want = _serial_bytes(tmp_path, {s: cols for s, (_, cols) in got.items()})
+    for s in "ABCD":
+        assert got[s][0] == want[s], s
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_failing_template_in_prepare_raises(cpus, tmp_path, monkeypatch):
+    # every worker fails while preparing, before a block is queued
+    _use_cpus(monkeypatch, cpus)
+    log = tmp_path / "templates.log"
+    _trace_templates(monkeypatch, log)
+    parent = os.getpid()
+    real_template = _io._Group.template
+
+    def failing_template(group, block):
+        if os.getpid() != parent:
+            raise OSError("injected")
+        return real_template(group, block)
+
+    monkeypatch.setattr(_io._Group, "template", failing_template)
+
+    def publish(stream):
+        _wait_for(log, "failed", cpus - 1)
+        _publish_by_chunk("ABCD", TEMPLATE_N)(stream)
+
+    with pytest.raises(RuntimeError, match="table worker"):
+        _stream_series(tmp_path / "stream",
+                       _scheme_series("ABCD", TEMPLATE_N), publish)
+    _assert_nothing_left(tmp_path / "stream")
