@@ -17,9 +17,12 @@ shot-noise stream), and C and D share one (alternating final phases, on
 another; see :data:`SCHEME_GROUPS`).  Requesting A or C next to B or D
 costs only the extraction.  The two groups differ only in the echo's
 final pulse and in the photon draw, so one echo call per chunk serves
-both: the pulses before the final one are computed once for the chunk.
-C and D are pair-differenced chunk by chunk, so no full-length window
-record is kept.
+both: the pulses before the final one are computed once for the chunk,
+and the final pulse's axis once per distinct final phase (the chunk
+passes the two phases and each sequence's index into them).  C and D
+are pair-differenced chunk by chunk, so no full-length window record is
+kept.  The noise-free working point that balances the reference is
+evaluated once per run, not once per record.
 
 All numpy work stays in the calling process.  The scaling run's
 ``series_<scheme>.csv`` tables are formatted meanwhile on the other
@@ -105,7 +108,7 @@ def _balance_populations(scenario: Scenario) -> np.ndarray:
     return np.asarray(out)
 
 
-def _scheme_series(scenario: Scenario, dg, df, eps,
+def _scheme_series(scenario: Scenario, dg, df, eps, balance,
                    stream_offset: int = 0, field_amplitude=0.0,
                    tables=None) -> dict:
     """Readout series of every requested scheme, keyed in scenario order.
@@ -125,6 +128,8 @@ def _scheme_series(scenario: Scenario, dg, df, eps,
     C and D are pair-differenced chunk by chunk.  Given an
     :class:`nvmag.io.SeriesStream` keyed by scheme as ``tables``, the
     series are its values, and each chunk's rows are published to it.
+    ``balance`` is the scenario's :func:`_balance_populations`, which a
+    runner computes once however many records it draws.
     """
     s = scenario.sequence
     n = len(dg)
@@ -133,7 +138,6 @@ def _scheme_series(scenario: Scenario, dg, df, eps,
               for stream, members in SCHEME_GROUPS.items()
               if any(m in scenario.schemes for m in members)]
     phases = np.array([s.final_phase, -s.final_phase])
-    balance = _balance_populations(scenario)
     values = {scheme: np.empty(n // SCHEME_SEQUENCES[scheme])
               if tables is None else tables.values(scheme)
               for scheme in scenario.schemes}
@@ -147,7 +151,8 @@ def _scheme_series(scenario: Scenario, dg, df, eps,
         populations = sequences.echo_populations(
             s.phase_time, s.rabi, scenario.hamiltonian, dg[sl], df[sl],
             field_amplitude=field_amplitude, decay=scenario.decay,
-            final_phase=phases[parity], m_i_values=s.m_i_values())
+            final_phase=phases, phase_index=parity,
+            m_i_values=s.m_i_values())
         for g, (stream, members, paired) in enumerate(groups):
             rng = np.random.default_rng(
                 scenario.shot_seed(stream + stream_offset, index))
@@ -232,11 +237,13 @@ def run_ac_sweep(scenario: Scenario, amplitudes, out_dir=None) -> SweepResult:
     phase_time = scenario.sequence.phase_time
     gamma_e = scenario.hamiltonian.gamma_e
     means = {scheme: np.empty(amplitudes.size) for scheme in scenario.schemes}
+    # the working point does not depend on the test field
+    balance = _balance_populations(scenario)
 
     for k, amp in enumerate(amplitudes):
         sl = slice(k * n, (k + 1) * n)
         series = _scheme_series(
-            scenario, dg_all[sl], df_all[sl], eps_all[:, sl],
+            scenario, dg_all[sl], df_all[sl], eps_all[:, sl], balance,
             stream_offset=1000 * (k + 1), field_amplitude=amp)
         for scheme, s in series.items():
             means[scheme][k] = s.values.mean()
@@ -303,7 +310,8 @@ def run_scaling_experiment(scenario: Scenario, out_dir=None) -> ScalingResult:
         out = {}
         # the noise record is freed once the series are drawn
         for scheme, series in _scheme_series(
-                scenario, *_noise_record(scenario, n), tables=stream).items():
+                scenario, *_noise_record(scenario, n),
+                _balance_populations(scenario), tables=stream).items():
             grid = analysis.default_time_grid(series.values.size,
                                               series.spacing)
             out[scheme] = SchemeScaling(

@@ -66,9 +66,13 @@ class PsdModel:
             np.maximum(f, 1e-150, out=term)
             term **= alpha
             np.divide(amp, term, out=term)
-            term[f <= 0] = 0.0
             out += term
-        out[(f < self.f_min) | (f > self.f_max) | (f <= 0.0)] = 0.0
+        # one mask zeroes every f <= 0, where the flicker terms are
+        # finite or +inf, and the frequencies outside the band
+        outside = f <= 0.0
+        outside |= f < self.f_min
+        outside |= f > self.f_max
+        np.copyto(out, 0.0, where=outside)
         if np.isscalar(freqs):
             return float(out[0])
         return out
@@ -169,7 +173,9 @@ def synthesize_trace(model, duration: float, dt: float, seed,
     O(n) per alias that overlaps the band.  The fold and the shaping go
     one block of ``_BLOCK_BINS`` bins at a time, in place, so the
     transient memory is the white spectra of the rows, the output and
-    one block's temporaries.
+    one block's temporaries.  The window factor is ``np.sinc``'s
+    ``sin(pi x) / (pi x)`` written out in one array per alias and block,
+    with the same bits.
     """
     if len(offsets) not in (1, 2):
         raise ValueError("need one or two read offsets")
@@ -212,7 +218,15 @@ def synthesize_trace(model, duration: float, dt: float, seed,
             p = model.density(f)
             p /= 2.0 * h
             if window:
-                avg = np.sinc(f * window)
+                # np.sinc(f * window) without its temporaries; only the
+                # DC bin of alias 0 is 0, where sinc is 1.  y is freed
+                # here, not when the next alias rebinds it
+                y = f * window
+                y[y == 0] = 1e-20
+                y *= math.pi
+                avg = np.sin(y)
+                avg /= y
+                del y
                 avg *= avg
                 p *= avg
             if m == 0 and block.start == 0:

@@ -48,14 +48,22 @@ def poisson_counts(rng: np.random.Generator, mean) -> np.ndarray:
     mean = np.asarray(mean, dtype=float)
     small = mean < GAUSSIAN_COUNT_THRESHOLD
     if not small.any():  # every mean in the Gaussian limit: no gather
-        return np.round(mean + np.sqrt(mean) * rng.standard_normal(mean.shape))
+        return _gaussian_counts(rng, mean)
     out = np.empty(mean.shape)
     out[small] = rng.poisson(mean[small])
     big = ~small
     if big.any():
-        m = mean[big]
-        out[big] = np.round(m + np.sqrt(m) * rng.standard_normal(m.shape))
+        out[big] = _gaussian_counts(rng, mean[big])
     return out
+
+
+def _gaussian_counts(rng: np.random.Generator, mean: np.ndarray) -> np.ndarray:
+    """The rounded Gaussian limit ``round(mean + sqrt(mean) z)``, formed
+    in the array of the draws ``z``."""
+    out = rng.standard_normal(mean.shape)
+    out *= np.sqrt(mean)
+    out += mean
+    return np.rint(out, out=out)
 
 
 @dataclass(frozen=True)

@@ -18,9 +18,9 @@ coupling, the pi pulse lasting twice as long, so per hyperfine block one
 the double angle).  One pair of the carrier error's detuning phase gives
 both ``a_k`` of every block, since a block's hyperfine offset and the
 field phases only rotate it by constants, and the final phase's pair is
-taken once per call.  Several final phases against the same evaluations
-(the rows of a 2-D ``final_phase``) share everything up to the final
-pulse.
+taken once per distinct phase.  Several final phases against the same
+evaluations (the rows of a 2-D ``final_phase`` or ``phase_index``) share
+everything up to the final pulse.
 
 The only test field is that phase-locked sine
 ``B(t) = amplitude * sin(2 pi t / T)``, given by its amplitude alone.
@@ -93,7 +93,7 @@ def echo_populations(phase_time: float, rabi: float,
                      params: HamiltonianParams, amplitude_error=0.0,
                      frequency_error=0.0, field_amplitude=0.0,
                      decay: CoherenceDecay = CoherenceDecay(), *,
-                     final_phase=math.pi / 2,
+                     final_phase=math.pi / 2, phase_index=None,
                      m_i_values=NUCLEAR_LEVELS) -> np.ndarray:
     """``m_S = 0`` populations after the echo
     ``(pi/2)_x - T/2 - (pi)_x - T/2 - (pi/2)_final_phase``.
@@ -112,13 +112,24 @@ def echo_populations(phase_time: float, rabi: float,
     Everything before the final pulse is computed once; the final pulse,
     the population and the envelope run per row on 1-D arrays, so each
     row equals, bit for bit, a call with that row as ``final_phase``.
+
+    Given ``phase_index`` (integers, 1-D or 2-D like a per-evaluation
+    ``final_phase``), ``final_phase`` is a table of phases and evaluation
+    ``k`` of a row runs at ``final_phase[phase_index[k]]``: the cosine and
+    sine of each table entry are taken once and gathered, with the bits
+    of the per-evaluation form.
     """
     t_pi = pi_pulse_time(phase_time, rabi)
     half = phase_time / 2.0
     dg = np.atleast_1d(np.asarray(amplitude_error, dtype=float))
     df = np.atleast_1d(np.asarray(frequency_error, dtype=float))
-    fp = np.asarray(final_phase, dtype=float)
-    rows = fp if fp.ndim == 2 else [fp]
+    table = np.asarray(final_phase, dtype=float)
+    if phase_index is None:
+        # one table entry per evaluation, in order
+        phase_index = np.arange(table.size).reshape(table.shape)
+    table = table.ravel()
+    index = np.asarray(phase_index)
+    rows = index if index.ndim == 2 else [index]
     dg, df = np.broadcast_arrays(dg, df, rows[0])[:2]
 
     # field phase of each free evolution, from the exact integral
@@ -132,8 +143,11 @@ def echo_populations(phase_time: float, rabi: float,
     # pulses: the pi pulse lasts twice as long as the pi/2 pulses
     b_xy = math.pi * rabi * (1.0 + dg)
     b_xy2 = b_xy * b_xy
-    # the final pulse's drive axis, per row
-    axes = [(b_xy * np.cos(row), b_xy * np.sin(row)) for row in rows]
+    # the final pulse's drive axis b_y + i b_x, per row: one sine and
+    # cosine per table entry, gathered and scaled by the coupling, which
+    # rounds each part once, as b_xy * sin and b_xy * cos do
+    rotor = np.sin(table) + 1j * np.cos(table)
+    axes = [b_xy * rotor[row] for row in rows]
     # detuning phase d = 2 pi (T/2) delta of each half, from the carrier
     # error's turns reduced to one turn; the hyperfine offset of a block
     # and the field phases only rotate it by a constant
@@ -155,22 +169,28 @@ def echo_populations(phase_time: float, rabi: float,
         # sin(theta)/|b| -> t_pi/2 as |b| -> 0
         k1 = np.divide(s1, norm, out=np.full(norm.shape, t_pi / 2.0),
                        where=norm > 0.0)
-        g, e = spin.su2_apply(c1, k1, b_xy * (c2d * r12[0] - s2d * r12[1]),
-                              b_xy * (s2d * r12[0] + c2d * r12[1]),
-                              b_z, 1.0, 0.0)
+        # the first pulse on |0> is its rotation's first column
+        # (u00, k1 (b_y - i b_x)): su2_apply's outputs up to the sign of
+        # a zero, which the population squares away; the final pulse has
+        # the same diagonal entry u00
+        u00 = c1 - 1j * (k1 * b_z)
+        e = k1 * (b_xy * (s2d * r12[0] + c2d * r12[1])
+                  - 1j * (b_xy * (c2d * r12[0] - s2d * r12[1])))
         g, e = spin.su2_apply(1.0 - 2.0 * s1 * s1, 2.0 * c1 * k1,
                               b_xy * (cd * r2[0] - sd * r2[1]),
-                              b_xy * (sd * r2[0] + cd * r2[1]), b_z, g, e)
+                              b_xy * (sd * r2[0] + cd * r2[1]), b_z, u00, e)
         # the final pulse: only its m_S = 0 amplitude is read, so the
         # first output of su2_apply is written out, and its term in the
-        # amplitude g, the same for every row, is taken once
-        a_g = (c1 - 1j * (k1 * b_z)) * g
-        for r, (x3, y3) in enumerate(axes):
-            g3 = a_g + ((-k1) * (y3 + 1j * x3)) * e
+        # amplitude g, the same for every row, is taken once; both
+        # factors are written over g and k1, which are not needed again
+        a_g = np.multiply(u00, g, out=g)
+        k3 = np.negative(k1, out=k1)
+        for r, b_axis in enumerate(axes):
+            g3 = a_g + (k3 * b_axis) * e
             p_total[r] = p_total[r] + (g3.real * g3.real + g3.imag * g3.imag)
     envelope = decay.envelope(phase_time)
     out = [0.5 + (p / len(m_i_values) - 0.5) * envelope for p in p_total]
-    return np.stack(out) if fp.ndim == 2 else out[0]
+    return np.stack(out) if index.ndim == 2 else out[0]
 
 
 def pulse_error_response(amplitude_errors, frequency_errors, *,

@@ -6,7 +6,8 @@ integrates one in closed form; the tests do both, with the functions
 here.  The point-sampled reads of a fine trace, which the package
 replaced by window averages synthesized on the read grid, are kept here
 as a reference too, and so is the synthesis that folds every alias,
-in band or not.
+in band or not, and the parametric density zeroed through a fresh
+boolean mask per flicker term.
 """
 
 from __future__ import annotations
@@ -32,6 +33,26 @@ def band_variance(model, f_lo: float, f_hi: float) -> float:
         else:
             var += amp * (hi ** (1 - alpha) - lo ** (1 - alpha)) / (1 - alpha)
     return var
+
+
+def masked_density(model, freqs) -> np.ndarray:
+    """:meth:`nvmag.noise.PsdModel.density` assigning zeros through a
+    boolean mask per flicker term and one for the band: the form the
+    package's one mask of non-positive frequencies is held to bit for
+    bit."""
+    f = np.atleast_1d(np.asarray(freqs, dtype=float))
+    out = np.full(f.shape, model.white, dtype=float)
+    term = np.empty_like(out)
+    for amp, alpha in model.flicker:
+        np.maximum(f, 1e-150, out=term)
+        term **= alpha
+        np.divide(amp, term, out=term)
+        term[f <= 0] = 0.0
+        out += term
+    out[(f < model.f_min) | (f > model.f_max) | (f <= 0.0)] = 0.0
+    if np.isscalar(freqs):
+        return float(out[0])
+    return out
 
 
 def estimate_psd(trace, segment_length: int):

@@ -412,15 +412,22 @@ def echo_populations_stagewise(phase_time: float, rabi: float,
     return p
 
 
-def echo_populations_su2(phase_time: float, rabi: float,
-                         params: HamiltonianParams, amplitude_error=0.0,
-                         frequency_error=0.0, field_amplitude=0.0,
-                         decay=None, *, final_phase=math.pi / 2,
-                         m_i_values=NUCLEAR_LEVELS) -> np.ndarray:
-    """:func:`nvmag.sequences.echo_populations` with its final pulse
-    through :func:`nvmag.spin.su2_apply` like the first two, which also
-    computes the excited amplitude that the population never reads: the
-    form the written-out final pulse is held to bit for bit."""
+def echo_populations_per_evaluation(phase_time: float, rabi: float,
+                                    params: HamiltonianParams,
+                                    amplitude_error=0.0, frequency_error=0.0,
+                                    field_amplitude=0.0, decay=None, *,
+                                    final_phase=math.pi / 2,
+                                    m_i_values=NUCLEAR_LEVELS,
+                                    su2_final_pulse=False) -> np.ndarray:
+    """:func:`nvmag.sequences.echo_populations` taking the final pulse's
+    axis from the cosine and sine of every evaluation's own final phase,
+    and applying the first pulse to ``|0>`` through
+    :func:`nvmag.spin.su2_apply`: the form the phase table and the
+    written-out first pulse are held to bit for bit.
+
+    With ``su2_final_pulse`` the final pulse goes through ``su2_apply``
+    too, which also computes the excited amplitude that the population
+    never reads: the form the written-out final pulse is held to."""
     t_pi = 1.0 / (2.0 * rabi)
     half = phase_time / 2.0
     dg = np.atleast_1d(np.asarray(amplitude_error, dtype=float))
@@ -455,8 +462,12 @@ def echo_populations_su2(phase_time: float, rabi: float,
         g, e = su2_apply(1.0 - 2.0 * s1 * s1, 2.0 * c1 * k1,
                          b_xy * (cd * r2[0] - sd * r2[1]),
                          b_xy * (sd * r2[0] + cd * r2[1]), b_z, g, e)
+        a_g = (c1 - 1j * (k1 * b_z)) * g
         for r, (x3, y3) in enumerate(axes):
-            g3, _ = su2_apply(c1, k1, x3, y3, b_z, g, e)
+            if su2_final_pulse:
+                g3, _ = su2_apply(c1, k1, x3, y3, b_z, g, e)
+            else:
+                g3 = a_g + ((-k1) * (y3 + 1j * x3)) * e
             p_total[r] = p_total[r] + (g3.real * g3.real + g3.imag * g3.imag)
     envelope = 1.0 if decay is None else decay.envelope(phase_time)
     out = [0.5 + (p / len(m_i_values) - 0.5) * envelope for p in p_total]

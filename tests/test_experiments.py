@@ -200,7 +200,8 @@ class TestNoiseBudget:
                 sigma1, eta = experiments.shot_noise_limit(s)
                 assert experiments.run_noise_budget(s).sigma1 == sigma1
                 series = experiments._scheme_series(
-                    s, np.zeros(n), np.zeros(n), np.zeros((2, n)))
+                    s, np.zeros(n), np.zeros(n), np.zeros((2, n)),
+                    experiments._balance_populations(s))
                 for scheme, sampled in series.items():
                     m = sampled.values.size
                     ratio = sampled.values.var(ddof=1) / sigma1[scheme] ** 2
@@ -393,7 +394,9 @@ class TestSchemeGroups:
         s = make_scenario(n_sequences=n, schemes=["A", "B", "C", "D"],
                           noise=NOISY)
         dg, df, eps = experiments._noise_record(s, n)
-        experiments._scheme_series(s, dg, df, eps, field_amplitude=field)
+        experiments._scheme_series(s, dg, df, eps,
+                                   experiments._balance_populations(s),
+                                   field_amplitude=field)
         # per chunk, A/B's draw comes first, then C/D's
         single = np.concatenate(populations[0::2])
         paired = np.concatenate(populations[1::2])
@@ -445,3 +448,30 @@ class TestChunkedEcho:
         experiments.run_ac_sweep(s, [0.0, 5e-8])
         record = [(0, CHUNK_SIZE), (CHUNK_SIZE, 2048)]
         assert chunks == 2 * record  # two amplitudes, one echo per chunk
+
+
+class TestWorkingPoint:
+    def test_sweep_evaluates_the_working_point_once(self, monkeypatch):
+        # the noise-free balance populations do not depend on the test
+        # field, so a sweep evaluates them once, not once per amplitude
+        balances, echoes = [], []
+        balance, echo = experiments._balance_populations, sq.echo_populations
+
+        def counting_balance(scenario):
+            balances.append(scenario)
+            return balance(scenario)
+
+        def counting_echo(*args, **kwargs):
+            echoes.append(kwargs.get("field_amplitude", 0.0))
+            return echo(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "_balance_populations",
+                            counting_balance)
+        monkeypatch.setattr(sq, "echo_populations", counting_echo)
+        s = make_scenario(n_sequences=CHUNK_SIZE + 2048, schemes=["B", "D"])
+        amplitudes = [0.0, 2e-8, 5e-8]
+        experiments.run_ac_sweep(s, amplitudes)
+        assert balances == [s]
+        # the working point's two final phases, then two chunks per
+        # amplitude
+        assert echoes == [0.0, 0.0] + [a for a in amplitudes for _ in "ab"]

@@ -13,7 +13,8 @@ from nvmag.scenario import load_scenario
 
 from conftest import SCENARIO_FILE
 from reference_noise import (band_variance, estimate_psd,
-                             fine_grid_covariance, full_fold_trace, value_at)
+                             fine_grid_covariance, full_fold_trace,
+                             masked_density, value_at)
 
 
 class TestPsdModel:
@@ -35,6 +36,33 @@ class TestPsdModel:
             PsdModel("laser_intensity", flicker=((1.0, 2.5),))
         with pytest.raises(ValueError):
             PsdModel("laser_intensity", f_min=10.0, f_max=1.0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(white=st.sampled_from([0.0, 2.0, 1e-13]),
+           flicker=st.lists(st.tuples(
+               st.one_of(st.just(0.0), st.floats(1e-12, 1e3)),
+               st.one_of(st.sampled_from([0.0, 0.5, 1.0, 2.0]),
+                         st.floats(0.0, 2.0))), max_size=3),
+           f_min=st.sampled_from([0.0, 1e-2, 1.0, 3.7]),
+           width=st.one_of(st.just(math.inf), st.floats(1e-3, 1e5)),
+           extra=st.lists(st.floats(-1e6, 1e6), max_size=8))
+    def test_density_matches_masked_form(self, white, flicker, f_min, width,
+                                         extra):
+        # one mask of f <= 0 and the band, applied by copyto, against a
+        # boolean assignment per flicker term and one for the band: the
+        # same bits at f <= 0, on the band edges and their neighbours,
+        # and in between
+        m = PsdModel("mw_frequency", white=white, flicker=tuple(flicker),
+                     f_min=f_min, f_max=f_min + width)
+        edges = [e for e in (m.f_min, m.f_max) if math.isfinite(e)]
+        f = np.array([0.0, -0.0, -1.0, 5e-324, 1e-200, 0.5, 10.0, 1e4]
+                     + [g for e in edges for g in (
+                         e, np.nextafter(e, -np.inf), np.nextafter(e, np.inf))]
+                     + extra)
+        npt.assert_array_equal(m.density(f).view(np.uint64),
+                               masked_density(m, f).view(np.uint64))
+        for x in f[:3]:
+            assert m.density(float(x)) == masked_density(m, float(x))
 
     def test_band_variance_matches_quadrature(self):
         m = PsdModel("mw_frequency", white=0.3, flicker=((2.0, 1.0), (5.0, 0.7)))

@@ -1,6 +1,7 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nvmag import sequences as sq
 from nvmag.readout import (GAUSSIAN_COUNT_THRESHOLD, ReadoutConfig,
@@ -153,6 +154,21 @@ class TestSampling:
             want = masked(want_rng, mean)
             assert np.shape(got) == want.shape
             npt.assert_array_equal(got, want)
+
+    @settings(max_examples=60, deadline=None)
+    @given(means=st.lists(st.one_of(
+               st.floats(GAUSSIAN_COUNT_THRESHOLD, 1e300),
+               st.sampled_from([GAUSSIAN_COUNT_THRESHOLD, 2.5e12, 1e30])),
+               min_size=1, max_size=9),
+           seed=st.integers(0, 2**31 - 1))
+    def test_gaussian_limit_equals_the_rounded_expression(self, means, seed):
+        # the draws scaled, shifted and rounded in place give the bits of
+        # round(mean + sqrt(mean) z) for the same generator state
+        mean = np.asarray(means)
+        z = np.random.default_rng(seed).standard_normal(mean.shape)
+        want = np.round(mean + np.sqrt(mean) * z)
+        got = poisson_counts(np.random.default_rng(seed), mean)
+        npt.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 class TestDifferenceDetector:

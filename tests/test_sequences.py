@@ -7,8 +7,8 @@ from nvmag.spin import HamiltonianParams
 from nvmag.sequences import (CoherenceDecay, analytic_echo_phase,
                              pi_pulse_time, echo_populations,
                              pulse_error_response)
-from reference_spin import (AcField, echo_populations_stagewise,
-                            echo_populations_su2, locked_field,
+from reference_spin import (AcField, echo_populations_per_evaluation,
+                            echo_populations_stagewise, locked_field,
                             simulate_full)
 
 PHASE_TIME = 50e-6
@@ -295,8 +295,8 @@ class TestFinalPulseWrittenOut:
         kwargs = dict(field_amplitude=amplitude, decay=decay,
                       final_phase=final, m_i_values=m_i_values)
         got = echo_populations(PHASE_TIME, RABI, params, dg, df, **kwargs)
-        want = echo_populations_su2(PHASE_TIME, RABI, params, dg, df,
-                                    **kwargs)
+        want = echo_populations_per_evaluation(
+            PHASE_TIME, RABI, params, dg, df, su2_final_pulse=True, **kwargs)
         npt.assert_array_equal(got, want)
 
     def test_zero_coupling_and_zero_detuning(self, params):
@@ -309,8 +309,112 @@ class TestFinalPulseWrittenOut:
                 npt.assert_array_equal(
                     echo_populations(PHASE_TIME, RABI, params, dg, df,
                                      **kwargs),
-                    echo_populations_su2(PHASE_TIME, RABI, params, dg, df,
-                                         **kwargs))
+                    echo_populations_per_evaluation(
+                        PHASE_TIME, RABI, params, dg, df,
+                        su2_final_pulse=True, **kwargs))
+
+
+def bits(a):
+    """The float64 bit patterns of ``a``, so that signed zeros differ."""
+    return np.asarray(a, dtype=float).view(np.uint64)
+
+
+class TestPhaseTable:
+    """The final pulse's axis comes from one cosine and sine per entry of
+    a phase table, gathered by ``phase_index``, and the first pulse on
+    ``|0>`` is written out; the populations equal, bit for bit, those of
+    every evaluation's own cosine and sine and of the first pulse through
+    ``su2_apply``.  The float forms of ``final_phase`` go through the
+    same table."""
+
+    N = 37
+
+    @staticmethod
+    def evaluations(seed, dg_scale, df_scale, n):
+        r = np.random.default_rng(seed)
+        # r.normal() * 0.0 gives zeros of either sign
+        return r.normal(size=n) * dg_scale, r.normal(size=n) * df_scale
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**31 - 1),
+           dg_scale=st.sampled_from([0.0, 1e-4, 1e-2, 0.3]),
+           df_scale=st.sampled_from([0.0, 10.0, 1e4, 3e6]),
+           amplitude=st.one_of(st.sampled_from([0.0, 3e-8, -1e-7]),
+                               st.floats(-1e-6, 1e-6)),
+           decay=st.sampled_from([CoherenceDecay(), CoherenceDecay(t2=100e-6),
+                                  CoherenceDecay(t2=70e-6, exponent=2.0)]),
+           table=st.lists(st.one_of(
+               st.sampled_from([np.pi / 2, -np.pi / 2, 0.7, -0.7, 0.0,
+                                np.pi]),
+               st.floats(-10.0, 10.0)), min_size=1, max_size=3),
+           rows=st.sampled_from([None, 1, 2, 3]),
+           m_i_values=st.lists(st.sampled_from([1, 0, -1]), min_size=1,
+                               max_size=3, unique=True).map(tuple),
+           data=st.data())
+    def test_table_matches_per_evaluation_phases(
+            self, seed, dg_scale, df_scale, amplitude, decay, table, rows,
+            m_i_values, data):
+        params = HamiltonianParams()
+        dg, df = self.evaluations(seed, dg_scale, df_scale, self.N)
+        # a 1-D index, or the (rows, n) index of one call per row group
+        shape = (self.N,) if rows is None else (rows, self.N)
+        index = np.asarray(data.draw(st.lists(
+            st.integers(0, len(table) - 1), min_size=int(np.prod(shape)),
+            max_size=int(np.prod(shape))))).reshape(shape)
+        kwargs = dict(field_amplitude=amplitude, decay=decay,
+                      m_i_values=m_i_values)
+        got = echo_populations(PHASE_TIME, RABI, params, dg, df,
+                               final_phase=table, phase_index=index, **kwargs)
+        want = echo_populations_per_evaluation(
+            PHASE_TIME, RABI, params, dg, df,
+            final_phase=np.asarray(table)[index], **kwargs)
+        assert got.shape == shape
+        npt.assert_array_equal(bits(got), bits(want))
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**31 - 1),
+           dg_scale=st.sampled_from([0.0, 1e-4, 0.3]),
+           df_scale=st.sampled_from([0.0, 10.0, 3e6]),
+           amplitude=st.sampled_from([0.0, 3e-8, -1e-7]),
+           decay=st.sampled_from([CoherenceDecay(),
+                                  CoherenceDecay(t2=100e-6)]),
+           phase=st.one_of(st.sampled_from([np.pi / 2, 0.0, np.pi]),
+                           st.floats(-10.0, 10.0)),
+           form=st.sampled_from(["scalar", "row", "rows"]),
+           m_i_values=st.lists(st.sampled_from([1, 0, -1]), min_size=1,
+                               max_size=3, unique=True).map(tuple))
+    def test_float_forms_match_per_evaluation_phases(
+            self, seed, dg_scale, df_scale, amplitude, decay, phase, form,
+            m_i_values):
+        params = HamiltonianParams()
+        dg, df = self.evaluations(seed, dg_scale, df_scale, self.N)
+        alternating = np.where(np.arange(self.N) % 2, -phase, phase)
+        final = {"scalar": phase, "row": alternating,
+                 "rows": np.stack([np.full(self.N, phase), alternating,
+                                   np.linspace(-phase, phase, self.N)])}[form]
+        kwargs = dict(field_amplitude=amplitude, decay=decay,
+                      final_phase=final, m_i_values=m_i_values)
+        got = echo_populations(PHASE_TIME, RABI, params, dg, df, **kwargs)
+        want = echo_populations_per_evaluation(PHASE_TIME, RABI, params, dg,
+                                               df, **kwargs)
+        assert got.shape == want.shape
+        npt.assert_array_equal(bits(got), bits(want))
+
+    def test_zero_coupling_and_signed_zero_errors(self, params):
+        # |b| = 0 in the m_I = 0 block, and zeros of either sign in the
+        # first pulse's amplitudes
+        dg = np.array([-1.0, 0.0, -0.0, 0.0, -1.0, -0.0])
+        df = np.array([0.0, 0.0, -0.0, -0.0, -0.0, 0.0])
+        table = [np.pi / 2, -np.pi / 2, 0.0]
+        index = np.array([[0, 1, 2, 0, 1, 2], [2, 2, 1, 1, 0, 0]])
+        for m_i_values in ((0,), (1, 0, -1)):
+            got = echo_populations(PHASE_TIME, RABI, params, dg, df,
+                                   final_phase=table, phase_index=index,
+                                   m_i_values=m_i_values)
+            want = echo_populations_per_evaluation(
+                PHASE_TIME, RABI, params, dg, df,
+                final_phase=np.asarray(table)[index], m_i_values=m_i_values)
+            npt.assert_array_equal(bits(got), bits(want))
 
 
 class TestPulseErrorResponse:
