@@ -25,16 +25,18 @@ kept.  The noise-free working point that balances the reference is
 evaluated once per run, not once per record.
 
 All numpy work stays in the calling process.  The scaling run's
-``series_<scheme>.csv`` tables are formatted meanwhile on the other
-usable CPUs: :func:`run_scaling_experiment` forks their formatters (an
-:class:`nvmag.io.SeriesStream`) before the noise record, publishes each
-chunk's rows to them, and joins them when it writes its tables.  A and B
-share one length and spacing, and so do C and D, so each block of a
-pair's index and time text is formatted once, as bytes, and filled with
-each member's values.  Those templates depend on no value, so the
-formatters format them while the noise record is synthesized, before
-the first row is published.  No other table forks.  The bytes of every
-table do not depend on the number of CPUs.
+``series_<scheme>.csv`` tables are formatted by an
+:class:`nvmag.io.SeriesStream`, which :func:`run_scaling_experiment`
+makes before the noise record, publishes each chunk's rows to, and
+joins when it writes its tables.  A and B share one length and spacing,
+and so do C and D, so each block of a pair's index and time text is
+formatted once, as bytes, and filled with each member's values.  With
+more than one usable CPU the stream forks formatters, which format the
+templates while the noise record is synthesized (they depend on no
+value) and the published rows while the later chunks are computed; with
+one, the join formats every block from the same templates.  No other
+table forks.  The bytes of every table do not depend on the number of
+CPUs.
 """
 
 from __future__ import annotations
@@ -295,8 +297,9 @@ def run_scaling_experiment(scenario: Scenario, out_dir=None) -> ScalingResult:
     sampled across sequences from the scenario's spectral models.
 
     With ``out_dir``, the ``series_<scheme>.csv`` tables are formatted by
-    an :class:`nvmag.io.SeriesStream` on the spare CPUs while the series
-    and the estimators are computed here, and written with the rest.
+    an :class:`nvmag.io.SeriesStream` (on the spare CPUs while the series
+    and the estimators are computed here, where there are any), and
+    written with the rest.
     """
     started = utc_now()
     n = scenario.n_sequences

@@ -1,26 +1,27 @@
 """Delimited-table output and spectrum ingestion.
 
 Formatting numbers as text is most of the cost of writing a large
-table.  :func:`write_table` formats a table in-process as bytes, a block
-of :data:`_BLOCK_ROWS` rows per formatting call.  Only the series tables
-of the scaling run are formatted on the other usable CPUs, while their
-values are computed (:class:`SeriesStream`); all numpy work stays in the
-caller.  Series tables of one length and spacing form a group (A/B and
+table.  :func:`write_table` formats a table as bytes, a block of
+:data:`_BLOCK_ROWS` rows per formatting call.  The series tables of the
+scaling run are formatted by a :class:`SeriesStream` on any number of
+CPUs.  Series tables of one length and spacing form a group (A/B and
 C/D in the scaling run) and share their index and time columns: a block
 of a group is formatted once into a bytes template of
 ``index,time,%.12g`` rows, which each member then fills with its own
-values.  A group's blocks go onto a queue (:class:`_RowQueue`) once
-every member has published them.  Forked workers, one per usable CPU but
-one, take blocks from it and write each member's rows to that member's
-binary part file.  A template depends on no value, so until the first
-block is queued (while the caller synthesizes its noise record) each
-worker formats its share of the templates ahead, and fills its own when
-it takes that block.  The caller takes the blocks still queued once it
-joins, reaps the workers and splices the parts into each table in row
-order.  The bytes depend on neither the number of CPUs nor which process
-formatted which block.  With one usable CPU, or where the process cannot
-fork, nothing is forked, there is no shared memory, and every row is
-formatted in-process.
+values, into its own binary part file.  With more than one usable CPU
+the stream forks workers, one per usable CPU but one, while the caller
+computes the values; all numpy work stays in the caller.  A group's
+blocks go onto a queue once every member has published them, and the
+workers take blocks from it.  A template depends on no value, so until
+the first block is queued (while the caller synthesizes its noise
+record) each worker formats its share of the templates ahead, and fills
+its own when it takes that block.  The caller takes the blocks still
+queued once it joins, reaps the workers and splices the parts into each
+table in row order.  With one usable CPU, or where the process cannot
+fork, nothing is forked, queued or shared: the join formats every block
+of every group in row order from the same templates, and splices the
+same way.  The bytes depend on neither the number of CPUs nor which
+process formatted which block.
 """
 
 from __future__ import annotations
@@ -38,27 +39,15 @@ import numpy as np
 
 #: rows formatted by one string-formatting call, and rows per queued block
 _BLOCK_ROWS = 4096
-#: integer magnitudes below this print alike under ``%d`` and ``%.12g``
-_INT_LIMIT = 10 ** 12
 #: a series row with its index and time filled in and its value still to
-#: fill: the row :func:`write_table` prints for integer indices below
-#: :data:`_INT_LIMIT` and float times and values
+#: fill; ``%d`` prints an index below 1e12 as :func:`write_table`'s
+#: ``%.12g`` does
 _SERIES_ROW = b"%d,%.12g,%%.12g\n"
 #: one queue item: a group's index and a block's index
 _ITEM = struct.Struct("=II")
 #: items per write to the queue: 512 bytes, the least ``PIPE_BUF`` POSIX
 #: allows, so every write is whole and every read of one item gets one
 _BATCH = 512 // _ITEM.size
-
-
-def _column_format(col: np.ndarray) -> str:
-    """``%d`` for an integer column whose values print alike under
-    ``%d`` and ``%.12g`` (the cheaper format), else ``%.12g``."""
-    if np.issubdtype(col.dtype, np.integer) and (
-            col.size == 0 or (col.min() > -_INT_LIMIT
-                              and col.max() < _INT_LIMIT)):
-        return "%d"
-    return "%.12g"
 
 
 def _usable_cpus() -> int:
@@ -112,44 +101,81 @@ class _Group(NamedTuple):
         return lo, hi, (_SERIES_ROW * (hi - lo)) % tuple(axes)
 
 
-class _RowQueue:
-    """Blocks of series groups formatted by ``n_workers`` forked workers
-    and the calling process, each into its own part file per table.
+class SeriesStream:
+    """Series tables whose rows are formatted from group templates, while
+    their values are computed where there are workers.
 
-    The queue is a pipe of fixed-size items.  Until the first item is
-    queued, worker ``k`` formats the templates of every ``n_workers``-th
-    block from the ``k``-th, in the order of the blocks' start times (the
-    order they are queued in); the caller formats none ahead.  The
-    workers then take items until the pipe is closed and empty, filling
-    their own templates where they have them, and record where each
-    table's block went (its taker, offset and length) in memory shared
-    with the caller, which splices the blocks in row order.  Fork rather
-    than spawn: a worker reads the values without a copy, and it only
-    formats and writes, so it needs no lock that a thread of the parent
-    (numpy's BLAS pool) could hold at the fork.
+    ``tables`` maps a name to ``(path, n_rows, spacing)``; row ``i`` of a
+    table reads ``i, i * spacing, values[i]``.  Tables of one ``n_rows``
+    and ``spacing`` form a group, formatted from one template per block
+    (see the module docstring).  The caller fills :meth:`values` of each
+    name and :meth:`publish`-es the rows that are final; a group's block
+    is queued once every member has published it.  :func:`write_table`,
+    given the stream and one of its paths, joins the stream and splices
+    that table from the parts.  On leaving the ``with`` block no worker
+    or part file is left, whether the block returns or raises.
+
+    ``n_workers`` workers, one fewer than the usable CPUs or the blocks,
+    whichever are fewer, are forked when the stream is made; the values
+    live in memory shared with them until the caller drops them.  The queue is
+    a pipe of fixed-size items.  Until the first item is queued, worker
+    ``k`` formats the templates of every ``n_workers``-th block from the
+    ``k``-th, in the order of the blocks' start times (the order they are
+    queued in); the caller formats none ahead.  The workers then take
+    items until the pipe is closed and empty, filling their own templates
+    where they have them, and record where each table's block went (its
+    taker, offset and length) in memory shared with the caller, which
+    splices the blocks in row order.  Fork rather than spawn: a worker
+    reads the values without a copy, and it only formats and writes, so
+    it needs no lock that a thread of the parent (numpy's BLAS pool)
+    could hold at the fork.
+
+    With no worker (one usable CPU, or no ``os.fork``) the values are
+    ordinary arrays, no pipe is opened (Windows pipes take
+    ``os.set_blocking`` only from Python 3.12), nothing is queued, and
+    the join formats every block itself.
     """
 
-    def __init__(self, paths: dict, values: dict, groups: list[_Group],
-                 n_workers: int):
-        self.paths, self.values, self.groups = paths, values, groups
-        self.n_workers = n_workers
+    def __init__(self, tables: dict):
+        groups = {}
+        for name, (_, n_rows, spacing) in tables.items():
+            groups.setdefault((n_rows, spacing), _Group(
+                [], n_rows, spacing)).names.append(name)
+        self.groups = list(groups.values())
+        self._group_of = {name: g for g, group in enumerate(self.groups)
+                          for name in group.names}
+        self.paths = {name: Path(path)
+                      for name, (path, _, _) in tables.items()}
+        for path in self.paths.values():
+            path.parent.mkdir(parents=True, exist_ok=True)
         # name -> the rows of self.blocks that hold the table's blocks
         self.spans, first = {}, 0
-        for group in groups:
+        for group in self.groups:
             for name in group.names:
                 self.spans[name] = slice(first, first + _blocks(group.n_rows))
                 first = self.spans[name].stop
+        self.n_workers = max(min(_usable_cpus(), first) - 1, 0)
+        new = _shared if self.n_workers else np.zeros
+        self._values = {name: new(n_rows)
+                        for name, (_, n_rows, _) in tables.items()}
         # (taker + 1, offset in its part, length) per block; 0: not written
-        self.blocks = _shared(3 * first, np.int64).reshape(-1, 3)
+        self.blocks = new(3 * first, np.int64).reshape(-1, 3)
+        self._published = dict.fromkeys(tables, 0)  # blocks per table
+        self._queued = [0] * len(self.groups)  # blocks queued per group
         self.pids = []  # workers not yet reaped, in fork order
         self._open = {}  # this process's part files: name -> [file, size]
         self._templates = {}  # a worker's prepared (g, block) -> template
         self._joined = False
+        self._read = self._write = None  # the queue, where there are workers
+        if self.n_workers:
+            self._fork()
+
+    def _fork(self) -> None:
         self._read, self._write = os.pipe()
         # a full pipe makes the caller take a block instead of waiting
         os.set_blocking(self._write, False)
         try:
-            for taker in range(1, n_workers + 1):
+            for taker in range(1, self.n_workers + 1):
                 pid = os.fork()
                 if pid == 0:  # worker: never returns into the caller
                     code = 1
@@ -167,14 +193,39 @@ class _RowQueue:
             self.discard()
             raise
 
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.discard()
+
+    def values(self, name) -> np.ndarray:
+        """The values of table ``name``, to be filled by the caller."""
+        return self._values[name]
+
+    def publish(self, name, stop: int) -> None:
+        """Rows ``:stop`` of table ``name`` are final: its whole blocks
+        among them, and its last block once ``stop`` reaches the end of
+        the table, are published.  Queue the blocks of its group that
+        every member has published."""
+        g = self._group_of[name]
+        group = self.groups[g]
+        self._published[name] = _blocks(group.n_rows) \
+            if stop >= group.n_rows else stop // _BLOCK_ROWS
+        ready = min(self._published[member] for member in group.names)
+        self.put(g, self._queued[g], ready)
+        self._queued[g] = ready
+
     def part(self, name, taker: int) -> Path:
         path = self.paths[name]
         return path.with_name(f"{path.name}.part{taker}")
 
     def put(self, g: int, first: int, stop: int) -> None:
-        """Queue blocks ``first:stop`` of group ``g``.  While the pipe is
-        full (the workers are behind, or gone) this process takes blocks
-        itself."""
+        """Queue blocks ``first:stop`` of group ``g`` for the workers; with
+        none, queue nothing.  While the pipe is full (the workers are
+        behind, or gone) this process takes blocks itself."""
+        if self._write is None:
+            return
         items = b"".join(_ITEM.pack(g, b) for b in range(first, stop))
         step = _ITEM.size * _BATCH
         for i in range(0, len(items), step):
@@ -204,30 +255,40 @@ class _RowQueue:
             item = os.read(self._read, _ITEM.size)
             if not item:
                 return
-            g, block = _ITEM.unpack(item)
-            lo, hi, template = self._templates.pop((g, block), None) \
-                or self.groups[g].template(block)
-            for name in self.groups[g].names:
-                part = self._open.get(name)
-                if part is None:
-                    part = self._open[name] = [
-                        open(self.part(name, taker), "wb"), 0]
-                length = part[0].write(
-                    template % tuple(self.values[name][lo:hi].tolist()))
-                self.blocks[self.spans[name].start + block] = \
-                    taker + 1, part[1], length
-                part[1] += length
+            self._fill(taker, *_ITEM.unpack(item))
             if limit is not None:
                 limit -= 1
 
+    def _fill(self, taker: int, g: int, block: int) -> None:
+        """Format ``block`` of every member of group ``g`` into this
+        process's part files, and record where each went."""
+        lo, hi, template = self._templates.pop((g, block), None) \
+            or self.groups[g].template(block)
+        for name in self.groups[g].names:
+            part = self._open.get(name)
+            if part is None:
+                part = self._open[name] = [
+                    open(self.part(name, taker), "wb"), 0]
+            length = part[0].write(
+                template % tuple(self._values[name][lo:hi].tolist()))
+            self.blocks[self.spans[name].start + block] = \
+                taker + 1, part[1], length
+            part[1] += length
+
     def join(self) -> None:
-        """Close the queue, take the blocks still queued, and reap the
-        workers in order: ``RuntimeError`` if one failed."""
+        """Close the queue, format the blocks still queued (every block,
+        with no worker), and reap the workers in order: ``RuntimeError``
+        if one failed."""
         if self._joined:
             return
         self._close_input()
         try:
-            self.take(0)
+            if self._read is None:  # no worker, so nothing was queued
+                for g, group in enumerate(self.groups):
+                    for block in range(_blocks(group.n_rows)):
+                        self._fill(0, g, block)
+            else:
+                self.take(0)
         finally:
             self._close_parts()
         while self.pids:
@@ -297,94 +358,19 @@ class _RowQueue:
         for taker in range(self.n_workers + 1):
             self.part(name, taker).unlink(missing_ok=True)
 
-
-class SeriesStream:
-    """Series tables whose rows are formatted while their values are
-    computed.
-
-    ``tables`` maps a name to ``(path, n_rows, spacing)``; row ``i`` of a
-    table reads ``i, i * spacing, values[i]``.  Tables of one ``n_rows``
-    and ``spacing`` form a group, formatted from one template per block
-    (see the module docstring).  The workers are forked when the stream
-    is made.  The caller fills :meth:`values` of each name and
-    :meth:`publish`-es the rows that are final; a group's block is queued
-    once every member has published it, and the workers format it
-    meanwhile.  :func:`write_table`, given the stream and one of its
-    paths, takes the rows still queued, reaps the workers and splices the
-    parts.  On leaving the ``with`` block no worker or part file is left,
-    whether the block returns or raises.
-
-    The values live in memory shared with the workers, and stay there
-    until the caller drops them.  With one usable CPU, or where the
-    process cannot fork, there are no workers and no shared memory: the
-    values are ordinary arrays, :meth:`publish` does nothing, and
-    :func:`write_table` formats the table from the columns it is given.
-    """
-
-    def __init__(self, tables: dict):
-        groups = {}
-        for name, (_, n_rows, spacing) in tables.items():
-            groups.setdefault((n_rows, spacing), _Group(
-                [], n_rows, spacing)).names.append(name)
-        self._groups = list(groups.values())
-        self._group_of = {name: g for g, group in enumerate(self._groups)
-                          for name in group.names}
-        self._published = dict.fromkeys(tables, 0)  # blocks per table
-        self._queued = [0] * len(self._groups)  # blocks queued per group
-        n_workers = min(_usable_cpus(), sum(
-            _blocks(n_rows) for _, n_rows, _ in tables.values())) - 1
-        new = _shared if n_workers > 0 else np.empty
-        self._values = {name: new(n_rows)
-                        for name, (_, n_rows, _) in tables.items()}
-        self._queue = None
-        if n_workers > 0:
-            paths = {name: Path(path) for name, (path, _, _) in tables.items()}
-            for path in paths.values():
-                path.parent.mkdir(parents=True, exist_ok=True)
-            self._queue = _RowQueue(paths, self._values, self._groups,
-                                    n_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        if self._queue is not None:
-            self._queue.discard()
-
-    def values(self, name) -> np.ndarray:
-        """The values of table ``name``, to be filled by the caller."""
-        return self._values[name]
-
-    def publish(self, name, stop: int) -> None:
-        """Rows ``:stop`` of table ``name`` are final: its whole blocks
-        among them, and its last block once ``stop`` reaches the end of
-        the table, are published.  Queue the blocks of its group that
-        every member has published."""
-        if self._queue is None:
-            return
-        g = self._group_of[name]
-        group = self._groups[g]
-        self._published[name] = _blocks(group.n_rows) \
-            if stop >= group.n_rows else stop // _BLOCK_ROWS
-        ready = min(self._published[member] for member in group.names)
-        self._queue.put(g, self._queued[g], ready)
-        self._queued[g] = ready
-
-    def _write(self, path: Path, head: bytes, cols) -> bool:
-        """Write the table at ``path`` from the queued rows; False when
-        this stream does not format it."""
-        if self._queue is None:
-            return False
-        name = next((name for name, p in self._queue.paths.items()
-                     if p == path), None)
+    def _write_table(self, path: Path, head: bytes, cols) -> bool:
+        """Write the table at ``path`` from the stream's parts; False when
+        this stream does not hold it."""
+        name = next((name for name, p in self.paths.items() if p == path),
+                    None)
         if name is None:
             return False
-        n_rows = self._groups[self._group_of[name]].n_rows
+        n_rows = self.groups[self._group_of[name]].n_rows
         if len(cols) != 3 or len(cols[0]) != n_rows:
             raise ValueError(f"{path}: columns differ from the stream's "
                              "table")
-        self._queue.join()
-        self._queue.splice(name, head)
+        self.join()
+        self.splice(name, head)
         return True
 
 
@@ -395,16 +381,15 @@ def write_table(path, header: list[str], columns, *, stream=None) -> Path:
     ``deviation``); all columns must share one length.  Values are written
     as ``%.12g``, giving the bytes of ``np.savetxt(path, data,
     delimiter=",", header=..., comments="", fmt="%.12g")``, but formatted
-    as bytes a block of rows per call instead of one row per call, and
-    integer columns below 1e12 in magnitude as ``%d``, which prints them
-    alike.
+    as bytes a block of rows per call instead of one row per call.
 
-    The table is formatted in this process, and nothing is forked.  Given
-    a :class:`SeriesStream` that holds ``path``, the rows were formatted
-    from the stream's group templates by its workers while the values
-    were computed, and ``columns`` must be that table: this process takes
-    the rows still queued, reaps the stream's workers and splices the
-    parts.  The bytes do not depend on the number of CPUs.
+    Given a :class:`SeriesStream` that holds ``path``, ``columns`` must be
+    that table (its index, time and values), and its rows come from the
+    stream's group templates: this process joins the stream, which
+    formats the blocks still queued (every block where the stream has no
+    worker) and reaps its workers, and splices the table from the parts.
+    Any other table is formatted here, and nothing is forked.  The bytes
+    do not depend on the number of CPUs.
     """
     path = Path(path)
     cols = [np.atleast_1d(np.asarray(c)) for c in columns]
@@ -415,16 +400,15 @@ def write_table(path, header: list[str], columns, *, stream=None) -> Path:
     # latin1: one byte per character
     head = (",".join(header) + "\n").encode("latin1")
     path.parent.mkdir(parents=True, exist_ok=True)
-    if stream is not None and stream._write(path, head, cols):
+    if stream is not None and stream._write_table(path, head, cols):
         return path
     n_cols, n_rows = len(cols), len(cols[0])
-    row_fmt = (",".join(_column_format(c) for c in cols) + "\n").encode()
+    row_fmt = (",".join(["%.12g"] * n_cols) + "\n").encode()
     with open(path, "wb") as fh:
         fh.write(head)
         for lo in range(0, n_rows, _BLOCK_ROWS):
             hi = min(lo + _BLOCK_ROWS, n_rows)
-            # row-major values; integer columns stay Python ints
-            values = [None] * ((hi - lo) * n_cols)
+            values = [None] * ((hi - lo) * n_cols)  # row-major
             for j, c in enumerate(cols):
                 values[j::n_cols] = c[lo:hi].tolist()
             fh.write((row_fmt * (hi - lo)) % tuple(values))

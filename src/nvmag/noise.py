@@ -196,20 +196,22 @@ def synthesize_trace(model, duration: float, dt: float, seed,
     # one white row at a time gives the stream of one (rows, n) draw
     spectra = [np.fft.rfft(rng.standard_normal(n)) for _ in offsets]
 
+    # bin numbers are floats, exact below 2**53, so freq converts none
     def freq(k):
         return np.minimum(k, n_fine - k) * (1.0 / (n_fine * h))
 
     # each alias block's frequencies are monotonic, so its end bins
     # bound them
     lo, hi = model.band
-    ends = freq(np.arange(aliases)[:, None] * n + [0, n_bins - 1])
+    ends = freq(np.arange(aliases, dtype=float)[:, None] * n
+                + [0, n_bins - 1])
     in_band = (ends.max(axis=1) >= lo) & (ends.min(axis=1) <= hi)
     folded = [m for m in range(aliases) if m == 0 or in_band[m]]
 
     def shape(block):
         # fold the bins of ``block``, then shape both white spectra there
         # in place; row 1 reads row 0's white spectrum, so it goes first
-        bins = np.arange(block.start, block.stop)
+        bins = np.arange(block.start, block.stop, dtype=float)
         power = np.zeros(bins.size)
         if two:
             cross = np.zeros(bins.size, dtype=complex)

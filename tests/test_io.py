@@ -7,6 +7,10 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from nvmag import io as _io
+from nvmag.readout import SCHEME_SEQUENCES
+from nvmag.scenario import load_scenario
+
+from conftest import SCENARIO_FILE
 
 #: every finite magnitude (subnormals included), signed zeros, NaN and
 #: +-inf, with the extremes of the decade range drawn often
@@ -15,13 +19,13 @@ FLOATS = st.one_of(
     st.sampled_from([0.0, -0.0, 1e-300, -1e-300, 1e300, -1e300,
                      math.nan, math.inf, -math.inf]),
 )
-#: integers the writer prints as %d, with the edges of that range drawn
-#: often
+#: integers that %.12g prints exactly, as %d does, with the edges of
+#: that range drawn often
 NARROW_INTS = st.one_of(
     st.integers(-(10 ** 12 - 1), 10 ** 12 - 1),
     st.sampled_from([10 ** 12 - 1, -(10 ** 12 - 1), 0]),
 )
-#: the same with the first magnitude past the %d range
+#: the same with the first magnitudes that %.12g rounds
 EDGE_INTS = st.one_of(NARROW_INTS, st.sampled_from([10 ** 12, -(10 ** 12)]))
 #: the whole int64 range
 INTS = st.one_of(st.integers(-(2 ** 63), 2 ** 63 - 1),
@@ -136,6 +140,37 @@ def test_write_table_bytes_do_not_depend_on_cpus(n_rows, cpus, tmp_path,
     _assert_nothing_left(tmp_path)
 
 
+#: the series spacings of the baseline scenario: schemes A/B and C/D
+BASELINE_SPACINGS = [SCHEME_SEQUENCES[s]
+                     * load_scenario(SCENARIO_FILE).sequence.sequence_time
+                     for s in "AC"]
+
+
+@pytest.mark.parametrize("spacing", BASELINE_SPACINGS, ids=["AB", "CD"])
+def test_stream_without_workers_matches_write_table(spacing, tmp_path,
+                                                    monkeypatch):
+    # one usable CPU: the stream forks nothing, opens no pipe and queues
+    # nothing; its join formats every block from the group templates,
+    # whose bytes a plain write_table of the three columns must give
+    monkeypatch.setattr(_io, "_usable_cpus", lambda: 1)
+    forks = _count_forks(monkeypatch)
+
+    def no_pipe():
+        raise AssertionError("a stream without workers opened a pipe")
+
+    monkeypatch.setattr(_io.os, "pipe", no_pipe)
+    n = 3 * _io._BLOCK_ROWS + 1234
+    rng = np.random.default_rng(n)
+    series = {name: (rng.standard_normal(n), spacing) for name in "ab"}
+    got = _stream_series(tmp_path / "stream", series)
+    assert not forks
+    _assert_nothing_left(tmp_path / "stream")
+    for name, (values, _) in series.items():
+        want = _io.write_table(tmp_path / f"{name}.csv", SERIES_HEADER, [
+            np.arange(n), np.arange(n) * spacing, values]).read_bytes()
+        assert got[name][0] == want, name
+
+
 @pytest.mark.parametrize("failing", ["worker", "parent"])
 @pytest.mark.parametrize("cpus", [2, 3])
 def test_write_table_failure_leaves_no_worker_or_part(failing, cpus,
@@ -143,7 +178,7 @@ def test_write_table_failure_leaves_no_worker_or_part(failing, cpus,
     # a series stream's worker fails as soon as it is forked, or the
     # parent when write_table joins the stream
     _use_cpus(monkeypatch, cpus)
-    real_take = _io._RowQueue.take
+    real_take = _io.SeriesStream.take
     parent = os.getpid()
 
     def failing_take(queue, taker, limit=None):
@@ -151,7 +186,7 @@ def test_write_table_failure_leaves_no_worker_or_part(failing, cpus,
             raise OSError("injected")
         real_take(queue, taker, limit)
 
-    monkeypatch.setattr(_io._RowQueue, "take", failing_take)
+    monkeypatch.setattr(_io.SeriesStream, "take", failing_take)
     n_rows = 3 * 4096 + 1
     expected = RuntimeError if failing == "worker" else OSError
     with pytest.raises(expected):
@@ -168,7 +203,7 @@ def test_write_table_takes_blocks_while_the_queue_is_full(
     # while it queues; it ends even with every worker gone
     _use_cpus(monkeypatch, 3)
     monkeypatch.setattr(_io, "_BLOCK_ROWS", 1)
-    real_take = _io._RowQueue.take
+    real_take = _io.SeriesStream.take
     parent = os.getpid()
     taken_while_queueing = []
 
@@ -179,7 +214,7 @@ def test_write_table_takes_blocks_while_the_queue_is_full(
             raise OSError("injected")
         real_take(queue, taker, limit)
 
-    monkeypatch.setattr(_io._RowQueue, "take", take)
+    monkeypatch.setattr(_io.SeriesStream, "take", take)
     series = {"x": (np.linspace(0.0, 1.0, 20000), 1 / 3)}
     if workers_fail:
         with pytest.raises(RuntimeError):

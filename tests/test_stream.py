@@ -1,6 +1,7 @@
-"""The scaling run's series tables, formatted by forked workers while the
-run computes them (:class:`nvmag.io.SeriesStream`), one template per
-block of each group of tables that share a length and a spacing: the
+"""The scaling run's series tables, formatted by a
+:class:`nvmag.io.SeriesStream` from one template per block of each group
+of tables that share a length and a spacing, by forked workers while the
+run computes them or, on one CPU, by the caller when it writes them: the
 same bytes as a serial ``write_table`` of the finished run, on any number
 of CPUs, and no worker or part file left when the run fails."""
 
@@ -91,7 +92,7 @@ def test_series_values_survive_the_stream(tmp_path, monkeypatch):
 @pytest.mark.parametrize("cpus", [2, 3])
 def test_failing_worker_raises(cpus, tmp_path, monkeypatch):
     _use_cpus(monkeypatch, cpus)
-    real_take = _io._RowQueue.take
+    real_take = _io.SeriesStream.take
     parent = os.getpid()
 
     def failing_take(queue, taker, limit=None):
@@ -99,7 +100,7 @@ def test_failing_worker_raises(cpus, tmp_path, monkeypatch):
             raise OSError("injected")
         real_take(queue, taker, limit)
 
-    monkeypatch.setattr(_io._RowQueue, "take", failing_take)
+    monkeypatch.setattr(_io.SeriesStream, "take", failing_take)
     s = _scenario(2 * CHUNK_SIZE, ["A", "B", "C", "D"])
     with pytest.raises(RuntimeError, match="table worker"):
         experiments.run_scaling_experiment(s, out_dir=tmp_path)
@@ -187,18 +188,19 @@ def test_group_templates_equal_a_serial_write(cpus, n, schemes, tmp_path,
 @pytest.mark.parametrize("cpus", [1, 2, 3])
 def test_group_waits_for_its_slowest_member(cpus, tmp_path, monkeypatch):
     # A is published to the end before B publishes a row: no block of
-    # the A/B group is queued until B has published it too
+    # the A/B group is handed to the queue until B has published it too
+    # (on one CPU the queue takes nothing, and the join formats them)
     _use_cpus(monkeypatch, cpus)
     forks = _count_forks(monkeypatch)
     queued = []  # blocks queued per put, in order
-    real_put = _io._RowQueue.put
+    real_put = _io.SeriesStream.put
 
     def put(queue, g, first, stop):
         if stop > first:
             queued.append((g, first, stop))
         real_put(queue, g, first, stop)
 
-    monkeypatch.setattr(_io._RowQueue, "put", put)
+    monkeypatch.setattr(_io.SeriesStream, "put", put)
     n = 5 * CHUNK_SIZE - 2
 
     def publish(stream):
@@ -207,11 +209,10 @@ def test_group_waits_for_its_slowest_member(cpus, tmp_path, monkeypatch):
         assert not queued
         for stop in _chunks(n):
             stream.publish("B", stop)
-            if cpus > 1:
-                assert queued[-1][2] == (_io._blocks(n) if stop == n
-                                         else stop // _io._BLOCK_ROWS)
-        assert sum(stop - first for _, first, stop in queued) == (
-            _io._blocks(n) if cpus > 1 else 0)
+            assert queued[-1][2] == (_io._blocks(n) if stop == n
+                                     else stop // _io._BLOCK_ROWS)
+        assert sum(stop - first for _, first, stop in queued) == \
+            _io._blocks(n)
 
     got = _stream_series(tmp_path / "stream", _scheme_series("AB", n),
                          publish)
@@ -236,8 +237,8 @@ def _trace_templates(monkeypatch, log, idle=()):
     parent = os.getpid()
     state = {"phase": "take", "taker": 0}
     real_template = _io._Group.template
-    real_prepare = _io._RowQueue._prepare
-    real_take = _io._RowQueue.take
+    real_prepare = _io.SeriesStream._prepare
+    real_take = _io.SeriesStream.take
 
     def write(line):
         with open(log, "a") as fh:
@@ -263,8 +264,8 @@ def _trace_templates(monkeypatch, log, idle=()):
         real_take(queue, taker, limit)
 
     monkeypatch.setattr(_io._Group, "template", template)
-    monkeypatch.setattr(_io._RowQueue, "_prepare", prepare)
-    monkeypatch.setattr(_io._RowQueue, "take", take)
+    monkeypatch.setattr(_io.SeriesStream, "_prepare", prepare)
+    monkeypatch.setattr(_io.SeriesStream, "take", take)
 
 
 def _log_lines(log):
@@ -309,11 +310,11 @@ def _stream_templates(tmp_path, monkeypatch, cpus, idle=()):
             taker, phase, group, block = line.split()
             into = prepared if phase == "prepare" else formatted
             into.setdefault(int(taker), []).append((group, int(block)))
-    queue = streams[0]._queue
-    takers = {} if queue is None else {
-        (group.names[0], block): int(queue.blocks[
-            queue.spans[group.names[0]].start + block][0]) - 1
-        for group in queue.groups for block in range(_io._blocks(
+    stream = streams[0]
+    takers = {
+        (group.names[0], block): int(stream.blocks[
+            stream.spans[group.names[0]].start + block][0]) - 1
+        for group in stream.groups for block in range(_io._blocks(
             group.n_rows))}
     return prepared, formatted, takers
 
@@ -350,8 +351,12 @@ def test_templates_are_prepared_before_the_first_block(cpus, tmp_path,
     n_workers = cpus - 1
     assert prepared == {taker: order[taker - 1::n_workers]
                         for taker in range(1, n_workers + 1)}
-    assert sorted(takers) == (sorted(order) if cpus > 1 else [])
+    assert sorted(takers) == sorted(order)
     _assert_cache_used(prepared, formatted, takers)
+    if cpus == 1:
+        # no worker: the caller formats every template when it joins, in
+        # row order group by group
+        assert formatted == {0: sorted(order)}
     if cpus == 2:
         # the one worker prepared every template: it formats none while
         # it takes, and the caller formats only what it takes itself
