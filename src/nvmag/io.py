@@ -71,10 +71,17 @@ def _shared(n: int, dtype=float) -> np.ndarray:
 
 def _send(out_fd: int, in_fd: int, offset: int, length: int) -> None:
     """Append ``length`` bytes of ``in_fd`` from ``offset`` at
-    ``out_fd``'s position, copied by the kernel."""
+    ``out_fd``'s position: copied by the kernel where ``os.sendfile``
+    writes to a file (Linux), else read and written, where it is missing
+    (Windows) or writes only to sockets (macOS, the BSDs)."""
     end = offset + length
     while offset < end:
-        sent = os.sendfile(out_fd, in_fd, offset, end - offset)
+        try:
+            sent = os.sendfile(out_fd, in_fd, offset, end - offset)
+        except (AttributeError, OSError):
+            os.lseek(in_fd, offset, os.SEEK_SET)
+            sent = os.write(out_fd,
+                            os.read(in_fd, min(end - offset, 1 << 20)))
         if sent == 0:
             raise OSError("part file truncated while splicing")
         offset += sent

@@ -50,10 +50,6 @@ CHUNK_SIZE = 1 << 14
 #: spectral aliases onto every sequence-grid bin, so its work grows as
 #: ``n_sequences`` times this count while its memory does not
 MAX_LASER_SAMPLES_PER_SEQUENCE = 4096
-#: libyaml's safe loader where PyYAML was built with it, else the pure
-#: Python one; both use the same resolver and constructor, so they build
-#: the same mapping, and libyaml parses several times faster
-_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
 class ConfigError(ValueError):
@@ -382,7 +378,7 @@ def load_scenario(path) -> Scenario:
         raise ConfigError(f"scenario file not found: {path}")
     with open(path) as fh:
         try:
-            mapping = yaml.load(fh, Loader=_YAML_LOADER)
+            mapping = yaml.safe_load(fh)
         except yaml.YAMLError as exc:
             raise ConfigError(f"{path}: {exc}") from exc
     return scenario_from_mapping(mapping, base_dir=path.parent)

@@ -1,3 +1,4 @@
+import errno
 import math
 import os
 
@@ -7,10 +8,6 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from nvmag import io as _io
-from nvmag.readout import SCHEME_SEQUENCES
-from nvmag.scenario import load_scenario
-
-from conftest import SCENARIO_FILE
 
 #: every finite magnitude (subnormals included), signed zeros, NaN and
 #: +-inf, with the extremes of the decade range drawn often
@@ -140,35 +137,38 @@ def test_write_table_bytes_do_not_depend_on_cpus(n_rows, cpus, tmp_path,
     _assert_nothing_left(tmp_path)
 
 
-#: the series spacings of the baseline scenario: schemes A/B and C/D
-BASELINE_SPACINGS = [SCHEME_SEQUENCES[s]
-                     * load_scenario(SCENARIO_FILE).sequence.sequence_time
-                     for s in "AC"]
+@pytest.mark.parametrize("sendfile", ["missing", "sockets-only"])
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_series_tables_without_sendfile_to_a_file(sendfile, cpus, tmp_path,
+                                                  monkeypatch):
+    # Windows has no os.sendfile and macOS's writes only to sockets; both
+    # lack os.sched_getaffinity, so the stream has no worker there.  The
+    # splice then reads and writes the parts, to the bytes of a serial
+    # write_table, with or without a worker
+    if cpus == 1:
+        monkeypatch.delattr(_io.os, "sched_getaffinity", raising=False)
+    else:
+        _use_cpus(monkeypatch, cpus)
+    if sendfile == "missing":
+        monkeypatch.delattr(_io.os, "sendfile", raising=False)
+    else:
+        def sockets_only(*args):
+            raise OSError(errno.ENOTSOCK, os.strerror(errno.ENOTSOCK))
 
-
-@pytest.mark.parametrize("spacing", BASELINE_SPACINGS, ids=["AB", "CD"])
-def test_stream_without_workers_matches_write_table(spacing, tmp_path,
-                                                    monkeypatch):
-    # one usable CPU: the stream forks nothing, opens no pipe and queues
-    # nothing; its join formats every block from the group templates,
-    # whose bytes a plain write_table of the three columns must give
-    monkeypatch.setattr(_io, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(_io.os, "sendfile", sockets_only)
     forks = _count_forks(monkeypatch)
-
-    def no_pipe():
-        raise AssertionError("a stream without workers opened a pipe")
-
-    monkeypatch.setattr(_io.os, "pipe", no_pipe)
-    n = 3 * _io._BLOCK_ROWS + 1234
+    # past one 1 MiB read per table, with a short last block
+    n = 8 * _io._BLOCK_ROWS + 1234
     rng = np.random.default_rng(n)
-    series = {name: (rng.standard_normal(n), spacing) for name in "ab"}
+    series = {name: (rng.standard_normal(n), spacing)
+              for name, spacing in (("a", 1.6e-4), ("b", 1.6e-4),
+                                    ("c", 3.2e-4))}
     got = _stream_series(tmp_path / "stream", series)
-    assert not forks
+    assert len(forks) == cpus - 1
     _assert_nothing_left(tmp_path / "stream")
-    for name, (values, _) in series.items():
-        want = _io.write_table(tmp_path / f"{name}.csv", SERIES_HEADER, [
-            np.arange(n), np.arange(n) * spacing, values]).read_bytes()
-        assert got[name][0] == want, name
+    for name, (data, cols) in got.items():
+        assert data == _io.write_table(tmp_path / f"{name}.csv",
+                                       SERIES_HEADER, cols).read_bytes(), name
 
 
 @pytest.mark.parametrize("failing", ["worker", "parent"])

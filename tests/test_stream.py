@@ -174,8 +174,16 @@ GROUPINGS = [["A", "B", "C", "D"], ["A", "C"]]
 @pytest.mark.parametrize("cpus", [1, 2, 3])
 def test_group_templates_equal_a_serial_write(cpus, n, schemes, tmp_path,
                                               monkeypatch):
+    # the baseline scenario's spacings; on one CPU the stream forks
+    # nothing and opens no pipe, and its join formats every block from
+    # the group templates
     _use_cpus(monkeypatch, cpus)
     forks = _count_forks(monkeypatch)
+    if cpus == 1:
+        def no_pipe():
+            raise AssertionError("a stream without workers opened a pipe")
+
+        monkeypatch.setattr(_io.os, "pipe", no_pipe)
     got = _stream_series(tmp_path / "stream", _scheme_series(schemes, n),
                          _publish_by_chunk(schemes, n))
     assert len(forks) == cpus - 1
