@@ -66,6 +66,21 @@ def block_means(samples: np.ndarray, m: int) -> np.ndarray:
     return out
 
 
+def _block_curve(samples, t_prime: float, times, label: str,
+                 statistic) -> ScalingCurve:
+    """``statistic`` of the block means at each block length ``times``
+    (as times), which must leave at least 2 blocks."""
+    samples = np.asarray(samples, dtype=float)
+    times = np.atleast_1d(np.asarray(times, dtype=float))
+    values = np.empty(times.shape)
+    for k, t in enumerate(times):
+        x = block_means(samples, _block_count(t_prime, t))
+        if x.size < 2:
+            raise ValueError(f"fewer than 2 blocks at {label}={t}")
+        values[k] = statistic(x)
+    return ScalingCurve(times, values)
+
+
 def allan_deviation(samples, t_prime: float, taus) -> ScalingCurve:
     """Non-overlapping Allan deviation over the given averaging times.
 
@@ -73,31 +88,15 @@ def allan_deviation(samples, t_prime: float, taus) -> ScalingCurve:
     blocks of ``m``, and the deviation is
     ``sqrt(mean((x_{i+1} - x_i)**2) / 2)`` over adjacent block means.
     """
-    samples = np.asarray(samples, dtype=float)
-    taus = np.atleast_1d(np.asarray(taus, dtype=float))
-    values = np.empty(taus.shape)
-    for k, tau in enumerate(taus):
-        m = _block_count(t_prime, tau)
-        x = block_means(samples, m)
-        if x.size < 2:
-            raise ValueError(f"fewer than 2 blocks at tau={tau}")
-        d = np.diff(x)
-        values[k] = np.sqrt(0.5 * np.mean(d * d))
-    return ScalingCurve(taus, values)
+    # ** 2 squares each difference as d * d does, bit for bit
+    return _block_curve(samples, t_prime, taus, "tau",
+                        lambda x: np.sqrt(0.5 * np.mean(np.diff(x) ** 2)))
 
 
 def std_vs_time(samples, t_prime: float, times) -> ScalingCurve:
     """Standard deviation of block means versus block length."""
-    samples = np.asarray(samples, dtype=float)
-    times = np.atleast_1d(np.asarray(times, dtype=float))
-    values = np.empty(times.shape)
-    for k, t in enumerate(times):
-        m = _block_count(t_prime, t)
-        x = block_means(samples, m)
-        if x.size < 2:
-            raise ValueError(f"fewer than 2 blocks at t={t}")
-        values[k] = np.std(x, ddof=1)
-    return ScalingCurve(times, values)
+    return _block_curve(samples, t_prime, times, "t",
+                        lambda x: np.std(x, ddof=1))
 
 
 def default_time_grid(n_samples: int, t_prime: float,

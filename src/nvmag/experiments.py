@@ -28,15 +28,15 @@ All numpy work stays in the calling process.  The scaling run's
 ``series_<scheme>.csv`` tables are formatted by an
 :class:`nvmag.io.SeriesStream`, which :func:`run_scaling_experiment`
 makes before the noise record, publishes each chunk's rows to, and
-joins when it writes its tables.  A and B share one length and spacing,
-and so do C and D, so each block of a pair's index and time text is
-formatted once, as bytes, and filled with each member's values.  With
-more than one usable CPU the stream forks formatters, which format the
-templates while the noise record is synthesized (they depend on no
-value) and the published rows while the later chunks are computed; with
-one, the join formats every block from the same templates.  No other
-table forks.  The bytes of every table do not depend on the number of
-CPUs.
+joins when it writes its tables, which travel as their values alone
+(:class:`nvmag.io.SeriesColumns`).  A and B share one length and
+spacing, and so do C and D, so each block of a pair's index and time
+text is formatted once, as bytes, and filled with each member's values.  With more than one usable CPU the
+stream forks formatters, which format the templates while the noise
+record is synthesized (they depend on no value) and the published rows
+while the later chunks are computed; with one, the join formats every
+block from the same templates.  No other table forks.  The bytes of
+every table do not depend on the number of CPUs.
 """
 
 from __future__ import annotations
@@ -326,24 +326,21 @@ def run_scaling_experiment(scenario: Scenario, out_dir=None) -> ScalingResult:
             )
         result = ScalingResult(out)
         if out_dir is not None:
+            series = {scheme: _io.SeriesColumns(stream, scheme)
+                      for scheme in out}
             result.outputs = write_run(scenario, out_dir, started,
-                                       _scaling_tables(out), stream=stream)
+                                       _scaling_tables(out, series))
     return result
 
 
-def _scaling_tables(schemes: dict) -> dict:
+def _scaling_tables(schemes: dict, series: dict) -> dict:
     """The series, Allan and std tables of every scheme, for
-    :func:`nvmag.scenario.write_run`."""
+    :func:`nvmag.scenario.write_run`; ``series`` holds the columns of
+    each series table."""
     tables = {}
-    # schemes of one spacing (A/B, C/D) share their index and time columns
-    axes = {}
     for scheme, sc in schemes.items():
-        if sc.series.spacing not in axes:
-            axes[sc.series.spacing] = [np.arange(sc.series.values.size),
-                                       sc.series.times()]
-        tables[f"series_{scheme}.csv"] = (
-            ["index", "time_s", "value"],
-            [*axes[sc.series.spacing], sc.series.values])
+        tables[f"series_{scheme}.csv"] = (["index", "time_s", "value"],
+                                          series[scheme])
         for curve, tag in ((sc.allan, "allan"), (sc.std, "std")):
             tables[f"{tag}_{scheme}.csv"] = (
                 ["tau_s", "deviation", "deviation_T"],

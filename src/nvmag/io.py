@@ -3,19 +3,19 @@
 Formatting numbers as text is most of the cost of writing a large
 table.  :func:`write_table` formats a table as bytes, a block of
 :data:`_BLOCK_ROWS` rows per formatting call.  The series tables of the
-scaling run are formatted by a :class:`SeriesStream` on any number of
-CPUs.  Series tables of one length and spacing form a group (A/B and
-C/D in the scaling run) and share their index and time columns: a block
-of a group is formatted once into a bytes template of
-``index,time,%.12g`` rows, which each member then fills with its own
-values, into its own binary part file.  With more than one usable CPU
-the stream forks workers, one per usable CPU but one, while the caller
-computes the values; all numpy work stays in the caller.  A group's
-blocks go onto a queue once every member has published them, and the
-workers take blocks from it.  A template depends on no value, so until
-the first block is queued (while the caller synthesizes its noise
-record) each worker formats its share of the templates ahead, and fills
-its own when it takes that block.  The caller takes the blocks still
+scaling run travel to it as their values alone (a
+:class:`SeriesColumns`), and a :class:`SeriesStream` formats them on
+any number of CPUs.  Series tables of one length and spacing form a
+group (A/B and C/D in the scaling run): a block of a group is formatted
+once into a bytes template of ``index,time,%.12g`` rows, which each
+member then fills with its own values, into its own binary part file.
+With more than one usable CPU the stream forks workers, one per usable
+CPU but one, while the caller computes the values; all numpy work stays
+in the caller.  A group's blocks go onto a queue once every member has
+published them, and the workers take blocks from it.  A template
+depends on no value, so until the first block is queued (while the
+caller synthesizes its noise record) each worker formats its share of
+the templates ahead, and fills its own when it takes that block.  The caller takes the blocks still
 queued once it joins, reaps the workers and splices the parts into each
 table in row order.  With one usable CPU, or where the process cannot
 fork, nothing is forked, queued or shared: the join formats every block
@@ -118,7 +118,7 @@ class SeriesStream:
     (see the module docstring).  The caller fills :meth:`values` of each
     name and :meth:`publish`-es the rows that are final; a group's block
     is queued once every member has published it.  :func:`write_table`,
-    given the stream and one of its paths, joins the stream and splices
+    given a table's :class:`SeriesColumns`, joins the stream and splices
     that table from the parts.  On leaving the ``with`` block no worker
     or part file is left, whether the block returns or raises.
 
@@ -365,23 +365,17 @@ class SeriesStream:
         for taker in range(self.n_workers + 1):
             self.part(name, taker).unlink(missing_ok=True)
 
-    def _write_table(self, path: Path, head: bytes, cols) -> bool:
-        """Write the table at ``path`` from the stream's parts; False when
-        this stream does not hold it."""
-        name = next((name for name, p in self.paths.items() if p == path),
-                    None)
-        if name is None:
-            return False
-        n_rows = self.groups[self._group_of[name]].n_rows
-        if len(cols) != 3 or len(cols[0]) != n_rows:
-            raise ValueError(f"{path}: columns differ from the stream's "
-                             "table")
-        self.join()
-        self.splice(name, head)
-        return True
+
+class SeriesColumns(list):
+    """The columns of ``stream``'s table ``name`` for :func:`write_table`:
+    ``[values]`` alone; the stream formats each row's index and time."""
+
+    def __init__(self, stream: SeriesStream, name):
+        super().__init__([stream.values(name)])
+        self.stream, self.name = stream, name
 
 
-def write_table(path, header: list[str], columns, *, stream=None) -> Path:
+def write_table(path, header: list[str], columns) -> Path:
     """Write columns as comma-delimited text with a plain header row.
 
     Header entries name the columns including units (e.g. ``tau_s``,
@@ -390,25 +384,32 @@ def write_table(path, header: list[str], columns, *, stream=None) -> Path:
     delimiter=",", header=..., comments="", fmt="%.12g")``, but formatted
     as bytes a block of rows per call instead of one row per call.
 
-    Given a :class:`SeriesStream` that holds ``path``, ``columns`` must be
-    that table (its index, time and values), and its rows come from the
-    stream's group templates: this process joins the stream, which
-    formats the blocks still queued (every block where the stream has no
-    worker) and reaps its workers, and splices the table from the parts.
-    Any other table is formatted here, and nothing is forked.  The bytes
-    do not depend on the number of CPUs.
+    A series table travels as its values: given a :class:`SeriesColumns`,
+    ``path`` and the three entries of ``header`` must be those of its
+    table, whose rows come from the stream's group templates.  This
+    process joins the stream, which formats the blocks still queued
+    (every block where the stream has no worker) and reaps its workers,
+    and splices the table from the parts.  Any other table is formatted
+    here, and nothing is forked.  The bytes do not depend on the number
+    of CPUs.
     """
     path = Path(path)
+    # latin1: one byte per character
+    head = (",".join(header) + "\n").encode("latin1")
+    if isinstance(columns, SeriesColumns):
+        stream, name = columns.stream, columns.name
+        if path != stream.paths[name] or len(header) != 3:
+            raise ValueError(f"{path}: not the path and three-column header "
+                             f"of series table {name!r}")
+        stream.join()
+        stream.splice(name, head)
+        return path
     cols = [np.atleast_1d(np.asarray(c)) for c in columns]
     if len(cols) != len(header):
         raise ValueError("one header entry per column required")
     if any(c.shape != cols[0].shape for c in cols):
         raise ValueError("columns must share one length")
-    # latin1: one byte per character
-    head = (",".join(header) + "\n").encode("latin1")
     path.parent.mkdir(parents=True, exist_ok=True)
-    if stream is not None and stream._write_table(path, head, cols):
-        return path
     n_cols, n_rows = len(cols), len(cols[0])
     row_fmt = (",".join(["%.12g"] * n_cols) + "\n").encode()
     with open(path, "wb") as fh:

@@ -115,9 +115,6 @@ class ReadoutSeries:
         if not np.all(np.isfinite(self.values)):
             raise ValueError("series values must be finite")
 
-    def times(self) -> np.ndarray:
-        return np.arange(self.values.size) * self.spacing
-
 
 # ---------------------------------------------------------------------------
 # window-integrated model

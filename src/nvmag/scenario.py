@@ -407,16 +407,16 @@ def utc_now() -> str:
 
 
 def write_run(scenario: Scenario, out_dir, started: str,
-              tables: dict, stream=None) -> list[Path]:
+              tables: dict) -> list[Path]:
     """Write ``{file name: (header, columns)}`` tables into ``out_dir``,
     then ``manifest.json``: scenario hash, seed, tool version, the
     ``started`` and finishing times, and the SHA-256 of every table.
-    The tables that ``stream`` (an :class:`nvmag.io.SeriesStream`) holds
-    are spliced from the rows it formatted.  Returns the table paths."""
+    A series table travels as its values (an
+    :class:`nvmag.io.SeriesColumns`), and is spliced from the rows its
+    stream formatted.  Returns the table paths."""
     out_dir = Path(out_dir)
     # positional, through the module: the benchmark tracer wraps it
-    outputs = [_io.write_table(out_dir / name, header, columns,
-                               stream=stream)
+    outputs = [_io.write_table(out_dir / name, header, columns)
                for name, (header, columns) in tables.items()]
     manifest = {"scenario_hash": scenario_hash(scenario),
                 "seed": scenario.master_seed, "tool_version": __version__,

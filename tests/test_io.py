@@ -97,7 +97,8 @@ def _stream_series(directory, series, publish=None):
     """Write a series table per entry of ``{name: (values, spacing)}``
     through a :class:`nvmag.io.SeriesStream`, the rows published by
     ``publish(stream)`` (all at once by default); returns ``{name:
-    (bytes, columns)}``."""
+    (bytes, columns)}``, the columns with the index and time a serial
+    write needs."""
     tables = {name: (directory / f"{name}.csv", len(v), spacing)
               for name, (v, spacing) in series.items()}
     out = {}
@@ -110,11 +111,37 @@ def _stream_series(directory, series, publish=None):
         else:
             publish(stream)
         for name, (path, n_rows, spacing) in tables.items():
-            cols = [np.arange(n_rows), np.arange(n_rows) * spacing,
-                    stream.values(name)]
-            _io.write_table(path, SERIES_HEADER, cols, stream=stream)
-            out[name] = path.read_bytes(), cols
+            _io.write_table(path, SERIES_HEADER,
+                            _io.SeriesColumns(stream, name))
+            out[name] = path.read_bytes(), [
+                np.arange(n_rows), np.arange(n_rows) * spacing,
+                stream.values(name)]
     return out
+
+
+@pytest.mark.parametrize("wrong", ["path", "header"])
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_series_columns_reject_another_table(wrong, cpus, tmp_path,
+                                             monkeypatch):
+    # a series table's values go only to its own path, under a
+    # three-entry header
+    _use_cpus(monkeypatch, cpus)
+    n_rows = 3 * 4096 + 1
+    tables = {name: (tmp_path / f"{name}.csv", n_rows, 1.6e-4)
+              for name in "ab"}
+    with _io.SeriesStream(tables) as stream:
+        for name in tables:
+            stream.values(name)[:] = 1.0
+            stream.publish(name, n_rows)
+        path, header = tables["a"][0], SERIES_HEADER
+        if wrong == "path":
+            path = tables["b"][0]
+        else:
+            header = SERIES_HEADER[1:]
+        with pytest.raises(ValueError, match="series table 'a'"):
+            _io.write_table(path, header, _io.SeriesColumns(stream, "a"))
+    assert not list(tmp_path.glob("*.csv"))
+    _assert_nothing_left(tmp_path)
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 3])

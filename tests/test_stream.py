@@ -46,14 +46,20 @@ def fixed_clock(monkeypatch):
 
 def _serial(n, schemes, directory, monkeypatch):
     """The tables of the finished run, written on one CPU without a
-    stream."""
+    stream: the series tables from index and time columns built here."""
     key = (n, tuple(schemes))
     if key not in _SERIAL:
         _use_cpus(monkeypatch, 1)
         s = _scenario(n, schemes)
         result = experiments.run_scaling_experiment(s)
+        series = {}
+        for scheme, scaling in result.schemes.items():
+            n_rows = scaling.series.values.size
+            series[scheme] = [np.arange(n_rows),
+                              np.arange(n_rows) * scaling.series.spacing,
+                              scaling.series.values]
         sc.write_run(s, directory, STARTED,
-                     experiments._scaling_tables(result.schemes))
+                     experiments._scaling_tables(result.schemes, series))
         _SERIAL[key] = _files(directory)
     return _SERIAL[key]
 
