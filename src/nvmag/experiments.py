@@ -31,12 +31,13 @@ makes before the noise record, publishes each chunk's rows to, and
 joins when it writes its tables, which travel as their values alone
 (:class:`nvmag.io.SeriesColumns`).  A and B share one length and
 spacing, and so do C and D, so each block of a pair's index and time
-text is formatted once, as bytes, and filled with each member's values.  With more than one usable CPU the
-stream forks formatters, which format the templates while the noise
-record is synthesized (they depend on no value) and the published rows
-while the later chunks are computed; with one, the join formats every
-block from the same templates.  No other table forks.  The bytes of
-every table do not depend on the number of CPUs.
+text is formatted once, as bytes, and filled with each member's values.
+With more than one usable CPU the stream forks formatters, which format
+the templates while the noise record is synthesized (they depend on no
+value) and the published rows while the later chunks are computed; with
+one, the join formats every block from the same templates.  No other
+table forks.  The bytes of every table do not depend on the number of
+CPUs.
 """
 
 from __future__ import annotations

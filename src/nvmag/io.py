@@ -8,20 +8,22 @@ scaling run travel to it as their values alone (a
 any number of CPUs.  Series tables of one length and spacing form a
 group (A/B and C/D in the scaling run): a block of a group is formatted
 once into a bytes template of ``index,time,%.12g`` rows, which each
-member then fills with its own values, into its own binary part file.
-With more than one usable CPU the stream forks workers, one per usable
-CPU but one, while the caller computes the values; all numpy work stays
-in the caller.  A group's blocks go onto a queue once every member has
-published them, and the workers take blocks from it.  A template
-depends on no value, so until the first block is queued (while the
-caller synthesizes its noise record) each worker formats its share of
-the templates ahead, and fills its own when it takes that block.  The caller takes the blocks still
-queued once it joins, reaps the workers and splices the parts into each
-table in row order.  With one usable CPU, or where the process cannot
-fork, nothing is forked, queued or shared: the join formats every block
-of every group in row order from the same templates, and splices the
-same way.  The bytes depend on neither the number of CPUs nor which
-process formatted which block.
+member then fills with its own values, into the part of the process
+that fills it: a nameless file, one per process, so a killed run leaves
+none behind.  With more than one usable CPU the stream forks workers,
+one per usable CPU but one, while the caller computes the values; all
+numpy work stays in the caller.  A group's blocks go onto a queue once
+every member has published them, and the workers take blocks from it.
+A template depends on no value, so until the first block is queued
+(while the caller synthesizes its noise record) each worker formats its
+share of the templates ahead, and fills its own when it takes that
+block.  The caller takes the blocks still queued once it joins, reaps
+the workers and splices each table from the parts in row order.  With
+one usable CPU, or where the process cannot fork, nothing is forked,
+queued or shared: the join formats every block of every group in row
+order from the same templates into its one part, and splices the same
+way.  The bytes depend on neither the number of CPUs nor which process
+formatted which block.
 """
 
 from __future__ import annotations
@@ -31,6 +33,8 @@ import mmap
 import os
 import select
 import struct
+# numpy imports tempfile already, so importing it here costs nothing
+import tempfile
 from pathlib import Path
 from typing import NamedTuple
 
@@ -119,28 +123,30 @@ class SeriesStream:
     name and :meth:`publish`-es the rows that are final; a group's block
     is queued once every member has published it.  :func:`write_table`,
     given a table's :class:`SeriesColumns`, joins the stream and splices
-    that table from the parts.  On leaving the ``with`` block no worker
-    or part file is left, whether the block returns or raises.
+    that table from the parts: nameless files in the first table's
+    directory, one per process, freed once every table is spliced.  On
+    leaving the ``with`` block no worker or part is left, whether the
+    block returns or raises, and a killed run leaves no part either.
 
     ``n_workers`` workers, one fewer than the usable CPUs or the blocks,
     whichever are fewer, are forked when the stream is made; the values
-    live in memory shared with them until the caller drops them.  The queue is
-    a pipe of fixed-size items.  Until the first item is queued, worker
-    ``k`` formats the templates of every ``n_workers``-th block from the
-    ``k``-th, in the order of the blocks' start times (the order they are
-    queued in); the caller formats none ahead.  The workers then take
-    items until the pipe is closed and empty, filling their own templates
-    where they have them, and record where each table's block went (its
-    taker, offset and length) in memory shared with the caller, which
-    splices the blocks in row order.  Fork rather than spawn: a worker
-    reads the values without a copy, and it only formats and writes, so
-    it needs no lock that a thread of the parent (numpy's BLAS pool)
-    could hold at the fork.
+    live in memory shared with them until the caller drops them.  The
+    queue is a pipe of fixed-size items.  Until the first item is queued,
+    worker ``k`` formats the templates of every ``n_workers``-th block
+    from the ``k``-th, in the order of the blocks' start times (the order
+    they are queued in); the caller formats none ahead.  The workers then
+    take items until the pipe is closed and empty, filling their own
+    templates where they have them into their own part, and record where
+    each table's block went (its taker, offset and length) in memory
+    shared with the caller, which splices the blocks in row order.  Fork
+    rather than spawn: a worker reads the values without a copy, and it
+    only formats and writes, so it needs no lock that a thread of the
+    parent (numpy's BLAS pool) could hold at the fork.
 
     With no worker (one usable CPU, or no ``os.fork``) the values are
     ordinary arrays, no pipe is opened (Windows pipes take
     ``os.set_blocking`` only from Python 3.12), nothing is queued, and
-    the join formats every block itself.
+    the join formats every block itself into its one part.
     """
 
     def __init__(self, tables: dict):
@@ -170,10 +176,18 @@ class SeriesStream:
         self._published = dict.fromkeys(tables, 0)  # blocks per table
         self._queued = [0] * len(self.groups)  # blocks queued per group
         self.pids = []  # workers not yet reaped, in fork order
-        self._open = {}  # this process's part files: name -> [file, size]
         self._templates = {}  # a worker's prepared (g, block) -> template
         self._joined = False
         self._read = self._write = None  # the queue, where there are workers
+        self._unspliced = set(tables)
+        # part k holds the blocks taker k formats.  The descriptors share
+        # their file offsets across the fork, so each part has exactly one
+        # writer, and the caller reads a worker's part only once it has
+        # reaped it, since _send's fallback seeks
+        self._parts = [tempfile.TemporaryFile(
+            dir=next(iter(self.paths.values())).parent)
+            for _ in range(self.n_workers + 1)]
+        self._size = 0  # bytes this process has written to its part
         if self.n_workers:
             self._fork()
 
@@ -190,7 +204,7 @@ class SeriesStream:
                         os.close(self._write)
                         self._prepare(taker)
                         self.take(taker)
-                        self._close_parts()
+                        self._parts[taker].flush()
                         code = 0
                     finally:
                         # no atexit handlers, no flush of inherited buffers
@@ -223,10 +237,6 @@ class SeriesStream:
         self.put(g, self._queued[g], ready)
         self._queued[g] = ready
 
-    def part(self, name, taker: int) -> Path:
-        path = self.paths[name]
-        return path.with_name(f"{path.name}.part{taker}")
-
     def put(self, g: int, first: int, stop: int) -> None:
         """Queue blocks ``first:stop`` of group ``g`` for the workers; with
         none, queue nothing.  While the pipe is full (the workers are
@@ -256,8 +266,8 @@ class SeriesStream:
             self._templates[g, block] = self.groups[g].template(block)
 
     def take(self, taker: int, limit=None) -> None:
-        """Format queued blocks into this process's part files until the
-        queue is closed and empty, or ``limit`` blocks are done."""
+        """Format queued blocks into this process's part until the queue
+        is closed and empty, or ``limit`` blocks are done."""
         while limit is None or limit > 0:
             item = os.read(self._read, _ITEM.size)
             if not item:
@@ -268,19 +278,15 @@ class SeriesStream:
 
     def _fill(self, taker: int, g: int, block: int) -> None:
         """Format ``block`` of every member of group ``g`` into this
-        process's part files, and record where each went."""
+        process's part, and record where each went."""
         lo, hi, template = self._templates.pop((g, block), None) \
             or self.groups[g].template(block)
         for name in self.groups[g].names:
-            part = self._open.get(name)
-            if part is None:
-                part = self._open[name] = [
-                    open(self.part(name, taker), "wb"), 0]
-            length = part[0].write(
+            length = self._parts[taker].write(
                 template % tuple(self._values[name][lo:hi].tolist()))
             self.blocks[self.spans[name].start + block] = \
-                taker + 1, part[1], length
-            part[1] += length
+                taker + 1, self._size, length
+            self._size += length
 
     def join(self) -> None:
         """Close the queue, format the blocks still queued (every block,
@@ -289,15 +295,13 @@ class SeriesStream:
         if self._joined:
             return
         self._close_input()
-        try:
-            if self._read is None:  # no worker, so nothing was queued
-                for g, group in enumerate(self.groups):
-                    for block in range(_blocks(group.n_rows)):
-                        self._fill(0, g, block)
-            else:
-                self.take(0)
-        finally:
-            self._close_parts()
+        if self._read is None:  # no worker, so nothing was queued
+            for g, group in enumerate(self.groups):
+                for block in range(_blocks(group.n_rows)):
+                    self._fill(0, g, block)
+        else:
+            self.take(0)
+        self._parts[0].flush()
         while self.pids:
             code = os.waitstatus_to_exitcode(os.waitpid(self.pids[0], 0)[1])
             pid = self.pids.pop(0)
@@ -307,36 +311,27 @@ class SeriesStream:
 
     def splice(self, name, head: bytes) -> None:
         """Write table ``name``, ``head`` and then its blocks in row order
-        from the parts, and remove its parts; after :meth:`join`."""
+        from the parts; after :meth:`join`.  The parts are closed, which
+        frees them, once every table is spliced."""
         path = self.paths[name]
-        runs = []  # (taker + 1, offset, length), adjacent blocks merged
-        for taker, offset, length in self.blocks[self.spans[name]].tolist():
-            if not taker:
-                raise RuntimeError(f"{path}: rows were never queued")
-            if runs and runs[-1][0] == taker \
-                    and runs[-1][1] + runs[-1][2] == offset:
-                runs[-1][2] += length
-            else:
-                runs.append([taker, offset, length])
-        parts = {}
-        try:
-            with open(path, "wb") as fh:
-                fh.write(head)
-                # not reopened for append: sendfile refuses an O_APPEND
-                # target
-                fh.flush()
-                for taker, offset, length in runs:
-                    if taker not in parts:
-                        parts[taker] = open(self.part(name, taker - 1), "rb")
-                    _send(fh.fileno(), parts[taker].fileno(), offset, length)
-        finally:
-            for part in parts.values():
+        blocks = self.blocks[self.spans[name]]
+        if not blocks[:, 0].all():
+            raise RuntimeError(f"{path}: rows were never queued")
+        with open(path, "wb") as fh:
+            fh.write(head)
+            # not reopened for append: sendfile refuses an O_APPEND target
+            fh.flush()
+            for taker, offset, length in blocks.tolist():
+                _send(fh.fileno(), self._parts[taker - 1].fileno(), offset,
+                      length)
+        self._unspliced.discard(name)
+        if not self._unspliced:
+            for part in self._parts:
                 part.close()
-        self._remove_parts(name)
 
     def discard(self) -> None:
-        """Leave no worker and no part file: drop the blocks still queued,
-        reap every worker and remove the parts.  Safe to repeat."""
+        """Leave no worker and no part: drop the blocks still queued, reap
+        every worker and close the parts, which frees them.  Safe to repeat."""
         self._close_input()
         if self._read is not None:
             # whole items, so a worker's next read still gets one
@@ -348,22 +343,13 @@ class SeriesStream:
         # enough (importing signal to kill it costs 0.7 MB resident)
         while self.pids:
             os.waitpid(self.pids.pop(0), 0)
-        self._close_parts()
-        for name in self.paths:
-            self._remove_parts(name)
+        for part in self._parts:
+            part.close()
 
     def _close_input(self) -> None:
         if self._write is not None:
             os.close(self._write)
             self._write = None
-
-    def _close_parts(self) -> None:
-        while self._open:
-            self._open.popitem()[1][0].close()
-
-    def _remove_parts(self, name) -> None:
-        for taker in range(self.n_workers + 1):
-            self.part(name, taker).unlink(missing_ok=True)
 
 
 class SeriesColumns(list):
@@ -389,9 +375,9 @@ def write_table(path, header: list[str], columns) -> Path:
     table, whose rows come from the stream's group templates.  This
     process joins the stream, which formats the blocks still queued
     (every block where the stream has no worker) and reaps its workers,
-    and splices the table from the parts.  Any other table is formatted
-    here, and nothing is forked.  The bytes do not depend on the number
-    of CPUs.
+    and splices the table from the stream's nameless parts, one per
+    process.  Any other table is formatted here, and nothing is forked.
+    The bytes do not depend on the number of CPUs.
     """
     path = Path(path)
     # latin1: one byte per character

@@ -376,11 +376,15 @@ def load_scenario(path) -> Scenario:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"scenario file not found: {path}")
-    with open(path) as fh:
-        try:
+    try:
+        # binary: PyYAML decodes it, and raises a YAMLError on bad UTF-8
+        with open(path, "rb") as fh:
             mapping = yaml.safe_load(fh)
-        except yaml.YAMLError as exc:
-            raise ConfigError(f"{path}: {exc}") from exc
+    except OSError as exc:  # a directory, say
+        raise ConfigError(f"cannot read scenario file {path}: "
+                          f"{exc.strerror or exc}") from exc
+    except yaml.YAMLError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
     return scenario_from_mapping(mapping, base_dir=path.parent)
 
 

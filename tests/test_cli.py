@@ -28,10 +28,16 @@ class TestValidate:
         out = capsys.readouterr().out
         assert "baseline" in out
 
-    def test_missing_config_names_path(self, capsys):
-        code = main(["validate", "--config", "no/such/file.yaml"])
-        assert code == 1
-        assert "no/such/file.yaml" in capsys.readouterr().err
+    def test_missing_config_names_path(self, tmp_path, capsys):
+        # a missing file, a directory, and a file that is not UTF-8
+        bad = tmp_path / "bad.yaml"
+        bad.write_bytes(b"name: \xff\xfe\n")
+        for path, says in [("no/such/file.yaml", "scenario file not found"),
+                           (str(tmp_path), "cannot read scenario file"),
+                           (str(bad), "invalid start byte")]:
+            assert main(["validate", "--config", path]) == 1, path
+            err = capsys.readouterr().err
+            assert path in err and says in err, err
 
     def test_unknown_subcommand_prints_usage(self, capsys):
         assert main(["frobnicate", "--config", SCENARIO]) == 1

@@ -3,9 +3,11 @@
 of tables that share a length and a spacing, by forked workers while the
 run computes them or, on one CPU, by the caller when it writes them: the
 same bytes as a serial ``write_table`` of the finished run, on any number
-of CPUs, and no worker or part file left when the run fails."""
+of CPUs.  Each process writes its blocks into its own part, a nameless
+file, so no worker or part is left when the run fails or is killed."""
 
 import os
+import signal
 import time
 
 import numpy as np
@@ -135,6 +137,29 @@ def test_failing_run_leaves_nothing(stage, tmp_path, monkeypatch):
         experiments.run_scaling_experiment(s, out_dir=tmp_path)
     assert len(calls) == 3
     _assert_nothing_left(tmp_path)
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_killed_run_leaves_nothing(cpus, tmp_path, monkeypatch):
+    # the run is killed as it splices its first table, after the join has
+    # reaped the workers: the parts had no names, so the output directory
+    # holds nothing
+    _use_cpus(monkeypatch, cpus)
+
+    def killed(stream, name, head):
+        os.kill(os.getpid(), signal.SIGKILL)
+
+    monkeypatch.setattr(_io.SeriesStream, "splice", killed)
+    s = _scenario(2 * CHUNK_SIZE + 4096, ["A", "B", "C", "D"])
+    pid = os.fork()
+    if pid == 0:  # never returns into pytest
+        try:
+            experiments.run_scaling_experiment(s, out_dir=tmp_path)
+        finally:
+            os._exit(1)
+    status = os.waitpid(pid, 0)[1]
+    assert os.WIFSIGNALED(status) and os.WTERMSIG(status) == signal.SIGKILL
+    assert not list(tmp_path.iterdir())
 
 
 def _serial_bytes(directory, columns):
