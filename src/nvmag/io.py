@@ -179,7 +179,7 @@ class SeriesStream:
         self._templates = {}  # a worker's prepared (g, block) -> template
         self._joined = False
         self._read = self._write = None  # the queue, where there are workers
-        self._unspliced = set(tables)
+        self._unspliced = set(tables)  # the parts are freed once it empties
         # part k holds the blocks taker k formats.  The descriptors share
         # their file offsets across the fork, so each part has exactly one
         # writer, and the caller reads a worker's part only once it has
