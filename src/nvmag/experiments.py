@@ -1,12 +1,13 @@
 """Scenario runners wiring spin simulation, noise, readout and analysis.
 
-Every runner is deterministic given (scenario, master seed): one noise
-record of plain arrays (:func:`_noise_record`) is synthesized up front
-from fixed per-channel seed streams, and the rest of a window record is
-evaluated in chunks of ``CHUNK_SIZE`` sequences.  Each chunk gets its
-echo populations, its photon draw (from the chunk's own seed) and its
-window signals in one step, so no population array spans the run.  The
-draws depend on that fixed chunk size, and so do the last bits of the
+Every runner is deterministic given (scenario, master seed): the noise
+record of plain arrays (:func:`_noise_record`) is synthesized from fixed
+per-channel seed streams, each channel whole before its first chunk is
+read, and the rest of a window record is evaluated in chunks of
+``CHUNK_SIZE`` sequences.  Each chunk gets its echo populations, its
+photon draw (from the chunk's own seed) and its window signals in one
+step, so no population array spans the run.  The draws depend on that
+fixed chunk size, and so do the last bits of the
 populations: numpy's vectorized kernels may round the tail of an array
 differently from its body, so chunks always start at multiples of
 ``CHUNK_SIZE``.
@@ -24,8 +25,20 @@ are pair-differenced chunk by chunk, so no full-length window record is
 kept.  The noise-free working point that balances the reference is
 evaluated once per run, not once per record.
 
-All numpy work stays in the calling process.  The scaling run's
-``series_<scheme>.csv`` tables are formatted by an
+The two halves of a record meet only in the photon draws: the
+microwave drive errors feed only the echo, and the laser noise only the
+draws.  Where a CPU is spare (one beyond the calling process and the
+series stream's workers, below), a forked producer (:class:`_Echo`)
+synthesizes the drive errors and evaluates the echo chunk by chunk into
+shared memory, while the calling process synthesizes the laser noise
+and draws each chunk's photons.  The caller never waits for a chunk:
+one the producer has not announced when its draws start, the caller
+evaluates itself.  Without a spare CPU (one usable CPU, no ``os.fork``,
+or a scaling run with outputs on two CPUs), each chunk's echo is
+evaluated in the calling process right before its draws.  A sweep hands
+all its amplitudes to one record, so the producer works across them.
+
+The scaling run's ``series_<scheme>.csv`` tables are formatted by an
 :class:`nvmag.io.SeriesStream`, which :func:`run_scaling_experiment`
 makes before the noise record, publishes each chunk's rows to, and
 joins when it writes its tables, which travel as their values alone
@@ -36,14 +49,19 @@ With more than one usable CPU the stream forks formatters, which format
 the templates while the noise record is synthesized (they depend on no
 value) and the published rows while the later chunks are computed; with
 one, the join formats every block from the same templates.  No other
-table forks.  The bytes of every table do not depend on the number of
-CPUs.
+table forks.  The bytes of every table depend neither on the number of
+CPUs nor on which process evaluated which chunk.
 """
 
 from __future__ import annotations
 
 import contextlib
 import math
+# loaded by nvmag.io already, so importing them here costs nothing
+import mmap
+import os
+import select
+import struct
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -68,14 +86,24 @@ BUDGET_SCHEME = "D"
 # shared plumbing
 # ---------------------------------------------------------------------------
 
-def _noise_record(scenario: Scenario, n: int):
-    """Drive errors ``(dg, df)`` of every sequence and the relative laser
-    noise ``eps`` of its two integration windows, shape ``(2, n)``.
+#: the noise channels that drive the echo, and the one read by the photons
+_DRIVE, _LASER = ("mw_amplitude", "mw_frequency"), ("laser_intensity",)
+#: one announcement of an echo producer (see :class:`_Echo`)
+_ANNOUNCE = struct.Struct("=i")
+
+
+def _noise_record(scenario: Scenario, n: int, channels) -> list:
+    """The traces of ``channels`` over ``n`` sequences, one array each:
+    the drive errors ``dg`` and ``df`` of every sequence, shape ``(1, n)``,
+    and the relative laser noise ``eps`` of its two integration windows,
+    shape ``(2, n)``.
 
     Microwave noise with correlation times longer than one sequence is
     constant within it, so its traces are read once per sequence; laser
     noise is the average over each window, read at the window centres.
-    An absent or zero channel reads as zeros.
+    An absent or zero channel reads as zeros.  Each channel has its own
+    seed stream, so which process synthesizes which channel changes no
+    bit.
     """
     cfg, s = scenario.readout, scenario.sequence
     # the laser pulse starts when the echo ends
@@ -84,7 +112,8 @@ def _noise_record(scenario: Scenario, n: int):
     reads = {"mw_amplitude": ((0.0,), 0.0), "mw_frequency": ((0.0,), 0.0),
              "laser_intensity": (centres, cfg.window_time)}
     record = []
-    for channel, (offsets, window) in reads.items():
+    for channel in channels:
+        offsets, window = reads[channel]
         model = scenario.noise.get(channel)
         if model is None or model.is_zero:
             record.append(np.zeros((len(offsets), n)))
@@ -92,8 +121,7 @@ def _noise_record(scenario: Scenario, n: int):
             record.append(_noise.synthesize_trace(
                 model, n * s.sequence_time, s.sequence_time,
                 scenario.channel_seed(channel), offsets, window).samples)
-    (dg,), (df,), eps = record
-    return dg, df, eps
+    return record
 
 
 def _balance_populations(scenario: Scenario) -> np.ndarray:
@@ -111,68 +139,225 @@ def _balance_populations(scenario: Scenario) -> np.ndarray:
     return np.asarray(out)
 
 
-def _scheme_series(scenario: Scenario, dg, df, eps, balance,
-                   stream_offset: int = 0, field_amplitude=0.0,
-                   tables=None) -> dict:
-    """Readout series of every requested scheme, keyed in scenario order.
+class _Echo:
+    """The echo populations of a record's chunks, one row per scheme
+    group, and the drive errors they are evaluated from.
 
-    Each scheme group is drawn once: one window record (populations and
-    shot noise) per group, on the group's stream plus ``stream_offset``.
-    A and B are the ``S_A`` and ``S_B`` of one constant-final-phase
-    record; C and D pair-difference those of one record alternating
-    between ``final_phase`` and ``-final_phase``.  B and D therefore
-    never depend on whether A or C are requested.
+    ``chunks`` holds each chunk's ``(slice of the record, field
+    amplitude)``; ``parity`` indexes ``(final_phase, -final_phase)`` per
+    group and sequence of a chunk (every chunk starts at an even
+    sequence).  Without ``fork`` the drive errors are synthesized here,
+    and :meth:`populations` evaluates a chunk's echo when it is asked for.
 
-    Sequence ``k`` of a group has drive errors ``dg[k]``, ``df[k]`` and
-    window laser noise ``eps[:, k]``.  The records are evaluated one
-    chunk at a time: one echo call per chunk gives every group's
-    populations (the groups differ only in the final pulse), then each
-    group draws its photons from the chunk's own seed on its stream, and
-    C and D are pair-differenced chunk by chunk.  Given an
-    :class:`nvmag.io.SeriesStream` keyed by scheme as ``tables``, the
-    series are its values, and each chunk's rows are published to it.
-    ``balance`` is the scenario's :func:`_balance_populations`, which a
-    runner computes once however many records it draws.
+    With ``fork``, one producer is forked.  It synthesizes the drive
+    errors into memory shared with the caller (``io._shared``) and
+    announces 0 on a pipe; then it evaluates the chunks in order, each
+    into its own shared slot, announcing ``i + 1`` after chunk ``i``.
+    The caller never waits for a chunk: one not announced when it is
+    asked for is evaluated here, from the shared drive errors (waiting
+    for those alone; ``RuntimeError`` if the producer ends without
+    them), and the shared ``taken`` count makes the producer skip the
+    chunks the caller took that it has not started.  So a chunk below
+    the last announcement that the caller did not take is ready.  Leaving the ``with`` block reaps
+    the producer, whether the block returns or raises; ``RuntimeError``
+    if it failed.  If the caller is killed, the producer ends at its
+    next announcement (``EPIPE``: the caller held the pipe's only read
+    end).  Fork rather than spawn: the producer needs no import and
+    reads the scenario without a copy, and it calls no BLAS routine, so
+    it needs no lock that a thread of the caller (numpy's BLAS pool)
+    could hold at the fork.
+    """
+
+    def __init__(self, scenario: Scenario, chunks: list, parity, fork: bool):
+        self.scenario, self.chunks, self.parity = scenario, chunks, parity
+        self.pid = None
+        n = chunks[-1][0].stop
+        if not fork:
+            (self.dg,), (self.df,) = _noise_record(scenario, n, _DRIVE)
+            return
+        self.dg, self.df = _io._shared(n), _io._shared(n)
+        # one slot of whole pages per chunk, so that the caller can drop
+        # a chunk's pages once its photons are drawn: they would
+        # otherwise count in its resident memory until the run ends
+        flat = _io._shared(len(chunks) * len(parity) * CHUNK_SIZE)
+        self._map = flat.base.obj
+        self._shared = flat.reshape(len(chunks), len(parity), CHUNK_SIZE)
+        # one past the last chunk the caller took
+        self._taken = _io._shared(1, np.int64)
+        self._ready = -1  # the last announcement; -1: none yet
+        self._read, write = os.pipe()
+        try:
+            self.pid = os.fork()
+        except BaseException:
+            os.close(self._read)
+            os.close(write)
+            raise
+        if self.pid == 0:  # producer: never returns into the caller
+            code = 1
+            try:
+                os.close(self._read)
+                self._produce(write)
+                code = 0
+            except BrokenPipeError:  # the caller has left
+                code = 0
+            finally:
+                # no atexit handlers, no flush of inherited buffers
+                os._exit(code)
+        os.close(write)
+        os.set_blocking(self._read, False)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, *exc):
+        if not self.pid:
+            return
+        # a producer still running stops at its next chunk or announcement
+        self._taken[0] = len(self.chunks)
+        os.close(self._read)
+        pid, self.pid = self.pid, None
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        if code and exc_type is None:
+            raise RuntimeError(f"echo producer {pid} exited {code}")
+
+    def _produce(self, write: int) -> None:
+        dg, df = _noise_record(self.scenario, len(self.dg), _DRIVE)
+        self.dg[:], self.df[:] = dg[0], df[0]
+        del dg, df
+        os.write(write, _ANNOUNCE.pack(0))
+        done = 0
+        while True:
+            done = max(done, int(self._taken[0]))
+            if done >= len(self.chunks):
+                return
+            populations = self._evaluate(done)
+            self._shared[done, :, :populations.shape[1]] = populations
+            done += 1
+            os.write(write, _ANNOUNCE.pack(done))
+
+    def populations(self, i: int) -> np.ndarray:
+        """Chunk ``i``'s populations, shape ``(groups, chunk length)``."""
+        if self.pid:
+            if i:  # the caller is done with the chunk before
+                slot = self._shared[0].nbytes
+                self._map.madvise(mmap.MADV_DONTNEED, (i - 1) * slot, slot)
+            self._poll()
+            while self._ready < 0:  # the drive errors are not out yet
+                select.select([self._read], [], [])
+                if not self._poll():
+                    raise RuntimeError(f"echo producer {self.pid} ended "
+                                       "before its drive errors")
+            if self._ready > i:
+                rows = self.chunks[i][0]
+                return self._shared[i, :, :rows.stop - rows.start]
+            self._taken[0] = i + 1
+        return self._evaluate(i)
+
+    def _poll(self) -> bool:
+        """Read the announcements so far; False once the producer has
+        closed the pipe."""
+        try:
+            # the pipe's default capacity, so every announcement written
+            data = os.read(self._read, 1 << 16)
+        except BlockingIOError:
+            return True
+        if data:
+            self._ready, = _ANNOUNCE.unpack_from(data,
+                                                 len(data) - _ANNOUNCE.size)
+        return bool(data)
+
+    def _evaluate(self, i: int) -> np.ndarray:
+        rows, field_amplitude = self.chunks[i]
+        s = self.scenario.sequence
+        return sequences.echo_populations(
+            s.phase_time, s.rabi, self.scenario.hamiltonian, self.dg[rows],
+            self.df[rows], field_amplitude=field_amplitude,
+            decay=self.scenario.decay,
+            final_phase=np.array([s.final_phase, -s.final_phase]),
+            phase_index=self.parity[:, :rows.stop - rows.start],
+            m_i_values=s.m_i_values())
+
+
+def _scheme_series(scenario: Scenario, segments, balance, tables=None):
+    """Readout series of every requested scheme for each segment of a
+    record in turn, one dict per segment keyed in scenario order.
+
+    Each segment is ``scenario.n_sequences`` sequences long and given as
+    ``(field_amplitude, stream_offset)``: its test-field amplitude, and
+    the offset of its shot-noise streams.  Within a segment each scheme
+    group is drawn once: one window record (populations and shot noise)
+    per group, on the group's stream plus the segment's offset.  A and B
+    are the ``S_A`` and ``S_B`` of one constant-final-phase record; C and
+    D pair-difference those of one record alternating between
+    ``final_phase`` and ``-final_phase``.  B and D therefore never depend
+    on whether A or C are requested.
+
+    Sequence ``k`` of the record has drive errors ``dg[k]``, ``df[k]`` and
+    window laser noise ``eps[:, k]`` (:func:`_noise_record` over the whole
+    record).  The record is evaluated one chunk at a time, each chunk
+    starting at a multiple of ``CHUNK_SIZE`` in its segment: one echo
+    call per chunk gives every group's populations (the groups differ
+    only in the final pulse), then each group draws its photons from the
+    chunk's own seed on its stream, and C and D are pair-differenced
+    chunk by chunk.  The echo and its drive errors come from an
+    :class:`_Echo`, forked where a CPU is spare: one beyond this process
+    and the workers of ``tables``.  This process synthesizes the laser
+    noise meanwhile and draws the photons.  Given an
+    :class:`nvmag.io.SeriesStream` keyed by scheme as ``tables`` (one
+    segment), the series are its values, and each chunk's rows are
+    published to it; otherwise a segment's series are dropped by the
+    caller before the next is drawn, so the values of one segment at a
+    time are held.  ``balance`` is the scenario's
+    :func:`_balance_populations`, which a runner computes once however
+    many records it draws.
     """
     s = scenario.sequence
-    n = len(dg)
+    n = scenario.n_sequences
     # (stream, members, paired) of every requested group
     groups = [(stream, members, SCHEME_SEQUENCES[members[0]] == 2)
               for stream, members in SCHEME_GROUPS.items()
               if any(m in scenario.schemes for m in members)]
-    phases = np.array([s.final_phase, -s.final_phase])
-    values = {scheme: np.empty(n // SCHEME_SEQUENCES[scheme])
-              if tables is None else tables.values(scheme)
-              for scheme in scenario.schemes}
-    for index in range((n + CHUNK_SIZE - 1) // CHUNK_SIZE):
-        sl = slice(index * CHUNK_SIZE, min((index + 1) * CHUNK_SIZE, n))
-        # index into (final_phase, -final_phase) per sequence and group
-        alternating = np.arange(sl.start, sl.stop) % 2
-        parity = np.stack([alternating if paired else
-                           np.zeros_like(alternating)
-                           for _, _, paired in groups])
-        populations = sequences.echo_populations(
-            s.phase_time, s.rabi, scenario.hamiltonian, dg[sl], df[sl],
-            field_amplitude=field_amplitude, decay=scenario.decay,
-            final_phase=phases, phase_index=parity,
-            m_i_values=s.m_i_values())
-        for g, (stream, members, paired) in enumerate(groups):
-            rng = np.random.default_rng(
-                scenario.shot_seed(stream + stream_offset, index))
-            signals = readout.sequence_signals(
-                populations[g], scenario.readout, rng, eps[:, sl],
-                balance[parity[g]])
-            rows = slice(sl.start // 2, sl.stop // 2) if paired else sl
-            for scheme, signal in zip(members, signals):
-                if scheme in values:
-                    values[scheme][rows] = (readout.pair_difference(signal)
-                                            if paired else signal)
-                    if tables is not None:
-                        tables.publish(scheme, rows.stop)
-
-    return {scheme: ReadoutSeries(
-        v, SCHEME_SEQUENCES[scheme] * s.sequence_time, scheme)
-        for scheme, v in values.items()}
+    # index into (final_phase, -final_phase) per group and sequence of a
+    # chunk, which starts at an even sequence
+    alternating = np.arange(min(CHUNK_SIZE, n)) % 2
+    parity = np.stack([alternating if paired else np.zeros_like(alternating)
+                       for _, _, paired in groups])
+    # the reference's balance population per group and sequence of a chunk
+    balance = balance[parity]
+    # (slice of the record, field amplitude) of every chunk
+    starts = range(0, n, CHUNK_SIZE)
+    chunks = [(slice(k * n + lo, k * n + min(lo + CHUNK_SIZE, n)), field)
+              for k, (field, _) in enumerate(segments) for lo in starts]
+    spare = _io._usable_cpus() - 1 - (tables.n_workers if tables else 0)
+    with _Echo(scenario, chunks, parity, spare > 0) as echo:
+        eps, = _noise_record(scenario, n * len(segments), _LASER)
+        for k, (_, stream_offset) in enumerate(segments):
+            values = {scheme: np.empty(n // SCHEME_SEQUENCES[scheme])
+                      if tables is None else tables.values(scheme)
+                      for scheme in scenario.schemes}
+            for index, lo in enumerate(starts):
+                i = k * len(starts) + index
+                sl = chunks[i][0]
+                hi = lo + sl.stop - sl.start
+                populations = echo.populations(i)
+                for g, (stream, members, paired) in enumerate(groups):
+                    rng = np.random.default_rng(
+                        scenario.shot_seed(stream + stream_offset, index))
+                    signals = readout.sequence_signals(
+                        populations[g], scenario.readout, rng, eps[:, sl],
+                        balance[g, :hi - lo])
+                    rows = slice(lo // 2, hi // 2) if paired \
+                        else slice(lo, hi)
+                    for scheme, signal in zip(members, signals):
+                        if scheme in values:
+                            values[scheme][rows] = (
+                                readout.pair_difference(signal) if paired
+                                else signal)
+                            if tables is not None:
+                                tables.publish(scheme, rows.stop)
+            yield {scheme: ReadoutSeries(
+                v, SCHEME_SEQUENCES[scheme] * s.sequence_time, scheme)
+                for scheme, v in values.items()}
 
 
 def error_conversion_slopes(scenario: Scenario, dg=3e-4, df=30.0):
@@ -233,21 +418,17 @@ def run_ac_sweep(scenario: Scenario, amplitudes, out_dir=None) -> SweepResult:
     """
     started = utc_now()
     amplitudes = np.asarray(amplitudes, dtype=float)
-    n = scenario.n_sequences
-    n_total = n * amplitudes.size
-    dg_all, df_all, eps_all = _noise_record(scenario, n_total)
-
+    if not amplitudes.size:
+        raise ValueError("need at least one test-field amplitude")
     phase_time = scenario.sequence.phase_time
     gamma_e = scenario.hamiltonian.gamma_e
     means = {scheme: np.empty(amplitudes.size) for scheme in scenario.schemes}
+    # one record of every amplitude, each on its own shot-noise streams;
     # the working point does not depend on the test field
-    balance = _balance_populations(scenario)
-
-    for k, amp in enumerate(amplitudes):
-        sl = slice(k * n, (k + 1) * n)
-        series = _scheme_series(
-            scenario, dg_all[sl], df_all[sl], eps_all[:, sl], balance,
-            stream_offset=1000 * (k + 1), field_amplitude=amp)
+    for k, series in enumerate(_scheme_series(
+            scenario, [(amp, 1000 * (k + 1))
+                       for k, amp in enumerate(amplitudes)],
+            _balance_populations(scenario))):
         for scheme, s in series.items():
             means[scheme][k] = s.values.mean()
 
@@ -312,10 +493,11 @@ def run_scaling_experiment(scenario: Scenario, out_dir=None) -> ScalingResult:
             for scheme in scenario.schemes})
     with series_tables as stream:
         out = {}
-        # the noise record is freed once the series are drawn
-        for scheme, series in _scheme_series(
-                scenario, *_noise_record(scenario, n),
-                _balance_populations(scenario), tables=stream).items():
+        # unpacking draws the record to its end, which frees the noise
+        # record and reaps any echo producer before the estimators run
+        record, = _scheme_series(scenario, [(0.0, 0)],
+                                 _balance_populations(scenario), tables=stream)
+        for scheme, series in record.items():
             grid = analysis.default_time_grid(series.values.size,
                                               series.spacing)
             out[scheme] = SchemeScaling(

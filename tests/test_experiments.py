@@ -1,5 +1,9 @@
 import copy
 import json
+import os
+import select
+import signal
+import time
 from datetime import datetime, timezone
 
 import numpy as np
@@ -16,6 +20,13 @@ def read_table(path):
     with open(path) as fh:
         header = fh.readline().strip().split(",")
     return header, np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+
+
+@pytest.fixture
+def inline(monkeypatch):
+    """No CPU to spare: every chunk's echo is evaluated in this process,
+    right before its photons are drawn."""
+    monkeypatch.setattr(_io, "_usable_cpus", lambda: 1)
 
 
 def make_scenario(**overrides):
@@ -183,7 +194,7 @@ class TestNoiseBudget:
         npt.assert_allclose(res.raw["laser_intensity"], expected,
                             rtol=1e-9, atol=1e-30)
 
-    def test_sigma1_matches_shot_prediction(self):
+    def test_sigma1_matches_shot_prediction(self, inline):
         # the noise-free Monte Carlo samples the exact shot variance the
         # budget reports, for exact Poisson counts (1e9 cps) and their
         # Gaussian limit, with the reference on and off; s^2 / sigma^2 of
@@ -199,9 +210,9 @@ class TestNoiseBudget:
                                            "reference_enabled": reference})
                 sigma1, eta = experiments.shot_noise_limit(s)
                 assert experiments.run_noise_budget(s).sigma1 == sigma1
-                series = experiments._scheme_series(
-                    s, np.zeros(n), np.zeros(n), np.zeros((2, n)),
-                    experiments._balance_populations(s))
+                # no noise channel, so the record reads as zeros
+                series, = experiments._scheme_series(
+                    s, [(0.0, 0)], experiments._balance_populations(s))
                 for scheme, sampled in series.items():
                     m = sampled.values.size
                     ratio = sampled.values.var(ddof=1) / sigma1[scheme] ** 2
@@ -311,6 +322,7 @@ class TestRunRecord:
             p.name for p in result.outputs)
 
 
+@pytest.mark.usefixtures("inline")
 class TestSchemeGroups:
     """A/B share one window record on one stream, C/D one on another."""
 
@@ -393,10 +405,8 @@ class TestSchemeGroups:
         n = CHUNK_SIZE + 6
         s = make_scenario(n_sequences=n, schemes=["A", "B", "C", "D"],
                           noise=NOISY)
-        dg, df, eps = experiments._noise_record(s, n)
-        experiments._scheme_series(s, dg, df, eps,
-                                   experiments._balance_populations(s),
-                                   field_amplitude=field)
+        list(experiments._scheme_series(s, [(field, 0)],
+                                        experiments._balance_populations(s)))
         # per chunk, A/B's draw comes first, then C/D's
         single = np.concatenate(populations[0::2])
         paired = np.concatenate(populations[1::2])
@@ -405,19 +415,27 @@ class TestSchemeGroups:
         assert not np.array_equal(paired[1::2], single[1::2])
 
 
+@pytest.mark.usefixtures("inline")
 class TestChunkedEcho:
     """The echo is evaluated one chunk at a time, and every chunk starts
-    at a multiple of ``CHUNK_SIZE``: that bounds the memory of a run, and
-    numpy rounds an array's tail differently from its body, so other
-    boundaries would change the last bits of the populations."""
+    at a multiple of ``CHUNK_SIZE`` in its segment: that bounds the
+    memory of a run, and numpy rounds an array's tail differently from
+    its body, so other boundaries would change the last bits of the
+    populations."""
 
     STEP = 1e-9
 
     def record_chunks(self, monkeypatch, n):
-        # drive errors that encode each sequence's index in its record
-        def indexed(scenario, n_total):
-            return ((np.arange(n_total) % n) * self.STEP, np.zeros(n_total),
-                    np.zeros((2, n_total)))
+        # amplitude errors that encode each sequence's index in its
+        # segment (the scenario has no noise, so the rest reads as zeros)
+        real = experiments._noise_record
+
+        def indexed(scenario, n_total, channels):
+            record = real(scenario, n_total, channels)
+            if "mw_amplitude" in channels:
+                record[channels.index("mw_amplitude")] = \
+                    (np.arange(n_total) % n * self.STEP)[None]
+            return record
 
         chunks = []
         original = sq.echo_populations
@@ -451,7 +469,8 @@ class TestChunkedEcho:
 
 
 class TestWorkingPoint:
-    def test_sweep_evaluates_the_working_point_once(self, monkeypatch):
+    def test_sweep_evaluates_the_working_point_once(self, monkeypatch,
+                                                    inline):
         # the noise-free balance populations do not depend on the test
         # field, so a sweep evaluates them once, not once per amplitude
         balances, echoes = [], []
@@ -475,3 +494,198 @@ class TestWorkingPoint:
         # the working point's two final phases, then two chunks per
         # amplitude
         assert echoes == [0.0, 0.0] + [a for a in amplitudes for _ in "ab"]
+
+
+class TestEchoProducer:
+    """With a CPU to spare, a forked producer synthesizes the drive errors
+    and evaluates the echo while this process synthesizes the laser noise
+    and draws the photons; a chunk the producer has not announced when it
+    is needed is evaluated here.  Neither changes a bit, and no producer
+    outlives a run, whether the run returns, raises or is killed."""
+
+    N = CHUNK_SIZE + 2048  # two chunks per segment
+    RUNS = {
+        "sweep": lambda s: experiments.run_ac_sweep(s, [0.0, 2e-8, 5e-8]).means,
+        "scaling": lambda s: {scheme: sc.series.values for scheme, sc in
+                              experiments.run_scaling_experiment(s)
+                              .schemes.items()},
+    }
+
+    def scenario(self):
+        return make_scenario(n_sequences=self.N, schemes=["A", "B", "C", "D"],
+                             noise=NOISY)
+
+    def run(self, monkeypatch, kind, cpus):
+        """``{scheme: bytes}`` of a run without outputs on ``cpus`` usable
+        CPUs, and the number of processes it forked."""
+        monkeypatch.setattr(_io, "_usable_cpus", lambda: cpus)
+        forks = []
+        real_fork = os.fork
+
+        def counting_fork():
+            forks.append(None)
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", counting_fork)
+        got = self.RUNS[kind](self.scenario())
+        monkeypatch.setattr(os, "fork", real_fork)
+        return {scheme: v.tobytes() for scheme, v in got.items()}, len(forks)
+
+    @staticmethod
+    def assert_no_child_left():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def record_evaluations(self, monkeypatch):
+        """The chunks this process evaluates itself, in order."""
+        caller, chunks = os.getpid(), []
+        real = experiments._Echo._evaluate
+
+        def recording(echo, i):
+            if os.getpid() == caller:
+                chunks.append(i)
+            return real(echo, i)
+
+        monkeypatch.setattr(experiments._Echo, "_evaluate", recording)
+        return chunks
+
+    @pytest.mark.parametrize("kind", RUNS)
+    def test_same_bytes_as_without_a_producer(self, monkeypatch, kind):
+        want, forks = self.run(monkeypatch, kind, 1)
+        assert forks == 0
+        got, forks = self.run(monkeypatch, kind, 2)
+        assert forks == 1
+        assert got == want
+        self.assert_no_child_left()
+
+    def test_producer_ahead_serves_every_chunk(self, monkeypatch):
+        # the laser synthesis starts once every chunk is announced, so
+        # this process evaluates no chunk itself
+        want, _ = self.run(monkeypatch, "sweep", 1)
+        echoes = []
+        real_enter, real_record = (experiments._Echo.__enter__,
+                                   experiments._noise_record)
+
+        def entering(echo):
+            echoes.append(echo)
+            return real_enter(echo)
+
+        def late_laser(scenario, n, channels):
+            if channels == experiments._LASER:
+                echo = echoes[-1]
+                deadline = time.monotonic() + 60.0
+                while echo._ready < len(echo.chunks) \
+                        and time.monotonic() < deadline:
+                    echo._poll()
+                    time.sleep(1e-3)
+            return real_record(scenario, n, channels)
+
+        monkeypatch.setattr(experiments._Echo, "__enter__", entering)
+        monkeypatch.setattr(experiments, "_noise_record", late_laser)
+        chunks = self.record_evaluations(monkeypatch)
+        got, forks = self.run(monkeypatch, "sweep", 2)
+        assert forks == 1 and chunks == []
+        assert got == want
+        self.assert_no_child_left()
+
+    def test_slow_producer_leaves_every_chunk_to_the_caller(self,
+                                                            monkeypatch):
+        # the producer evaluates a chunk only once this process has taken
+        # them all
+        want, _ = self.run(monkeypatch, "sweep", 1)
+        caller = os.getpid()
+        real = experiments._Echo._evaluate
+
+        def slow(echo, i):
+            if os.getpid() != caller:
+                deadline = time.monotonic() + 60.0
+                while echo._taken[0] < len(echo.chunks) \
+                        and time.monotonic() < deadline:
+                    time.sleep(1e-3)
+            return real(echo, i)
+
+        monkeypatch.setattr(experiments._Echo, "_evaluate", slow)
+        chunks = self.record_evaluations(monkeypatch)
+        got, forks = self.run(monkeypatch, "sweep", 2)
+        assert forks == 1
+        assert chunks == list(range(6))  # 3 amplitudes, 2 chunks each
+        assert got == want
+        self.assert_no_child_left()
+
+    def test_producer_dying_before_its_drive_errors_raises(self,
+                                                            monkeypatch):
+        caller = os.getpid()
+        real = experiments._noise_record
+
+        def failing(scenario, n, channels):
+            if os.getpid() != caller:
+                raise MemoryError("injected")
+            return real(scenario, n, channels)
+
+        monkeypatch.setattr(experiments, "_noise_record", failing)
+        with pytest.raises(RuntimeError, match="before its drive errors"):
+            self.run(monkeypatch, "sweep", 2)
+        self.assert_no_child_left()
+
+    def test_failing_caller_reaps_the_producer(self, monkeypatch):
+        real = experiments._noise_record
+
+        def failing(scenario, n, channels):
+            if channels == experiments._LASER:
+                raise ValueError("injected")
+            return real(scenario, n, channels)
+
+        monkeypatch.setattr(experiments, "_noise_record", failing)
+        with pytest.raises(ValueError, match="injected"):
+            self.run(monkeypatch, "scaling", 2)
+        self.assert_no_child_left()
+
+    def test_killed_caller_leaves_a_producer_that_ends_on_epipe(
+            self, monkeypatch):
+        # a forked child runs the sweep and is killed as it starts the
+        # laser synthesis; its producer reports how it ended on a pipe
+        # that only the two of them hold, which reads EOF once both are
+        # gone
+        report, report_w = os.pipe()
+        real_produce, real_record = (experiments._Echo._produce,
+                                     experiments._noise_record)
+
+        def produce(echo, write):
+            try:
+                real_produce(echo, write)
+            except BrokenPipeError:
+                os.write(report_w, b"EPIPE")
+                raise
+
+        def killed(scenario, n, channels):
+            if channels == experiments._LASER:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real_record(scenario, n, channels)
+
+        monkeypatch.setattr(experiments._Echo, "_produce", produce)
+        monkeypatch.setattr(experiments, "_noise_record", killed)
+        monkeypatch.setattr(_io, "_usable_cpus", lambda: 2)
+        pid = os.fork()
+        if pid == 0:  # never returns into pytest
+            try:
+                os.close(report)
+                self.RUNS["sweep"](self.scenario())
+            finally:
+                os._exit(1)
+        os.close(report_w)
+        try:
+            status = os.waitpid(pid, 0)[1]
+            assert os.WIFSIGNALED(status) \
+                and os.WTERMSIG(status) == signal.SIGKILL
+            got = b""
+            while select.select([report], [], [], 60.0)[0]:
+                data = os.read(report, 64)
+                if not data:
+                    break
+                got += data
+            else:
+                pytest.fail("the producer did not end within 60 s")
+        finally:
+            os.close(report)
+        assert got == b"EPIPE"
+        self.assert_no_child_left()
