@@ -528,7 +528,6 @@ class TestEchoProducer:
 
         monkeypatch.setattr(os, "fork", counting_fork)
         got = self.RUNS[kind](self.scenario())
-        monkeypatch.setattr(os, "fork", real_fork)
         return {scheme: v.tobytes() for scheme, v in got.items()}, len(forks)
 
     @staticmethod
