@@ -28,6 +28,7 @@ formatted which block.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import mmap
 import os
@@ -43,10 +44,19 @@ import numpy as np
 
 #: rows formatted by one string-formatting call, and rows per queued block
 _BLOCK_ROWS = 4096
-#: a series row with its index and time filled in and its value still to
-#: fill; ``%d`` prints an index below 1e12 as :func:`write_table`'s
-#: ``%.12g`` does
-_SERIES_ROW = b"%d,%.12g,%%.12g\n"
+#: a series row's index and time, before its value; ``%d`` prints an index
+#: below 1e12 as :func:`write_table`'s ``%.12g`` does
+_SERIES_HEAD = b"%d,%.12g,\n"
+#: bytes per row of :func:`_value_text`: the longest ``%.12g`` text
+#: (``-1.23456789012e-308``, 19 bytes), a newline and NUL padding
+_VALUE_WIDTH = 24
+#: the powers of ten that are exact doubles
+_POW10 = np.array([float(10 ** k) for k in range(23)])
+#: the decimal exponents of :func:`_value_text`'s fast path: scientific
+#: notation, and ``10 ** (11 - e)`` an exact double
+_EXP_LO, _EXP_HI = -11, 33
+#: a minus sign in the first byte of a word of :func:`_value_text`
+_MINUS = np.frombuffer(b"-".ljust(8, b"\0"), np.uint64)[0]
 #: one queue item: a group's index and a block's index
 _ITEM = struct.Struct("=II")
 #: items per write to the queue: 512 bytes, the least ``PIPE_BUF`` POSIX
@@ -99,9 +109,9 @@ class _Group(NamedTuple):
     spacing: float
 
     def template(self, block: int) -> tuple[int, int, bytes]:
-        """The rows ``lo:hi`` of ``block``, and their template: the rows
-        with the index and time formatted, which ``template %
-        tuple(values[lo:hi])`` fills with a member's values."""
+        """The rows ``lo:hi`` of ``block``, and their template: each row's
+        index and time with its comma, NUL-padded to the block's widest,
+        which :func:`_rows` completes with a member's values."""
         lo = block * _BLOCK_ROWS
         hi = min(lo + _BLOCK_ROWS, self.n_rows)
         index = np.arange(lo, hi)
@@ -109,7 +119,14 @@ class _Group(NamedTuple):
         axes[0::2] = index.tolist()
         # equal, bit for bit, to rows lo:hi of index * spacing
         axes[1::2] = (index * self.spacing).tolist()
-        return lo, hi, (_SERIES_ROW * (hi - lo)) % tuple(axes)
+        text = np.frombuffer((_SERIES_HEAD * (hi - lo)) % tuple(axes),
+                             np.uint8)
+        ends = np.flatnonzero(text == ord("\n"))
+        lengths = np.diff(ends, prepend=-1) - 1
+        rows = np.zeros((hi - lo, lengths.max()), np.uint8)
+        rows[np.arange(rows.shape[1]) < lengths[:, None]] = \
+            text[text != ord("\n")]
+        return lo, hi, rows.tobytes()
 
 
 class SeriesStream:
@@ -283,7 +300,7 @@ class SeriesStream:
             or self.groups[g].template(block)
         for name in self.groups[g].names:
             length = self._parts[taker].write(
-                template % tuple(self._values[name][lo:hi].tolist()))
+                _rows(template, self._values[name][lo:hi]))
             self.blocks[self.spans[name].start + block] = \
                 taker + 1, self._size, length
             self._size += length
@@ -350,6 +367,102 @@ class SeriesStream:
         if self._write is not None:
             os.close(self._write)
             self._write = None
+
+
+@functools.cache
+def _digit_words() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The words :func:`_value_text` assembles a value's text from, built
+    once per process that formats one: ``head[g - 1000 + 9000 * last]``
+    is ``NUL d.ddd NUL NUL`` for the first four digits ``g`` (trailing
+    zeros, and a bare point, as NULs where ``last``: no digit follows);
+    ``quad[g + 10000 * last]`` is four digits ``g``, the same way; and
+    ``exp[e - _EXP_LO]`` is ``e+XX`` or ``e-XX``, a newline and NULs."""
+    digits = (ord("0") + np.arange(10000)[:, None]
+              // np.array([1000, 100, 10, 1]) % 10).astype(np.uint8)
+    last = digits.copy()
+    last[np.logical_and.accumulate(last[:, ::-1] == ord("0"),
+                                   axis=1)[:, ::-1]] = 0
+    head = np.zeros((2, 9000, 8), np.uint8)
+    head[:, :, 1] = digits[1000:, 0]
+    head[:, :, 2] = ord(".")
+    head[0, :, 3:6] = digits[1000:, 1:]
+    head[1, :, 3:6] = last[1000:, 1:]
+    head[1, last[1000:, 1] == 0, 2] = 0
+    exp = b"".join((b"e%+03d\n" % e).ljust(8, b"\0")
+                   for e in range(_EXP_LO, _EXP_HI + 1))
+    return (head.reshape(-1, 8).view(np.uint64).ravel(),
+            np.concatenate([digits, last]).view(np.uint32).ravel(),
+            np.frombuffer(exp, np.uint64))
+
+
+def _value_text(values: np.ndarray) -> np.ndarray:
+    """``b"%.12g\\n" % v`` of each float64 of ``values``, one NUL-padded
+    row of :data:`_VALUE_WIDTH` bytes each (``uint8``).
+
+    A value in scientific notation whose decimal exponent ``e`` (from
+    ``floor(log10)``) is in ``_EXP_LO.._EXP_HI`` takes the fast path:
+    ``y = |v| * 10**(11 - e)`` (or the matching division) is one
+    correctly rounded operation with an exact power of ten, so within
+    2**-14 of the exact value below 1e12, and ``n = rint(y)`` is its
+    12-digit mantissa when ``1e11 <= y``, ``n < 1e12`` and ``y`` is
+    further than ``0.5 - 2**-13`` from the nearest half.  Its digits come
+    from integer arithmetic and tables of words.  Every other value, and
+    every value of a block that holds one in fixed notation (``1e-4 <=
+    |v| < 1e12``), is formatted by ``%``.  A ``log10`` one ulp off (it
+    differs between SIMD targets) can only send a value to ``%``: its
+    ``y`` then falls outside ``[1e11, 1e12)``, or rounds to a mantissa
+    that ``%`` prints the same, so the bytes do not depend on it.
+    """
+    n_values = len(values)
+    words = np.empty((n_values, _VALUE_WIDTH // 8), np.uint64)
+    magnitude = np.abs(values)
+    if ((magnitude >= 1e-4) & (magnitude < 1e12)).any():
+        slow = np.arange(n_values)
+    else:
+        head, quad, exp = _digit_words()
+        with np.errstate(divide="ignore", invalid="ignore"):
+            e = np.floor(np.log10(magnitude))
+            fast = (e >= _EXP_LO) & (e <= _EXP_HI)  # False for 0, inf, nan
+            e = np.where(fast, e, 11.0).astype(np.intp)
+            y = magnitude * _POW10[np.maximum(11 - e, 0)]
+            down = e > 11
+            y[down] = magnitude[down] / _POW10[e[down] - 11]
+            mantissa = np.rint(y)
+            fast &= (np.abs(y - mantissa) < 0.5 - 2.0 ** -13) \
+                & (y >= 1e11) & (mantissa < 1e12)
+        mantissa = np.where(fast, mantissa, 1e11).astype(np.int64)
+        first = mantissa // 10 ** 8
+        rest = mantissa - first * 10 ** 8
+        second = rest // 10 ** 4
+        third = rest - second * 10 ** 4
+        last2 = third == 0  # the second group holds the last digit
+        last1 = last2 & (second == 0)  # so does the first
+        words[:, 0] = head[first - 1000 + 9000 * last1] \
+            | np.where(values < 0, _MINUS, 0)
+        quads = words.view(np.uint32)
+        quads[:, 2] = quad[second + 10000 * last2]
+        quads[:, 3] = quad[third + 10000]
+        words[:, 2] = exp[e - _EXP_LO]
+        slow = np.flatnonzero(~fast)
+    text = words.view(np.uint8)
+    if len(slow):
+        # %23.12g: every %.12g text, left-padded to one row each
+        padded = (b"%23.12g\n" * len(slow)) % tuple(values[slow].tolist())
+        text[slow] = np.frombuffer(padded.replace(b" ", b"\0"),
+                                   np.uint8).reshape(-1, _VALUE_WIDTH)
+    return text
+
+
+def _rows(template: bytes, values: np.ndarray) -> bytes:
+    """The rows of a group block's ``template`` (see
+    :meth:`_Group.template`), each followed by its value of ``values``
+    as ``%.12g`` and a newline."""
+    rows = np.empty((len(values), len(template) // len(values)
+                     + _VALUE_WIDTH), np.uint8)
+    rows[:, :-_VALUE_WIDTH] = np.frombuffer(template, np.uint8).reshape(
+        len(values), -1)
+    rows[:, -_VALUE_WIDTH:] = _value_text(values)
+    return rows.tobytes().translate(None, b"\0")
 
 
 class SeriesColumns(list):

@@ -266,7 +266,8 @@ def test_write_table_takes_blocks_while_the_queue_is_full(
                          st.floats(allow_nan=False, allow_infinity=False)),
        block=st.integers(0, 300), data=st.data())
 def test_group_template_fills_to_row_formatting(spacing, block, data):
-    # the two-stage bytes template against one %.12g row per index
+    # a group block's template filled with a member's values against
+    # one %d,%.12g,%.12g row per index
     lo = block * _io._BLOCK_ROWS
     n_rows = lo + data.draw(st.one_of(st.sampled_from([1, 4095, 4096]),
                                       st.integers(1, 20)))
@@ -278,4 +279,4 @@ def test_group_template_fills_to_row_formatting(spacing, block, data):
     assert (got_lo, got_hi) == (lo, hi)
     want = "".join("%d,%.12g,%.12g\n" % (i, i * spacing, v)
                    for i, v in zip(range(lo, hi), values.tolist()))
-    assert template % tuple(values.tolist()) == want.encode()
+    assert _io._rows(template, values) == want.encode()
