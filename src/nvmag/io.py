@@ -7,23 +7,36 @@ scaling run travel to it as their values alone (a
 :class:`SeriesColumns`), and a :class:`SeriesStream` formats them on
 any number of CPUs.  Series tables of one length and spacing form a
 group (A/B and C/D in the scaling run): a block of a group is formatted
-once into a bytes template of ``index,time,%.12g`` rows, which each
-member then fills with its own values, into the part of the process
-that fills it: a nameless file, one per process, so a killed run leaves
-none behind.  With more than one usable CPU the stream forks workers,
-one per usable CPU but one, while the caller computes the values; all
-numpy work stays in the caller.  A group's blocks go onto a queue once
-every member has published them, and the workers take blocks from it.
-A template depends on no value, so until the first block is queued
-(while the caller synthesizes its noise record) each worker formats its
-share of the templates ahead, and fills its own when it takes that
-block.  The caller takes the blocks still queued once it joins, reaps
-the workers and splices each table from the parts in row order.  With
-one usable CPU, or where the process cannot fork, nothing is forked,
-queued or shared: the join formats every block of every group in row
-order from the same templates into its one part, and splices the same
-way.  The bytes depend on neither the number of CPUs nor which process
-formatted which block.
+once into a bytes template, each row's ``index,time,`` text padded with
+NULs to one width, which each member then fills with its own values,
+into the part of the process that fills it: a nameless file, one per
+process, so a killed run leaves none behind.  With more than one
+usable CPU the stream forks workers, one per usable CPU but one, while
+the caller computes the values; all numpy work stays in the caller.
+A group's blocks go onto a queue once every member has published them,
+and the workers take blocks from it.  A template depends on no value,
+so until the first block is queued (while the caller synthesizes its
+noise record) each worker formats its share of the templates ahead, and
+fills its own when it takes that block.  The caller takes the blocks
+still queued once it joins, reaps the workers and splices each table
+from the parts in row order.  With one usable CPU, or where the process
+cannot fork, nothing is forked, queued or shared: the join formats
+every block of every group in row order from the same templates into
+its one part, and splices the same way.  The bytes depend on neither
+the number of CPUs nor which process formatted which block.
+
+A member's values are written as ``%.12g`` by :func:`_value_text`, a
+vectorized formatter that gives the bytes of ``b"%.12g" % v`` value by
+value.  Series values lie near 1e-7, where ``%`` is slowest (scientific
+notation).  For such a value the formatter takes the 12-digit mantissa
+from one correctly rounded product with an exact power of ten and the
+digits from tables; it leaves to ``%`` every value it cannot prove
+exact that way (zeros, non-finite values, near-ties, exponents beyond
+-11..33) and every block holding a value in fixed notation.  Which
+values go to ``%`` may depend on the last bit of ``np.log10``, which
+differs between numpy's SIMD targets; the bytes do not, since the test
+that admits a value to the fast path uses only exactly rounded
+arithmetic.
 """
 
 from __future__ import annotations
@@ -44,8 +57,9 @@ import numpy as np
 
 #: rows formatted by one string-formatting call, and rows per queued block
 _BLOCK_ROWS = 4096
-#: a series row's index and time, before its value; ``%d`` prints an index
-#: below 1e12 as :func:`write_table`'s ``%.12g`` does
+#: a series row's index and time, before its value, one line per row for
+#: :meth:`_Group.template` to pad; ``%d`` prints an index below 1e12 as
+#: :func:`write_table`'s ``%.12g`` does
 _SERIES_HEAD = b"%d,%.12g,\n"
 #: bytes per row of :func:`_value_text`: the longest ``%.12g`` text
 #: (``-1.23456789012e-308``, 19 bytes), a newline and NUL padding
@@ -404,8 +418,8 @@ def _value_text(values: np.ndarray) -> np.ndarray:
     ``y = |v| * 10**(11 - e)`` (or the matching division) is one
     correctly rounded operation with an exact power of ten, so within
     2**-14 of the exact value below 1e12, and ``n = rint(y)`` is its
-    12-digit mantissa when ``1e11 <= y``, ``n < 1e12`` and ``y`` is
-    further than ``0.5 - 2**-13`` from the nearest half.  Its digits come
+    12-digit mantissa when ``1e11 <= y``, ``n < 1e12`` and ``y`` lies
+    more than 2**-13 from the nearest half-integer.  Its digits come
     from integer arithmetic and tables of words.  Every other value, and
     every value of a block that holds one in fixed notation (``1e-4 <=
     |v| < 1e12``), is formatted by ``%``.  A ``log10`` one ulp off (it
@@ -435,8 +449,9 @@ def _value_text(values: np.ndarray) -> np.ndarray:
         rest = mantissa - first * 10 ** 8
         second = rest // 10 ** 4
         third = rest - second * 10 ** 4
-        last2 = third == 0  # the second group holds the last digit
-        last1 = last2 & (second == 0)  # so does the first
+        # no digit but zeros after the second group of four, or the first
+        last2 = third == 0
+        last1 = last2 & (second == 0)
         words[:, 0] = head[first - 1000 + 9000 * last1] \
             | np.where(values < 0, _MINUS, 0)
         quads = words.view(np.uint32)
