@@ -90,7 +90,7 @@ def want(values):
 @given(v=ANY)
 def test_one_value_equals_percent_format(v):
     # a block of one: the fast path wherever the value is in scientific
-    # notation with a two-digit exponent, % otherwise
+    # notation with a decimal exponent in -11..33, % otherwise
     assert texts([v]) == want([v])
 
 
