@@ -31,8 +31,8 @@ value.  Series values lie near 1e-7, where ``%`` is slowest (scientific
 notation).  For such a value the formatter takes the 12-digit mantissa
 from one correctly rounded product with an exact power of ten and the
 digits from tables; it leaves to ``%`` every value it cannot prove
-exact that way (zeros, non-finite values, near-ties, exponents beyond
--11..33) and every block holding a value in fixed notation.  Which
+exact that way (values in fixed notation, zeros, non-finite values,
+ties, exponents beyond -11..33), one value at a time.  Which
 values go to ``%`` may depend on the last bit of ``np.log10``, which
 differs between numpy's SIMD targets; the bytes do not, since the test
 that admits a value to the fast path uses only exactly rounded
@@ -413,52 +413,51 @@ def _value_text(values: np.ndarray) -> np.ndarray:
     """``b"%.12g\\n" % v`` of each float64 of ``values``, one NUL-padded
     row of :data:`_VALUE_WIDTH` bytes each (``uint8``).
 
-    A value in scientific notation whose decimal exponent ``e`` (from
-    ``floor(log10)``) is in ``_EXP_LO.._EXP_HI`` takes the fast path:
-    ``y = |v| * 10**(11 - e)`` (or the matching division) is one
-    correctly rounded operation with an exact power of ten, so within
-    2**-14 of the exact value below 1e12, and ``n = rint(y)`` is its
-    12-digit mantissa when ``1e11 <= y``, ``n < 1e12`` and ``y`` lies
-    more than 2**-13 from the nearest half-integer.  Its digits come
-    from integer arithmetic and tables of words.  Every other value, and
-    every value of a block that holds one in fixed notation (``1e-4 <=
-    |v| < 1e12``), is formatted by ``%``.  A ``log10`` one ulp off (it
-    differs between SIMD targets) can only send a value to ``%``: its
-    ``y`` then falls outside ``[1e11, 1e12)``, or rounds to a mantissa
-    that ``%`` prints the same, so the bytes do not depend on it.
+    A value in scientific notation (``|v| < 1e-4`` or ``>= 1e12``)
+    whose decimal exponent ``e`` (from ``floor(log10)``) is in
+    ``_EXP_LO.._EXP_HI`` takes the fast path.  ``y = |v| * 10**(11 -
+    e)`` (or the matching division) is the exact ``x = |v| * 10**(11 -
+    e)`` correctly rounded, since the power of ten is an exact double.
+    Below 1e12 every half-integer is a double too, and correct rounding
+    is monotone, so ``y`` lies strictly between two half-integers only
+    if ``x`` does: ``n = rint(y)`` is then ``x`` rounded to an integer,
+    the 12-digit mantissa, when ``1e11 <= y``, ``n < 1e12`` and ``y`` is
+    not itself a tie.  Its digits come from integer arithmetic and
+    tables of words.  Every other value is formatted by ``%``.  A
+    ``log10`` one ulp off (it differs between SIMD targets) can only
+    send a value to ``%``: its ``y`` then falls outside ``[1e11,
+    1e12)``, or rounds to a mantissa that ``%`` prints the same, so the
+    bytes do not depend on it.
     """
-    n_values = len(values)
-    words = np.empty((n_values, _VALUE_WIDTH // 8), np.uint64)
+    words = np.empty((len(values), _VALUE_WIDTH // 8), np.uint64)
     magnitude = np.abs(values)
-    if ((magnitude >= 1e-4) & (magnitude < 1e12)).any():
-        slow = np.arange(n_values)
-    else:
-        head, quad, exp = _digit_words()
-        with np.errstate(divide="ignore", invalid="ignore"):
-            e = np.floor(np.log10(magnitude))
-            fast = (e >= _EXP_LO) & (e <= _EXP_HI)  # False for 0, inf, nan
-            e = np.where(fast, e, 11.0).astype(np.intp)
-            y = magnitude * _POW10[np.maximum(11 - e, 0)]
-            down = e > 11
-            y[down] = magnitude[down] / _POW10[e[down] - 11]
-            mantissa = np.rint(y)
-            fast &= (np.abs(y - mantissa) < 0.5 - 2.0 ** -13) \
-                & (y >= 1e11) & (mantissa < 1e12)
-        mantissa = np.where(fast, mantissa, 1e11).astype(np.int64)
-        first = mantissa // 10 ** 8
-        rest = mantissa - first * 10 ** 8
-        second = rest // 10 ** 4
-        third = rest - second * 10 ** 4
-        # no digit but zeros after the second group of four, or the first
-        last2 = third == 0
-        last1 = last2 & (second == 0)
-        words[:, 0] = head[first - 1000 + 9000 * last1] \
-            | np.where(values < 0, _MINUS, 0)
-        quads = words.view(np.uint32)
-        quads[:, 2] = quad[second + 10000 * last2]
-        quads[:, 3] = quad[third + 10000]
-        words[:, 2] = exp[e - _EXP_LO]
-        slow = np.flatnonzero(~fast)
+    head, quad, exp = _digit_words()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        e = np.floor(np.log10(magnitude))
+        fast = (e >= _EXP_LO) & (e <= _EXP_HI)  # False for 0, inf, nan
+        fast &= (magnitude < 1e-4) | (magnitude >= 1e12)
+        e = np.where(fast, e, 11.0).astype(np.intp)
+        y = magnitude * _POW10[np.maximum(11 - e, 0)]
+        down = e > 11
+        y[down] = magnitude[down] / _POW10[e[down] - 11]
+        mantissa = np.rint(y)
+        fast &= (np.abs(y - mantissa) < 0.5) & (y >= 1e11) \
+            & (mantissa < 1e12)
+    mantissa = np.where(fast, mantissa, 1e11).astype(np.int64)
+    first = mantissa // 10 ** 8
+    rest = mantissa - first * 10 ** 8
+    second = rest // 10 ** 4
+    third = rest - second * 10 ** 4
+    # no digit but zeros after the second group of four, or the first
+    last2 = third == 0
+    last1 = last2 & (second == 0)
+    words[:, 0] = head[first - 1000 + 9000 * last1] \
+        | np.where(values < 0, _MINUS, 0)
+    quads = words.view(np.uint32)
+    quads[:, 2] = quad[second + 10000 * last2]
+    quads[:, 3] = quad[third + 10000]
+    words[:, 2] = exp[e - _EXP_LO]
+    slow = np.flatnonzero(~fast)
     text = words.view(np.uint8)
     if len(slow):
         # %23.12g: every %.12g text, left-padded to one row each
