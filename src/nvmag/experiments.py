@@ -328,8 +328,7 @@ def _scheme_series(scenario: Scenario, segments, balance, tables=None):
     starts = range(0, n, CHUNK_SIZE)
     chunks = [(slice(k * n + lo, k * n + min(lo + CHUNK_SIZE, n)), field)
               for k, (field, _) in enumerate(segments) for lo in starts]
-    spare = _io._usable_cpus() - 1 - (tables.n_workers if tables else 0)
-    with _Echo(scenario, chunks, parity, spare > 0) as echo:
+    with _Echo(scenario, chunks, parity, _io._usable_cpus() > 1) as echo:
         eps, = _noise_record(scenario, n * len(segments), _LASER)
         for k, (_, stream_offset) in enumerate(segments):
             values = {scheme: np.empty(n // SCHEME_SEQUENCES[scheme])

@@ -4,7 +4,7 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from nvmag import io as _io
@@ -258,21 +258,90 @@ def test_write_table_takes_blocks_while_the_queue_is_full(
     _assert_nothing_left(tmp_path)
 
 
-@settings(max_examples=60, deadline=None,
+#: blocks of a group: the first few hundred, the blocks that hold the
+#: first index of 5, 9, 13 and 17 digits, and any up to 2**40
+BLOCKS = st.one_of(st.integers(0, 300),
+                   st.sampled_from([10 ** k // _io._BLOCK_ROWS
+                                    for k in (4, 8, 12, 16)]),
+                   st.integers(0, 2 ** 40))
+#: spacings: the scaling run's, extremes, signed zeros, any finite float,
+#: and decimals of 12 to 17 significant digits
+SPACINGS = st.one_of(
+    st.sampled_from([1.6e-4, 3.2e-4, 1 / 3, 1e-300, 1e300, 5e-324, 0.0,
+                     -0.0]),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.builds(lambda m, k: float(f"{m}e{k}"),
+              st.integers(10 ** 11, 10 ** 17 - 1), st.integers(-25, 5)))
+#: times where %.12g switches between fixed and scientific notation, the
+#: times just below them that round up to the switch, and times just
+#: below a power of ten whose 12 digits round up to it
+SWITCHES = st.sampled_from([1e-4, 9.99999999999995e-05, 9.9999999999995e-05,
+                            1e12, 999999999999.5, 999999999999.4,
+                            999999999999.6, 99999.9999999996,
+                            0.0999999999999996])
+
+
+@st.composite
+def ties(draw):
+    """A time in fixed notation whose 13th significant digit is an exact
+    5 and the last: ``q / 2**d`` for odd ``q``, ``d`` fraction digits."""
+    d = draw(st.integers(1, 16))
+    # 10**(12 - d) <= q / 2**d < 10**(13 - d)
+    q = draw(st.integers(-(-2 ** d * 10 ** 12 // 10 ** d),
+                         2 ** d * 10 ** 13 // 10 ** d - 1))
+    return (q | 1) / 2 ** d
+
+
+@st.composite
+def group_blocks(draw):
+    """``(spacing, block, n_rows, values)``: a series group's spacing, one
+    of its blocks and its length, and a member's values of that block.
+    One row of the block lies at a notation switch or a tie of %.12g,
+    give or take a few ulps, or the spacing is any."""
+    kind = draw(st.sampled_from(["any", "switch", "tie"]))
+    index = None
+    if kind == "any":
+        spacing, block = draw(SPACINGS), draw(BLOCKS)
+    elif kind == "switch":
+        block = draw(BLOCKS)
+        lo = block * _io._BLOCK_ROWS
+        index = draw(st.integers(max(lo, 1), lo + _io._BLOCK_ROWS - 1))
+        spacing = draw(SWITCHES) / index
+        for _ in range(draw(st.integers(0, 3))):
+            spacing = np.nextafter(spacing, draw(st.sampled_from(
+                [0.0, math.inf])))
+    else:
+        # a power-of-two index, so that index * spacing is the tie
+        block = draw(st.sampled_from([0] + [2 ** k for k in range(30)]))
+        index = block * _io._BLOCK_ROWS or 2 ** draw(st.integers(0, 11))
+        spacing = draw(ties()) / index
+    spacing = float(spacing) * draw(st.sampled_from([1, -1]))
+    lo = block * _io._BLOCK_ROWS
+    n_rows = lo + draw(st.one_of(st.sampled_from([1, 4095, 4096]),
+                                 st.integers(1, 20)))
+    if index is not None:
+        n_rows = max(n_rows, index + 1)
+    values = draw(hnp.arrays(np.float64, min(n_rows - lo, _io._BLOCK_ROWS),
+                             elements=FLOATS))
+    return spacing, block, n_rows, values
+
+
+@settings(max_examples=100, deadline=None,
           suppress_health_check=[HealthCheck.data_too_large,
                                  HealthCheck.too_slow])
-@given(spacing=st.one_of(st.sampled_from([1.6e-4, 3.2e-4, 1 / 3, 1e-300,
-                                          1e300, 5e-324, 0.0, -0.0]),
-                         st.floats(allow_nan=False, allow_infinity=False)),
-       block=st.integers(0, 300), data=st.data())
-def test_group_template_fills_to_row_formatting(spacing, block, data):
+@given(group=group_blocks())
+# a time that rounds up to 1e12 and so switches to scientific notation;
+# a tie; indices of 9 digits past 10**8; one of 17 digits
+@example(group=(999999999999.6, 0, 2, np.zeros(2)))
+@example(group=(-123456789012.5, 0, 2, np.zeros(2)))
+@example(group=(1.6e-4, 24414, 24415 * 4096, np.zeros(4096)))
+@example(group=(-1 / 3, 10 ** 16 // 4096, 10 ** 16 + 7, np.zeros(7)))
+def test_group_template_fills_to_row_formatting(group):
     # a group block's template filled with a member's values against
     # one %d,%.12g,%.12g row per index
+    spacing, block, n_rows, values = group
     lo = block * _io._BLOCK_ROWS
-    n_rows = lo + data.draw(st.one_of(st.sampled_from([1, 4095, 4096]),
-                                      st.integers(1, 20)))
     hi = min(lo + _io._BLOCK_ROWS, n_rows)
-    values = data.draw(hnp.arrays(np.float64, hi - lo, elements=FLOATS))
     with np.errstate(over="ignore"):  # index * 1e300 may overflow
         got_lo, got_hi, template = _io._Group(["a"], n_rows,
                                               spacing).template(block)
