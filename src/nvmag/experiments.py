@@ -27,16 +27,19 @@ evaluated once per run, not once per record.
 
 The two halves of a record meet only in the photon draws: the
 microwave drive errors feed only the echo, and the laser noise only the
-draws.  Where a CPU is spare (one beyond the calling process and the
-series stream's workers, below), a forked producer (:class:`_Echo`)
-synthesizes the drive errors and evaluates the echo chunk by chunk into
-shared memory, while the calling process synthesizes the laser noise
-and draws each chunk's photons.  The caller never waits for a chunk:
+draws.  With more than one usable CPU, a forked producer
+(:class:`_Echo`) synthesizes the drive errors and evaluates the echo
+chunk by chunk into shared memory, while the calling process
+synthesizes the laser noise and draws each chunk's photons.  It is
+forked beside the series stream's workers (below) too: on two CPUs a
+scaling run with outputs then runs three processes, and the caller,
+whose CPU time sets the run's wall time, leaves the microwave synthesis
+and the echo to the producer.  The caller never waits for a chunk:
 one the producer has not announced when its draws start, the caller
-evaluates itself.  Without a spare CPU (one usable CPU, no ``os.fork``,
-or a scaling run with outputs on two CPUs), each chunk's echo is
-evaluated in the calling process right before its draws.  A sweep hands
-all its amplitudes to one record, so the producer works across them.
+evaluates itself.  With one usable CPU, or no ``os.fork``, each chunk's
+echo is evaluated in the calling process right before its draws.  A
+sweep hands all its amplitudes to one record, so the producer works
+across them.
 
 The scaling run's ``series_<scheme>.csv`` tables are formatted by an
 :class:`nvmag.io.SeriesStream`, which :func:`run_scaling_experiment`
@@ -149,7 +152,8 @@ class _Echo:
     sequence).  Without ``fork`` the drive errors are synthesized here,
     and :meth:`populations` evaluates a chunk's echo when it is asked for.
 
-    With ``fork``, one producer is forked.  It synthesizes the drive
+    With ``fork`` (more than one usable CPU, whatever else the caller
+    has forked), one producer is forked.  It synthesizes the drive
     errors into memory shared with the caller (``io._shared``) and
     announces 0 on a pipe; then it evaluates the chunks in order, each
     into its own shared slot, announcing ``i + 1`` after chunk ``i``.
@@ -157,15 +161,16 @@ class _Echo:
     asked for is evaluated here, from the shared drive errors (waiting
     for those alone; ``RuntimeError`` if the producer ends without
     them), and the shared ``taken`` count makes the producer skip the
-    chunks the caller took that it has not started.  So a chunk below
-    the last announcement that the caller did not take is ready.  Leaving the ``with`` block reaps
-    the producer, whether the block returns or raises; ``RuntimeError``
-    if it failed.  If the caller is killed, the producer ends at its
-    next announcement (``EPIPE``: the caller held the pipe's only read
-    end).  Fork rather than spawn: the producer needs no import and
-    reads the scenario without a copy, and it calls no BLAS routine, so
-    it needs no lock that a thread of the caller (numpy's BLAS pool)
-    could hold at the fork.
+    chunks the caller took that it has not started (one it has started
+    it finishes, and the caller never reads it).  So a chunk below the
+    last announcement that the caller did not take is ready.  Leaving
+    the ``with`` block reaps the producer, whether the block returns or
+    raises; ``RuntimeError`` if it failed.  If the caller is killed, the
+    producer ends at its next announcement (``EPIPE``: the caller held
+    the pipe's only read end).  Fork rather than spawn: the producer
+    needs no import and reads the scenario without a copy, and it calls
+    no BLAS routine, so it needs no lock that a thread of the caller
+    (numpy's BLAS pool) could hold at the fork.
     """
 
     def __init__(self, scenario: Scenario, chunks: list, parity, fork: bool):
@@ -300,8 +305,8 @@ def _scheme_series(scenario: Scenario, segments, balance, tables=None):
     only in the final pulse), then each group draws its photons from the
     chunk's own seed on its stream, and C and D are pair-differenced
     chunk by chunk.  The echo and its drive errors come from an
-    :class:`_Echo`, forked where a CPU is spare: one beyond this process
-    and the workers of ``tables``.  This process synthesizes the laser
+    :class:`_Echo`, forked wherever more than one CPU is usable, whether
+    or not ``tables`` has workers.  This process synthesizes the laser
     noise meanwhile and draws the photons.  Given an
     :class:`nvmag.io.SeriesStream` keyed by scheme as ``tables`` (one
     segment), the series are its values, and each chunk's rows are

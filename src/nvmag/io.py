@@ -7,19 +7,19 @@ scaling run travel to it as their values alone (a
 :class:`SeriesColumns`), and a :class:`SeriesStream` formats them on
 any number of CPUs.  Series tables of one length and spacing form a
 group (A/B and C/D in the scaling run): a block of a group is formatted
-once into a bytes template, each row's ``index,time,`` text padded with
-NULs to one width, which each member then fills with its own values,
-into the part of the process that fills it: a nameless file, one per
-process, so a killed run leaves none behind.  With more than one
-usable CPU the stream forks workers, one per usable CPU but one, while
-the caller computes the values; all numpy work stays in the caller.
-A group's blocks go onto a queue once every member has published them,
-and the workers take blocks from it.  A template depends on no value,
-so until the first block is queued (while the caller synthesizes its
-noise record) each worker formats its share of the templates ahead, and
-fills its own when it takes that block.  The caller takes the blocks
-still queued once it joins, reaps the workers and splices each table
-from the parts in row order.  With one usable CPU, or where the process
+once into a bytes template, each row's ``index,time,`` text with NULs
+among it to one width for every row, which each member then fills
+with its own values, into the part of the process that fills it: a
+nameless file, one per process, so a killed run leaves none behind.
+With more than one usable CPU the stream forks workers, one per usable
+CPU but one, while the caller computes the values; the workers only
+format and write.  A group's blocks go onto a queue once every member
+has published them, and the workers take blocks from it.  A template
+depends on no value, so until the first block is queued (while the
+caller synthesizes its noise record) each worker formats its share of
+the templates ahead, and fills its own when it takes that block.  The
+caller takes the blocks still queued once it joins, reaps the workers
+and splices each table from the parts in row order.  With one usable CPU, or where the process
 cannot fork, nothing is forked, queued or shared: the join formats
 every block of every group in row order from the same templates into
 its one part, and splices the same way.  The bytes depend on neither
@@ -32,11 +32,14 @@ notation).  For such a value the formatter takes the 12-digit mantissa
 from one correctly rounded product with an exact power of ten and the
 digits from tables; it leaves to ``%`` every value it cannot prove
 exact that way (values in fixed notation, zeros, non-finite values,
-ties, exponents beyond -11..33), one value at a time.  Which
-values go to ``%`` may depend on the last bit of ``np.log10``, which
-differs between numpy's SIMD targets; the bytes do not, since the test
-that admits a value to the fast path uses only exactly rounded
-arithmetic.
+ties, exponents beyond -11..33), one value at a time.  A template's
+text comes from the same tables (:func:`_head_words`): the index as an
+integer, and each time in fixed notation, by the same test, from its
+mantissa split into an integer part and a fraction; every other time
+goes to ``%``.  Which values go to ``%`` may depend on the last bit of
+``np.log10``, which differs between numpy's SIMD targets; the bytes do
+not, since the test that admits a value to the fast path uses only
+exactly rounded arithmetic.
 """
 
 from __future__ import annotations
@@ -125,10 +128,10 @@ class _Group(NamedTuple):
 
     def template(self, block: int) -> tuple[int, int, bytes]:
         """The rows ``lo:hi`` of ``block``, and their template: each row's
-        ``%d,%.12g,`` text of its index and time, with NULs among it
-        (the same columns in every row), which :func:`_rows` completes
-        with a member's values: the words of :func:`_head_words`, less
-        the byte columns that are NUL in every row."""
+        ``%d,%.12g,`` text of its index and time, with NULs among it to
+        one width for every row, which :func:`_rows` completes with a
+        member's values: the words of :func:`_head_words`, less the byte
+        columns that are NUL in every row."""
         lo = block * _BLOCK_ROWS
         hi = min(lo + _BLOCK_ROWS, self.n_rows)
         index = np.arange(lo, hi)
@@ -416,40 +419,53 @@ def _digit_words() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             np.frombuffer(exp, np.uint64))
 
 
+def _mantissas(magnitude: np.ndarray, lo: int, hi: int):
+    """``(e, n, exact)`` of each float64 ``magnitude >= 0``: its decimal
+    exponent ``e`` from ``floor(log10)``, or 11 where that is not in
+    ``lo..hi`` (``|11 - e| <= 22``); its 12-digit mantissa ``n`` (a
+    float); and whether ``n`` is proven to be the magnitude rounded to
+    12 significant digits, ``e`` its exponent.
+
+    ``y = magnitude * 10**(11 - e)`` (or the matching division) is the
+    exact ``x = magnitude * 10**(11 - e)`` correctly rounded, since the
+    power of ten is an exact double.  Below 1e12 every half-integer is
+    a double too, and correct rounding is monotone, so ``y`` lies
+    strictly between two half-integers only if ``x`` does: ``n =
+    rint(y)`` is then ``x`` rounded to an integer, the mantissa, when
+    ``1e11 <= y``, ``n < 1e12`` and ``y`` is not itself a tie.  A
+    ``log10`` one ulp off (it differs between SIMD targets) can only
+    make that proof fail: ``y`` then falls outside ``[1e11, 1e12)``, or
+    rounds to a mantissa that ``%`` prints the same, so the bytes built
+    from ``n`` do not depend on it.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        e = np.floor(np.log10(magnitude))
+        exact = (e >= lo) & (e <= hi)  # False for 0, inf, nan
+        e = np.where(exact, e, 11.0).astype(np.intp)
+        y = magnitude * _POW10[np.maximum(11 - e, 0)]
+        down = e > 11
+        y[down] = magnitude[down] / _POW10[e[down] - 11]
+        mantissa = np.rint(y)
+        exact &= (np.abs(y - mantissa) < 0.5) & (y >= 1e11) \
+            & (mantissa < 1e12)
+    return e, mantissa, exact
+
+
 def _value_text(values: np.ndarray) -> np.ndarray:
     """``b"%.12g\\n" % v`` of each float64 of ``values``, one NUL-padded
     row of :data:`_VALUE_WIDTH` bytes each (``uint8``).
 
     A value in scientific notation (``|v| < 1e-4`` or ``>= 1e12``)
-    whose decimal exponent ``e`` (from ``floor(log10)``) is in
-    ``_EXP_LO.._EXP_HI`` takes the fast path.  ``y = |v| * 10**(11 -
-    e)`` (or the matching division) is the exact ``x = |v| * 10**(11 -
-    e)`` correctly rounded, since the power of ten is an exact double.
-    Below 1e12 every half-integer is a double too, and correct rounding
-    is monotone, so ``y`` lies strictly between two half-integers only
-    if ``x`` does: ``n = rint(y)`` is then ``x`` rounded to an integer,
-    the 12-digit mantissa, when ``1e11 <= y``, ``n < 1e12`` and ``y`` is
-    not itself a tie.  Its digits come from integer arithmetic and
-    tables of words.  Every other value is formatted by ``%``.  A
-    ``log10`` one ulp off (it differs between SIMD targets) can only
-    send a value to ``%``: its ``y`` then falls outside ``[1e11,
-    1e12)``, or rounds to a mantissa that ``%`` prints the same, so the
-    bytes do not depend on it.
+    whose decimal exponent is in ``_EXP_LO.._EXP_HI`` takes the fast
+    path, if :func:`_mantissas` proves its 12-digit mantissa exact.  Its
+    digits come from integer arithmetic and tables of words.  Every
+    other value is formatted by ``%``.
     """
     words = np.empty((len(values), _VALUE_WIDTH // 8), np.uint64)
     magnitude = np.abs(values)
     head, quad, exp = _digit_words()
-    with np.errstate(divide="ignore", invalid="ignore"):
-        e = np.floor(np.log10(magnitude))
-        fast = (e >= _EXP_LO) & (e <= _EXP_HI)  # False for 0, inf, nan
-        fast &= (magnitude < 1e-4) | (magnitude >= 1e12)
-        e = np.where(fast, e, 11.0).astype(np.intp)
-        y = magnitude * _POW10[np.maximum(11 - e, 0)]
-        down = e > 11
-        y[down] = magnitude[down] / _POW10[e[down] - 11]
-        mantissa = np.rint(y)
-        fast &= (np.abs(y - mantissa) < 0.5) & (y >= 1e11) \
-            & (mantissa < 1e12)
+    e, mantissa, fast = _mantissas(magnitude, _EXP_LO, _EXP_HI)
+    fast &= (magnitude < 1e-4) | (magnitude >= 1e12)
     mantissa = np.where(fast, mantissa, 1e11).astype(np.int64)
     first = mantissa // 10 ** 8
     rest = mantissa - first * 10 ** 8
@@ -498,11 +514,9 @@ def _head_words(index: np.ndarray, times: np.ndarray) -> np.ndarray:
     the text (``uint32``): the index, ``,`` and the sign, the time's
     integer part, the point, its fraction and ``,``.
 
-    A time in fixed notation (decimal exponent ``e``, from
-    ``floor(log10)``, in -4..11) takes :func:`_value_text`'s test, with
-    ``10 ** (11 - e)`` an exact double: it admits ``n = rint(|t| * 10 **
-    (11 - e))`` as the 12-digit mantissa, or sends ``t`` to ``%``.  Then
-    ``n // 10 ** (11 - e)`` is the integer part, four digits a word with
+    A time in fixed notation (decimal exponent ``e`` in -4..11) takes
+    the fast path if :func:`_mantissas` proves its 12-digit mantissa
+    ``n`` exact.  Then ``n // 10 ** (11 - e)`` is the integer part, four digits a word with
     leading zeros as NULs, and the rest is the fraction, scaled to 16
     digits with trailing zeros as NULs, after a point only where it is
     not zero.  Only the words that some row needs are made.  Every other
@@ -510,15 +524,7 @@ def _head_words(index: np.ndarray, times: np.ndarray) -> np.ndarray:
     formatted by ``%``, one at a time, its text ending in the integer
     part's last column where it fits.
     """
-    magnitude = np.abs(times)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        e = np.floor(np.log10(magnitude))
-        fast = (e >= -4) & (e <= 11)  # False for 0, inf, nan
-        e = np.where(fast, e, 11.0).astype(np.intp)
-        y = magnitude * _POW10[11 - e]
-        mantissa = np.rint(y)
-        fast &= (np.abs(y - mantissa) < 0.5) & (y >= 1e11) \
-            & (mantissa < 1e12)
+    e, mantissa, fast = _mantissas(np.abs(times), -4, 11)
     mantissa = np.where(fast, mantissa, 0.0).astype(np.int64)
     scale = _INT10[11 - e]
     whole = mantissa // scale

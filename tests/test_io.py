@@ -283,13 +283,19 @@ SWITCHES = st.sampled_from([1e-4, 9.99999999999995e-05, 9.9999999999995e-05,
 
 @st.composite
 def ties(draw):
-    """A time in fixed notation whose 13th significant digit is an exact
-    5 and the last: ``q / 2**d`` for odd ``q``, ``d`` fraction digits."""
-    d = draw(st.integers(1, 16))
-    # 10**(12 - d) <= q / 2**d < 10**(13 - d)
-    q = draw(st.integers(-(-2 ** d * 10 ** 12 // 10 ** d),
-                         2 ** d * 10 ** 13 // 10 ** d - 1))
-    return (q | 1) / 2 ** d
+    """A time in fixed notation at a tie of its 12th significant digit:
+    exactly, as ``q / 2**d`` for odd ``q`` with ``d`` fraction digits (a
+    13th digit 5, and the last), or as the double nearest a 13-digit
+    decimal ending in 5, give or take an ulp."""
+    if draw(st.booleans()):
+        d = draw(st.integers(1, 16))
+        # 10**(12 - d) <= q / 2**d < 10**(13 - d)
+        q = draw(st.integers(-(-2 ** d * 10 ** 12 // 10 ** d),
+                             2 ** d * 10 ** 13 // 10 ** d - 1))
+        return (q | 1) / 2 ** d
+    t = float(f"{draw(st.integers(10 ** 11, 10 ** 12 - 1))}5"
+              f"e{draw(st.integers(-16, -2))}")
+    return float(np.nextafter(t, t * draw(st.sampled_from([0, 1, 2]))))
 
 
 @st.composite
@@ -331,9 +337,11 @@ def group_blocks(draw):
                                  HealthCheck.too_slow])
 @given(group=group_blocks())
 # a time that rounds up to 1e12 and so switches to scientific notation;
-# a tie; indices of 9 digits past 10**8; one of 17 digits
+# an exact tie; a double above a tie whose product with 10**11 rounds to
+# the tie; indices of 9 digits past 10**8; one of 17 digits
 @example(group=(999999999999.6, 0, 2, np.zeros(2)))
 @example(group=(-123456789012.5, 0, 2, np.zeros(2)))
+@example(group=(1.368761715425, 0, 2, np.zeros(2)))
 @example(group=(1.6e-4, 24414, 24415 * 4096, np.zeros(4096)))
 @example(group=(-1 / 3, 10 ** 16 // 4096, 10 ** 16 + 7, np.zeros(7)))
 def test_group_template_fills_to_row_formatting(group):
