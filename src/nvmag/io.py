@@ -19,11 +19,12 @@ depends on no value, so until the first block is queued (while the
 caller synthesizes its noise record) each worker formats its share of
 the templates ahead, and fills its own when it takes that block.  The
 caller takes the blocks still queued once it joins, reaps the workers
-and splices each table from the parts in row order.  With one usable CPU, or where the process
-cannot fork, nothing is forked, queued or shared: the join formats
-every block of every group in row order from the same templates into
-its one part, and splices the same way.  The bytes depend on neither
-the number of CPUs nor which process formatted which block.
+and splices each table from the parts in row order.  With one usable
+CPU, or where the process cannot fork, nothing is forked, queued or
+shared: the join formats every block of every group in row order from
+the same templates into its one part, and splices the same way.  The
+bytes depend on neither the number of CPUs nor which process formatted
+which block.
 
 A member's values are written as ``%.12g`` by :func:`_value_text`, a
 vectorized formatter that gives the bytes of ``b"%.12g" % v`` value by
@@ -516,13 +517,13 @@ def _head_words(index: np.ndarray, times: np.ndarray) -> np.ndarray:
 
     A time in fixed notation (decimal exponent ``e`` in -4..11) takes
     the fast path if :func:`_mantissas` proves its 12-digit mantissa
-    ``n`` exact.  Then ``n // 10 ** (11 - e)`` is the integer part, four digits a word with
-    leading zeros as NULs, and the rest is the fraction, scaled to 16
-    digits with trailing zeros as NULs, after a point only where it is
-    not zero.  Only the words that some row needs are made.  Every other
-    time (zeros, ties, scientific notation, non-finite values) is
-    formatted by ``%``, one at a time, its text ending in the integer
-    part's last column where it fits.
+    ``n`` exact.  Then ``n // 10 ** (11 - e)`` is the integer part,
+    four digits a word with leading zeros as NULs, and the rest is the
+    fraction, scaled to 16 digits with trailing zeros as NULs, after a
+    point only where it is not zero.  Only the words that some row needs
+    are made.  Every other time (zeros, ties, scientific notation,
+    non-finite values) is formatted by ``%``, one at a time, its text
+    ending in the integer part's last column where it fits.
     """
     e, mantissa, fast = _mantissas(np.abs(times), -4, 11)
     mantissa = np.where(fast, mantissa, 0.0).astype(np.int64)
