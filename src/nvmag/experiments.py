@@ -36,10 +36,10 @@ scaling run with outputs then runs three processes, and the caller,
 whose CPU time sets the run's wall time, leaves the microwave synthesis
 and the echo to the producer.  The caller never waits for a chunk:
 one the producer has not announced when its draws start, the caller
-evaluates itself.  With one usable CPU, or no ``os.fork``, each chunk's
-echo is evaluated in the calling process right before its draws.  A
-sweep hands all its amplitudes to one record, so the producer works
-across them.
+evaluates itself.  With one usable CPU, or where it cannot fork, each
+chunk's echo is evaluated in the calling process right before its
+draws.  A sweep hands all its amplitudes to one record, so the producer
+works across them.
 
 The scaling run's ``series_<scheme>.csv`` tables are formatted by an
 :class:`nvmag.io.SeriesStream`, which :func:`run_scaling_experiment`
@@ -49,11 +49,10 @@ joins when it writes its tables, which travel as their values alone
 spacing, and so do C and D, so each block of a pair's index and time
 text is formatted once, as bytes, and filled with each member's values.
 With more than one usable CPU the stream forks formatters, which format
-the templates while the noise record is synthesized (they depend on no
-value) and the published rows while the later chunks are computed; with
-one, the join formats every block from the same templates.  No other
-table forks.  The bytes of every table depend neither on the number of
-CPUs nor on which process evaluated which chunk.
+each published block, its template and its rows, while the later chunks
+are computed; with one, the join formats every block the same way.  No
+other table forks.  The bytes of every table depend neither on the
+number of CPUs nor on which process evaluated which chunk.
 """
 
 from __future__ import annotations
@@ -165,12 +164,11 @@ class _Echo:
     it finishes, and the caller never reads it).  So a chunk below the
     last announcement that the caller did not take is ready.  Leaving
     the ``with`` block reaps the producer, whether the block returns or
-    raises; ``RuntimeError`` if it failed.  If the caller is killed, the
-    producer ends at its next announcement (``EPIPE``: the caller held
-    the pipe's only read end).  Fork rather than spawn: the producer
-    needs no import and reads the scenario without a copy, and it calls
-    no BLAS routine, so it needs no lock that a thread of the caller
-    (numpy's BLAS pool) could hold at the fork.
+    raises; ``RuntimeError`` if it failed and the block did not raise.
+    If the caller is killed, the producer ends at its next announcement
+    (``EPIPE``: the caller held the pipe's only read end).  The producer
+    is forked by :func:`nvmag.io._fork` and reaped by
+    :func:`nvmag.io._reap`.
     """
 
     def __init__(self, scenario: Scenario, chunks: list, parity, fork: bool):
@@ -192,23 +190,12 @@ class _Echo:
         self._ready = -1  # the last announcement; -1: none yet
         self._read, write = os.pipe()
         try:
-            self.pid = os.fork()
+            self.pid = _io._fork(self._run, write)
         except BaseException:
             os.close(self._read)
-            os.close(write)
             raise
-        if self.pid == 0:  # producer: never returns into the caller
-            code = 1
-            try:
-                os.close(self._read)
-                self._produce(write)
-                code = 0
-            except BrokenPipeError:  # the caller has left
-                code = 0
-            finally:
-                # no atexit handlers, no flush of inherited buffers
-                os._exit(code)
-        os.close(write)
+        finally:
+            os.close(write)
         os.set_blocking(self._read, False)
 
     def __enter__(self):
@@ -221,9 +208,16 @@ class _Echo:
         self._taken[0] = len(self.chunks)
         os.close(self._read)
         pid, self.pid = self.pid, None
-        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-        if code and exc_type is None:
-            raise RuntimeError(f"echo producer {pid} exited {code}")
+        _io._reap("echo producer", pid, check=exc_type is None)
+
+    def _run(self, write: int) -> None:
+        """The producer: the caller's leaving (``EPIPE``) ends it
+        cleanly."""
+        os.close(self._read)
+        try:
+            self._produce(write)
+        except BrokenPipeError:
+            pass
 
     def _produce(self, write: int) -> None:
         dg, df = _noise_record(self.scenario, len(self.dg), _DRIVE)

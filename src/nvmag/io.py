@@ -14,17 +14,17 @@ nameless file, one per process, so a killed run leaves none behind.
 With more than one usable CPU the stream forks workers, one per usable
 CPU but one, while the caller computes the values; the workers only
 format and write.  A group's blocks go onto a queue once every member
-has published them, and the workers take blocks from it.  A template
-depends on no value, so until the first block is queued (while the
-caller synthesizes its noise record) each worker formats its share of
-the templates ahead, and fills its own when it takes that block.  The
-caller takes the blocks still queued once it joins, reaps the workers
-and splices each table from the parts in row order.  With one usable
-CPU, or where the process cannot fork, nothing is forked, queued or
-shared: the join formats every block of every group in row order from
-the same templates into its one part, and splices the same way.  The
-bytes depend on neither the number of CPUs nor which process formatted
-which block.
+has published them, and the workers take blocks from it, each
+formatting a block's template when it takes the block.  The caller
+takes the blocks still queued once it joins, reaps the workers and
+splices each table from the parts in row order.  With one usable CPU,
+or where the process cannot fork, nothing is forked, queued or shared:
+the join formats every block of every group in row order into its one
+part, and splices the same way.  The bytes depend on neither the
+number of CPUs nor which process formatted which block.  Every helper
+process of the package, these workers and the echo producer of
+:mod:`nvmag.experiments`, is forked by :func:`_fork` and reaped by
+:func:`_reap`.
 
 A member's values are written as ``%.12g`` by :func:`_value_text`, a
 vectorized formatter that gives the bytes of ``b"%.12g" % v`` value by
@@ -49,7 +49,6 @@ import functools
 import hashlib
 import mmap
 import os
-import select
 import struct
 # numpy imports tempfile already, so importing it here costs nothing
 import tempfile
@@ -88,6 +87,32 @@ def _usable_cpus() -> int:
     if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
         return 1
     return len(os.sched_getaffinity(0))
+
+
+def _fork(target, *args) -> int:
+    """Fork a child that runs ``target(*args)`` and exits 0, or 1 if it
+    raises; return its pid.  Fork rather than spawn: the child needs no
+    import and reads the caller's arrays without a copy, and it calls no
+    BLAS routine, so it needs no lock that a thread of the caller
+    (numpy's BLAS pool) could hold at the fork."""
+    pid = os.fork()
+    if pid == 0:  # the child: never returns into the caller
+        code = 1
+        try:
+            target(*args)
+            code = 0
+        finally:
+            # no atexit handlers, no flush of inherited buffers
+            os._exit(code)
+    return pid
+
+
+def _reap(name: str, pid: int, check: bool = True) -> None:
+    """Wait for the child ``pid``; ``RuntimeError`` naming it ``name`` if
+    it exited non-zero and ``check`` is set."""
+    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if code and check:
+        raise RuntimeError(f"{name} {pid} exited {code}")
 
 
 def _blocks(n_rows: int) -> int:
@@ -165,21 +190,15 @@ class SeriesStream:
     block returns or raises, and a killed run leaves no part either.
 
     ``n_workers`` workers, one fewer than the usable CPUs or the blocks,
-    whichever are fewer, are forked when the stream is made; the values
-    live in memory shared with them until the caller drops them.  The
-    queue is a pipe of fixed-size items.  Until the first item is queued,
-    worker ``k`` formats the templates of every ``n_workers``-th block
-    from the ``k``-th, in the order of the blocks' start times (the order
-    they are queued in); the caller formats none ahead.  The workers then
-    take items until the pipe is closed and empty, filling their own
-    templates where they have them into their own part, and record where
-    each table's block went (its taker, offset and length) in memory
-    shared with the caller, which splices the blocks in row order.  Fork
-    rather than spawn: a worker reads the values without a copy, and it
-    only formats and writes, so it needs no lock that a thread of the
-    parent (numpy's BLAS pool) could hold at the fork.
+    whichever are fewer, are forked (:func:`_fork`) when the stream is
+    made; the values live in memory shared with them until the caller
+    drops them.  The queue is a pipe of fixed-size items.  The workers
+    take items until the pipe is closed and empty, formatting each
+    block's template and rows into their own part, and record where each
+    table's block went (its taker, offset and length) in memory shared
+    with the caller, which splices the blocks in row order.
 
-    With no worker (one usable CPU, or no ``os.fork``) the values are
+    With no worker (one usable CPU, or no way to fork) the values are
     ordinary arrays, no pipe is opened (Windows pipes take
     ``os.set_blocking`` only from Python 3.12), nothing is queued, and
     the join formats every block itself into its one part.
@@ -212,7 +231,6 @@ class SeriesStream:
         self._published = dict.fromkeys(tables, 0)  # blocks per table
         self._queued = [0] * len(self.groups)  # blocks queued per group
         self.pids = []  # workers not yet reaped, in fork order
-        self._templates = {}  # a worker's prepared (g, block) -> template
         self._joined = False
         self._read = self._write = None  # the queue, where there are workers
         self._unspliced = set(tables)  # the parts are freed once it empties
@@ -224,31 +242,23 @@ class SeriesStream:
             dir=next(iter(self.paths.values())).parent)
             for _ in range(self.n_workers + 1)]
         self._size = 0  # bytes this process has written to its part
-        if self.n_workers:
-            self._fork()
-
-    def _fork(self) -> None:
+        if not self.n_workers:
+            return
         self._read, self._write = os.pipe()
         # a full pipe makes the caller take a block instead of waiting
         os.set_blocking(self._write, False)
         try:
             for taker in range(1, self.n_workers + 1):
-                pid = os.fork()
-                if pid == 0:  # worker: never returns into the caller
-                    code = 1
-                    try:
-                        os.close(self._write)
-                        self._prepare(taker)
-                        self.take(taker)
-                        self._parts[taker].flush()
-                        code = 0
-                    finally:
-                        # no atexit handlers, no flush of inherited buffers
-                        os._exit(code)
-                self.pids.append(pid)
+                self.pids.append(_fork(self._work, taker))
         except BaseException:
             self.discard()
             raise
+
+    def _work(self, taker: int) -> None:
+        """A worker: take blocks until the queue is closed and empty."""
+        os.close(self._write)
+        self.take(taker)
+        self._parts[taker].flush()
 
     def __enter__(self):
         return self
@@ -289,18 +299,6 @@ class SeriesStream:
                 except BlockingIOError:
                     self.take(0, limit=1)
 
-    def _prepare(self, taker: int) -> None:
-        """Format every ``n_workers``-th block's template from the
-        ``taker``-th, in the order the blocks are queued (by start time),
-        until the first block is queued."""
-        order = sorted((block * _BLOCK_ROWS * group.spacing, g, block)
-                       for g, group in enumerate(self.groups)
-                       for block in range(_blocks(group.n_rows)))
-        for _, g, block in order[taker - 1::self.n_workers]:
-            if select.select([self._read], [], [], 0)[0]:
-                return
-            self._templates[g, block] = self.groups[g].template(block)
-
     def take(self, taker: int, limit=None) -> None:
         """Format queued blocks into this process's part until the queue
         is closed and empty, or ``limit`` blocks are done."""
@@ -315,8 +313,7 @@ class SeriesStream:
     def _fill(self, taker: int, g: int, block: int) -> None:
         """Format ``block`` of every member of group ``g`` into this
         process's part, and record where each went."""
-        lo, hi, template = self._templates.pop((g, block), None) \
-            or self.groups[g].template(block)
+        lo, hi, template = self.groups[g].template(block)
         for name in self.groups[g].names:
             length = self._parts[taker].write(
                 _rows(template, self._values[name][lo:hi]))
@@ -339,10 +336,7 @@ class SeriesStream:
             self.take(0)
         self._parts[0].flush()
         while self.pids:
-            code = os.waitstatus_to_exitcode(os.waitpid(self.pids[0], 0)[1])
-            pid = self.pids.pop(0)
-            if code != 0:
-                raise RuntimeError(f"table worker {pid} exited {code}")
+            _reap("table worker", self.pids.pop(0))
         self._joined = True
 
     def splice(self, name, head: bytes) -> None:
@@ -378,7 +372,7 @@ class SeriesStream:
         # a worker ends by itself once the queue is empty, so reaping is
         # enough (importing signal to kill it costs 0.7 MB resident)
         while self.pids:
-            os.waitpid(self.pids.pop(0), 0)
+            _reap("table worker", self.pids.pop(0), check=False)
         for part in self._parts:
             part.close()
 

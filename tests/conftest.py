@@ -1,3 +1,5 @@
+import errno
+import os
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +10,35 @@ from nvmag.scenario import load_scenario
 from reference_spin import FullParams
 
 SCENARIO_FILE = Path(__file__).resolve().parent.parent / "scenarios" / "baseline.yaml"
+
+
+def count_forks(monkeypatch, fail=None):
+    """The list that gains one entry per fork from here on (every helper
+    process is forked by ``nvmag.io._fork``); the ``fail``-th fork,
+    counting from 1, raises ``EAGAIN`` instead of forking."""
+    forks = []
+    real_fork = os.fork
+
+    def counting_fork():
+        forks.append(None)
+        if len(forks) == fail:
+            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return forks
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def open_fds():
+    """This process's open descriptors; skips where ``/proc`` lists none."""
+    if not os.path.isdir("/proc/self/fd"):
+        pytest.skip("no /proc/self/fd")
+    return sorted(os.listdir("/proc/self/fd"))
 
 
 @pytest.fixture

@@ -1,4 +1,5 @@
 import copy
+import errno
 import json
 import os
 import select
@@ -13,6 +14,8 @@ import pytest
 from nvmag import (analysis, experiments, io as _io, noise, readout,
                    sequences as sq)
 from nvmag.scenario import CHUNK_SIZE, scenario_from_mapping
+
+from conftest import assert_no_child_left, count_forks, open_fds
 
 
 def read_table(path):
@@ -519,21 +522,9 @@ class TestEchoProducer:
         """``{scheme: bytes}`` of a run without outputs on ``cpus`` usable
         CPUs, and the number of processes it forked."""
         monkeypatch.setattr(_io, "_usable_cpus", lambda: cpus)
-        forks = []
-        real_fork = os.fork
-
-        def counting_fork():
-            forks.append(None)
-            return real_fork()
-
-        monkeypatch.setattr(os, "fork", counting_fork)
+        forks = count_forks(monkeypatch)
         got = self.RUNS[kind](self.scenario())
         return {scheme: v.tobytes() for scheme, v in got.items()}, len(forks)
-
-    @staticmethod
-    def assert_no_child_left():
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
 
     def record_evaluations(self, monkeypatch):
         """The chunks this process evaluates itself, in order."""
@@ -555,7 +546,7 @@ class TestEchoProducer:
         got, forks = self.run(monkeypatch, kind, 2)
         assert forks == 1
         assert got == want
-        self.assert_no_child_left()
+        assert_no_child_left()
 
     def test_producer_ahead_serves_every_chunk(self, monkeypatch):
         # the laser synthesis starts once every chunk is announced, so
@@ -585,7 +576,7 @@ class TestEchoProducer:
         got, forks = self.run(monkeypatch, "sweep", 2)
         assert forks == 1 and chunks == []
         assert got == want
-        self.assert_no_child_left()
+        assert_no_child_left()
 
     def test_slow_producer_leaves_every_chunk_to_the_caller(self,
                                                             monkeypatch):
@@ -609,7 +600,7 @@ class TestEchoProducer:
         assert forks == 1
         assert chunks == list(range(6))  # 3 amplitudes, 2 chunks each
         assert got == want
-        self.assert_no_child_left()
+        assert_no_child_left()
 
     def test_producer_dying_before_its_drive_errors_raises(self,
                                                             monkeypatch):
@@ -624,7 +615,86 @@ class TestEchoProducer:
         monkeypatch.setattr(experiments, "_noise_record", failing)
         with pytest.raises(RuntimeError, match="before its drive errors"):
             self.run(monkeypatch, "sweep", 2)
-        self.assert_no_child_left()
+        assert_no_child_left()
+
+    @staticmethod
+    def exit_status(pid):
+        """Child ``pid``'s exit status once it has exited, leaving it
+        unreaped."""
+        deadline = time.monotonic() + 60.0
+        while (info := os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT
+                                 | os.WNOHANG)) is None:
+            assert time.monotonic() < deadline, "the producer did not exit"
+            time.sleep(1e-3)
+        return info.si_status
+
+    def failing_producer(self, monkeypatch):
+        """Make the producer raise on its first chunk, once it has
+        announced its drive errors, and this process evaluate its own
+        first chunk only once the producer has exited; return the echoes
+        entered from here on."""
+        caller, echoes = os.getpid(), []
+        real_evaluate, real_enter = (experiments._Echo._evaluate,
+                                     experiments._Echo.__enter__)
+
+        def failing(echo, i):
+            if os.getpid() != caller:
+                raise MemoryError("injected")
+            if i == 0:
+                self.exit_status(echo.pid)
+            return real_evaluate(echo, i)
+
+        def entering(echo):
+            echoes.append(echo)
+            return real_enter(echo)
+
+        monkeypatch.setattr(experiments._Echo, "_evaluate", failing)
+        monkeypatch.setattr(experiments._Echo, "__enter__", entering)
+        return echoes
+
+    def test_failing_producer_raises_after_the_run(self, monkeypatch):
+        # the caller sees no chunk announced and evaluates every one
+        # itself; leaving the record reaps the producer and reports it
+        self.failing_producer(monkeypatch)
+        chunks = self.record_evaluations(monkeypatch)
+        with pytest.raises(RuntimeError, match="echo producer .* exited 1"):
+            self.run(monkeypatch, "sweep", 2)
+        assert chunks == list(range(6))  # 3 amplitudes, 2 chunks each
+        assert_no_child_left()
+
+    def test_failing_caller_and_producer_raise_the_callers_error(
+            self, monkeypatch):
+        # the caller fails once the producer has exited 1: the caller's
+        # error propagates, not the producer's
+        echoes = self.failing_producer(monkeypatch)
+        real = experiments._noise_record
+
+        def failing(scenario, n, channels):
+            if channels == experiments._LASER:
+                assert self.exit_status(echoes[-1].pid) == 1
+                raise ValueError("injected")
+            return real(scenario, n, channels)
+
+        monkeypatch.setattr(experiments, "_noise_record", failing)
+        with pytest.raises(ValueError, match="injected"):
+            self.run(monkeypatch, "sweep", 2)
+        assert_no_child_left()
+
+    def test_failed_fork_of_the_producer_raises(self, monkeypatch, tmp_path):
+        # a scaling run with outputs forks the stream's worker, and then
+        # the producer, whose fork fails: the error propagates, the worker
+        # is reaped, and the echo's pipe and the stream's queue and parts
+        # are closed
+        monkeypatch.setattr(_io, "_usable_cpus", lambda: 2)
+        s = self.scenario()
+        before = open_fds()
+        forks = count_forks(monkeypatch, fail=2)
+        with pytest.raises(OSError) as raised:
+            experiments.run_scaling_experiment(s, out_dir=tmp_path)
+        assert raised.value.errno == errno.EAGAIN and len(forks) == 2
+        assert not list(tmp_path.iterdir())
+        assert open_fds() == before
+        assert_no_child_left()
 
     def test_failing_caller_reaps_the_producer(self, monkeypatch):
         real = experiments._noise_record
@@ -637,7 +707,7 @@ class TestEchoProducer:
         monkeypatch.setattr(experiments, "_noise_record", failing)
         with pytest.raises(ValueError, match="injected"):
             self.run(monkeypatch, "scaling", 2)
-        self.assert_no_child_left()
+        assert_no_child_left()
 
     def test_killed_caller_leaves_a_producer_that_ends_on_epipe(
             self, monkeypatch):
@@ -687,4 +757,4 @@ class TestEchoProducer:
         finally:
             os.close(report)
         assert got == b"EPIPE"
-        self.assert_no_child_left()
+        assert_no_child_left()

@@ -9,6 +9,8 @@ from hypothesis.extra import numpy as hnp
 
 from nvmag import io as _io
 
+from conftest import assert_no_child_left, count_forks, open_fds
+
 #: every finite magnitude (subnormals included), signed zeros, NaN and
 #: +-inf, with the extremes of the decade range drawn often
 FLOATS = st.one_of(
@@ -74,21 +76,7 @@ def _assert_nothing_left(directory):
     # the stream's parts have no names, so any other file was left behind
     assert all(p.suffix == ".csv" or p.name == "manifest.json"
                for p in directory.iterdir())
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-def _count_forks(monkeypatch):
-    """The list that gains one entry per fork from here on."""
-    forks = []
-    real_fork = os.fork
-
-    def counting_fork():
-        forks.append(None)
-        return real_fork()
-
-    monkeypatch.setattr(_io.os, "fork", counting_fork)
-    return forks
+    assert_no_child_left()
 
 
 #: the header of a series table
@@ -153,7 +141,7 @@ def test_write_table_bytes_do_not_depend_on_cpus(n_rows, cpus, tmp_path,
     # write_table formats in-process on any number of CPUs: only a
     # series stream forks
     _use_cpus(monkeypatch, cpus)
-    forks = _count_forks(monkeypatch)
+    forks = count_forks(monkeypatch)
     rng = np.random.default_rng(n_rows)
     cols = [np.arange(n_rows), rng.standard_normal(n_rows) * 1e-7,
             rng.integers(-10 ** 15, 10 ** 15, n_rows)]
@@ -185,7 +173,7 @@ def test_series_tables_without_sendfile_to_a_file(sendfile, cpus, tmp_path,
             raise OSError(errno.ENOTSOCK, os.strerror(errno.ENOTSOCK))
 
         monkeypatch.setattr(_io.os, "sendfile", sockets_only)
-    forks = _count_forks(monkeypatch)
+    forks = count_forks(monkeypatch)
     # past one 1 MiB read per table, with a short last block
     n = 8 * _io._BLOCK_ROWS + 1234
     rng = np.random.default_rng(n)
@@ -222,6 +210,20 @@ def test_write_table_failure_leaves_no_worker_or_part(failing, cpus,
         _stream_series(tmp_path, {"a": (np.ones(n_rows), 1.6e-4),
                                   "b": (np.zeros(n_rows), 1.6e-4)})
     _assert_nothing_left(tmp_path)
+
+
+def test_failed_fork_leaves_no_worker_or_part(tmp_path, monkeypatch):
+    # the second of a 3-CPU stream's two workers cannot be forked: the
+    # error propagates, the first worker is reaped, and the queue and the
+    # parts are closed
+    _use_cpus(monkeypatch, 3)
+    before = open_fds()
+    forks = count_forks(monkeypatch, fail=2)
+    with pytest.raises(OSError) as raised:
+        _stream_series(tmp_path, {"a": (np.ones(3 * 4096 + 1), 1.6e-4)})
+    assert raised.value.errno == errno.EAGAIN and len(forks) == 2
+    _assert_nothing_left(tmp_path)
+    assert open_fds() == before
 
 
 @pytest.mark.parametrize("workers_fail", [False, True])

@@ -8,7 +8,6 @@ file, so no worker or part is left when the run fails or is killed."""
 
 import os
 import signal
-import time
 
 import numpy as np
 import pytest
@@ -17,9 +16,10 @@ from nvmag import analysis, experiments, io as _io, readout, scenario as sc
 from nvmag.readout import SCHEME_SEQUENCES
 from nvmag.scenario import CHUNK_SIZE
 
+from conftest import count_forks
 from test_experiments import NOISY, make_scenario
-from test_io import (SERIES_HEADER, _assert_nothing_left, _count_forks,
-                     _stream_series, _use_cpus)
+from test_io import (SERIES_HEADER, _assert_nothing_left, _stream_series,
+                     _use_cpus)
 
 STARTED = "2026-01-01T00:00:00Z"
 #: one chunk, two, three with a short last one, and five
@@ -73,7 +73,7 @@ def test_tables_equal_a_serial_write(cpus, n, schemes, tmp_path,
                                      monkeypatch, fixed_clock):
     want = _serial(n, schemes, tmp_path / "serial", monkeypatch)
     _use_cpus(monkeypatch, cpus)
-    forks = _count_forks(monkeypatch)
+    forks = count_forks(monkeypatch)
     out = tmp_path / "stream"
     experiments.run_scaling_experiment(_scenario(n, schemes), out_dir=out)
     got = _files(out)
@@ -203,23 +203,41 @@ GROUPINGS = [["A", "B", "C", "D"], ["A", "C"]]
 @pytest.mark.parametrize("schemes", GROUPINGS)
 @pytest.mark.parametrize("n", [2 * CHUNK_SIZE, 2 * CHUNK_SIZE + 8198],
                          ids=["whole-blocks", "short-last-block"])
-@pytest.mark.parametrize("cpus", [1, 2, 3])
-def test_group_templates_equal_a_serial_write(cpus, n, schemes, tmp_path,
-                                              monkeypatch):
+@pytest.mark.parametrize("cpus, idle", [(1, False), (2, False), (3, False),
+                                        (3, True)],
+                         ids=["1", "2", "3", "3-idle"])
+def test_group_templates_equal_a_serial_write(cpus, idle, n, schemes,
+                                              tmp_path, monkeypatch):
     # the baseline scenario's spacings; on one CPU the stream forks
     # nothing and opens no pipe, and its join formats every block from
-    # the group templates
+    # the group templates.  Idle workers take nothing, so the join
+    # formats every block there too
     _use_cpus(monkeypatch, cpus)
-    forks = _count_forks(monkeypatch)
+    forks = count_forks(monkeypatch)
     if cpus == 1:
         def no_pipe():
             raise AssertionError("a stream without workers opened a pipe")
 
         monkeypatch.setattr(_io.os, "pipe", no_pipe)
+    parent, real_take = os.getpid(), _io.SeriesStream.take
+
+    def take(stream, taker, limit=None):
+        if not (idle and os.getpid() != parent):
+            real_take(stream, taker, limit)
+
+    monkeypatch.setattr(_io.SeriesStream, "take", take)
+    streams = []
+
+    def publish(stream):
+        streams.append(stream)
+        _publish_by_chunk(schemes, n)(stream)
+
     got = _stream_series(tmp_path / "stream", _scheme_series(schemes, n),
-                         _publish_by_chunk(schemes, n))
+                         publish)
     assert len(forks) == cpus - 1
     _assert_nothing_left(tmp_path / "stream")
+    if idle or cpus == 1:
+        assert (streams[0].blocks[:, 0] == 1).all()  # taker 0, the caller
     want = _serial_bytes(tmp_path, {s: cols for s, (_, cols) in got.items()})
     for s in schemes:
         assert got[s][0] == want[s], s
@@ -231,7 +249,7 @@ def test_group_waits_for_its_slowest_member(cpus, tmp_path, monkeypatch):
     # the A/B group is handed to the queue until B has published it too
     # (on one CPU the queue takes nothing, and the join formats them)
     _use_cpus(monkeypatch, cpus)
-    forks = _count_forks(monkeypatch)
+    forks = count_forks(monkeypatch)
     queued = []  # blocks queued per put, in order
     real_put = _io.SeriesStream.put
 
@@ -261,228 +279,3 @@ def test_group_waits_for_its_slowest_member(cpus, tmp_path, monkeypatch):
     want = _serial_bytes(tmp_path, {s: cols for s, (_, cols) in got.items()})
     for s in "AB":
         assert got[s][0] == want[s], s
-
-
-#: A-D with a short last block: 11 blocks of the A/B group, 6 of C/D
-TEMPLATE_N = 2 * CHUNK_SIZE + 8198
-
-
-def _trace_templates(monkeypatch, log, idle=()):
-    """Log each template a process formats to the file ``log``, one
-    ``taker phase group block`` line each: phase ``prepare`` within a
-    worker's ``_prepare``, ``take`` otherwise (taker 0, the caller, only
-    takes); a worker appends ``ready taker`` once it has prepared, or
-    ``failed taker`` if preparing raised.  A worker whose taker is in
-    ``idle`` takes no block."""
-    parent = os.getpid()
-    state = {"phase": "take", "taker": 0}
-    real_template = _io._Group.template
-    real_prepare = _io.SeriesStream._prepare
-    real_take = _io.SeriesStream.take
-
-    def write(line):
-        with open(log, "a") as fh:
-            fh.write(line + "\n")
-
-    def template(group, block):
-        write(f"{state['taker']} {state['phase']} {group.names[0]} {block}")
-        return real_template(group, block)
-
-    def prepare(queue, taker):
-        state.update(phase="prepare", taker=taker)
-        try:
-            real_prepare(queue, taker)
-        except BaseException:
-            write(f"failed {taker}")
-            raise
-        state["phase"] = "take"
-        write(f"ready {taker}")
-
-    def take(queue, taker, limit=None):
-        if os.getpid() != parent and taker in idle:
-            return
-        real_take(queue, taker, limit)
-
-    monkeypatch.setattr(_io._Group, "template", template)
-    monkeypatch.setattr(_io.SeriesStream, "_prepare", prepare)
-    monkeypatch.setattr(_io.SeriesStream, "take", take)
-
-
-def _log_lines(log):
-    return log.read_text().splitlines() if log.exists() else []
-
-
-def _wait_for(log, word, n_workers):
-    """Wait until ``n_workers`` lines of the log start with ``word``."""
-    deadline = time.monotonic() + 60
-    while sum(line.startswith(word) for line in _log_lines(log)) < n_workers:
-        assert time.monotonic() < deadline, f"workers not {word}"
-        time.sleep(0.001)
-
-
-def _stream_templates(tmp_path, monkeypatch, cpus, idle=()):
-    """A-D through a series stream on ``cpus`` CPUs, every row published
-    once each worker has prepared its templates.  Returns the prepared
-    ``{taker: [(group, block)]}``, the templates formatted while taking
-    ``{taker: [(group, block)]}``, and the taker of every ``(group,
-    block)``, after checking the bytes against a serial write."""
-    _use_cpus(monkeypatch, cpus)
-    forks = _count_forks(monkeypatch)
-    log = tmp_path / "templates.log"
-    _trace_templates(monkeypatch, log, idle)
-    streams = []
-
-    def publish(stream):
-        streams.append(stream)
-        _wait_for(log, "ready", cpus - 1)
-        _publish_by_chunk("ABCD", TEMPLATE_N)(stream)
-
-    got = _stream_series(tmp_path / "stream",
-                         _scheme_series("ABCD", TEMPLATE_N), publish)
-    assert len(forks) == cpus - 1
-    _assert_nothing_left(tmp_path / "stream")
-    want = _serial_bytes(tmp_path, {s: cols for s, (_, cols) in got.items()})
-    for s in "ABCD":
-        assert got[s][0] == want[s], s
-    prepared, formatted = {}, {}
-    for line in _log_lines(log):
-        if not line.startswith(("ready", "failed")):
-            taker, phase, group, block = line.split()
-            into = prepared if phase == "prepare" else formatted
-            into.setdefault(int(taker), []).append((group, int(block)))
-    stream = streams[0]
-    takers = {
-        (group.names[0], block): int(stream.blocks[
-            stream.spans[group.names[0]].start + block][0]) - 1
-        for group in stream.groups for block in range(_io._blocks(
-            group.n_rows))}
-    return prepared, formatted, takers
-
-
-def _start_order():
-    """``(group, block)`` of A-D by start time, the order they are
-    queued in; the A/B group first at equal times."""
-    t_seq = make_scenario().sequence.sequence_time
-    pairs = [(block * _io._BLOCK_ROWS * SCHEME_SEQUENCES[group] * t_seq,
-              g, group, block)
-             for g, group in enumerate("AC")
-             for block in range(_io._blocks(
-                 TEMPLATE_N // SCHEME_SEQUENCES[group]))]
-    return [(group, block) for _, _, group, block in sorted(pairs)]
-
-
-def _assert_cache_used(prepared, formatted, takers):
-    """A block's taker formats its template unless it prepared it."""
-    want = {}
-    for pair, taker in takers.items():
-        if pair not in prepared.get(taker, []):
-            want.setdefault(taker, []).append(pair)
-    assert {t: sorted(p) for t, p in formatted.items()} == want
-
-
-@pytest.mark.parametrize("cpus", [1, 2, 3])
-def test_templates_are_prepared_before_the_first_block(cpus, tmp_path,
-                                                       monkeypatch):
-    # each worker prepares every (cpus - 1)-th template in queue order
-    # while nothing is queued, and fills its own when it takes the block
-    prepared, formatted, takers = _stream_templates(tmp_path, monkeypatch,
-                                                    cpus)
-    order = _start_order()
-    n_workers = cpus - 1
-    assert prepared == {taker: order[taker - 1::n_workers]
-                        for taker in range(1, n_workers + 1)}
-    assert sorted(takers) == sorted(order)
-    _assert_cache_used(prepared, formatted, takers)
-    if cpus == 1:
-        # no worker: the caller formats every template when it joins, in
-        # row order group by group
-        assert formatted == {0: sorted(order)}
-    if cpus == 2:
-        # the one worker prepared every template: it formats none while
-        # it takes, and the caller formats only what it takes itself
-        assert 1 not in formatted
-
-
-@pytest.mark.parametrize("cpus, idle", [(1, ()), (2, (1,)), (3, (1, 2)),
-                                        (3, (2,))],
-                         ids=["1-cpu", "2-cpus", "3-cpus", "3-cpus-one-idle"])
-def test_cached_templates_taken_by_another_process(cpus, idle, tmp_path,
-                                                   monkeypatch):
-    # idle workers prepare and then take nothing: the caller takes every
-    # block at join, formatting each template anew, or the other worker
-    # takes them and never uses the idle one's templates
-    prepared, formatted, takers = _stream_templates(tmp_path, monkeypatch,
-                                                    cpus, idle)
-    order = _start_order()
-    assert sorted(pair for pairs in prepared.values()
-                  for pair in pairs) == (sorted(order) if cpus > 1 else [])
-    assert not set(takers.values()) & set(idle)
-    _assert_cache_used(prepared, formatted, takers)
-    for taker in idle:
-        # every template an idle worker prepared was formatted again by
-        # the process that took its block
-        for pair in prepared[taker]:
-            assert pair in formatted[takers[pair]]
-    if len(idle) == cpus - 1 > 0:
-        assert sorted(formatted[0]) == sorted(order)
-
-
-def test_preparing_stops_once_a_block_is_queued(tmp_path, monkeypatch):
-    # the worker's first template is done only once every block is
-    # queued: it prepares no other, and takes every block it can
-    _use_cpus(monkeypatch, 2)
-    log = tmp_path / "templates.log"
-    published = tmp_path / "published"
-    parent = os.getpid()
-    real_template = _io._Group.template
-
-    def held_template(group, block):
-        deadline = time.monotonic() + 60
-        while os.getpid() != parent and not published.exists():
-            assert time.monotonic() < deadline, "nothing published"
-            time.sleep(0.001)
-        return real_template(group, block)
-
-    monkeypatch.setattr(_io._Group, "template", held_template)
-    _trace_templates(monkeypatch, log)
-
-    def publish(stream):
-        _wait_for(log, "1 prepare", 1)
-        _publish_by_chunk("ABCD", TEMPLATE_N)(stream)
-        published.touch()
-        _wait_for(log, "ready", 1)
-
-    got = _stream_series(tmp_path / "stream",
-                         _scheme_series("ABCD", TEMPLATE_N), publish)
-    _assert_nothing_left(tmp_path / "stream")
-    assert [line for line in _log_lines(log)
-            if " prepare " in line] == ["1 prepare A 0"]
-    want = _serial_bytes(tmp_path, {s: cols for s, (_, cols) in got.items()})
-    for s in "ABCD":
-        assert got[s][0] == want[s], s
-
-
-@pytest.mark.parametrize("cpus", [2, 3])
-def test_failing_template_in_prepare_raises(cpus, tmp_path, monkeypatch):
-    # every worker fails while preparing, before a block is queued
-    _use_cpus(monkeypatch, cpus)
-    log = tmp_path / "templates.log"
-    _trace_templates(monkeypatch, log)
-    parent = os.getpid()
-    real_template = _io._Group.template
-
-    def failing_template(group, block):
-        if os.getpid() != parent:
-            raise OSError("injected")
-        return real_template(group, block)
-
-    monkeypatch.setattr(_io._Group, "template", failing_template)
-
-    def publish(stream):
-        _wait_for(log, "failed", cpus - 1)
-        _publish_by_chunk("ABCD", TEMPLATE_N)(stream)
-
-    with pytest.raises(RuntimeError, match="table worker"):
-        _stream_series(tmp_path / "stream",
-                       _scheme_series("ABCD", TEMPLATE_N), publish)
-    _assert_nothing_left(tmp_path / "stream")
