@@ -79,7 +79,10 @@ def _sweep_amplitudes(args, scenario: Scenario) -> np.ndarray:
 def _out_dir(args, scenario: Scenario) -> Path:
     out = Path(args.out) if args.out else Path("out") / \
         f"{scenario.name}-{args.command}"
-    out.mkdir(parents=True, exist_ok=True)
+    try:  # a file, or a path through one, cannot be the directory
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"output directory {out}: {exc.strerror}") from exc
     return out
 
 

@@ -27,19 +27,20 @@ evaluated once per run, not once per record.
 
 The two halves of a record meet only in the photon draws: the
 microwave drive errors feed only the echo, and the laser noise only the
-draws.  With more than one usable CPU, a forked producer
-(:class:`_Echo`) synthesizes the drive errors and evaluates the echo
-chunk by chunk into shared memory, while the calling process
+draws.  Where a helper has a CPU of its own
+(:func:`nvmag.io._spare_cpu`: more than one usable CPU), a forked
+producer (:class:`_Echo`) synthesizes the drive errors and evaluates
+the echo chunk by chunk into shared memory, while the calling process
 synthesizes the laser noise and draws each chunk's photons.  It is
-forked beside the series stream's workers (below) too: on two CPUs a
-scaling run with outputs then runs three processes, and the caller,
-whose CPU time sets the run's wall time, leaves the microwave synthesis
-and the echo to the producer.  The caller never waits for a chunk:
-one the producer has not announced when its draws start, the caller
-evaluates itself.  With one usable CPU, or where it cannot fork, each
-chunk's echo is evaluated in the calling process right before its
-draws.  A sweep hands all its amplitudes to one record, so the producer
-works across them.
+forked beside the series stream's one formatter (below) by the same
+rule, so there a scaling run with outputs runs three processes, and
+the caller, whose CPU time sets the run's wall time, leaves the
+microwave synthesis and the echo to the producer.  The caller never
+waits for a chunk: one the producer has not announced when its draws
+start, the caller evaluates itself.  With one usable CPU, or where it
+cannot fork, each chunk's echo is evaluated in the calling process
+right before its draws.  A sweep hands all its amplitudes to one
+record, so the producer works across them.
 
 The scaling run's ``series_<scheme>.csv`` tables are formatted by an
 :class:`nvmag.io.SeriesStream`, which :func:`run_scaling_experiment`
@@ -48,11 +49,13 @@ joins when it writes its tables, which travel as their values alone
 (:class:`nvmag.io.SeriesColumns`).  A and B share one length and
 spacing, and so do C and D, so each block of a pair's index and time
 text is formatted once, as bytes, and filled with each member's values.
-With more than one usable CPU the stream forks formatters, which format
-each published block, its template and its rows, while the later chunks
-are computed; with one, the join formats every block the same way.  No
-other table forks.  The bytes of every table depend neither on the
-number of CPUs nor on which process evaluated which chunk.
+By the same rule the stream forks one formatter, which formats each
+published block, its template and its rows, while the later chunks
+are computed; with one usable CPU, the join formats every block the
+same way.  Each series table is spliced from its own parts, which are
+freed once it is written.  No other table forks.  The bytes of every
+table depend neither on the number of CPUs nor on which process
+evaluated which chunk.
 """
 
 from __future__ import annotations
@@ -299,8 +302,8 @@ def _scheme_series(scenario: Scenario, segments, balance, tables=None):
     only in the final pulse), then each group draws its photons from the
     chunk's own seed on its stream, and C and D are pair-differenced
     chunk by chunk.  The echo and its drive errors come from an
-    :class:`_Echo`, forked wherever more than one CPU is usable, whether
-    or not ``tables`` has workers.  This process synthesizes the laser
+    :class:`_Echo`, forked wherever more than one CPU is usable, as is
+    the formatter of ``tables``.  This process synthesizes the laser
     noise meanwhile and draws the photons.  Given an
     :class:`nvmag.io.SeriesStream` keyed by scheme as ``tables`` (one
     segment), the series are its values, and each chunk's rows are
@@ -327,7 +330,7 @@ def _scheme_series(scenario: Scenario, segments, balance, tables=None):
     starts = range(0, n, CHUNK_SIZE)
     chunks = [(slice(k * n + lo, k * n + min(lo + CHUNK_SIZE, n)), field)
               for k, (field, _) in enumerate(segments) for lo in starts]
-    with _Echo(scenario, chunks, parity, _io._usable_cpus() > 1) as echo:
+    with _Echo(scenario, chunks, parity, _io._spare_cpu()) as echo:
         eps, = _noise_record(scenario, n * len(segments), _LASER)
         for k, (_, stream_offset) in enumerate(segments):
             values = {scheme: np.empty(n // SCHEME_SEQUENCES[scheme])
@@ -477,9 +480,9 @@ def run_scaling_experiment(scenario: Scenario, out_dir=None) -> ScalingResult:
     sampled across sequences from the scenario's spectral models.
 
     With ``out_dir``, the ``series_<scheme>.csv`` tables are formatted by
-    an :class:`nvmag.io.SeriesStream` (on the spare CPUs while the series
-    and the estimators are computed here, where there are any), and
-    written with the rest.
+    an :class:`nvmag.io.SeriesStream` (by one formatter while the series
+    and the estimators are computed here, where a second CPU is usable),
+    and written with the rest, each freeing its parts once written.
     """
     started = utc_now()
     n = scenario.n_sequences

@@ -4,27 +4,28 @@ Formatting numbers as text is most of the cost of writing a large
 table.  :func:`write_table` formats a table as bytes, a block of
 :data:`_BLOCK_ROWS` rows per formatting call.  The series tables of the
 scaling run travel to it as their values alone (a
-:class:`SeriesColumns`), and a :class:`SeriesStream` formats them on
-any number of CPUs.  Series tables of one length and spacing form a
-group (A/B and C/D in the scaling run): a block of a group is formatted
-once into a bytes template, each row's ``index,time,`` text with NULs
-among it to one width for every row, which each member then fills
-with its own values, into the part of the process that fills it: a
-nameless file, one per process, so a killed run leaves none behind.
-With more than one usable CPU the stream forks workers, one per usable
-CPU but one, while the caller computes the values; the workers only
-format and write.  A group's blocks go onto a queue once every member
-has published them, and the workers take blocks from it, each
+:class:`SeriesColumns`), and a :class:`SeriesStream` formats them.
+Series tables of one length and spacing form a group (A/B and C/D in
+the scaling run): a block of a group is formatted once into a bytes
+template, each row's ``index,time,`` text with NULs among it to one
+width for every row, which each member then fills with its own values,
+into its part for the process that fills it: a nameless file, one per
+table and process, so a killed run leaves none behind.  Where a helper
+has a CPU of its own (:func:`_spare_cpu`) the stream forks one
+formatter while the caller computes the values; the formatter only
+formats and writes.  A group's blocks go onto a queue once every
+member has published them, and the formatter takes blocks from it,
 formatting a block's template when it takes the block.  The caller
-takes the blocks still queued once it joins, reaps the workers and
-splices each table from the parts in row order.  With one usable CPU,
-or where the process cannot fork, nothing is forked, queued or shared:
-the join formats every block of every group in row order into its one
-part, and splices the same way.  The bytes depend on neither the
-number of CPUs nor which process formatted which block.  Every helper
-process of the package, these workers and the echo producer of
+takes the blocks still queued once it joins, reaps the formatter and
+splices each table from its parts in row order, then closes them,
+which frees them.  With one usable CPU, or where the process cannot
+fork, nothing is forked, queued or shared: the join formats every
+block of every group in row order into the caller's parts, and splices
+the same way.  The bytes depend on neither the number of CPUs nor
+which process formatted which block.  Every helper process of the
+package, this formatter and the echo producer of
 :mod:`nvmag.experiments`, is forked by :func:`_fork` and reaped by
-:func:`_reap`.
+:func:`_reap`, and at most one of each runs.
 
 A member's values are written as ``%.12g`` by :func:`_value_text`, a
 vectorized formatter that gives the bytes of ``b"%.12g" % v`` value by
@@ -82,11 +83,12 @@ _ITEM = struct.Struct("=II")
 _BATCH = 512 // _ITEM.size
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on; 1 where it cannot fork workers."""
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
-        return 1
-    return len(os.sched_getaffinity(0))
+def _spare_cpu() -> bool:
+    """Whether a helper process would have a CPU of its own: this process
+    can fork and may run on more than one CPU.  Each helper, the series
+    formatter and the echo producer, is forked only then."""
+    return hasattr(os, "fork") and hasattr(os, "sched_getaffinity") \
+        and len(os.sched_getaffinity(0)) > 1
 
 
 def _fork(target, *args) -> int:
@@ -120,7 +122,7 @@ def _blocks(n_rows: int) -> int:
 
 
 def _shared(n: int, dtype=float) -> np.ndarray:
-    """``n`` zeros in anonymous memory shared with the workers forked
+    """``n`` zeros in anonymous memory shared with the helpers forked
     after it."""
     dtype = np.dtype(dtype)
     return np.frombuffer(mmap.mmap(-1, max(n * dtype.itemsize, 1)), dtype,
@@ -175,7 +177,7 @@ class _Group(NamedTuple):
 
 class SeriesStream:
     """Series tables whose rows are formatted from group templates, while
-    their values are computed where there are workers.
+    their values are computed where there is a formatter.
 
     ``tables`` maps a name to ``(path, n_rows, spacing)``; row ``i`` of a
     table reads ``i, i * spacing, values[i]``.  Tables of one ``n_rows``
@@ -184,24 +186,24 @@ class SeriesStream:
     name and :meth:`publish`-es the rows that are final; a group's block
     is queued once every member has published it.  :func:`write_table`,
     given a table's :class:`SeriesColumns`, joins the stream and splices
-    that table from the parts: nameless files in the first table's
-    directory, one per process, freed once every table is spliced.  On
-    leaving the ``with`` block no worker or part is left, whether the
-    block returns or raises, and a killed run leaves no part either.
+    that table from its parts: nameless files in the table's directory,
+    one per process, freed once the table is spliced.  On leaving the
+    ``with`` block no formatter or part is left, whether the block
+    returns or raises, and a killed run leaves no part either.
 
-    ``n_workers`` workers, one fewer than the usable CPUs or the blocks,
-    whichever are fewer, are forked (:func:`_fork`) when the stream is
-    made; the values live in memory shared with them until the caller
-    drops them.  The queue is a pipe of fixed-size items.  The workers
-    take items until the pipe is closed and empty, formatting each
-    block's template and rows into their own part, and record where each
-    table's block went (its taker, offset and length) in memory shared
-    with the caller, which splices the blocks in row order.
+    Where :func:`_spare_cpu` holds, one formatter is forked
+    (:func:`_fork`) when the stream is made; the values live in memory
+    shared with it until the caller drops them.  The queue is a pipe of
+    fixed-size items.  The formatter takes items until the pipe is
+    closed and empty, formatting each block's template and rows into its
+    part of each member, and records each table's block (its taker and
+    length) in :attr:`blocks`, memory shared with the caller, which
+    splices the blocks in row order.
 
-    With no worker (one usable CPU, or no way to fork) the values are
-    ordinary arrays, no pipe is opened (Windows pipes take
+    Without a formatter (one usable CPU, or no way to fork) the values
+    are ordinary arrays, no pipe is opened (Windows pipes take
     ``os.set_blocking`` only from Python 3.12), nothing is queued, and
-    the join formats every block itself into its one part.
+    the join formats every block itself into the caller's parts.
     """
 
     def __init__(self, tables: dict):
@@ -216,49 +218,44 @@ class SeriesStream:
                       for name, (path, _, _) in tables.items()}
         for path in self.paths.values():
             path.parent.mkdir(parents=True, exist_ok=True)
-        # name -> the rows of self.blocks that hold the table's blocks
-        self.spans, first = {}, 0
-        for group in self.groups:
-            for name in group.names:
-                self.spans[name] = slice(first, first + _blocks(group.n_rows))
-                first = self.spans[name].stop
-        self.n_workers = max(min(_usable_cpus(), first) - 1, 0)
-        new = _shared if self.n_workers else np.zeros
+        fork = _spare_cpu()
+        new = _shared if fork else np.zeros
         self._values = {name: new(n_rows)
                         for name, (_, n_rows, _) in tables.items()}
-        # (taker + 1, offset in its part, length) per block; 0: not written
-        self.blocks = new(3 * first, np.int64).reshape(-1, 3)
+        #: name -> (taker + 1, length) per block of the table; 0: not written
+        self.blocks = {name: new(2 * _blocks(n_rows), np.int64).reshape(-1, 2)
+                       for name, (_, n_rows, _) in tables.items()}
         self._published = dict.fromkeys(tables, 0)  # blocks per table
         self._queued = [0] * len(self.groups)  # blocks queued per group
-        self.pids = []  # workers not yet reaped, in fork order
+        self.pid = None  # the formatter, until it is reaped
         self._joined = False
-        self._read = self._write = None  # the queue, where there are workers
-        self._unspliced = set(tables)  # the parts are freed once it empties
-        # part k holds the blocks taker k formats.  The descriptors share
+        self._read = self._write = None  # the queue, where there is a formatter
+        # part k of a table holds the blocks taker k formats, in row order
+        # (each takes its items in queue order).  The descriptors share
         # their file offsets across the fork, so each part has exactly one
-        # writer, and the caller reads a worker's part only once it has
-        # reaped it, since _send's fallback seeks
-        self._parts = [tempfile.TemporaryFile(
-            dir=next(iter(self.paths.values())).parent)
-            for _ in range(self.n_workers + 1)]
-        self._size = 0  # bytes this process has written to its part
-        if not self.n_workers:
+        # writer, and the caller reads the formatter's parts only once it
+        # has reaped it, since _send's fallback seeks
+        self._parts = {name: [tempfile.TemporaryFile(dir=path.parent)
+                              for _ in range(1 + fork)]
+                       for name, path in self.paths.items()}
+        if not fork:
             return
         self._read, self._write = os.pipe()
         # a full pipe makes the caller take a block instead of waiting
         os.set_blocking(self._write, False)
         try:
-            for taker in range(1, self.n_workers + 1):
-                self.pids.append(_fork(self._work, taker))
+            self.pid = _fork(self._work)
         except BaseException:
             self.discard()
             raise
 
-    def _work(self, taker: int) -> None:
-        """A worker: take blocks until the queue is closed and empty."""
+    def _work(self) -> None:
+        """The formatter: take blocks until the queue is closed and
+        empty."""
         os.close(self._write)
-        self.take(taker)
-        self._parts[taker].flush()
+        self.take(1)
+        for parts in self._parts.values():
+            parts[1].flush()
 
     def __enter__(self):
         return self
@@ -284,9 +281,9 @@ class SeriesStream:
         self._queued[g] = ready
 
     def put(self, g: int, first: int, stop: int) -> None:
-        """Queue blocks ``first:stop`` of group ``g`` for the workers; with
-        none, queue nothing.  While the pipe is full (the workers are
-        behind, or gone) this process takes blocks itself."""
+        """Queue blocks ``first:stop`` of group ``g`` for the formatter;
+        with none, queue nothing.  While the pipe is full (the formatter
+        is behind, or gone) this process takes blocks itself."""
         if self._write is None:
             return
         items = b"".join(_ITEM.pack(g, b) for b in range(first, stop))
@@ -300,7 +297,7 @@ class SeriesStream:
                     self.take(0, limit=1)
 
     def take(self, taker: int, limit=None) -> None:
-        """Format queued blocks into this process's part until the queue
+        """Format queued blocks into this process's parts until the queue
         is closed and empty, or ``limit`` blocks are done."""
         while limit is None or limit > 0:
             item = os.read(self._read, _ITEM.size)
@@ -312,69 +309,71 @@ class SeriesStream:
 
     def _fill(self, taker: int, g: int, block: int) -> None:
         """Format ``block`` of every member of group ``g`` into this
-        process's part, and record where each went."""
+        process's part of the member, and record its taker and length."""
         lo, hi, template = self.groups[g].template(block)
         for name in self.groups[g].names:
-            length = self._parts[taker].write(
+            length = self._parts[name][taker].write(
                 _rows(template, self._values[name][lo:hi]))
-            self.blocks[self.spans[name].start + block] = \
-                taker + 1, self._size, length
-            self._size += length
+            self.blocks[name][block] = taker + 1, length
 
     def join(self) -> None:
         """Close the queue, format the blocks still queued (every block,
-        with no worker), and reap the workers in order: ``RuntimeError``
-        if one failed."""
+        without a formatter), and reap the formatter: ``RuntimeError`` if
+        it failed."""
         if self._joined:
             return
         self._close_input()
-        if self._read is None:  # no worker, so nothing was queued
+        if self._read is None:  # no formatter, so nothing was queued
             for g, group in enumerate(self.groups):
                 for block in range(_blocks(group.n_rows)):
                     self._fill(0, g, block)
         else:
             self.take(0)
-        self._parts[0].flush()
-        while self.pids:
-            _reap("table worker", self.pids.pop(0))
+        for parts in self._parts.values():
+            parts[0].flush()
+        if self.pid:
+            pid, self.pid = self.pid, None
+            _reap("table worker", pid)
         self._joined = True
 
     def splice(self, name, head: bytes) -> None:
         """Write table ``name``, ``head`` and then its blocks in row order
-        from the parts; after :meth:`join`.  The parts are closed, which
-        frees them, once every table is spliced."""
-        path = self.paths[name]
-        blocks = self.blocks[self.spans[name]]
-        if not blocks[:, 0].all():
+        from its parts, and close the parts, which frees them; after
+        :meth:`join`."""
+        path, parts = self.paths[name], self._parts[name]
+        if not self.blocks[name][:, 0].all():
             raise RuntimeError(f"{path}: rows were never queued")
+        offsets = [0] * len(parts)  # bytes of each part spliced so far
         with open(path, "wb") as fh:
             fh.write(head)
             # not reopened for append: sendfile refuses an O_APPEND target
             fh.flush()
-            for taker, offset, length in blocks.tolist():
-                _send(fh.fileno(), self._parts[taker - 1].fileno(), offset,
-                      length)
-        self._unspliced.discard(name)
-        if not self._unspliced:
-            for part in self._parts:
-                part.close()
+            for taker, length in self.blocks[name].tolist():
+                _send(fh.fileno(), parts[taker - 1].fileno(),
+                      offsets[taker - 1], length)
+                offsets[taker - 1] += length
+        for part in parts:
+            part.close()
 
     def discard(self) -> None:
-        """Leave no worker and no part: drop the blocks still queued, reap
-        every worker and close the parts, which frees them.  Safe to repeat."""
+        """Leave no formatter and no part: drop the blocks still queued,
+        reap the formatter and close the parts, which frees them.  Safe
+        to repeat."""
         self._close_input()
         if self._read is not None:
-            # whole items, so a worker's next read still gets one
+            # whole items, so the formatter's next read still gets one
             while os.read(self._read, _ITEM.size * _BATCH):
                 pass
             os.close(self._read)
             self._read = None
-        # a worker ends by itself once the queue is empty, so reaping is
-        # enough (importing signal to kill it costs 0.7 MB resident)
-        while self.pids:
-            _reap("table worker", self.pids.pop(0), check=False)
-        for part in self._parts:
-            part.close()
+        # the formatter ends by itself once the queue is empty, so reaping
+        # is enough (importing signal to kill it costs 0.7 MB resident)
+        if self.pid:
+            pid, self.pid = self.pid, None
+            _reap("table worker", pid, check=False)
+        for parts in self._parts.values():
+            for part in parts:
+                part.close()
 
     def _close_input(self) -> None:
         if self._write is not None:
@@ -594,10 +593,11 @@ def write_table(path, header: list[str], columns) -> Path:
     ``path`` and the three entries of ``header`` must be those of its
     table, whose rows come from the stream's group templates.  This
     process joins the stream, which formats the blocks still queued
-    (every block where the stream has no worker) and reaps its workers,
-    and splices the table from the stream's nameless parts, one per
-    process.  Any other table is formatted here, and nothing is forked.
-    The bytes do not depend on the number of CPUs.
+    (every block where the stream has no formatter) and reaps its
+    formatter, and splices the table from its nameless parts, one per
+    process, which are then freed.  Any other table is formatted here,
+    and nothing is forked.  The bytes do not depend on the number of
+    CPUs.
     """
     path = Path(path)
     # latin1: one byte per character

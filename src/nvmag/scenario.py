@@ -165,18 +165,24 @@ class Scenario:
                 f"{MAX_LASER_SAMPLES_PER_SEQUENCE} fine-grid trace samples "
                 "per sequence (2 * sequence_time / window_time) onto the "
                 "sequence grid")
+
+        def ten_sigma(channel, top):
+            """Ten standard deviations of ``channel``'s noise over the
+            band from the run's length up to ``top`` Hz; 0 without it."""
+            if channel not in self.noise:
+                return 0.0
+            band = np.geomspace(1.0 / (self.n_sequences * seq.sequence_time),
+                                top, 64)
+            with np.errstate(all="ignore"):  # judged by the checks below
+                return 10.0 * np.sqrt(np.trapezoid(
+                    self.noise[channel].density(band), band))
+
         # microwave noise excursions of ten standard deviations over the
         # band a scaling run resolves must keep the drive's sign and the
         # carrier on the m_I = 0 line it is locked to, and the echo must
         # stay finite there and at the working point
-        band = np.geomspace(1.0 / (self.n_sequences * seq.sequence_time),
-                            0.5 / seq.sequence_time, 64)
-        excursion = [0.0, 0.0]
-        with np.errstate(all="ignore"):  # judged by the results below
-            for k, channel in enumerate(("mw_amplitude", "mw_frequency")):
-                if channel in self.noise:
-                    excursion[k] = 10.0 * np.sqrt(np.trapezoid(
-                        self.noise[channel].density(band), band))
+        excursion = [ten_sigma(channel, 0.5 / seq.sequence_time)
+                     for channel in ("mw_amplitude", "mw_frequency")]
         if not excursion[0] < 1.0:
             raise ConfigError(
                 "microwave amplitude noise: ten-sigma relative excursion "
@@ -199,16 +205,11 @@ class Scenario:
         # the photon rate must stay positive under laser noise excursions
         # of ten standard deviations over the band the window averages
         # resolve: the run's length down to one integration window
-        if laser is not None:
-            band = np.geomspace(1.0 / (self.n_sequences * seq.sequence_time),
-                                1.0 / rd.window_time, 64)
-            with np.errstate(all="ignore"):  # judged by the result below
-                excursion = 10.0 * np.sqrt(np.trapezoid(laser.density(band),
-                                                        band))
-            if not excursion < 1.0:
-                raise ConfigError(
-                    "laser noise: ten-sigma relative intensity excursion "
-                    f"{excursion:.3g} is not below 1")
+        excursion = ten_sigma("laser_intensity", 1.0 / rd.window_time)
+        if not excursion < 1.0:
+            raise ConfigError(
+                "laser noise: ten-sigma relative intensity excursion "
+                f"{excursion:.3g} is not below 1")
         try:  # runners scale the echo by the envelope; the sensitivity
             # command reports the optimal phase time (inf without decay)
             usable = self.decay.envelope(seq.phase_time) > 0.0 and \

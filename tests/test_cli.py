@@ -174,6 +174,22 @@ class TestValidate:
         assert "configuration error" in capsys.readouterr().err
         assert not out.exists()
 
+    # an --out that names a file (EEXIST), or a path through one
+    # (ENOTDIR), made every output command exit 2
+    @pytest.mark.parametrize("under", ["", "sub"], ids=["file", "below-file"])
+    def test_out_that_cannot_be_a_directory_exits_1(self, tmp_path, capsys,
+                                                    under):
+        taken = tmp_path / "taken"
+        taken.write_text("kept\n")
+        out = taken / under if under else taken
+        assert main(["sensitivity", "--config", SCENARIO,
+                     "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert f"configuration error: output directory {out}" in captured.err
+        assert captured.out == ""
+        assert sorted(tmp_path.iterdir()) == [taken]
+        assert taken.read_text() == "kept\n"
+
     # laser noise folding 3.2e10 fine-grid samples per sequence (1e12
     # spectrum evaluations in 3.2e10 blocks) and 2e5 per sequence (2e9
     # evaluations): both must be refused before any trace is synthesized

@@ -29,7 +29,7 @@ def read_table(path):
 def inline(monkeypatch):
     """No CPU to spare: every chunk's echo is evaluated in this process,
     right before its photons are drawn."""
-    monkeypatch.setattr(_io, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(_io, "_spare_cpu", lambda: False)
 
 
 def make_scenario(**overrides):
@@ -521,7 +521,7 @@ class TestEchoProducer:
     def run(self, monkeypatch, kind, cpus):
         """``{scheme: bytes}`` of a run without outputs on ``cpus`` usable
         CPUs, and the number of processes it forked."""
-        monkeypatch.setattr(_io, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(_io, "_spare_cpu", lambda: cpus > 1)
         forks = count_forks(monkeypatch)
         got = self.RUNS[kind](self.scenario())
         return {scheme: v.tobytes() for scheme, v in got.items()}, len(forks)
@@ -681,11 +681,11 @@ class TestEchoProducer:
         assert_no_child_left()
 
     def test_failed_fork_of_the_producer_raises(self, monkeypatch, tmp_path):
-        # a scaling run with outputs forks the stream's worker, and then
-        # the producer, whose fork fails: the error propagates, the worker
-        # is reaped, and the echo's pipe and the stream's queue and parts
-        # are closed
-        monkeypatch.setattr(_io, "_usable_cpus", lambda: 2)
+        # a scaling run with outputs forks the stream's formatter, and
+        # then the producer, whose fork fails: the error propagates, the
+        # formatter is reaped, and the echo's pipe and the stream's queue
+        # and parts are closed
+        monkeypatch.setattr(_io, "_spare_cpu", lambda: True)
         s = self.scenario()
         before = open_fds()
         forks = count_forks(monkeypatch, fail=2)
@@ -733,7 +733,7 @@ class TestEchoProducer:
 
         monkeypatch.setattr(experiments._Echo, "_produce", produce)
         monkeypatch.setattr(experiments, "_noise_record", killed)
-        monkeypatch.setattr(_io, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(_io, "_spare_cpu", lambda: True)
         pid = os.fork()
         if pid == 0:  # never returns into pytest
             try:

@@ -159,9 +159,9 @@ def test_write_table_bytes_do_not_depend_on_cpus(n_rows, cpus, tmp_path,
 def test_series_tables_without_sendfile_to_a_file(sendfile, cpus, tmp_path,
                                                   monkeypatch):
     # Windows has no os.sendfile and macOS's writes only to sockets; both
-    # lack os.sched_getaffinity, so the stream has no worker there.  The
-    # splice then reads and writes the parts, to the bytes of a serial
-    # write_table, with or without a worker
+    # lack os.sched_getaffinity, so the stream has no formatter there.
+    # The splice then reads and writes the parts, to the bytes of a serial
+    # write_table, with or without a formatter
     if cpus == 1:
         monkeypatch.delattr(_io.os, "sched_getaffinity", raising=False)
     else:
@@ -181,7 +181,7 @@ def test_series_tables_without_sendfile_to_a_file(sendfile, cpus, tmp_path,
               for name, spacing in (("a", 1.6e-4), ("b", 1.6e-4),
                                     ("c", 3.2e-4))}
     got = _stream_series(tmp_path / "stream", series)
-    assert len(forks) == cpus - 1
+    assert len(forks) == (cpus > 1)
     _assert_nothing_left(tmp_path / "stream")
     for name, (data, cols) in got.items():
         assert data == _io.write_table(tmp_path / f"{name}.csv",
@@ -192,7 +192,7 @@ def test_series_tables_without_sendfile_to_a_file(sendfile, cpus, tmp_path,
 @pytest.mark.parametrize("cpus", [2, 3])
 def test_write_table_failure_leaves_no_worker_or_part(failing, cpus,
                                                       tmp_path, monkeypatch):
-    # a series stream's worker fails as soon as it is forked, or the
+    # a series stream's formatter fails as soon as it is forked, or the
     # parent when write_table joins the stream
     _use_cpus(monkeypatch, cpus)
     real_take = _io.SeriesStream.take
@@ -213,15 +213,15 @@ def test_write_table_failure_leaves_no_worker_or_part(failing, cpus,
 
 
 def test_failed_fork_leaves_no_worker_or_part(tmp_path, monkeypatch):
-    # the second of a 3-CPU stream's two workers cannot be forked: the
-    # error propagates, the first worker is reaped, and the queue and the
-    # parts are closed
+    # a 3-CPU stream's one formatter cannot be forked: the error
+    # propagates, and the queue and every table's parts are closed
     _use_cpus(monkeypatch, 3)
     before = open_fds()
-    forks = count_forks(monkeypatch, fail=2)
+    forks = count_forks(monkeypatch, fail=1)
     with pytest.raises(OSError) as raised:
-        _stream_series(tmp_path, {"a": (np.ones(3 * 4096 + 1), 1.6e-4)})
-    assert raised.value.errno == errno.EAGAIN and len(forks) == 2
+        _stream_series(tmp_path, {"a": (np.ones(3 * 4096 + 1), 1.6e-4),
+                                  "b": (np.ones(4096), 3.2e-4)})
+    assert raised.value.errno == errno.EAGAIN and len(forks) == 1
     _assert_nothing_left(tmp_path)
     assert open_fds() == before
 
@@ -231,7 +231,7 @@ def test_write_table_takes_blocks_while_the_queue_is_full(
         workers_fail, tmp_path, monkeypatch):
     # one row per block: 20000 queue items, more than a pipe holds (8192
     # at Linux's default 64 KiB), so the series stream takes blocks itself
-    # while it queues; it ends even with every worker gone
+    # while it queues; it ends even with its formatter gone
     _use_cpus(monkeypatch, 3)
     monkeypatch.setattr(_io, "_BLOCK_ROWS", 1)
     real_take = _io.SeriesStream.take

@@ -1,13 +1,15 @@
 """The scaling run's series tables, formatted by a
 :class:`nvmag.io.SeriesStream` from one template per block of each group
-of tables that share a length and a spacing, by forked workers while the
-run computes them or, on one CPU, by the caller when it writes them: the
-same bytes as a serial ``write_table`` of the finished run, on any number
-of CPUs.  Each process writes its blocks into its own part, a nameless
-file, so no worker or part is left when the run fails or is killed."""
+of tables that share a length and a spacing, by one forked formatter
+while the run computes them or, on one CPU, by the caller when it writes
+them: the same bytes as a serial ``write_table`` of the finished run, on
+any number of CPUs.  Each process writes a table's blocks into its own
+part of that table, a nameless file freed once the table is written, so
+no formatter or part is left when the run fails or is killed."""
 
 import os
 import signal
+import stat
 
 import numpy as np
 import pytest
@@ -16,7 +18,7 @@ from nvmag import analysis, experiments, io as _io, readout, scenario as sc
 from nvmag.readout import SCHEME_SEQUENCES
 from nvmag.scenario import CHUNK_SIZE
 
-from conftest import count_forks
+from conftest import count_forks, open_fds
 from test_experiments import NOISY, make_scenario
 from test_io import (SERIES_HEADER, _assert_nothing_left, _stream_series,
                      _use_cpus)
@@ -80,14 +82,14 @@ def test_tables_equal_a_serial_write(cpus, n, schemes, tmp_path,
     assert list(got) == list(want)
     for name in want:
         assert got[name] == want[name], name
-    # the stream's workers and, with a second CPU, the echo producer; the
-    # Allan and std tables are one block each
-    assert len(forks) == cpus - 1 + (cpus > 1)
+    # with a second CPU, the stream's formatter and the echo producer;
+    # the Allan and std tables are one block each
+    assert len(forks) == 2 * (cpus > 1)
     _assert_nothing_left(out)
 
 
 def test_series_values_survive_the_stream(tmp_path, monkeypatch):
-    # the returned series live in the memory shared with the workers
+    # the returned series live in the memory shared with the formatter
     _use_cpus(monkeypatch, 2)
     s = _scenario(CHUNK_SIZE + 2, ["A", "B", "C", "D"])
     streamed = experiments.run_scaling_experiment(s, out_dir=tmp_path)
@@ -143,8 +145,8 @@ def test_failing_run_leaves_nothing(stage, tmp_path, monkeypatch):
 @pytest.mark.parametrize("cpus", [1, 2, 3])
 def test_killed_run_leaves_nothing(cpus, tmp_path, monkeypatch):
     # the run is killed as it splices its first table, after the join has
-    # reaped the workers: the parts had no names, so the output directory
-    # holds nothing
+    # reaped the formatter: the parts had no names, so the output
+    # directory holds nothing
     _use_cpus(monkeypatch, cpus)
 
     def killed(stream, name, head):
@@ -161,6 +163,49 @@ def test_killed_run_leaves_nothing(cpus, tmp_path, monkeypatch):
     status = os.waitpid(pid, 0)[1]
     assert os.WIFSIGNALED(status) and os.WTERMSIG(status) == signal.SIGKILL
     assert not list(tmp_path.iterdir())
+
+
+def _nameless_files():
+    """``{(device, inode): size}`` of the regular files this process
+    holds open that have no name left."""
+    files = {}
+    for fd in open_fds():
+        try:
+            st = os.fstat(int(fd))
+        except OSError:  # the listing's own descriptor, closed since
+            continue
+        if stat.S_ISREG(st.st_mode) and st.st_nlink == 0:
+            files[st.st_dev, st.st_ino] = st.st_size
+    return files
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_each_table_is_freed_once_written(cpus, tmp_path, monkeypatch):
+    # after each splice, the parts still open and the series tables
+    # written so far hold no more than the series tables do: each table's
+    # parts are closed once it is written, not with the last table
+    _use_cpus(monkeypatch, cpus)
+    before = _nameless_files()  # pytest's own, such as its capture files
+
+    def parts():
+        return sum(size for file, size in _nameless_files().items()
+                   if file not in before)
+
+    held = []  # bytes in the parts and the series tables, per splice
+    real_splice = _io.SeriesStream.splice
+
+    def splice(stream, name, head):
+        real_splice(stream, name, head)
+        held.append(parts() + sum(
+            p.stat().st_size for p in tmp_path.glob("series_*.csv")))
+
+    monkeypatch.setattr(_io.SeriesStream, "splice", splice)
+    s = _scenario(2 * CHUNK_SIZE + 4096, ["A", "B", "C", "D"])
+    experiments.run_scaling_experiment(s, out_dir=tmp_path)
+    tables = sum(p.stat().st_size for p in tmp_path.glob("series_*.csv"))
+    assert len(held) == 4 and max(held) <= tables, (held, tables)
+    assert parts() == 0
+    _assert_nothing_left(tmp_path)
 
 
 def _serial_bytes(directory, columns):
@@ -210,13 +255,14 @@ def test_group_templates_equal_a_serial_write(cpus, idle, n, schemes,
                                               tmp_path, monkeypatch):
     # the baseline scenario's spacings; on one CPU the stream forks
     # nothing and opens no pipe, and its join formats every block from
-    # the group templates.  Idle workers take nothing, so the join
+    # the group templates.  An idle formatter takes nothing, so the join
     # formats every block there too
     _use_cpus(monkeypatch, cpus)
     forks = count_forks(monkeypatch)
     if cpus == 1:
         def no_pipe():
-            raise AssertionError("a stream without workers opened a pipe")
+            raise AssertionError("a stream without a formatter opened a "
+                                 "pipe")
 
         monkeypatch.setattr(_io.os, "pipe", no_pipe)
     parent, real_take = os.getpid(), _io.SeriesStream.take
@@ -234,10 +280,11 @@ def test_group_templates_equal_a_serial_write(cpus, idle, n, schemes,
 
     got = _stream_series(tmp_path / "stream", _scheme_series(schemes, n),
                          publish)
-    assert len(forks) == cpus - 1
+    assert len(forks) == (cpus > 1)
     _assert_nothing_left(tmp_path / "stream")
-    if idle or cpus == 1:
-        assert (streams[0].blocks[:, 0] == 1).all()  # taker 0, the caller
+    if idle or cpus == 1:  # taker 0, the caller, took every block
+        assert all((blocks[:, 0] == 1).all()
+                   for blocks in streams[0].blocks.values())
     want = _serial_bytes(tmp_path, {s: cols for s, (_, cols) in got.items()})
     for s in schemes:
         assert got[s][0] == want[s], s
@@ -274,7 +321,7 @@ def test_group_waits_for_its_slowest_member(cpus, tmp_path, monkeypatch):
 
     got = _stream_series(tmp_path / "stream", _scheme_series("AB", n),
                          publish)
-    assert len(forks) == cpus - 1
+    assert len(forks) == (cpus > 1)
     _assert_nothing_left(tmp_path / "stream")
     want = _serial_bytes(tmp_path, {s: cols for s, (_, cols) in got.items()})
     for s in "AB":
