@@ -229,7 +229,7 @@ class SeriesStream:
         self._queued = [0] * len(self.groups)  # blocks queued per group
         self.pid = None  # the formatter, until it is reaped
         self._joined = False
-        self._read = self._write = None  # the queue, where there is a formatter
+        self._read = self._write = None  # the queue, with a formatter
         # part k of a table holds the blocks taker k formats, in row order
         # (each takes its items in queue order).  The descriptors share
         # their file offsets across the fork, so each part has exactly one

@@ -175,7 +175,7 @@ class TestValidate:
         assert not out.exists()
 
     # an --out that names a file (EEXIST), or a path through one
-    # (ENOTDIR), made every output command exit 2
+    # (ENOTDIR), is refused as configuration before any work
     @pytest.mark.parametrize("under", ["", "sub"], ids=["file", "below-file"])
     def test_out_that_cannot_be_a_directory_exits_1(self, tmp_path, capsys,
                                                     under):
