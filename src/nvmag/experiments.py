@@ -49,13 +49,13 @@ joins when it writes its tables, which travel as their values alone
 (:class:`nvmag.io.SeriesColumns`).  A and B share one length and
 spacing, and so do C and D, so each block of a pair's index and time
 text is formatted once, as bytes, and filled with each member's values.
-By the same rule the stream forks one formatter, which formats each
-published block, its template and its rows, while the later chunks
-are computed; with one usable CPU, the join formats every block the
-same way.  Each series table is spliced from its own parts, which are
-freed once it is written.  No other table forks.  The bytes of every
-table depend neither on the number of CPUs nor on which process
-evaluated which chunk.
+By the same rule the stream forks one formatter, which alone formats
+each published block, its template and its rows, while the later
+chunks are computed; the run only waits for it, at the join.  With one
+usable CPU, the join formats every block the same way.  Each series
+table is spliced from its one part, which is freed once it is written.
+No other table forks.  The bytes of every table depend neither on the
+number of CPUs nor on which process evaluated which chunk.
 """
 
 from __future__ import annotations
@@ -482,7 +482,7 @@ def run_scaling_experiment(scenario: Scenario, out_dir=None) -> ScalingResult:
     With ``out_dir``, the ``series_<scheme>.csv`` tables are formatted by
     an :class:`nvmag.io.SeriesStream` (by one formatter while the series
     and the estimators are computed here, where a second CPU is usable),
-    and written with the rest, each freeing its parts once written.
+    and written with the rest, each freeing its part once written.
     """
     started = utc_now()
     n = scenario.n_sequences

@@ -9,23 +9,22 @@ Series tables of one length and spacing form a group (A/B and C/D in
 the scaling run): a block of a group is formatted once into a bytes
 template, each row's ``index,time,`` text with NULs among it to one
 width for every row, which each member then fills with its own values,
-into its part for the process that fills it: a nameless file, one per
-table and process, so a killed run leaves none behind.  Where a helper
-has a CPU of its own (:func:`_spare_cpu`) the stream forks one
-formatter while the caller computes the values; the formatter only
-formats and writes.  A group's blocks go onto a queue once every
-member has published them, and the formatter takes blocks from it,
-formatting a block's template when it takes the block.  The caller
-takes the blocks still queued once it joins, reaps the formatter and
-splices each table from its parts in row order, then closes them,
-which frees them.  With one usable CPU, or where the process cannot
-fork, nothing is forked, queued or shared: the join formats every
-block of every group in row order into the caller's parts, and splices
-the same way.  The bytes depend on neither the number of CPUs nor
-which process formatted which block.  Every helper process of the
-package, this formatter and the echo producer of
-:mod:`nvmag.experiments`, is forked by :func:`_fork` and reaped by
-:func:`_reap`, and at most one of each runs.
+into the member's part: a nameless file, one per table, that holds the
+table's blocks in row order, so a killed run leaves none behind.  Where
+a helper has a CPU of its own (:func:`_spare_cpu`) the stream forks one
+formatter while the caller computes the values, and the formatter alone
+writes the parts.  A group's blocks go onto a queue once every member
+has published them, and the formatter takes blocks from it, formatting
+a block's template when it takes the block.  The caller only waits for
+it: when the queue is full, and at the join, which closes the queue and
+reaps the formatter once it has formatted every block.  Each table is
+then spliced from its part, which is closed and so freed.  With one
+usable CPU, or where the process cannot fork, nothing is forked, queued
+or shared: the join formats every block that would have been queued,
+in row order, and splices the same way.  The bytes do not depend on the
+number of CPUs.  Every helper process of the package, this formatter
+and the echo producer of :mod:`nvmag.experiments`, is forked by
+:func:`_fork` and reaped by :func:`_reap`, and at most one of each runs.
 
 A member's values are written as ``%.12g`` by :func:`_value_text`, a
 vectorized formatter that gives the bytes of ``b"%.12g" % v`` value by
@@ -46,6 +45,8 @@ exactly rounded arithmetic.
 
 from __future__ import annotations
 
+# loaded at start-up, unlike signal (0.7 MB resident to import)
+import _signal
 import functools
 import hashlib
 import mmap
@@ -129,12 +130,12 @@ def _shared(n: int, dtype=float) -> np.ndarray:
                          count=n)
 
 
-def _send(out_fd: int, in_fd: int, offset: int, length: int) -> None:
-    """Append ``length`` bytes of ``in_fd`` from ``offset`` at
-    ``out_fd``'s position: copied by the kernel where ``os.sendfile``
-    writes to a file (Linux), else read and written, where it is missing
-    (Windows) or writes only to sockets (macOS, the BSDs)."""
-    end = offset + length
+def _send(out_fd: int, in_fd: int) -> None:
+    """Append the whole file ``in_fd`` at ``out_fd``'s position: copied by
+    the kernel where ``os.sendfile`` writes to a file (Linux), else read
+    and written, where it is missing (Windows) or writes only to sockets
+    (macOS, the BSDs)."""
+    offset, end = 0, os.fstat(in_fd).st_size
     while offset < end:
         try:
             sent = os.sendfile(out_fd, in_fd, offset, end - offset)
@@ -186,24 +187,23 @@ class SeriesStream:
     name and :meth:`publish`-es the rows that are final; a group's block
     is queued once every member has published it.  :func:`write_table`,
     given a table's :class:`SeriesColumns`, joins the stream and splices
-    that table from its parts: nameless files in the table's directory,
-    one per process, freed once the table is spliced.  On leaving the
-    ``with`` block no formatter or part is left, whether the block
-    returns or raises, and a killed run leaves no part either.
+    that table from its part: a nameless file in the table's directory
+    that holds its blocks in row order, freed once the table is spliced.
+    On leaving the ``with`` block no formatter or part is left, whether
+    the block returns or raises, and a killed run leaves no part either.
 
     Where :func:`_spare_cpu` holds, one formatter is forked
     (:func:`_fork`) when the stream is made; the values live in memory
     shared with it until the caller drops them.  The queue is a pipe of
-    fixed-size items.  The formatter takes items until the pipe is
-    closed and empty, formatting each block's template and rows into its
-    part of each member, and records each table's block (its taker and
-    length) in :attr:`blocks`, memory shared with the caller, which
-    splices the blocks in row order.
+    fixed-size items whose only read end the formatter holds.  It takes
+    items until the pipe is closed and empty, formatting each block's
+    template and rows into the part of each member; it alone writes the
+    parts.  A write to the queue waits while the pipe is full, and a
+    formatter that is gone makes it raise (``RuntimeError``).
 
     Without a formatter (one usable CPU, or no way to fork) the values
-    are ordinary arrays, no pipe is opened (Windows pipes take
-    ``os.set_blocking`` only from Python 3.12), nothing is queued, and
-    the join formats every block itself into the caller's parts.
+    are ordinary arrays, no pipe is opened and nothing is queued: the
+    join formats every block that would have been queued into the parts.
     """
 
     def __init__(self, tables: dict):
@@ -222,40 +222,28 @@ class SeriesStream:
         new = _shared if fork else np.zeros
         self._values = {name: new(n_rows)
                         for name, (_, n_rows, _) in tables.items()}
-        #: name -> (taker + 1, length) per block of the table; 0: not written
-        self.blocks = {name: new(2 * _blocks(n_rows), np.int64).reshape(-1, 2)
-                       for name, (_, n_rows, _) in tables.items()}
         self._published = dict.fromkeys(tables, 0)  # blocks per table
         self._queued = [0] * len(self.groups)  # blocks queued per group
         self.pid = None  # the formatter, until it is reaped
         self._joined = False
-        self._read = self._write = None  # the queue, with a formatter
-        # part k of a table holds the blocks taker k formats, in row order
-        # (each takes its items in queue order).  The descriptors share
-        # their file offsets across the fork, so each part has exactly one
-        # writer, and the caller reads the formatter's parts only once it
-        # has reaped it, since _send's fallback seeks
-        self._parts = {name: [tempfile.TemporaryFile(dir=path.parent)
-                              for _ in range(1 + fork)]
+        self._write = None  # the queue's write end, with a formatter
+        # the descriptors share their file offsets across the fork, so
+        # the caller reads a part only once the formatter is reaped, since
+        # _send's fallback seeks
+        self._parts = {name: tempfile.TemporaryFile(dir=path.parent)
                        for name, path in self.paths.items()}
         if not fork:
             return
         self._read, self._write = os.pipe()
-        # a full pipe makes the caller take a block instead of waiting
-        os.set_blocking(self._write, False)
         try:
-            self.pid = _fork(self._work)
+            self.pid = _fork(self.take)
         except BaseException:
             self.discard()
             raise
-
-    def _work(self) -> None:
-        """The formatter: take blocks until the queue is closed and
-        empty."""
-        os.close(self._write)
-        self.take(1)
-        for parts in self._parts.values():
-            parts[1].flush()
+        finally:
+            # the formatter holds the only read end, so a write to the
+            # queue fails (EPIPE) once it is gone, instead of waiting
+            os.close(self._read)
 
     def __enter__(self):
         return self
@@ -281,104 +269,84 @@ class SeriesStream:
         self._queued[g] = ready
 
     def put(self, g: int, first: int, stop: int) -> None:
-        """Queue blocks ``first:stop`` of group ``g`` for the formatter;
-        with none, queue nothing.  While the pipe is full (the formatter
-        is behind, or gone) this process takes blocks itself."""
+        """Queue blocks ``first:stop`` of group ``g`` for the formatter,
+        waiting while the pipe is full; with none, queue nothing.
+        ``RuntimeError`` if the formatter is gone."""
         if self._write is None:
             return
         items = b"".join(_ITEM.pack(g, b) for b in range(first, stop))
         step = _ITEM.size * _BATCH
-        for i in range(0, len(items), step):
-            while True:
-                try:
-                    os.write(self._write, items[i:i + step])
-                    break
-                except BlockingIOError:
-                    self.take(0, limit=1)
-
-    def take(self, taker: int, limit=None) -> None:
-        """Format queued blocks into this process's parts until the queue
-        is closed and empty, or ``limit`` blocks are done."""
-        while limit is None or limit > 0:
-            item = os.read(self._read, _ITEM.size)
-            if not item:
-                return
-            self._fill(taker, *_ITEM.unpack(item))
-            if limit is not None:
-                limit -= 1
-
-    def _fill(self, taker: int, g: int, block: int) -> None:
-        """Format ``block`` of every member of group ``g`` into this
-        process's part of the member, and record its taker and length."""
-        lo, hi, template = self.groups[g].template(block)
-        for name in self.groups[g].names:
-            length = self._parts[name][taker].write(
-                _rows(template, self._values[name][lo:hi]))
-            self.blocks[name][block] = taker + 1, length
-
-    def join(self) -> None:
-        """Close the queue, format the blocks still queued (every block,
-        without a formatter), and reap the formatter: ``RuntimeError`` if
-        it failed."""
-        if self._joined:
-            return
-        self._close_input()
-        if self._read is None:  # no formatter, so nothing was queued
-            for g, group in enumerate(self.groups):
-                for block in range(_blocks(group.n_rows)):
-                    self._fill(0, g, block)
-        else:
-            self.take(0)
-        for parts in self._parts.values():
-            parts[0].flush()
-        if self.pid:
+        try:
+            for i in range(0, len(items), step):
+                os.write(self._write, items[i:i + step])
+        except BrokenPipeError:
             pid, self.pid = self.pid, None
             _reap("table worker", pid)
+            raise
+
+    def take(self) -> None:
+        """The formatter: format the queued blocks into the parts until
+        the queue is closed and empty."""
+        os.close(self._write)
+        while item := os.read(self._read, _ITEM.size):
+            self._fill(*_ITEM.unpack(item))
+        for part in self._parts.values():
+            part.flush()
+
+    def _fill(self, g: int, block: int) -> None:
+        """Format ``block`` of every member of group ``g`` into the
+        member's part."""
+        lo, hi, template = self.groups[g].template(block)
+        for name in self.groups[g].names:
+            self._parts[name].write(
+                _rows(template, self._values[name][lo:hi]))
+
+    def join(self) -> None:
+        """With a formatter, close the queue and reap the formatter:
+        ``RuntimeError`` if it failed; without one, format every block
+        that would have been queued."""
+        if self._joined:
+            return
+        if self._write is not None:
+            os.close(self._write)
+            self._write = None
+            pid, self.pid = self.pid, None
+            _reap("table worker", pid)
+        else:  # no formatter, so nothing was queued
+            for g, queued in enumerate(self._queued):
+                for block in range(queued):
+                    self._fill(g, block)
+            for part in self._parts.values():
+                part.flush()
         self._joined = True
 
     def splice(self, name, head: bytes) -> None:
-        """Write table ``name``, ``head`` and then its blocks in row order
-        from its parts, and close the parts, which frees them; after
-        :meth:`join`."""
-        path, parts = self.paths[name], self._parts[name]
-        if not self.blocks[name][:, 0].all():
+        """Write table ``name``, ``head`` and then its part, and close the
+        part, which frees it; after :meth:`join`."""
+        path, part = self.paths[name], self._parts[name]
+        g = self._group_of[name]
+        if self._queued[g] < _blocks(self.groups[g].n_rows):
             raise RuntimeError(f"{path}: rows were never queued")
-        offsets = [0] * len(parts)  # bytes of each part spliced so far
         with open(path, "wb") as fh:
             fh.write(head)
             # not reopened for append: sendfile refuses an O_APPEND target
             fh.flush()
-            for taker, length in self.blocks[name].tolist():
-                _send(fh.fileno(), parts[taker - 1].fileno(),
-                      offsets[taker - 1], length)
-                offsets[taker - 1] += length
-        for part in parts:
-            part.close()
+            _send(fh.fileno(), part.fileno())
+        part.close()
 
     def discard(self) -> None:
-        """Leave no formatter and no part: drop the blocks still queued,
-        reap the formatter and close the parts, which frees them.  Safe
-        to repeat."""
-        self._close_input()
-        if self._read is not None:
-            # whole items, so the formatter's next read still gets one
-            while os.read(self._read, _ITEM.size * _BATCH):
-                pass
-            os.close(self._read)
-            self._read = None
-        # the formatter ends by itself once the queue is empty, so reaping
-        # is enough (importing signal to kill it costs 0.7 MB resident)
-        if self.pid:
-            pid, self.pid = self.pid, None
-            _reap("table worker", pid, check=False)
-        for parts in self._parts.values():
-            for part in parts:
-                part.close()
-
-    def _close_input(self) -> None:
+        """Leave no formatter and no part: close the queue, kill and reap
+        the formatter, which formats nothing more, and close the parts,
+        which frees them.  Safe to repeat."""
         if self._write is not None:
             os.close(self._write)
             self._write = None
+        if self.pid:
+            pid, self.pid = self.pid, None
+            os.kill(pid, _signal.SIGKILL)
+            _reap("table worker", pid, check=False)
+        for part in self._parts.values():
+            part.close()
 
 
 @functools.cache

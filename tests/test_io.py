@@ -1,6 +1,7 @@
 import errno
 import math
 import os
+import time
 
 import numpy as np
 import pytest
@@ -193,17 +194,19 @@ def test_series_tables_without_sendfile_to_a_file(sendfile, cpus, tmp_path,
 def test_write_table_failure_leaves_no_worker_or_part(failing, cpus,
                                                       tmp_path, monkeypatch):
     # a series stream's formatter fails as soon as it is forked, or the
-    # parent when write_table joins the stream
+    # parent as it splices the first table, once it has reaped the
+    # formatter
     _use_cpus(monkeypatch, cpus)
-    real_take = _io.SeriesStream.take
-    parent = os.getpid()
-
-    def failing_take(queue, taker, limit=None):
-        if (os.getpid() == parent) == (failing == "parent"):
+    if failing == "worker":
+        def failing_take(queue):
             raise OSError("injected")
-        real_take(queue, taker, limit)
 
-    monkeypatch.setattr(_io.SeriesStream, "take", failing_take)
+        monkeypatch.setattr(_io.SeriesStream, "take", failing_take)
+    else:
+        def failing_send(out_fd, in_fd):
+            raise OSError("injected")
+
+        monkeypatch.setattr(_io, "_send", failing_send)
     n_rows = 3 * 4096 + 1
     expected = RuntimeError if failing == "worker" else OSError
     with pytest.raises(expected):
@@ -226,31 +229,24 @@ def test_failed_fork_leaves_no_worker_or_part(tmp_path, monkeypatch):
     assert open_fds() == before
 
 
-@pytest.mark.parametrize("workers_fail", [False, True])
-def test_write_table_takes_blocks_while_the_queue_is_full(
-        workers_fail, tmp_path, monkeypatch):
+@pytest.mark.parametrize("worker_fails", [False, True])
+def test_write_table_while_the_queue_outgrows_the_pipe(
+        worker_fails, tmp_path, monkeypatch):
     # one row per block: 20000 queue items, more than a pipe holds (8192
-    # at Linux's default 64 KiB), so the series stream takes blocks itself
-    # while it queues; it ends even with its formatter gone
+    # at Linux's default 64 KiB), so the series stream waits for its
+    # formatter while it queues; a formatter that fails makes it raise,
+    # naming the formatter, instead of waiting
     _use_cpus(monkeypatch, 3)
     monkeypatch.setattr(_io, "_BLOCK_ROWS", 1)
-    real_take = _io.SeriesStream.take
-    parent = os.getpid()
-    taken_while_queueing = []
-
-    def take(queue, taker, limit=None):
-        if os.getpid() == parent:
-            taken_while_queueing.append(limit is not None)
-        elif workers_fail:
+    if worker_fails:
+        def failing_take(queue):
             raise OSError("injected")
-        real_take(queue, taker, limit)
 
-    monkeypatch.setattr(_io.SeriesStream, "take", take)
+        monkeypatch.setattr(_io.SeriesStream, "take", failing_take)
     series = {"x": (np.linspace(0.0, 1.0, 20000), 1 / 3)}
-    if workers_fail:
-        with pytest.raises(RuntimeError):
+    if worker_fails:
+        with pytest.raises(RuntimeError, match="table worker .* exited 1"):
             _stream_series(tmp_path, series)
-        assert any(taken_while_queueing)
     else:
         got, cols = _stream_series(tmp_path, series)["x"]
         np.savetxt(tmp_path / "ref.csv", np.column_stack(cols),
@@ -258,6 +254,38 @@ def test_write_table_takes_blocks_while_the_queue_is_full(
                    comments="", fmt="%.12g")
         assert got == (tmp_path / "ref.csv").read_bytes()
     _assert_nothing_left(tmp_path)
+
+
+def test_discard_stops_the_formatter(tmp_path, monkeypatch):
+    # the caller fails with thousands of blocks still queued before a
+    # slow formatter: leaving the stream kills the formatter instead of
+    # waiting for it to format them
+    _use_cpus(monkeypatch, 2)
+    monkeypatch.setattr(_io, "_BLOCK_ROWS", 1)
+    n = 20000
+    formatted = _io._shared(1, np.int64)  # blocks, counted by the formatter
+    real_fill = _io.SeriesStream._fill
+
+    def slow_fill(stream, g, block):
+        time.sleep(1e-4)
+        real_fill(stream, g, block)
+        formatted[0] += 1
+
+    monkeypatch.setattr(_io.SeriesStream, "_fill", slow_fill)
+    before = open_fds()
+
+    def failing(stream):
+        stream.publish("x", n)
+        raise ValueError("injected")
+
+    with pytest.raises(ValueError, match="injected"):
+        _stream_series(tmp_path, {"x": (np.ones(n), 1.6e-4)}, failing)
+    assert_no_child_left()
+    assert open_fds() == before
+    assert not list(tmp_path.iterdir())
+    # the caller queued the last items once the formatter had taken all
+    # but a pipe's worth
+    assert formatted[0] < n - 4096, formatted[0]
 
 
 #: blocks of a group: the first few hundred, the blocks that hold the

@@ -3,9 +3,9 @@
 of tables that share a length and a spacing, by one forked formatter
 while the run computes them or, on one CPU, by the caller when it writes
 them: the same bytes as a serial ``write_table`` of the finished run, on
-any number of CPUs.  Each process writes a table's blocks into its own
-part of that table, a nameless file freed once the table is written, so
-no formatter or part is left when the run fails or is killed."""
+any number of CPUs.  Each table's blocks go into its one part, a
+nameless file freed once the table is written, so no formatter or part
+is left when the run fails or is killed."""
 
 import os
 import signal
@@ -103,13 +103,9 @@ def test_series_values_survive_the_stream(tmp_path, monkeypatch):
 @pytest.mark.parametrize("cpus", [2, 3])
 def test_failing_worker_raises(cpus, tmp_path, monkeypatch):
     _use_cpus(monkeypatch, cpus)
-    real_take = _io.SeriesStream.take
-    parent = os.getpid()
 
-    def failing_take(queue, taker, limit=None):
-        if os.getpid() != parent:
-            raise OSError("injected")
-        real_take(queue, taker, limit)
+    def failing_take(queue):  # only the formatter takes
+        raise OSError("injected")
 
     monkeypatch.setattr(_io.SeriesStream, "take", failing_take)
     s = _scenario(2 * CHUNK_SIZE, ["A", "B", "C", "D"])
@@ -248,15 +244,12 @@ GROUPINGS = [["A", "B", "C", "D"], ["A", "C"]]
 @pytest.mark.parametrize("schemes", GROUPINGS)
 @pytest.mark.parametrize("n", [2 * CHUNK_SIZE, 2 * CHUNK_SIZE + 8198],
                          ids=["whole-blocks", "short-last-block"])
-@pytest.mark.parametrize("cpus, idle", [(1, False), (2, False), (3, False),
-                                        (3, True)],
-                         ids=["1", "2", "3", "3-idle"])
-def test_group_templates_equal_a_serial_write(cpus, idle, n, schemes,
-                                              tmp_path, monkeypatch):
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_group_templates_equal_a_serial_write(cpus, n, schemes, tmp_path,
+                                              monkeypatch):
     # the baseline scenario's spacings; on one CPU the stream forks
     # nothing and opens no pipe, and its join formats every block from
-    # the group templates.  An idle formatter takes nothing, so the join
-    # formats every block there too
+    # the group templates
     _use_cpus(monkeypatch, cpus)
     forks = count_forks(monkeypatch)
     if cpus == 1:
@@ -265,29 +258,26 @@ def test_group_templates_equal_a_serial_write(cpus, idle, n, schemes,
                                  "pipe")
 
         monkeypatch.setattr(_io.os, "pipe", no_pipe)
-    parent, real_take = os.getpid(), _io.SeriesStream.take
-
-    def take(stream, taker, limit=None):
-        if not (idle and os.getpid() != parent):
-            real_take(stream, taker, limit)
-
-    monkeypatch.setattr(_io.SeriesStream, "take", take)
-    streams = []
-
-    def publish(stream):
-        streams.append(stream)
-        _publish_by_chunk(schemes, n)(stream)
-
     got = _stream_series(tmp_path / "stream", _scheme_series(schemes, n),
-                         publish)
+                         _publish_by_chunk(schemes, n))
     assert len(forks) == (cpus > 1)
     _assert_nothing_left(tmp_path / "stream")
-    if idle or cpus == 1:  # taker 0, the caller, took every block
-        assert all((blocks[:, 0] == 1).all()
-                   for blocks in streams[0].blocks.values())
     want = _serial_bytes(tmp_path, {s: cols for s, (_, cols) in got.items()})
     for s in schemes:
         assert got[s][0] == want[s], s
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_unpublished_rows_are_refused(cpus, tmp_path, monkeypatch):
+    # half the rows are published: on any number of CPUs the table is
+    # refused, and no formatter or part is left
+    _use_cpus(monkeypatch, cpus)
+    n = 10000
+    with pytest.raises(RuntimeError, match="rows were never queued"):
+        _stream_series(tmp_path, {"x": (np.ones(n), 1.6e-4)},
+                       lambda stream: stream.publish("x", n // 2))
+    assert not list(tmp_path.glob("*.csv"))
+    _assert_nothing_left(tmp_path)
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 3])
