@@ -42,20 +42,15 @@ cannot fork, each chunk's echo is evaluated in the calling process
 right before its draws.  A sweep hands all its amplitudes to one
 record, so the producer works across them.
 
-The scaling run's ``series_<scheme>.csv`` tables are formatted by an
-:class:`nvmag.io.SeriesStream`, which :func:`run_scaling_experiment`
-makes before the noise record, publishes each chunk's rows to, and
-joins when it writes its tables, which travel as their values alone
-(:class:`nvmag.io.SeriesColumns`).  A and B share one length and
-spacing, and so do C and D, so each block of a pair's index and time
-text is formatted once, as bytes, and filled with each member's values.
-By the same rule the stream forks one formatter, which alone formats
-each published block, its template and its rows, while the later
-chunks are computed; the run only waits for it, at the join.  With one
-usable CPU, the join formats every block the same way.  Each series
-table is spliced from its one part, which is freed once it is written.
-No other table forks.  The bytes of every table depend neither on the
-number of CPUs nor on which process evaluated which chunk.
+The scaling run's ``series_<scheme>.csv`` tables are written through
+an :class:`nvmag.io.SeriesStream`, which :func:`run_scaling_experiment`
+makes before the noise record and publishes each chunk's rows to; the
+tables travel to :func:`nvmag.io.write_table` as their values alone
+(:class:`nvmag.io.SeriesColumns`).  The stream forks at most one
+formatter, by the same rule as the producer; :mod:`nvmag.io` describes
+how it formats the tables.  No other table forks.  The bytes of every
+table depend neither on the number of CPUs nor on which process
+evaluated which chunk.
 """
 
 from __future__ import annotations

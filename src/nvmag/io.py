@@ -33,14 +33,16 @@ notation).  For such a value the formatter takes the 12-digit mantissa
 from one correctly rounded product with an exact power of ten and the
 digits from tables; it leaves to ``%`` every value it cannot prove
 exact that way (values in fixed notation, zeros, non-finite values,
-ties, exponents beyond -11..33), one value at a time.  A template's
-text comes from the same tables (:func:`_head_words`): the index as an
-integer, and each time in fixed notation, by the same test, from its
-mantissa split into an integer part and a fraction; every other time
-goes to ``%``.  Which values go to ``%`` may depend on the last bit of
-``np.log10``, which differs between numpy's SIMD targets; the bytes do
-not, since the test that admits a value to the fast path uses only
-exactly rounded arithmetic.
+ties, exponents beyond -11..33), one value at a time.  A block's
+template comes from the same tables (:func:`_head_words`): the index as
+an integer, and each time in fixed notation, by the same test, from its
+mantissa split into an integer part and a fraction, or zero.  The digit
+words take a block whole, or ``%`` formats it: a block that holds any
+other time (negative, a tie, scientific notation, non-finite) is
+formatted by one ``%`` call.  Which values and blocks go to ``%`` may
+depend on the last bit of ``np.log10``, which differs between numpy's
+SIMD targets; the bytes do not, since the test that admits a value to
+the fast path uses only exactly rounded arithmetic.
 """
 
 from __future__ import annotations
@@ -63,8 +65,7 @@ import numpy as np
 #: rows formatted by one string-formatting call, and rows per queued block
 _BLOCK_ROWS = 4096
 #: the separator words of :func:`_head_words`
-_COMMA, _COMMA_MINUS, _POINT = np.frombuffer(b",\0\0\0,-\0\0.\0\0\0",
-                                             np.uint32)
+_COMMA, _POINT = np.frombuffer(b",\0\0\0.\0\0\0", np.uint32)
 #: bytes per row of :func:`_value_text`: the longest ``%.12g`` text
 #: (``-1.23456789012e-308``, 19 bytes), a newline and NUL padding
 _VALUE_WIDTH = 24
@@ -159,13 +160,21 @@ class _Group(NamedTuple):
         """The rows ``lo:hi`` of ``block``, and their template: each row's
         ``%d,%.12g,`` text of its index and time, with NULs among it to
         one width for every row, which :func:`_rows` completes with a
-        member's values: the words of :func:`_head_words`, less the byte
-        columns that are NUL in every row."""
+        member's values.  The block takes the words of
+        :func:`_head_words` whole, less the byte columns that are NUL in
+        every row; where they refuse it, ``%`` formats the whole block,
+        ``%20d,%19.12g,`` a row, with its padding spaces as NULs."""
         lo = block * _BLOCK_ROWS
         hi = min(lo + _BLOCK_ROWS, self.n_rows)
         index = np.arange(lo, hi)
         # equal, bit for bit, to rows lo:hi of index * spacing
-        words = _head_words(index, index * self.spacing)
+        times = index * self.spacing
+        words = _head_words(index, times)
+        if words is None:
+            pairs = [None] * (2 * (hi - lo))
+            pairs[::2], pairs[1::2] = index.tolist(), times.tolist()
+            text = (b"%20d,%19.12g," * (hi - lo)) % tuple(pairs)
+            return lo, hi, text.replace(b" ", b"\0")
         # the OR of every row, by halves that overlap in the middle row
         # of an odd count: a third of the time of np.bitwise_or.reduce
         mask = words
@@ -470,39 +479,39 @@ def _int_words(m: np.ndarray, out: np.ndarray) -> None:
         out[:, j] = quad[digits + 10000 * kind]
 
 
-def _head_words(index: np.ndarray, times: np.ndarray) -> np.ndarray:
+def _head_words(index: np.ndarray, times: np.ndarray) -> np.ndarray | None:
     """``b"%d,%.12g," % (i, t)`` of each int64 ``i >= 0`` of ``index``
     and float64 ``t`` of ``times``, as one row of words with NULs among
-    the text (``uint32``): the index, ``,`` and the sign, the time's
-    integer part, the point, its fraction and ``,``.
+    the text (``uint32``): the index, ``,``, the time's integer part,
+    the point, its fraction and ``,``; or ``None`` unless every time is
+    on the exact path below, so the words take a block whole or not at
+    all.
 
-    A time in fixed notation (decimal exponent ``e`` in -4..11) takes
-    the fast path if :func:`_mantissas` proves its 12-digit mantissa
-    ``n`` exact.  Then ``n // 10 ** (11 - e)`` is the integer part,
-    four digits a word with leading zeros as NULs, and the rest is the
-    fraction, scaled to 16 digits with trailing zeros as NULs, after a
-    point only where it is not zero.  Only the words that some row needs
-    are made.  Every other time (zeros, ties, scientific notation,
-    non-finite values) is formatted by ``%``, one at a time, its text
-    ending in the integer part's last column where it fits.
+    A time in fixed notation (decimal exponent ``e`` in -4..11) is on
+    it if :func:`_mantissas` proves its 12-digit mantissa ``n`` exact.
+    Then ``n // 10 ** (11 - e)`` is the integer part, four digits a word
+    with leading zeros as NULs, and the rest is the fraction, scaled to
+    16 digits with trailing zeros as NULs, after a point only where it
+    is not zero.  +0.0 is on it too, as integer part 0 and no fraction.
+    Only the words that some row needs are made.  No other time is: a
+    negative one (a series time is ``i * spacing``, ``spacing > 0``), a
+    tie, one in scientific notation or a non-finite one.
     """
-    e, mantissa, fast = _mantissas(np.abs(times), -4, 11)
-    mantissa = np.where(fast, mantissa, 0.0).astype(np.int64)
+    e, mantissa, exact = _mantissas(np.abs(times), -4, 11)
+    if np.signbit(times).any() or not (exact | (times == 0)).all():
+        return None
+    mantissa = mantissa.astype(np.int64)  # 0 for a zero time
     scale = _INT10[11 - e]
     whole = mantissa // scale
     fraction = (mantissa - whole * scale) * _INT10[5 + e]
-    slow = np.flatnonzero(~fast)
     n_index = -(-len(str(index[-1])) // 4)
-    if len(slow):  # room for every %.12g text
-        n_whole, n_fraction = 3, 4
-    else:
-        n_whole = -(-len(str(whole.max())) // 4)
-        n_fraction = next((5 - j for j in range(1, 5)
-                           if (fraction % 10 ** (4 * j)).any()), 0)
+    n_whole = -(-len(str(whole.max())) // 4)
+    n_fraction = next((5 - j for j in range(1, 5)
+                       if (fraction % 10 ** (4 * j)).any()), 0)
     words = np.empty((len(times), n_index + n_whole + n_fraction + 3),
                      np.uint32)
     _int_words(index, words[:, :n_index])
-    words[:, n_index] = np.where(np.signbit(times), _COMMA_MINUS, _COMMA)
+    words[:, n_index] = _COMMA
     _int_words(whole, words[:, n_index + 1:n_index + 1 + n_whole])
     point = n_index + 1 + n_whole
     words[:, point] = np.where(fraction != 0, _POINT, 0)
@@ -513,17 +522,6 @@ def _head_words(index: np.ndarray, times: np.ndarray) -> np.ndarray:
         words[:, point + 1 + j] = quad[fraction // scale % 10000
                                        + 10000 * (fraction % scale == 0)]
     words[:, -1] = _COMMA
-    if len(slow):
-        # %19.12g: every %.12g text, left-padded to one width
-        text = np.frombuffer(((b"%19.12g" * len(slow))
-                              % tuple(times[slow].tolist())).replace(
-            b" ", b"\0"), np.uint8).reshape(-1, 19)
-        rows = words[slow, n_index:].view(np.uint8)
-        rows[:, 1:-4] = 0
-        short = ~text[:, :4].any(axis=1)
-        rows[~short, 1:20] = text[~short]
-        rows[short, 1:16] = text[short, 4:]
-        words[slow, n_index:] = rows.view(np.uint32)
     return words
 
 
@@ -560,12 +558,12 @@ def write_table(path, header: list[str], columns) -> Path:
     A series table travels as its values: given a :class:`SeriesColumns`,
     ``path`` and the three entries of ``header`` must be those of its
     table, whose rows come from the stream's group templates.  This
-    process joins the stream, which formats the blocks still queued
-    (every block where the stream has no formatter) and reaps its
-    formatter, and splices the table from its nameless parts, one per
-    process, which are then freed.  Any other table is formatted here,
-    and nothing is forked.  The bytes do not depend on the number of
-    CPUs.
+    process joins the stream, which reaps its formatter once it has
+    formatted every queued block (where the stream has no formatter,
+    the join formats every block itself), and splices the table from
+    its one nameless part, which is then freed.  Any other table is
+    formatted here, and nothing is forked.  The bytes do not depend on
+    the number of CPUs.
     """
     path = Path(path)
     # latin1: one byte per character

@@ -368,12 +368,17 @@ def group_blocks(draw):
 @given(group=group_blocks())
 # a time that rounds up to 1e12 and so switches to scientific notation;
 # an exact tie; a double above a tie whose product with 10**11 rounds to
-# the tie; indices of 9 digits past 10**8; one of 17 digits
+# the tie; indices of 9 digits past 10**8; one of 17 digits; blocks that
+# % formats whole: times in scientific notation and negative times from
+# block 0, a tie at the first row of block 1
 @example(group=(999999999999.6, 0, 2, np.zeros(2)))
 @example(group=(-123456789012.5, 0, 2, np.zeros(2)))
 @example(group=(1.368761715425, 0, 2, np.zeros(2)))
 @example(group=(1.6e-4, 24414, 24415 * 4096, np.zeros(4096)))
 @example(group=(-1 / 3, 10 ** 16 // 4096, 10 ** 16 + 7, np.zeros(7)))
+@example(group=(5e-5, 0, 4096, np.zeros(4096)))
+@example(group=(-1.6e-4, 0, 5, np.zeros(5)))
+@example(group=(1234567890.125 / 4096, 1, 4096 + 5, np.zeros(5)))
 def test_group_template_fills_to_row_formatting(group):
     # a group block's template filled with a member's values against
     # one %d,%.12g,%.12g row per index
@@ -387,3 +392,30 @@ def test_group_template_fills_to_row_formatting(group):
     want = "".join("%d,%.12g,%.12g\n" % (i, i * spacing, v)
                    for i, v in zip(range(lo, hi), values.tolist()))
     assert _io._rows(template, values) == want.encode()
+
+
+@pytest.mark.parametrize("sequences", [1, 2])
+def test_head_words_take_every_block_of_the_scaling_run(sequences,
+                                                         baseline_scenario):
+    # a 2**20-row group at the scaling run's spacings, T_seq for A and B
+    # and 2 T_seq for C and D: every block takes the digit words, block
+    # 0 with its zero time too
+    spacing = sequences * baseline_scenario.sequence.sequence_time
+    for lo in range(0, 2 ** 20, _io._BLOCK_ROWS):
+        index = np.arange(lo, lo + _io._BLOCK_ROWS)
+        words = _io._head_words(index, index * spacing)
+        assert words is not None, lo
+        if lo == 0:
+            assert words[0].tobytes().translate(None, b"\0") == b"0,0,"
+
+
+@pytest.mark.parametrize("time", [-1.6e-4, -0.0, 5e-5, 1234567890.125],
+                         ids=["negative", "negative-zero", "below-1e-4",
+                              "tie"])
+def test_head_words_refuse_a_block_with_one_time_off_the_exact_path(time):
+    # one time the exact path cannot prove sends the whole block to %
+    index = np.arange(_io._BLOCK_ROWS)
+    times = index * 1.6e-4
+    assert _io._head_words(index, times) is not None
+    times[1234] = time
+    assert _io._head_words(index, times) is None
