@@ -35,12 +35,14 @@ synthesizes the laser noise and draws each chunk's photons.  It is
 forked beside the series stream's one formatter (below) by the same
 rule, so there a scaling run with outputs runs three processes, and
 the caller, whose CPU time sets the run's wall time, leaves the
-microwave synthesis and the echo to the producer.  The caller never
-waits for a chunk: one the producer has not announced when its draws
-start, the caller evaluates itself.  With one usable CPU, or where it
-cannot fork, each chunk's echo is evaluated in the calling process
-right before its draws.  A sweep hands all its amplitudes to one
-record, so the producer works across them.
+microwave synthesis and the echo to the producer.  One class,
+:class:`nvmag.io._Helper`, forks, pipes and ends both helpers: the
+caller waits for a helper where it succeeds and kills it where it
+fails.  The caller never waits for a chunk: one the producer has not
+announced when its draws start, the caller evaluates itself.  With one
+usable CPU, or where it cannot fork, each chunk's echo is evaluated in
+the calling process right before its draws.  A sweep hands all its
+amplitudes to one record, so the producer works across them.
 
 The scaling run's ``series_<scheme>.csv`` tables are written through
 an :class:`nvmag.io.SeriesStream`, which :func:`run_scaling_experiment`
@@ -146,34 +148,34 @@ class _Echo:
     ``chunks`` holds each chunk's ``(slice of the record, field
     amplitude)``; ``parity`` indexes ``(final_phase, -final_phase)`` per
     group and sequence of a chunk (every chunk starts at an even
-    sequence).  Without ``fork`` the drive errors are synthesized here,
-    and :meth:`populations` evaluates a chunk's echo when it is asked for.
+    sequence).  Unless :func:`nvmag.io._spare_cpu` holds, the drive
+    errors are synthesized here, and :meth:`populations` evaluates a
+    chunk's echo when it is asked for.
 
-    With ``fork`` (more than one usable CPU, whatever else the caller
-    has forked), one producer is forked.  It synthesizes the drive
-    errors into memory shared with the caller (``io._shared``) and
-    announces 0 on a pipe; then it evaluates the chunks in order, each
-    into its own shared slot, announcing ``i + 1`` after chunk ``i``.
-    The caller never waits for a chunk: one not announced when it is
-    asked for is evaluated here, from the shared drive errors (waiting
-    for those alone; ``RuntimeError`` if the producer ends without
-    them), and the shared ``taken`` count makes the producer skip the
-    chunks the caller took that it has not started (one it has started
-    it finishes, and the caller never reads it).  So a chunk below the
-    last announcement that the caller did not take is ready.  Leaving
-    the ``with`` block reaps the producer, whether the block returns or
-    raises; ``RuntimeError`` if it failed and the block did not raise.
-    If the caller is killed, the producer ends at its next announcement
-    (``EPIPE``: the caller held the pipe's only read end).  The producer
-    is forked by :func:`nvmag.io._fork` and reaped by
-    :func:`nvmag.io._reap`.
+    Where it holds (more than one usable CPU, whatever else the caller
+    has forked), one producer, an :class:`nvmag.io._Helper`, is forked.
+    It synthesizes the drive errors into memory shared with the caller
+    (``io._shared``) and announces 0 on the helper's pipe; then it
+    evaluates the chunks in order, each into its own shared slot,
+    announcing ``i + 1`` after chunk ``i``.  The caller never waits for
+    a chunk: one not announced when it is asked for is evaluated here,
+    from the shared drive errors (waiting for those alone;
+    ``RuntimeError`` if the producer ends without them), and the
+    shared ``taken`` count makes the producer skip the chunks the
+    caller took that it has not started (one it has started it
+    finishes, and the caller never reads it).  So a chunk below the last
+    announcement that the caller did not take is ready.  Leaving the
+    ``with`` block ends the producer: a block that returns waits for it,
+    ``RuntimeError`` if it failed; a block that raises kills it.  If the
+    caller is killed, the producer ends at its next announcement
+    (``EPIPE``: the caller held the pipe's only read end).
     """
 
-    def __init__(self, scenario: Scenario, chunks: list, parity, fork: bool):
+    def __init__(self, scenario: Scenario, chunks: list, parity):
         self.scenario, self.chunks, self.parity = scenario, chunks, parity
-        self.pid = None
+        self.helper = None  # the producer
         n = chunks[-1][0].stop
-        if not fork:
+        if not _io._spare_cpu():
             (self.dg,), (self.df,) = _noise_record(scenario, n, _DRIVE)
             return
         self.dg, self.df = _io._shared(n), _io._shared(n)
@@ -186,36 +188,16 @@ class _Echo:
         # one past the last chunk the caller took
         self._taken = _io._shared(1, np.int64)
         self._ready = -1  # the last announcement; -1: none yet
-        self._read, write = os.pipe()
-        try:
-            self.pid = _io._fork(self._run, write)
-        except BaseException:
-            os.close(self._read)
-            raise
-        finally:
-            os.close(write)
-        os.set_blocking(self._read, False)
+        self.helper = _io._Helper("echo producer", self._produce,
+                                  writes=True)
+        os.set_blocking(self.helper.fd, False)
 
     def __enter__(self):
         return self
 
     def __exit__(self, exc_type, *exc):
-        if not self.pid:
-            return
-        # a producer still running stops at its next chunk or announcement
-        self._taken[0] = len(self.chunks)
-        os.close(self._read)
-        pid, self.pid = self.pid, None
-        _io._reap("echo producer", pid, check=exc_type is None)
-
-    def _run(self, write: int) -> None:
-        """The producer: the caller's leaving (``EPIPE``) ends it
-        cleanly."""
-        os.close(self._read)
-        try:
-            self._produce(write)
-        except BrokenPipeError:
-            pass
+        if self.helper is not None:
+            self.helper.reap(ok=exc_type is None)
 
     def _produce(self, write: int) -> None:
         dg, df = _noise_record(self.scenario, len(self.dg), _DRIVE)
@@ -234,16 +216,16 @@ class _Echo:
 
     def populations(self, i: int) -> np.ndarray:
         """Chunk ``i``'s populations, shape ``(groups, chunk length)``."""
-        if self.pid:
+        if self.helper is not None:
             if i:  # the caller is done with the chunk before
                 slot = self._shared[0].nbytes
                 self._map.madvise(mmap.MADV_DONTNEED, (i - 1) * slot, slot)
             self._poll()
             while self._ready < 0:  # the drive errors are not out yet
-                select.select([self._read], [], [])
+                select.select([self.helper.fd], [], [])
                 if not self._poll():
-                    raise RuntimeError(f"echo producer {self.pid} ended "
-                                       "before its drive errors")
+                    raise RuntimeError(f"echo producer {self.helper.pid} "
+                                       "ended before its drive errors")
             if self._ready > i:
                 rows = self.chunks[i][0]
                 return self._shared[i, :, :rows.stop - rows.start]
@@ -255,7 +237,7 @@ class _Echo:
         closed the pipe."""
         try:
             # the pipe's default capacity, so every announcement written
-            data = os.read(self._read, 1 << 16)
+            data = os.read(self.helper.fd, 1 << 16)
         except BlockingIOError:
             return True
         if data:
@@ -275,7 +257,7 @@ class _Echo:
             m_i_values=s.m_i_values())
 
 
-def _scheme_series(scenario: Scenario, segments, balance, tables=None):
+def _scheme_series(scenario: Scenario, segments, tables=None):
     """Readout series of every requested scheme for each segment of a
     record in turn, one dict per segment keyed in scenario order.
 
@@ -297,16 +279,17 @@ def _scheme_series(scenario: Scenario, segments, balance, tables=None):
     only in the final pulse), then each group draws its photons from the
     chunk's own seed on its stream, and C and D are pair-differenced
     chunk by chunk.  The echo and its drive errors come from an
-    :class:`_Echo`, forked wherever more than one CPU is usable, as is
-    the formatter of ``tables``.  This process synthesizes the laser
-    noise meanwhile and draws the photons.  Given an
-    :class:`nvmag.io.SeriesStream` keyed by scheme as ``tables`` (one
-    segment), the series are its values, and each chunk's rows are
-    published to it; otherwise a segment's series are dropped by the
-    caller before the next is drawn, so the values of one segment at a
-    time are held.  ``balance`` is the scenario's
-    :func:`_balance_populations`, which a runner computes once however
-    many records it draws.
+    :class:`_Echo`, whose producer is forked wherever more than one CPU
+    is usable, as is the formatter of ``tables``; each is an
+    :class:`nvmag.io._Helper`, which a failing caller kills.  This
+    process synthesizes the laser noise meanwhile and draws the photons.
+    Given an :class:`nvmag.io.SeriesStream` keyed by scheme as
+    ``tables`` (one segment), the series are its values, and each
+    chunk's rows are published to it; otherwise a segment's series are
+    dropped by the caller before the next is drawn, so the values of one
+    segment at a time are held.  The working point
+    (:func:`_balance_populations`) is evaluated once per record, and
+    every runner draws one record.
     """
     s = scenario.sequence
     n = scenario.n_sequences
@@ -320,12 +303,12 @@ def _scheme_series(scenario: Scenario, segments, balance, tables=None):
     parity = np.stack([alternating if paired else np.zeros_like(alternating)
                        for _, _, paired in groups])
     # the reference's balance population per group and sequence of a chunk
-    balance = balance[parity]
+    balance = _balance_populations(scenario)[parity]
     # (slice of the record, field amplitude) of every chunk
     starts = range(0, n, CHUNK_SIZE)
     chunks = [(slice(k * n + lo, k * n + min(lo + CHUNK_SIZE, n)), field)
               for k, (field, _) in enumerate(segments) for lo in starts]
-    with _Echo(scenario, chunks, parity, _io._spare_cpu()) as echo:
+    with _Echo(scenario, chunks, parity) as echo:
         eps, = _noise_record(scenario, n * len(segments), _LASER)
         for k, (_, stream_offset) in enumerate(segments):
             values = {scheme: np.empty(n // SCHEME_SEQUENCES[scheme])
@@ -423,8 +406,7 @@ def run_ac_sweep(scenario: Scenario, amplitudes, out_dir=None) -> SweepResult:
     # the working point does not depend on the test field
     for k, series in enumerate(_scheme_series(
             scenario, [(amp, 1000 * (k + 1))
-                       for k, amp in enumerate(amplitudes)],
-            _balance_populations(scenario))):
+                       for k, amp in enumerate(amplitudes)])):
         for scheme, s in series.items():
             means[scheme][k] = s.values.mean()
 
@@ -491,8 +473,7 @@ def run_scaling_experiment(scenario: Scenario, out_dir=None) -> ScalingResult:
         out = {}
         # unpacking draws the record to its end, which frees the noise
         # record and reaps any echo producer before the estimators run
-        record, = _scheme_series(scenario, [(0.0, 0)],
-                                 _balance_populations(scenario), tables=stream)
+        record, = _scheme_series(scenario, [(0.0, 0)], tables=stream)
         for scheme, series in record.items():
             grid = analysis.default_time_grid(series.values.size,
                                               series.spacing)

@@ -23,8 +23,10 @@ usable CPU, or where the process cannot fork, nothing is forked, queued
 or shared: the join formats every block that would have been queued,
 in row order, and splices the same way.  The bytes do not depend on the
 number of CPUs.  Every helper process of the package, this formatter
-and the echo producer of :mod:`nvmag.experiments`, is forked by
-:func:`_fork` and reaped by :func:`_reap`, and at most one of each runs.
+and the echo producer of :mod:`nvmag.experiments`, is one
+:class:`_Helper`: forked, joined to the caller by one pipe, and ended
+by one rule, which kills it where the caller failed; at most one of
+each runs.
 
 A member's values are written as ``%.12g`` by :func:`_value_text`, a
 vectorized formatter that gives the bytes of ``b"%.12g" % v`` value by
@@ -93,30 +95,54 @@ def _spare_cpu() -> bool:
         and len(os.sched_getaffinity(0)) > 1
 
 
-def _fork(target, *args) -> int:
-    """Fork a child that runs ``target(*args)`` and exits 0, or 1 if it
-    raises; return its pid.  Fork rather than spawn: the child needs no
+class _Helper:
+    """A forked child joined to the caller by one pipe: the child runs
+    ``target(fd)`` on its end, the write end if ``writes`` and else the
+    read end, and exits 0, or 1 if ``target`` raises (0 if it raises
+    ``BrokenPipeError``: it wrote to a caller that is gone); the caller
+    holds the other end as :attr:`fd`.  Each side closes the end it does
+    not use, so the reader sees EOF, and the writer gets ``EPIPE``, once
+    the other side is gone.  Fork rather than spawn: the child needs no
     import and reads the caller's arrays without a copy, and it calls no
     BLAS routine, so it needs no lock that a thread of the caller
     (numpy's BLAS pool) could hold at the fork."""
-    pid = os.fork()
-    if pid == 0:  # the child: never returns into the caller
-        code = 1
+
+    def __init__(self, name: str, target, writes: bool):
+        self.name = name
+        read, write = os.pipe()
+        self.fd, child = (read, write) if writes else (write, read)
         try:
-            target(*args)
-            code = 0
-        finally:
-            # no atexit handlers, no flush of inherited buffers
-            os._exit(code)
-    return pid
+            self.pid = os.fork()
+        except BaseException:
+            os.close(read)
+            os.close(write)
+            raise
+        if self.pid == 0:  # the child: never returns into the caller
+            code = 1
+            try:
+                os.close(self.fd)
+                target(child)
+                code = 0
+            except BrokenPipeError:
+                code = 0
+            finally:
+                # no atexit handlers, no flush of inherited buffers
+                os._exit(code)
+        os.close(child)
 
-
-def _reap(name: str, pid: int, check: bool = True) -> None:
-    """Wait for the child ``pid``; ``RuntimeError`` naming it ``name`` if
-    it exited non-zero and ``check`` is set."""
-    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    if code and check:
-        raise RuntimeError(f"{name} {pid} exited {code}")
+    def reap(self, ok: bool = True) -> None:
+        """End the child: close this end and wait for it, ``RuntimeError``
+        if it exited non-zero; unless ``ok`` (the caller failed), kill it
+        first and check nothing.  A repeated reap does nothing."""
+        if self.pid is None:
+            return
+        pid, self.pid = self.pid, None
+        os.close(self.fd)
+        if not ok:
+            os.kill(pid, _signal.SIGKILL)
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        if code and ok:
+            raise RuntimeError(f"{self.name} {pid} exited {code}")
 
 
 def _blocks(n_rows: int) -> int:
@@ -201,14 +227,15 @@ class SeriesStream:
     On leaving the ``with`` block no formatter or part is left, whether
     the block returns or raises, and a killed run leaves no part either.
 
-    Where :func:`_spare_cpu` holds, one formatter is forked
-    (:func:`_fork`) when the stream is made; the values live in memory
-    shared with it until the caller drops them.  The queue is a pipe of
-    fixed-size items whose only read end the formatter holds.  It takes
-    items until the pipe is closed and empty, formatting each block's
-    template and rows into the part of each member; it alone writes the
-    parts.  A write to the queue waits while the pipe is full, and a
-    formatter that is gone makes it raise (``RuntimeError``).
+    Where :func:`_spare_cpu` holds, one formatter, a :class:`_Helper`,
+    is forked when the stream is made; the values live in memory shared
+    with it until the caller drops them.  The queue is the helper's pipe
+    of fixed-size items, whose only read end the formatter holds.  It
+    takes items until the pipe is closed and empty, formatting each
+    block's template and rows into the part of each member; it alone
+    writes the parts.  A write to the queue waits while the pipe is
+    full, and a formatter that is gone makes it raise (``RuntimeError``).
+    The join reaps the formatter; a caller that fails kills it.
 
     Without a formatter (one usable CPU, or no way to fork) the values
     are ordinary arrays, no pipe is opened and nothing is queued: the
@@ -233,9 +260,8 @@ class SeriesStream:
                         for name, (_, n_rows, _) in tables.items()}
         self._published = dict.fromkeys(tables, 0)  # blocks per table
         self._queued = [0] * len(self.groups)  # blocks queued per group
-        self.pid = None  # the formatter, until it is reaped
         self._joined = False
-        self._write = None  # the queue's write end, with a formatter
+        self._helper = None  # the formatter, until the join
         # the descriptors share their file offsets across the fork, so
         # the caller reads a part only once the formatter is reaped, since
         # _send's fallback seeks
@@ -243,16 +269,13 @@ class SeriesStream:
                        for name, path in self.paths.items()}
         if not fork:
             return
-        self._read, self._write = os.pipe()
         try:
-            self.pid = _fork(self.take)
+            # the formatter holds the only read end, so a write to the
+            # queue fails (EPIPE) once it is gone, instead of waiting
+            self._helper = _Helper("table worker", self.take, writes=False)
         except BaseException:
             self.discard()
             raise
-        finally:
-            # the formatter holds the only read end, so a write to the
-            # queue fails (EPIPE) once it is gone, instead of waiting
-            os.close(self._read)
 
     def __enter__(self):
         return self
@@ -281,23 +304,21 @@ class SeriesStream:
         """Queue blocks ``first:stop`` of group ``g`` for the formatter,
         waiting while the pipe is full; with none, queue nothing.
         ``RuntimeError`` if the formatter is gone."""
-        if self._write is None:
+        if self._helper is None:
             return
         items = b"".join(_ITEM.pack(g, b) for b in range(first, stop))
         step = _ITEM.size * _BATCH
         try:
             for i in range(0, len(items), step):
-                os.write(self._write, items[i:i + step])
+                os.write(self._helper.fd, items[i:i + step])
         except BrokenPipeError:
-            pid, self.pid = self.pid, None
-            _reap("table worker", pid)
+            self._helper.reap()
             raise
 
-    def take(self) -> None:
-        """The formatter: format the queued blocks into the parts until
-        the queue is closed and empty."""
-        os.close(self._write)
-        while item := os.read(self._read, _ITEM.size):
+    def take(self, queue: int) -> None:
+        """The formatter: format the blocks queued on the pipe's read end
+        ``queue`` into the parts until the queue is closed and empty."""
+        while item := os.read(queue, _ITEM.size):
             self._fill(*_ITEM.unpack(item))
         for part in self._parts.values():
             part.flush()
@@ -316,11 +337,9 @@ class SeriesStream:
         that would have been queued."""
         if self._joined:
             return
-        if self._write is not None:
-            os.close(self._write)
-            self._write = None
-            pid, self.pid = self.pid, None
-            _reap("table worker", pid)
+        if self._helper is not None:
+            helper, self._helper = self._helper, None
+            helper.reap()
         else:  # no formatter, so nothing was queued
             for g, queued in enumerate(self._queued):
                 for block in range(queued):
@@ -347,13 +366,8 @@ class SeriesStream:
         """Leave no formatter and no part: close the queue, kill and reap
         the formatter, which formats nothing more, and close the parts,
         which frees them.  Safe to repeat."""
-        if self._write is not None:
-            os.close(self._write)
-            self._write = None
-        if self.pid:
-            pid, self.pid = self.pid, None
-            os.kill(pid, _signal.SIGKILL)
-            _reap("table worker", pid, check=False)
+        if self._helper is not None:
+            self._helper.reap(ok=False)
         for part in self._parts.values():
             part.close()
 

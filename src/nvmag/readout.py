@@ -218,7 +218,8 @@ def signal_slope_per_population(cfg: ReadoutConfig, scheme: str) -> float:
 def signal_response_per_tesla(cfg: ReadoutConfig, phase_time: float,
                               gamma_e: float, decay_envelope: float,
                               scheme: str) -> float:
-    """Small-signal response ``|dS/dB|`` of a scheme at the working point.
+    """Small-signal response ``|dS/dB|`` of a scheme at the working point
+    of a final phase of ``±pi/2``, where the echo population is steepest.
 
     Combines the echo phase per tesla
     (:func:`nvmag.sequences.analytic_echo_phase` of 1 T), the population

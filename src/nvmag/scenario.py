@@ -228,10 +228,13 @@ class Scenario:
                                   "and finite with a finite reciprocal")
 
     def field_response(self, scheme: str) -> float:
-        """Analytic small-signal response ``|dS/dB|`` (1/T) of a scheme."""
+        """Analytic small-signal response ``|dS/dB|`` (1/T) of a scheme:
+        its response at a final phase of ``±pi/2`` times
+        ``|sin(final_phase)|``, so 0 at a final phase of 0."""
         return signal_response_per_tesla(
             self.readout, self.sequence.phase_time, self.hamiltonian.gamma_e,
-            self.decay.envelope(self.sequence.phase_time), scheme)
+            self.decay.envelope(self.sequence.phase_time), scheme) \
+            * abs(math.sin(self.sequence.final_phase))
 
     def channel_seed(self, channel: str) -> np.random.SeedSequence:
         return np.random.SeedSequence((self.master_seed,

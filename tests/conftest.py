@@ -14,7 +14,7 @@ SCENARIO_FILE = Path(__file__).resolve().parent.parent / "scenarios" / "baseline
 
 def count_forks(monkeypatch, fail=None):
     """The list that gains one entry per fork from here on (every helper
-    process is forked by ``nvmag.io._fork``); the ``fail``-th fork,
+    process is forked by ``nvmag.io._Helper``); the ``fail``-th fork,
     counting from 1, raises ``EAGAIN`` instead of forking."""
     forks = []
     real_fork = os.fork

@@ -71,6 +71,7 @@ class TestValidate:
         ("", "bin_width_s: 1.0e-6\n"),
         ("", "readout: {photon_rate_cps: 1.0e+12, laser_time_s: 1.2e-4}\n"),
         ("alternate_final_phase_rad: -1.0, ", ""),
+        ("final_phase_rad: 0.0, ", ""),
         ("", "ac_field: {amplitude_T: 0.0}\n"),
         ("", "noise: {mw_frequency: {flicker: [[1.0e+300, 1.0]]}}\n"),
         ("", "noise: {mw_amplitude: {white: 1.0e+6}}\n"),
@@ -84,6 +85,7 @@ class TestValidate:
             "string-reference-flag", "retired-substeps-key",
             "retired-bin-width-key", "unknown-top-level-key",
             "overfull-sequence", "retired-alternate-phase-key",
+            "final-phase-without-field-response",
             "retired-ac-field-section", "carrier-leaves-its-line",
             "drive-changes-sign", "fractional-count", "fractional-seed",
             "boolean-seed", "string-schemes", "retired-sigma1-key",
@@ -103,6 +105,8 @@ class TestValidate:
         err = capsys.readouterr().err
         if "missing.csv" in extra:
             assert "missing.csv" in err
+        if sequence.startswith("final_phase_rad"):
+            assert "field response 0 per tesla" in err
         for key in ("n_sequences", "master_seed", "schemes"):
             if extra.startswith(key):
                 assert f"{key} must be" in err

@@ -77,11 +77,13 @@ class TestAcSweep:
         assert abs(res.means["B"][0]) < 5 * sem
 
     def test_phase_pi_is_an_extremum(self):
+        # a final phase near 0, where the population is even in the echo
+        # phase; 0 itself gives no small-signal response and is refused
         s = make_scenario(n_sequences=512, schemes=["B"],
                           sequence={"phase_time_s": 50e-6,
                                     "sequence_time_s": 160e-6,
                                     "rabi_Hz": 5e6,
-                                    "final_phase_rad": 0.0,
+                                    "final_phase_rad": 0.01,
                                     "hyperfine_average": False})
         gamma = s.hamiltonian.gamma_e
         b_pi = np.pi / (4 * gamma * s.sequence.phase_time)
@@ -214,8 +216,7 @@ class TestNoiseBudget:
                 sigma1, eta = experiments.shot_noise_limit(s)
                 assert experiments.run_noise_budget(s).sigma1 == sigma1
                 # no noise channel, so the record reads as zeros
-                series, = experiments._scheme_series(
-                    s, [(0.0, 0)], experiments._balance_populations(s))
+                series, = experiments._scheme_series(s, [(0.0, 0)])
                 for scheme, sampled in series.items():
                     m = sampled.values.size
                     ratio = sampled.values.var(ddof=1) / sigma1[scheme] ** 2
@@ -408,8 +409,7 @@ class TestSchemeGroups:
         n = CHUNK_SIZE + 6
         s = make_scenario(n_sequences=n, schemes=["A", "B", "C", "D"],
                           noise=NOISY)
-        list(experiments._scheme_series(s, [(field, 0)],
-                                        experiments._balance_populations(s)))
+        list(experiments._scheme_series(s, [(field, 0)]))
         # per chunk, A/B's draw comes first, then C/D's
         single = np.concatenate(populations[0::2])
         paired = np.concatenate(populations[1::2])
@@ -641,7 +641,7 @@ class TestEchoProducer:
             if os.getpid() != caller:
                 raise MemoryError("injected")
             if i == 0:
-                self.exit_status(echo.pid)
+                self.exit_status(echo.helper.pid)
             return real_evaluate(echo, i)
 
         def entering(echo):
@@ -671,7 +671,7 @@ class TestEchoProducer:
 
         def failing(scenario, n, channels):
             if channels == experiments._LASER:
-                assert self.exit_status(echoes[-1].pid) == 1
+                assert self.exit_status(echoes[-1].helper.pid) == 1
                 raise ValueError("injected")
             return real(scenario, n, channels)
 
@@ -707,6 +707,42 @@ class TestEchoProducer:
         monkeypatch.setattr(experiments, "_noise_record", failing)
         with pytest.raises(ValueError, match="injected"):
             self.run(monkeypatch, "scaling", 2)
+        assert_no_child_left()
+
+    def test_failing_caller_kills_a_busy_producer(self, monkeypatch):
+        # the caller fails once the producer is in a 60 s first chunk:
+        # the run raises at once instead of waiting out the chunk, and
+        # leaves no producer and no descriptor behind
+        caller = os.getpid()
+        busy = _io._shared(1, np.int64)  # set by the producer in a chunk
+        real_evaluate, real_record = (experiments._Echo._evaluate,
+                                      experiments._noise_record)
+
+        def slow(echo, i):
+            if os.getpid() != caller:
+                busy[0] = 1
+                time.sleep(60.0)
+            return real_evaluate(echo, i)
+
+        failed = []
+
+        def failing(scenario, n, channels):
+            if channels == experiments._LASER:
+                deadline = time.monotonic() + 60.0
+                while not busy[0] and time.monotonic() < deadline:
+                    time.sleep(1e-3)
+                assert busy[0], "the producer did not start a chunk"
+                failed.append(time.monotonic())
+                raise ValueError("injected")
+            return real_record(scenario, n, channels)
+
+        monkeypatch.setattr(experiments._Echo, "_evaluate", slow)
+        monkeypatch.setattr(experiments, "_noise_record", failing)
+        before = open_fds()
+        with pytest.raises(ValueError, match="injected"):
+            self.run(monkeypatch, "sweep", 2)
+        assert time.monotonic() - failed[0] < 30.0
+        assert open_fds() == before
         assert_no_child_left()
 
     def test_killed_caller_leaves_a_producer_that_ends_on_epipe(

@@ -198,7 +198,7 @@ def test_write_table_failure_leaves_no_worker_or_part(failing, cpus,
     # formatter
     _use_cpus(monkeypatch, cpus)
     if failing == "worker":
-        def failing_take(queue):
+        def failing_take(stream, queue):
             raise OSError("injected")
 
         monkeypatch.setattr(_io.SeriesStream, "take", failing_take)
@@ -239,7 +239,7 @@ def test_write_table_while_the_queue_outgrows_the_pipe(
     _use_cpus(monkeypatch, 3)
     monkeypatch.setattr(_io, "_BLOCK_ROWS", 1)
     if worker_fails:
-        def failing_take(queue):
+        def failing_take(stream, queue):
             raise OSError("injected")
 
         monkeypatch.setattr(_io.SeriesStream, "take", failing_take)

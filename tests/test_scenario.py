@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from nvmag.noise import PsdModel, TabulatedPsd
-from nvmag.sequences import CoherenceDecay
+from nvmag.sequences import CoherenceDecay, echo_populations
 from conftest import SCENARIO_FILE
 from nvmag.scenario import (ConfigError, MAX_LASER_SAMPLES_PER_SEQUENCE,
                             load_scenario, scenario_from_mapping,
@@ -218,6 +218,33 @@ class TestValidation:
         m["noise"] = {"laser_intensity": {"white": float("nan")}}
         with pytest.raises(ConfigError, match="finite"):
             scenario_from_mapping(m)
+
+    @pytest.mark.parametrize("phase", [np.pi / 3, np.pi / 4, np.pi / 8,
+                                       -np.pi / 4])
+    def test_field_response_follows_the_final_phase(self, phase):
+        # the sampled echo's field slope (hyperfine-averaged, with the
+        # decay), by central differences, at the final phase against at
+        # pi/2: the ratio of the field responses, |sin(final_phase)|
+        def scenario(final_phase):
+            m = copy.deepcopy(MINIMAL)
+            m["sequence"]["final_phase_rad"] = final_phase
+            m["decay"] = {"t2_s": 100e-6}
+            return scenario_from_mapping(m)
+
+        def slope(s, step=1e-9):
+            q = s.sequence
+            up, down = (echo_populations(
+                q.phase_time, q.rabi, s.hamiltonian, 0.0, 0.0, field,
+                s.decay, final_phase=q.final_phase,
+                m_i_values=q.m_i_values())[0] for field in (step, -step))
+            return (up - down) / (2 * step)
+
+        at, top = scenario(phase), scenario(np.pi / 2)
+        sampled = slope(at) / slope(top)
+        assert abs(sampled) == pytest.approx(abs(np.sin(phase)), rel=1e-9)
+        for scheme in ("B", "D"):
+            assert at.field_response(scheme) / top.field_response(scheme) \
+                == pytest.approx(abs(sampled), rel=1e-9)
 
 
 class TestRoundTrip:

@@ -104,7 +104,7 @@ def test_series_values_survive_the_stream(tmp_path, monkeypatch):
 def test_failing_worker_raises(cpus, tmp_path, monkeypatch):
     _use_cpus(monkeypatch, cpus)
 
-    def failing_take(queue):  # only the formatter takes
+    def failing_take(stream, queue):  # only the formatter takes
         raise OSError("injected")
 
     monkeypatch.setattr(_io.SeriesStream, "take", failing_take)
