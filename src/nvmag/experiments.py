@@ -65,7 +65,6 @@ import os
 import select
 import struct
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -456,17 +455,18 @@ def run_scaling_experiment(scenario: Scenario, out_dir=None) -> ScalingResult:
     deviation averages down, with correlated microwave and laser noise
     sampled across sequences from the scenario's spectral models.
 
-    With ``out_dir``, the ``series_<scheme>.csv`` tables are formatted by
-    an :class:`nvmag.io.SeriesStream` (by one formatter while the series
-    and the estimators are computed here, where a second CPU is usable),
-    and written with the rest, each freeing its part once written.
+    With ``out_dir``, the series tables are formatted by an
+    :class:`nvmag.io.SeriesStream` whose parts lie in ``out_dir`` (by one
+    formatter while the series and the estimators are computed here,
+    where a second CPU is usable), and written with the rest, each
+    freeing its part once written; :func:`_scaling_tables` names them
+    ``series_<scheme>.csv``.
     """
     started = utc_now()
     n = scenario.n_sequences
     t_seq = scenario.sequence.sequence_time
     series_tables = contextlib.nullcontext() if out_dir is None else \
-        _io.SeriesStream({scheme: (
-            Path(out_dir) / f"series_{scheme}.csv",
+        _io.SeriesStream(out_dir, {scheme: (
             n // SCHEME_SEQUENCES[scheme], SCHEME_SEQUENCES[scheme] * t_seq)
             for scheme in scenario.schemes})
     with series_tables as stream:

@@ -10,23 +10,28 @@ the scaling run): a block of a group is formatted once into a bytes
 template, each row's ``index,time,`` text with NULs among it to one
 width for every row, which each member then fills with its own values,
 into the member's part: a nameless file, one per table, that holds the
-table's blocks in row order, so a killed run leaves none behind.  Where
-a helper has a CPU of its own (:func:`_spare_cpu`) the stream forks one
-formatter while the caller computes the values, and the formatter alone
-writes the parts.  A group's blocks go onto a queue once every member
-has published them, and the formatter takes blocks from it, formatting
-a block's template when it takes the block.  The caller only waits for
-it: when the queue is full, and at the join, which closes the queue and
-reaps the formatter once it has formatted every block.  Each table is
-then spliced from its part, which is closed and so freed.  With one
-usable CPU, or where the process cannot fork, nothing is forked, queued
-or shared: the join formats every block that would have been queued,
-in row order, and splices the same way.  The bytes do not depend on the
-number of CPUs.  Every helper process of the package, this formatter
-and the echo producer of :mod:`nvmag.experiments`, is one
-:class:`_Helper`: forked, joined to the caller by one pipe, and ended
-by one rule, which kills it where the caller failed; at most one of
-each runs.
+table's blocks in row order, so a killed run leaves none behind.  The
+stream has one rule for each of its jobs:
+
+- *queue*: once every member of a group has published a block, the
+  group is advanced, and each :meth:`SeriesStream.publish` that
+  advances it queues one item, the group and its count of blocks ready;
+- *format*: a block is formatted when it is queued.  Where a helper has
+  a CPU of its own (:func:`_spare_cpu`) the stream forks one formatter,
+  which takes the items while the caller computes the values and alone
+  writes the parts; otherwise the caller formats the block within the
+  publish, by the same method.  So the join only reaps the formatter;
+- *copy*: after the join each table is spliced, its header and then its
+  part copied into its file, and the part is closed and so freed;
+- *name*: a table's file name is given once, by the caller of
+  :func:`write_table`.
+
+The caller waits for the formatter only when the queue is full, and at
+the join.  The bytes do not depend on the number of CPUs.  Every helper
+process of the package, this formatter and the echo producer of
+:mod:`nvmag.experiments`, is one :class:`_Helper`: forked, joined to the
+caller by one pipe, and ended by one rule, which kills it where the
+caller failed; at most one of each runs.
 
 A member's values are written as ``%.12g`` by :func:`_value_text`, a
 vectorized formatter that gives the bytes of ``b"%.12g" % v`` value by
@@ -55,9 +60,12 @@ import functools
 import hashlib
 import mmap
 import os
+# tempfile imports shutil, and numpy imports tempfile and warnings
+# already, so importing them here costs nothing
+import shutil
 import struct
-# numpy imports tempfile already, so importing it here costs nothing
 import tempfile
+import warnings
 from pathlib import Path
 from typing import NamedTuple
 
@@ -80,11 +88,10 @@ _INT10 = np.array([10 ** k for k in range(19)], np.int64)
 _EXP_LO, _EXP_HI = -11, 33
 #: a minus sign in the first byte of a word of :func:`_value_text`
 _MINUS = np.frombuffer(b"-".ljust(8, b"\0"), np.uint64)[0]
-#: one queue item: a group's index and a block's index
+#: one queue item: a group's index and its count of blocks ready; 8
+#: bytes, within the least ``PIPE_BUF`` POSIX allows, so every write is
+#: whole and every read of one item gets one
 _ITEM = struct.Struct("=II")
-#: items per write to the queue: 512 bytes, the least ``PIPE_BUF`` POSIX
-#: allows, so every write is whole and every read of one item gets one
-_BATCH = 512 // _ITEM.size
 
 
 def _spare_cpu() -> bool:
@@ -102,10 +109,16 @@ class _Helper:
     ``BrokenPipeError``: it wrote to a caller that is gone); the caller
     holds the other end as :attr:`fd`.  Each side closes the end it does
     not use, so the reader sees EOF, and the writer gets ``EPIPE``, once
-    the other side is gone.  Fork rather than spawn: the child needs no
-    import and reads the caller's arrays without a copy, and it calls no
-    BLAS routine, so it needs no lock that a thread of the caller
-    (numpy's BLAS pool) could hold at the fork."""
+    the other side is gone.  The child also closes the caller's ends of
+    the helpers still running (:attr:`_ends`), so a helper's EOF or
+    ``EPIPE`` never waits for a helper forked after it.  Fork rather
+    than spawn: the child needs no import and reads the caller's arrays
+    without a copy, and it calls no BLAS routine, so it needs no lock
+    that a thread of the caller (numpy's BLAS pool) could hold at the
+    fork."""
+
+    #: the caller's ends of the pipes of the helpers not yet reaped
+    _ends = set()
 
     def __init__(self, name: str, target, writes: bool):
         self.name = name
@@ -120,7 +133,8 @@ class _Helper:
         if self.pid == 0:  # the child: never returns into the caller
             code = 1
             try:
-                os.close(self.fd)
+                for fd in {self.fd, *_Helper._ends}:
+                    os.close(fd)
                 target(child)
                 code = 0
             except BrokenPipeError:
@@ -129,6 +143,7 @@ class _Helper:
                 # no atexit handlers, no flush of inherited buffers
                 os._exit(code)
         os.close(child)
+        _Helper._ends.add(self.fd)
 
     def reap(self, ok: bool = True) -> None:
         """End the child: close this end and wait for it, ``RuntimeError``
@@ -137,6 +152,7 @@ class _Helper:
         if self.pid is None:
             return
         pid, self.pid = self.pid, None
+        _Helper._ends.discard(self.fd)
         os.close(self.fd)
         if not ok:
             os.kill(pid, _signal.SIGKILL)
@@ -155,24 +171,6 @@ def _shared(n: int, dtype=float) -> np.ndarray:
     dtype = np.dtype(dtype)
     return np.frombuffer(mmap.mmap(-1, max(n * dtype.itemsize, 1)), dtype,
                          count=n)
-
-
-def _send(out_fd: int, in_fd: int) -> None:
-    """Append the whole file ``in_fd`` at ``out_fd``'s position: copied by
-    the kernel where ``os.sendfile`` writes to a file (Linux), else read
-    and written, where it is missing (Windows) or writes only to sockets
-    (macOS, the BSDs)."""
-    offset, end = 0, os.fstat(in_fd).st_size
-    while offset < end:
-        try:
-            sent = os.sendfile(out_fd, in_fd, offset, end - offset)
-        except (AttributeError, OSError):
-            os.lseek(in_fd, offset, os.SEEK_SET)
-            sent = os.write(out_fd,
-                            os.read(in_fd, min(end - offset, 1 << 20)))
-        if sent == 0:
-            raise OSError("part file truncated while splicing")
-        offset += sent
 
 
 class _Group(NamedTuple):
@@ -215,58 +213,52 @@ class SeriesStream:
     """Series tables whose rows are formatted from group templates, while
     their values are computed where there is a formatter.
 
-    ``tables`` maps a name to ``(path, n_rows, spacing)``; row ``i`` of a
-    table reads ``i, i * spacing, values[i]``.  Tables of one ``n_rows``
-    and ``spacing`` form a group, formatted from one template per block
-    (see the module docstring).  The caller fills :meth:`values` of each
-    name and :meth:`publish`-es the rows that are final; a group's block
-    is queued once every member has published it.  :func:`write_table`,
-    given a table's :class:`SeriesColumns`, joins the stream and splices
-    that table from its part: a nameless file in the table's directory
-    that holds its blocks in row order, freed once the table is spliced.
-    On leaving the ``with`` block no formatter or part is left, whether
-    the block returns or raises, and a killed run leaves no part either.
+    ``tables`` maps a name to ``(n_rows, spacing)``; row ``i`` of a table
+    reads ``i, i * spacing, values[i]``.  Tables of one ``n_rows`` and
+    ``spacing`` form a group, formatted from one template per block (see
+    the module docstring).  The caller fills :meth:`values` of each name
+    and :meth:`publish`-es the rows that are final; a group's blocks are
+    queued, and so formatted, once every member has published them.
+    :func:`write_table`, given a table's :class:`SeriesColumns` and its
+    file name, joins the stream and splices that table from its part: a
+    nameless file in ``directory`` that holds its blocks in row order,
+    freed once the table is spliced.  On leaving the ``with`` block no
+    formatter or part is left, whether the block returns or raises, and
+    a killed run leaves no part either.
 
     Where :func:`_spare_cpu` holds, one formatter, a :class:`_Helper`,
     is forked when the stream is made; the values live in memory shared
-    with it until the caller drops them.  The queue is the helper's pipe
-    of fixed-size items, whose only read end the formatter holds.  It
-    takes items until the pipe is closed and empty, formatting each
-    block's template and rows into the part of each member; it alone
-    writes the parts.  A write to the queue waits while the pipe is
-    full, and a formatter that is gone makes it raise (``RuntimeError``).
-    The join reaps the formatter; a caller that fails kills it.
-
-    Without a formatter (one usable CPU, or no way to fork) the values
-    are ordinary arrays, no pipe is opened and nothing is queued: the
-    join formats every block that would have been queued into the parts.
+    with it until the caller drops them.  The queue is the helper's pipe,
+    whose only read end the formatter holds.  A write to it waits while
+    the pipe is full, and a formatter that is gone makes it raise
+    (``RuntimeError``).  The join reaps the formatter; a caller that
+    fails kills it.  Without a formatter (one usable CPU, or no way to
+    fork) the values are ordinary arrays, no pipe is opened, and the
+    caller formats each block as it queues it.
     """
 
-    def __init__(self, tables: dict):
+    def __init__(self, directory, tables: dict):
         groups = {}
-        for name, (_, n_rows, spacing) in tables.items():
+        for name, (n_rows, spacing) in tables.items():
             groups.setdefault((n_rows, spacing), _Group(
                 [], n_rows, spacing)).names.append(name)
         self.groups = list(groups.values())
         self._group_of = {name: g for g, group in enumerate(self.groups)
                           for name in group.names}
-        self.paths = {name: Path(path)
-                      for name, (path, _, _) in tables.items()}
-        for path in self.paths.values():
-            path.parent.mkdir(parents=True, exist_ok=True)
         fork = _spare_cpu()
         new = _shared if fork else np.zeros
         self._values = {name: new(n_rows)
-                        for name, (_, n_rows, _) in tables.items()}
+                        for name, (n_rows, _) in tables.items()}
         self._published = dict.fromkeys(tables, 0)  # blocks per table
         self._queued = [0] * len(self.groups)  # blocks queued per group
-        self._joined = False
-        self._helper = None  # the formatter, until the join
+        # blocks formatted per group, by the process that formats them
+        self._formatted = [0] * len(self.groups)
+        self._helper = None  # the formatter
+        Path(directory).mkdir(parents=True, exist_ok=True)
         # the descriptors share their file offsets across the fork, so
-        # the caller reads a part only once the formatter is reaped, since
-        # _send's fallback seeks
-        self._parts = {name: tempfile.TemporaryFile(dir=path.parent)
-                       for name, path in self.paths.items()}
+        # the caller reads a part only once the formatter is reaped
+        self._parts = {name: tempfile.TemporaryFile(dir=directory)
+                       for name in tables}
         if not fork:
             return
         try:
@@ -291,26 +283,23 @@ class SeriesStream:
         """Rows ``:stop`` of table ``name`` are final: its whole blocks
         among them, and its last block once ``stop`` reaches the end of
         the table, are published.  Queue the blocks of its group that
-        every member has published."""
+        every member has published, if there are more than before: one
+        item to the formatter, waiting while the pipe is full
+        (``RuntimeError`` if the formatter is gone), or, with none,
+        format them here."""
         g = self._group_of[name]
         group = self.groups[g]
         self._published[name] = _blocks(group.n_rows) \
             if stop >= group.n_rows else stop // _BLOCK_ROWS
         ready = min(self._published[member] for member in group.names)
-        self.put(g, self._queued[g], ready)
-        self._queued[g] = ready
-
-    def put(self, g: int, first: int, stop: int) -> None:
-        """Queue blocks ``first:stop`` of group ``g`` for the formatter,
-        waiting while the pipe is full; with none, queue nothing.
-        ``RuntimeError`` if the formatter is gone."""
-        if self._helper is None:
+        if ready <= self._queued[g]:
             return
-        items = b"".join(_ITEM.pack(g, b) for b in range(first, stop))
-        step = _ITEM.size * _BATCH
+        self._queued[g] = ready
+        if self._helper is None:
+            self._format(g, ready)
+            return
         try:
-            for i in range(0, len(items), step):
-                os.write(self._helper.fd, items[i:i + step])
+            os.write(self._helper.fd, _ITEM.pack(g, ready))
         except BrokenPipeError:
             self._helper.reap()
             raise
@@ -319,47 +308,41 @@ class SeriesStream:
         """The formatter: format the blocks queued on the pipe's read end
         ``queue`` into the parts until the queue is closed and empty."""
         while item := os.read(queue, _ITEM.size):
-            self._fill(*_ITEM.unpack(item))
+            self._format(*_ITEM.unpack(item))
         for part in self._parts.values():
             part.flush()
 
-    def _fill(self, g: int, block: int) -> None:
-        """Format ``block`` of every member of group ``g`` into the
-        member's part."""
-        lo, hi, template = self.groups[g].template(block)
-        for name in self.groups[g].names:
-            self._parts[name].write(
-                _rows(template, self._values[name][lo:hi]))
+    def _format(self, g: int, ready: int) -> None:
+        """Format the blocks of group ``g`` from those formatted so far
+        up to ``ready`` into the part of every member."""
+        group = self.groups[g]
+        for block in range(self._formatted[g], ready):
+            lo, hi, template = group.template(block)
+            for name in group.names:
+                self._parts[name].write(
+                    _rows(template, self._values[name][lo:hi]))
+        self._formatted[g] = ready
 
     def join(self) -> None:
-        """With a formatter, close the queue and reap the formatter:
-        ``RuntimeError`` if it failed; without one, format every block
-        that would have been queued."""
-        if self._joined:
-            return
+        """Close the queue and reap the formatter, if there is one:
+        ``RuntimeError`` if it failed.  Every queued block is then in its
+        part.  A repeated join does nothing."""
         if self._helper is not None:
-            helper, self._helper = self._helper, None
-            helper.reap()
-        else:  # no formatter, so nothing was queued
-            for g, queued in enumerate(self._queued):
-                for block in range(queued):
-                    self._fill(g, block)
-            for part in self._parts.values():
-                part.flush()
-        self._joined = True
+            self._helper.reap()
 
-    def splice(self, name, head: bytes) -> None:
-        """Write table ``name``, ``head`` and then its part, and close the
-        part, which frees it; after :meth:`join`."""
-        path, part = self.paths[name], self._parts[name]
+    def splice(self, name, path, head: bytes) -> None:
+        """Write table ``name`` to ``path``, ``head`` and then a copy of
+        its part, and close the part, which frees it; after :meth:`join`.
+        The seek to the part's start flushes what the caller wrote to it,
+        and the formatter flushed its writes before it exited."""
+        part = self._parts[name]
         g = self._group_of[name]
         if self._queued[g] < _blocks(self.groups[g].n_rows):
             raise RuntimeError(f"{path}: rows were never queued")
         with open(path, "wb") as fh:
             fh.write(head)
-            # not reopened for append: sendfile refuses an O_APPEND target
-            fh.flush()
-            _send(fh.fileno(), part.fileno())
+            part.seek(0)
+            shutil.copyfileobj(part, fh, 1 << 20)
         part.close()
 
     def discard(self) -> None:
@@ -570,25 +553,24 @@ def write_table(path, header: list[str], columns) -> Path:
     as bytes a block of rows per call instead of one row per call.
 
     A series table travels as its values: given a :class:`SeriesColumns`,
-    ``path`` and the three entries of ``header`` must be those of its
-    table, whose rows come from the stream's group templates.  This
-    process joins the stream, which reaps its formatter once it has
-    formatted every queued block (where the stream has no formatter,
-    the join formats every block itself), and splices the table from
-    its one nameless part, which is then freed.  Any other table is
-    formatted here, and nothing is forked.  The bytes do not depend on
-    the number of CPUs.
+    ``header`` must have three entries, and the table is written to
+    ``path`` from the rows its stream formatted from the group templates.
+    This process joins the stream, which reaps its formatter (every block
+    was formatted when it was queued, by the formatter or, where the
+    stream has none, by the caller), and splices the table: ``head`` and
+    then a copy of its one nameless part, which is then freed.  Any other
+    table is formatted here, and nothing is forked.  The bytes do not
+    depend on the number of CPUs.
     """
     path = Path(path)
     # latin1: one byte per character
     head = (",".join(header) + "\n").encode("latin1")
     if isinstance(columns, SeriesColumns):
-        stream, name = columns.stream, columns.name
-        if path != stream.paths[name] or len(header) != 3:
-            raise ValueError(f"{path}: not the path and three-column header "
-                             f"of series table {name!r}")
-        stream.join()
-        stream.splice(name, head)
+        if len(header) != 3:
+            raise ValueError(f"{path}: not the three-column header of "
+                             f"series table {columns.name!r}")
+        columns.stream.join()
+        columns.stream.splice(columns.name, path, head)
         return path
     cols = [np.atleast_1d(np.asarray(c)) for c in columns]
     if len(cols) != len(header):
@@ -611,21 +593,29 @@ def write_table(path, header: list[str], columns) -> Path:
 
 def read_psd_table(path):
     """Two-column (frequency_Hz, density) spectrum file, comma or
-    whitespace delimited; '#' comments and one header row are allowed."""
+    whitespace delimited; '#' comments and one header row are allowed.
+    ``ValueError`` naming the file unless it holds two rows or more of
+    finite values, frequencies increasing and densities non-negative."""
     path = Path(path)
     data = None
-    for delimiter in (",", None):
-        for skip in (0, 1):
-            try:
-                data = np.loadtxt(path, delimiter=delimiter, skiprows=skip,
-                                  ndmin=2)
+    with warnings.catch_warnings():
+        # numpy warns of a file without rows, which is refused below
+        warnings.simplefilter("ignore")
+        for delimiter in (",", None):
+            for skip in (0, 1):
+                try:
+                    data = np.loadtxt(path, delimiter=delimiter,
+                                      skiprows=skip, ndmin=2)
+                    break
+                except ValueError:
+                    continue
+            if data is not None:
                 break
-            except ValueError:
-                continue
-        if data is not None:
-            break
-    if data is None or data.ndim != 2 or data.shape[1] != 2:
-        raise ValueError(f"{path}: expected two columns (frequency, density)")
+    if data is None or data.shape[1] != 2 or len(data) < 2:
+        raise ValueError(f"{path}: expected two columns (frequency, "
+                         "density) and two rows or more")
+    if not np.isfinite(data).all():
+        raise ValueError(f"{path}: entries must be finite")
     freqs, density = data[:, 0], data[:, 1]
     if np.any(np.diff(freqs) <= 0):
         raise ValueError(f"{path}: frequencies must increase")

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -411,6 +412,28 @@ class TestTabulatedSpectrum:
         hashes = [scenario_hash(load_scenario(self.write(tmp_path, bump)))
                   for bump in (1.0, 1.0, 1.5)]
         assert hashes[0] == hashes[1] != hashes[2]
+
+    # an empty or header-only file made numpy warn on stderr before the
+    # error, and one row or a non-finite entry was refused without the
+    # file's name
+    @pytest.mark.parametrize("table", [
+        "", "f_Hz,density\n", "f_Hz,density\n1.0,1.0e-12\n",
+        "1.0,1.0e-12\n2.0,nan\n", "1.0,1.0e-12\n2.0,inf\n",
+    ], ids=["empty", "header-only", "one-row", "nan", "infinite"])
+    def test_bad_file_is_refused_in_one_line(self, tmp_path, capsys, table):
+        psd = tmp_path / "psd.csv"
+        psd.write_text(table)
+        path = tmp_path / "bad.yaml"
+        path.write_text("name: bad\nsequence: {phase_time_s: 5.0e-5, "
+                        "sequence_time_s: 1.6e-4}\nn_sequences: 64\n"
+                        "readout: {photon_rate_cps: 1.0e+12}\n"
+                        "noise: {laser_intensity: {file: psd.csv}}\n")
+        with warnings.catch_warnings():
+            # a warning would be printed to stderr outside pytest
+            warnings.simplefilter("error")
+            assert main(["validate", "--config", str(path)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and str(psd) in err[0], err
 
 
 def _entries(node, path=()):

@@ -90,10 +90,10 @@ def _stream_series(directory, series, publish=None):
     ``publish(stream)`` (all at once by default); returns ``{name:
     (bytes, columns)}``, the columns with the index and time a serial
     write needs."""
-    tables = {name: (directory / f"{name}.csv", len(v), spacing)
-              for name, (v, spacing) in series.items()}
     out = {}
-    with _io.SeriesStream(tables) as stream:
+    with _io.SeriesStream(directory, {
+            name: (len(v), spacing)
+            for name, (v, spacing) in series.items()}) as stream:
         for name, (v, _) in series.items():
             stream.values(name)[:] = v
         if publish is None:
@@ -101,36 +101,33 @@ def _stream_series(directory, series, publish=None):
                 stream.publish(name, len(v))
         else:
             publish(stream)
-        for name, (path, n_rows, spacing) in tables.items():
+        for name, (v, spacing) in series.items():
+            path = directory / f"{name}.csv"
             _io.write_table(path, SERIES_HEADER,
                             _io.SeriesColumns(stream, name))
             out[name] = path.read_bytes(), [
-                np.arange(n_rows), np.arange(n_rows) * spacing,
+                np.arange(len(v)), np.arange(len(v)) * spacing,
                 stream.values(name)]
     return out
 
 
-@pytest.mark.parametrize("wrong", ["path", "header"])
+@pytest.mark.parametrize("header", [SERIES_HEADER[1:],
+                                    SERIES_HEADER + ["value_T"]],
+                         ids=["header", "four-entry-header"])
 @pytest.mark.parametrize("cpus", [1, 2])
-def test_series_columns_reject_another_table(wrong, cpus, tmp_path,
+def test_series_columns_reject_another_table(header, cpus, tmp_path,
                                              monkeypatch):
-    # a series table's values go only to its own path, under a
-    # three-entry header
+    # a series table's values go only under a three-entry header
     _use_cpus(monkeypatch, cpus)
     n_rows = 3 * 4096 + 1
-    tables = {name: (tmp_path / f"{name}.csv", n_rows, 1.6e-4)
-              for name in "ab"}
-    with _io.SeriesStream(tables) as stream:
-        for name in tables:
+    with _io.SeriesStream(tmp_path, dict.fromkeys(
+            "ab", (n_rows, 1.6e-4))) as stream:
+        for name in "ab":
             stream.values(name)[:] = 1.0
             stream.publish(name, n_rows)
-        path, header = tables["a"][0], SERIES_HEADER
-        if wrong == "path":
-            path = tables["b"][0]
-        else:
-            header = SERIES_HEADER[1:]
         with pytest.raises(ValueError, match="series table 'a'"):
-            _io.write_table(path, header, _io.SeriesColumns(stream, "a"))
+            _io.write_table(tmp_path / "a.csv", header,
+                            _io.SeriesColumns(stream, "a"))
     assert not list(tmp_path.glob("*.csv"))
     _assert_nothing_left(tmp_path)
 
@@ -155,27 +152,18 @@ def test_write_table_bytes_do_not_depend_on_cpus(n_rows, cpus, tmp_path,
     _assert_nothing_left(tmp_path)
 
 
-@pytest.mark.parametrize("sendfile", ["missing", "sockets-only"])
 @pytest.mark.parametrize("cpus", [1, 2])
-def test_series_tables_without_sendfile_to_a_file(sendfile, cpus, tmp_path,
-                                                  monkeypatch):
-    # Windows has no os.sendfile and macOS's writes only to sockets; both
-    # lack os.sched_getaffinity, so the stream has no formatter there.
-    # The splice then reads and writes the parts, to the bytes of a serial
-    # write_table, with or without a formatter
+def test_series_tables_past_one_copy_buffer(cpus, tmp_path, monkeypatch):
+    # the splice copies each part 1 MiB at a time, to the bytes of a
+    # serial write_table, with or without a formatter; one CPU stands for
+    # a platform without os.sched_getaffinity (Windows, macOS), where the
+    # stream has no formatter
     if cpus == 1:
         monkeypatch.delattr(_io.os, "sched_getaffinity", raising=False)
     else:
         _use_cpus(monkeypatch, cpus)
-    if sendfile == "missing":
-        monkeypatch.delattr(_io.os, "sendfile", raising=False)
-    else:
-        def sockets_only(*args):
-            raise OSError(errno.ENOTSOCK, os.strerror(errno.ENOTSOCK))
-
-        monkeypatch.setattr(_io.os, "sendfile", sockets_only)
     forks = count_forks(monkeypatch)
-    # past one 1 MiB read per table, with a short last block
+    # past one 1 MiB copy per table, with a short last block
     n = 8 * _io._BLOCK_ROWS + 1234
     rng = np.random.default_rng(n)
     series = {name: (rng.standard_normal(n), spacing)
@@ -194,7 +182,7 @@ def test_series_tables_without_sendfile_to_a_file(sendfile, cpus, tmp_path,
 def test_write_table_failure_leaves_no_worker_or_part(failing, cpus,
                                                       tmp_path, monkeypatch):
     # a series stream's formatter fails as soon as it is forked, or the
-    # parent as it splices the first table, once it has reaped the
+    # parent as it copies the first table's part, once it has reaped the
     # formatter
     _use_cpus(monkeypatch, cpus)
     if failing == "worker":
@@ -203,10 +191,10 @@ def test_write_table_failure_leaves_no_worker_or_part(failing, cpus,
 
         monkeypatch.setattr(_io.SeriesStream, "take", failing_take)
     else:
-        def failing_send(out_fd, in_fd):
+        def failing_copy(source, target, length):
             raise OSError("injected")
 
-        monkeypatch.setattr(_io, "_send", failing_send)
+        monkeypatch.setattr(_io.shutil, "copyfileobj", failing_copy)
     n_rows = 3 * 4096 + 1
     expected = RuntimeError if failing == "worker" else OSError
     with pytest.raises(expected):
@@ -229,13 +217,29 @@ def test_failed_fork_leaves_no_worker_or_part(tmp_path, monkeypatch):
     assert open_fds() == before
 
 
+def test_a_helper_sees_eof_while_a_later_helper_runs():
+    # helper A reads its pipe until EOF; helper B, forked after it, sleeps.
+    # B holds no end of A's pipe, so A ends as soon as the caller closes
+    # its end, not once B has ended
+    a = _io._Helper("reader", lambda fd: os.read(fd, 1), writes=False)
+    b = _io._Helper("sleeper", lambda fd: time.sleep(2), writes=False)
+    try:
+        started = time.monotonic()
+        a.reap()
+        assert time.monotonic() - started < 1
+    finally:
+        a.reap(ok=False)
+        b.reap(ok=False)
+    assert_no_child_left()
+
+
 @pytest.mark.parametrize("worker_fails", [False, True])
 def test_write_table_while_the_queue_outgrows_the_pipe(
         worker_fails, tmp_path, monkeypatch):
-    # one row per block: 20000 queue items, more than a pipe holds (8192
-    # at Linux's default 64 KiB), so the series stream waits for its
-    # formatter while it queues; a formatter that fails makes it raise,
-    # naming the formatter, instead of waiting
+    # one row per block, published block by block: 20000 queue items,
+    # more than a pipe holds (8192 at Linux's default 64 KiB), so the
+    # series stream waits for its formatter while it queues; a formatter
+    # that fails makes it raise, naming the formatter, instead of waiting
     _use_cpus(monkeypatch, 3)
     monkeypatch.setattr(_io, "_BLOCK_ROWS", 1)
     if worker_fails:
@@ -243,12 +247,18 @@ def test_write_table_while_the_queue_outgrows_the_pipe(
             raise OSError("injected")
 
         monkeypatch.setattr(_io.SeriesStream, "take", failing_take)
-    series = {"x": (np.linspace(0.0, 1.0, 20000), 1 / 3)}
+    n = 20000
+    series = {"x": (np.linspace(0.0, 1.0, n), 1 / 3)}
+
+    def by_block(stream):
+        for stop in range(1, n + 1):
+            stream.publish("x", stop)
+
     if worker_fails:
         with pytest.raises(RuntimeError, match="table worker .* exited 1"):
-            _stream_series(tmp_path, series)
+            _stream_series(tmp_path, series, by_block)
     else:
-        got, cols = _stream_series(tmp_path, series)["x"]
+        got, cols = _stream_series(tmp_path, series, by_block)["x"]
         np.savetxt(tmp_path / "ref.csv", np.column_stack(cols),
                    delimiter=",", header=",".join(SERIES_HEADER),
                    comments="", fmt="%.12g")
@@ -264,14 +274,14 @@ def test_discard_stops_the_formatter(tmp_path, monkeypatch):
     monkeypatch.setattr(_io, "_BLOCK_ROWS", 1)
     n = 20000
     formatted = _io._shared(1, np.int64)  # blocks, counted by the formatter
-    real_fill = _io.SeriesStream._fill
+    real_template = _io._Group.template
 
-    def slow_fill(stream, g, block):
+    def slow_template(group, block):
         time.sleep(1e-4)
-        real_fill(stream, g, block)
         formatted[0] += 1
+        return real_template(group, block)
 
-    monkeypatch.setattr(_io.SeriesStream, "_fill", slow_fill)
+    monkeypatch.setattr(_io._Group, "template", slow_template)
     before = open_fds()
 
     def failing(stream):
@@ -283,9 +293,9 @@ def test_discard_stops_the_formatter(tmp_path, monkeypatch):
     assert_no_child_left()
     assert open_fds() == before
     assert not list(tmp_path.iterdir())
-    # the caller queued the last items once the formatter had taken all
-    # but a pipe's worth
-    assert formatted[0] < n - 4096, formatted[0]
+    # the one queue item asked for every block; the formatter was killed
+    # with most of them still to format
+    assert formatted[0] < n // 2, formatted[0]
 
 
 #: blocks of a group: the first few hundred, the blocks that hold the

@@ -1,11 +1,11 @@
 """The scaling run's series tables, formatted by a
 :class:`nvmag.io.SeriesStream` from one template per block of each group
 of tables that share a length and a spacing, by one forked formatter
-while the run computes them or, on one CPU, by the caller when it writes
-them: the same bytes as a serial ``write_table`` of the finished run, on
-any number of CPUs.  Each table's blocks go into its one part, a
-nameless file freed once the table is written, so no formatter or part
-is left when the run fails or is killed."""
+while the run computes them or, on one CPU, by the caller as it
+publishes them: the same bytes as a serial ``write_table`` of the
+finished run, on any number of CPUs.  Each table's blocks go into its
+one part, a nameless file freed once the table is written, so no
+formatter or part is left when the run fails or is killed."""
 
 import os
 import signal
@@ -145,7 +145,7 @@ def test_killed_run_leaves_nothing(cpus, tmp_path, monkeypatch):
     # directory holds nothing
     _use_cpus(monkeypatch, cpus)
 
-    def killed(stream, name, head):
+    def killed(stream, name, path, head):
         os.kill(os.getpid(), signal.SIGKILL)
 
     monkeypatch.setattr(_io.SeriesStream, "splice", killed)
@@ -190,8 +190,8 @@ def test_each_table_is_freed_once_written(cpus, tmp_path, monkeypatch):
     held = []  # bytes in the parts and the series tables, per splice
     real_splice = _io.SeriesStream.splice
 
-    def splice(stream, name, head):
-        real_splice(stream, name, head)
+    def splice(stream, name, path, head):
+        real_splice(stream, name, path, head)
         held.append(parts() + sum(
             p.stat().st_size for p in tmp_path.glob("series_*.csv")))
 
@@ -248,8 +248,8 @@ GROUPINGS = [["A", "B", "C", "D"], ["A", "C"]]
 def test_group_templates_equal_a_serial_write(cpus, n, schemes, tmp_path,
                                               monkeypatch):
     # the baseline scenario's spacings; on one CPU the stream forks
-    # nothing and opens no pipe, and its join formats every block from
-    # the group templates
+    # nothing and opens no pipe, and the caller formats every block from
+    # the group templates as it publishes it
     _use_cpus(monkeypatch, cpus)
     forks = count_forks(monkeypatch)
     if cpus == 1:
@@ -283,31 +283,20 @@ def test_unpublished_rows_are_refused(cpus, tmp_path, monkeypatch):
 @pytest.mark.parametrize("cpus", [1, 2, 3])
 def test_group_waits_for_its_slowest_member(cpus, tmp_path, monkeypatch):
     # A is published to the end before B publishes a row: no block of
-    # the A/B group is handed to the queue until B has published it too
-    # (on one CPU the queue takes nothing, and the join formats them)
+    # the A/B group is queued, to the formatter or, on one CPU, to the
+    # caller's own formatting, until B has published it too
     _use_cpus(monkeypatch, cpus)
     forks = count_forks(monkeypatch)
-    queued = []  # blocks queued per put, in order
-    real_put = _io.SeriesStream.put
-
-    def put(queue, g, first, stop):
-        if stop > first:
-            queued.append((g, first, stop))
-        real_put(queue, g, first, stop)
-
-    monkeypatch.setattr(_io.SeriesStream, "put", put)
     n = 5 * CHUNK_SIZE - 2
 
     def publish(stream):
         for stop in _chunks(n):
             stream.publish("A", stop)
-        assert not queued
+        assert stream._queued == [0]
         for stop in _chunks(n):
             stream.publish("B", stop)
-            assert queued[-1][2] == (_io._blocks(n) if stop == n
-                                     else stop // _io._BLOCK_ROWS)
-        assert sum(stop - first for _, first, stop in queued) == \
-            _io._blocks(n)
+            assert stream._queued == [_io._blocks(n) if stop == n
+                                      else stop // _io._BLOCK_ROWS]
 
     got = _stream_series(tmp_path / "stream", _scheme_series("AB", n),
                          publish)
@@ -316,3 +305,28 @@ def test_group_waits_for_its_slowest_member(cpus, tmp_path, monkeypatch):
     want = _serial_bytes(tmp_path, {s: cols for s, (_, cols) in got.items()})
     for s in "AB":
         assert got[s][0] == want[s], s
+
+
+def test_one_cpu_formats_a_block_as_it_is_published(tmp_path, monkeypatch):
+    # with no formatter, the publish that queues a block formats it into
+    # its part, so the join and the splice format nothing
+    _use_cpus(monkeypatch, 1)
+    n = 2 * _io._BLOCK_ROWS + 5
+    values, spacing = _scheme_series("A", n)["A"]
+    sizes = []  # the part's size after each publish
+    with _io.SeriesStream(tmp_path, {"A": (n, spacing)}) as stream:
+        stream.values("A")[:] = values
+        for stop in (_io._BLOCK_ROWS, n):
+            stream.publish("A", stop)
+            sizes.append(stream._parts["A"].tell())
+
+        def format_again(stream, g, ready):
+            raise AssertionError("a block was formatted after its publish")
+
+        monkeypatch.setattr(_io.SeriesStream, "_format", format_again)
+        path = _io.write_table(tmp_path / "series_A.csv", SERIES_HEADER,
+                               _io.SeriesColumns(stream, "A"))
+    rows = path.read_bytes().splitlines(keepends=True)[1:]
+    assert sizes == [sum(map(len, rows[:_io._BLOCK_ROWS])),
+                     sum(map(len, rows))]
+    _assert_nothing_left(tmp_path)
