@@ -4,8 +4,8 @@ Library layout:
 
 * :mod:`nvmag.spin` -- the two-level echo propagator
 * :mod:`nvmag.sequences` -- the spin echo, AC response, pulse errors
-* :mod:`nvmag.noise` -- parametric PSDs, correlated-trace synthesis,
-  downward cumulative noise
+* :mod:`nvmag.noise` -- parametric and tabulated PSDs and the spectrum
+  file reader, correlated-trace synthesis, downward cumulative noise
 * :mod:`nvmag.filters` -- closed-form filter functions of the readout
   schemes
 * :mod:`nvmag.readout` -- window-level photon readout and scheme signals
@@ -28,7 +28,7 @@ from .filters import (check_windows, filter_transmission,
 from .readout import ReadoutConfig, ReadoutSeries, sequence_signals
 from .analysis import (ScalingCurve, allan_deviation, std_vs_time,
                        projection_limit_eq2, projection_limit_simplified,
-                       optimal_phase_time, fit_log_slope)
+                       optimal_phase_time)
 from .scenario import (Scenario, SequenceSettings, ConfigError, write_run,
                        load_scenario, scenario_from_mapping, scenario_hash)
 from .experiments import (run_ac_sweep, run_scaling_experiment,

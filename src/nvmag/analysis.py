@@ -152,20 +152,3 @@ def optimal_phase_time(t2: float, decay_exponent: float = 1.0) -> float:
         raise ValueError("decay exponent must be positive")
     return t2 * (2.0 * decay_exponent) ** (-1.0 / decay_exponent)
 
-
-def fit_log_slope(curve: ScalingCurve, t_min: float, t_max: float):
-    """Least-squares power-law fit in log-log coordinates.
-
-    Returns ``(slope, intercept)`` over curve points with
-    ``t_min <= t <= t_max``; needs at least three strictly positive
-    values in range.
-    """
-    mask = (curve.times >= t_min) & (curve.times <= t_max)
-    t = curve.times[mask]
-    v = curve.values[mask]
-    if t.size < 3:
-        raise ValueError("need at least 3 points in the fit range")
-    if np.any(v <= 0):
-        raise ValueError("fit range contains non-positive values")
-    slope, intercept = np.polyfit(np.log10(t), np.log10(v), 1)
-    return float(slope), float(intercept)

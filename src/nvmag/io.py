@@ -1,4 +1,4 @@
-"""Delimited-table output and spectrum ingestion.
+"""Delimited-table output: the tables of a run and their digests.
 
 Formatting numbers as text is most of the cost of writing a large
 table.  :func:`write_table` formats a table as bytes, a block of
@@ -60,12 +60,11 @@ import functools
 import hashlib
 import mmap
 import os
-# tempfile imports shutil, and numpy imports tempfile and warnings
-# already, so importing them here costs nothing
+# tempfile imports shutil, and numpy imports tempfile already, so
+# importing them here costs nothing
 import shutil
 import struct
 import tempfile
-import warnings
 from pathlib import Path
 from typing import NamedTuple
 
@@ -109,15 +108,19 @@ class _Helper:
     ``BrokenPipeError``: it wrote to a caller that is gone); the caller
     holds the other end as :attr:`fd`.  Each side closes the end it does
     not use, so the reader sees EOF, and the writer gets ``EPIPE``, once
-    the other side is gone.  The child also closes the caller's ends of
-    the helpers still running (:attr:`_ends`), so a helper's EOF or
-    ``EPIPE`` never waits for a helper forked after it.  Fork rather
-    than spawn: the child needs no import and reads the caller's arrays
+    the other side is gone.  The child also closes the descriptors of
+    :attr:`_ends`: the caller's ends of the helpers still running, so a
+    helper's EOF or ``EPIPE`` never waits for a helper forked after it,
+    and the open parts of a :class:`SeriesStream` whose formatter runs,
+    so only the caller and that formatter hold a part.  Fork rather than
+    spawn: the child needs no import and reads the caller's arrays
     without a copy, and it calls no BLAS routine, so it needs no lock
     that a thread of the caller (numpy's BLAS pool) could hold at the
     fork."""
 
-    #: the caller's ends of the pipes of the helpers not yet reaped
+    #: the descriptors a new child closes: the caller's ends of the pipes
+    #: of the helpers not yet reaped, and the open parts of the streams
+    #: whose formatter is forked
     _ends = set()
 
     def __init__(self, name: str, target, writes: bool):
@@ -185,9 +188,10 @@ class _Group(NamedTuple):
         ``%d,%.12g,`` text of its index and time, with NULs among it to
         one width for every row, which :func:`_rows` completes with a
         member's values.  The block takes the words of
-        :func:`_head_words` whole, less the byte columns that are NUL in
-        every row; where they refuse it, ``%`` formats the whole block,
-        ``%20d,%19.12g,`` a row, with its padding spaces as NULs."""
+        :func:`_head_words` whole; where they refuse it, ``%`` formats
+        the whole block, ``%20d,%19.12g,`` and three NULs a row, with its
+        padding spaces as NULs.  Either way the byte columns that are NUL
+        in every row are dropped."""
         lo = block * _BLOCK_ROWS
         hi = min(lo + _BLOCK_ROWS, self.n_rows)
         index = np.arange(lo, hi)
@@ -197,8 +201,9 @@ class _Group(NamedTuple):
         if words is None:
             pairs = [None] * (2 * (hi - lo))
             pairs[::2], pairs[1::2] = index.tolist(), times.tolist()
-            text = (b"%20d,%19.12g," * (hi - lo)) % tuple(pairs)
-            return lo, hi, text.replace(b" ", b"\0")
+            text = (b"%20d,%19.12g,\0\0\0" * (hi - lo)) % tuple(pairs)
+            words = np.frombuffer(text.replace(b" ", b"\0"),
+                                  np.uint32).reshape(hi - lo, -1)
         # the OR of every row, by halves that overlap in the middle row
         # of an odd count: a third of the time of np.bitwise_or.reduce
         mask = words
@@ -268,6 +273,7 @@ class SeriesStream:
         except BaseException:
             self.discard()
             raise
+        _Helper._ends.update(part.fileno() for part in self._parts.values())
 
     def __enter__(self):
         return self
@@ -343,7 +349,7 @@ class SeriesStream:
             fh.write(head)
             part.seek(0)
             shutil.copyfileobj(part, fh, 1 << 20)
-        part.close()
+        self._close(part)
 
     def discard(self) -> None:
         """Leave no formatter and no part: close the queue, kill and reap
@@ -352,6 +358,14 @@ class SeriesStream:
         if self._helper is not None:
             self._helper.reap(ok=False)
         for part in self._parts.values():
+            self._close(part)
+
+    @staticmethod
+    def _close(part) -> None:
+        """Close ``part``, which frees it, and stop closing its descriptor
+        in the helpers forked from now on."""
+        if not part.closed:
+            _Helper._ends.discard(part.fileno())
             part.close()
 
 
@@ -589,39 +603,6 @@ def write_table(path, header: list[str], columns) -> Path:
                 values[j::n_cols] = c[lo:hi].tolist()
             fh.write((row_fmt * (hi - lo)) % tuple(values))
     return path
-
-
-def read_psd_table(path):
-    """Two-column (frequency_Hz, density) spectrum file, comma or
-    whitespace delimited; '#' comments and one header row are allowed.
-    ``ValueError`` naming the file unless it holds two rows or more of
-    finite values, frequencies increasing and densities non-negative."""
-    path = Path(path)
-    data = None
-    with warnings.catch_warnings():
-        # numpy warns of a file without rows, which is refused below
-        warnings.simplefilter("ignore")
-        for delimiter in (",", None):
-            for skip in (0, 1):
-                try:
-                    data = np.loadtxt(path, delimiter=delimiter,
-                                      skiprows=skip, ndmin=2)
-                    break
-                except ValueError:
-                    continue
-            if data is not None:
-                break
-    if data is None or data.shape[1] != 2 or len(data) < 2:
-        raise ValueError(f"{path}: expected two columns (frequency, "
-                         "density) and two rows or more")
-    if not np.isfinite(data).all():
-        raise ValueError(f"{path}: entries must be finite")
-    freqs, density = data[:, 0], data[:, 1]
-    if np.any(np.diff(freqs) <= 0):
-        raise ValueError(f"{path}: frequencies must increase")
-    if np.any(density < 0):
-        raise ValueError(f"{path}: density must be non-negative")
-    return freqs, density
 
 
 def file_digest(path) -> str:

@@ -1,8 +1,11 @@
 """Correlated-noise synthesis and spectral bookkeeping.
 
-Noise channels are described by parametric one-sided power spectral
-densities (white plus an arbitrary sum of ``c / f**alpha`` flicker terms)
-or by tabulated spectra read from two-column text files.  Traces are
+A noise model is its spectrum: a parametric one-sided power spectral
+density (white plus an arbitrary sum of ``c / f**alpha`` flicker terms),
+or a tabulated spectrum, which :meth:`TabulatedPsd.read` reads from a
+two-column text file and its constructor alone checks.  The channel a
+model drives is named by the key it is filed under in a scenario's
+``noise`` mapping, not by the model.  Traces are
 synthesized by shaping white Gaussian noise in the frequency domain with
 a Hermitian-symmetric spectrum and exact variance scaling, so a trace's
 periodogram fluctuates around the model density and its total variance
@@ -18,11 +21,11 @@ spectra of its rows, its output and the temporaries of one block of
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-CHANNELS = ("laser_intensity", "mw_amplitude", "mw_frequency")
 #: rFFT bins that :func:`synthesize_trace` folds and shapes at once
 _BLOCK_BINS = 1 << 15
 
@@ -36,15 +39,12 @@ class PsdModel:
     ``[f_min, f_max]``.  Units are (channel unit)^2 / Hz.
     """
 
-    channel: str
     white: float = 0.0
     flicker: tuple[tuple[float, float], ...] = ()
     f_min: float = 0.0
     f_max: float = math.inf
 
     def __post_init__(self):
-        if self.channel not in CHANNELS:
-            raise ValueError(f"unknown noise channel {self.channel!r}")
         if not math.isfinite(self.white) or self.white < 0:
             raise ValueError("white PSD level must be finite and non-negative")
         for amp, alpha in self.flicker:
@@ -89,9 +89,11 @@ class PsdModel:
 
 @dataclass(frozen=True)
 class TabulatedPsd:
-    """Measured spectrum given on a frequency grid; interpolated linearly."""
+    """Measured spectrum given on a frequency grid; interpolated linearly.
 
-    channel: str
+    Two or more finite entries, frequencies increasing and densities
+    non-negative; :meth:`read` reads one from a file."""
+
     freqs: tuple
     values: tuple
 
@@ -99,7 +101,8 @@ class TabulatedPsd:
         f = np.asarray(self.freqs, dtype=float)
         v = np.asarray(self.values, dtype=float)
         if f.ndim != 1 or f.shape != v.shape or f.size < 2:
-            raise ValueError("tabulated PSD needs matching 1-d frequency/value arrays")
+            raise ValueError("tabulated PSD needs matching 1-d frequency "
+                             "and value arrays of two entries or more")
         if not (np.all(np.isfinite(f)) and np.all(np.isfinite(v))):
             raise ValueError("tabulated PSD entries must be finite")
         if np.any(np.diff(f) <= 0):
@@ -108,6 +111,31 @@ class TabulatedPsd:
             raise ValueError("spectral density must be non-negative")
         object.__setattr__(self, "freqs", tuple(float(x) for x in f))
         object.__setattr__(self, "values", tuple(float(x) for x in v))
+
+    @classmethod
+    def read(cls, path) -> TabulatedPsd:
+        """The spectrum of a two-column (frequency_Hz, density) text file,
+        comma or whitespace delimited; '#' comments and one header row are
+        allowed.  ``ValueError`` with the file's name in front unless the
+        file parses to two columns that the constructor accepts."""
+        data = None
+        with warnings.catch_warnings():
+            # numpy warns of a file without rows, which is refused below
+            warnings.simplefilter("ignore")
+            # a header row is tried last, so a one-row file reads as one
+            for skip, delimiter in ((0, ","), (0, None), (1, ","), (1, None)):
+                try:
+                    data = np.loadtxt(path, delimiter=delimiter,
+                                      skiprows=skip, ndmin=2)
+                    break
+                except ValueError:
+                    continue
+        try:
+            if data is None or data.shape[1] != 2:
+                raise ValueError("expected two columns (frequency, density)")
+            return cls(data[:, 0], data[:, 1])
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
     def density(self, freqs) -> np.ndarray:
         f = np.asarray(freqs, dtype=float)

@@ -1,10 +1,11 @@
 """Scenario configuration: schema, validation, hashing, the run record.
 
 A scenario is one fully specified simulation setup: Hamiltonian and
-sequence parameters, readout configuration, per-channel noise models,
-scheme selection and seeding.  Files are hierarchical YAML with explicit
-unit suffixes on every physical key (``_s``, ``_Hz``, ``_T``, ``_cps``,
-``_rad``); see ``scenarios/baseline.yaml`` for the annotated default.
+sequence parameters, readout configuration, one noise spectrum per
+channel (keyed by the channel's name), scheme selection and seeding.
+Files are hierarchical YAML with explicit unit suffixes on every
+physical key (``_s``, ``_Hz``, ``_T``, ``_cps``, ``_rad``); see
+``scenarios/baseline.yaml`` for the annotated default.
 
 Seeding: every stochastic stream derives its own ``SeedSequence`` from
 the master seed and a fixed stream offset (noise channels 1-3, photon
@@ -33,14 +34,15 @@ import yaml
 from . import __version__, io as _io
 from .analysis import optimal_phase_time
 from .filters import check_windows
-from .noise import PsdModel, TabulatedPsd, CHANNELS
+from .noise import PsdModel, TabulatedPsd
 from .readout import (ReadoutConfig, SCHEME_SEQUENCES,
                       signal_response_per_tesla)
 from .sequences import CoherenceDecay, echo_populations, pi_pulse_time
 from .spin import HamiltonianParams
 
-#: fixed seed-stream offsets per noise channel; shot noise uses
-#: (master, SHOT_STREAM, scheme_stream, chunk_index)
+#: the noise channels, the keys of a scenario's ``noise``, and their fixed
+#: seed-stream offsets; shot noise uses (master, SHOT_STREAM,
+#: scheme_stream, chunk_index)
 CHANNEL_STREAMS = {"laser_intensity": 1, "mw_amplitude": 2, "mw_frequency": 3}
 SHOT_STREAM = 4
 #: sequences per Monte Carlo chunk; every digest depends on it
@@ -103,7 +105,8 @@ class Scenario:
     decay: CoherenceDecay = CoherenceDecay()
     readout: ReadoutConfig = field(
         default_factory=lambda: ReadoutConfig(photon_rate=1e9))
-    noise: Mapping = field(default_factory=dict)  # read-only once built
+    # channel -> spectrum model; read-only once built
+    noise: Mapping = field(default_factory=dict)
     n_centres: float = 1.4e11
     total_time: float = 1.0
 
@@ -143,7 +146,7 @@ class Scenario:
                 and self.n_sequences % 2:
             raise ConfigError("paired schemes need an even n_sequences")
         for channel in self.noise:
-            if channel not in CHANNELS:
+            if channel not in CHANNEL_STREAMS:
                 raise ConfigError(f"unknown noise channel {channel!r}")
         rd, seq = self.readout, self.sequence
         try:  # the pulses must fit the free evolution, and every scheme's
@@ -312,14 +315,16 @@ def _integer(value, key: str) -> int:
 
 def _noise_from_mapping(channel: str, section: dict, base_dir: Path):
     if "file" in section:
+        if len(section) > 1:
+            others = ", ".join(key for key in section if key != "file")
+            raise ConfigError(f"noise {channel}: file takes no other key, "
+                              f"not {others}")
         try:
-            freqs, density = _io.read_psd_table(base_dir / section["file"])
+            return TabulatedPsd.read(base_dir / section["file"])
         except OSError as exc:
             raise ConfigError(f"noise {channel}: {exc}") from exc
-        return TabulatedPsd(channel, tuple(freqs), tuple(density))
     flicker = tuple((float(a), float(e)) for a, e in section.get("flicker", []))
     return PsdModel(
-        channel=channel,
         white=float(section.get("white", 0.0)),
         flicker=flicker,
         f_min=float(section.get("f_min_Hz", 0.0)),
@@ -346,7 +351,7 @@ def scenario_from_mapping(mapping: dict, base_dir: Path | str = ".") -> Scenario
                       required=("photon_rate_cps",)))
         noise = {}
         for channel, section in _section(mapping.get("noise"), "noise",
-                                         CHANNELS).items():
+                                         CHANNEL_STREAMS).items():
             noise[channel] = _noise_from_mapping(
                 channel, _section(section, f"noise {channel}", _NOISE_KEYS),
                 base_dir)

@@ -20,6 +20,7 @@ from nvmag import sequences as sq
 from nvmag.cli import main as cli_main
 from nvmag.scenario import CHUNK_SIZE, load_scenario, scenario_from_mapping
 from conftest import SCENARIO_FILE
+from reference_analysis import fit_log_slope
 from reference_filters import filter_transmission_numeric, window_for_signal
 from reference_spin import locked_field, simulate_full
 
@@ -170,7 +171,7 @@ def test_07_allan_estimator(capsys):
     white = rng.standard_normal(1_000_000)
     taus = np.unique(np.round(np.logspace(0, 3, 24)))
     curve = analysis.allan_deviation(white, 1.0, taus)
-    slope, _ = analysis.fit_log_slope(curve, 1.0, 1e3)
+    slope, _ = fit_log_slope(curve, 1.0, 1e3)
 
     short = rng.standard_normal(10_000)
     check_taus = [1.0, 2.0, 4.0, 10.0, 31.0, 100.0, 313.0, 1000.0]
@@ -263,8 +264,8 @@ def test_09_scaling_recovery(capsys):
     std_b, field_b = curves["B"]
     std_d, field_d = curves["D"]
     t_max = std_b.times[-1]
-    slope_b, _ = analysis.fit_log_slope(std_b, t_max / 10, t_max)
-    slope_d, _ = analysis.fit_log_slope(std_d, std_d.times[0],
+    slope_b, _ = fit_log_slope(std_b, t_max / 10, t_max)
+    slope_d, _ = fit_log_slope(std_d, std_d.times[0],
                                         std_d.times[0] * 100)
     plateau = field_b[std_b.times >= t_max / 10].mean()
     floor = field_d[-1]

@@ -9,7 +9,9 @@ from hypothesis.extra import numpy as hnp
 from nvmag.analysis import (ScalingCurve, allan_deviation, block_means,
                             std_vs_time, projection_limit_eq2,
                             projection_limit_simplified, optimal_phase_time,
-                            fit_log_slope, default_time_grid)
+                            default_time_grid)
+
+from reference_analysis import fit_log_slope
 
 GAMMA_RAD = 2 * np.pi * 28.7e9
 

@@ -419,7 +419,10 @@ class TestTabulatedSpectrum:
     @pytest.mark.parametrize("table", [
         "", "f_Hz,density\n", "f_Hz,density\n1.0,1.0e-12\n",
         "1.0,1.0e-12\n2.0,nan\n", "1.0,1.0e-12\n2.0,inf\n",
-    ], ids=["empty", "header-only", "one-row", "nan", "infinite"])
+        "2.0,1.0e-12\n1.0,1.0e-12\n", "1.0,1.0e-12\n2.0,-1.0e-12\n",
+        "1.0 1.0e-12\n",
+    ], ids=["empty", "header-only", "one-row", "nan", "infinite",
+            "decreasing", "negative", "one-row-whitespace"])
     def test_bad_file_is_refused_in_one_line(self, tmp_path, capsys, table):
         psd = tmp_path / "psd.csv"
         psd.write_text(table)
@@ -434,6 +437,20 @@ class TestTabulatedSpectrum:
             assert main(["validate", "--config", str(path)]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and str(psd) in err[0], err
+
+    # each of these keys was silently dropped beside a file
+    @pytest.mark.parametrize("key, value", [
+        ("white", 1.0e-12), ("flicker", [[1.0e-12, 1.0]]), ("f_min_Hz", 1.0),
+        ("f_max_Hz", 10.0)], ids=["white", "flicker", "f-min", "f-max"])
+    def test_file_takes_no_other_key(self, tmp_path, capsys, key, value):
+        path = self.write(tmp_path)
+        mapping = yaml.safe_load(path.read_text())
+        mapping["noise"]["laser_intensity"][key] = value
+        path.write_text(yaml.safe_dump(mapping))
+        assert main(["validate", "--config", str(path)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "laser_intensity" in err[0] \
+            and key in err[0], err
 
 
 def _entries(node, path=()):

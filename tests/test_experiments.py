@@ -16,6 +16,7 @@ from nvmag import (analysis, experiments, io as _io, noise, readout,
 from nvmag.scenario import CHUNK_SIZE, scenario_from_mapping
 
 from conftest import assert_no_child_left, count_forks, open_fds
+from reference_analysis import fit_log_slope
 
 
 def read_table(path):
@@ -125,7 +126,7 @@ class TestScalingExperiment:
                                           sc.series.spacing, min_blocks=64)
         allan = analysis.allan_deviation(sc.series.values, sc.series.spacing,
                                          grid)
-        slope, _ = analysis.fit_log_slope(allan, grid[0], grid[-1])
+        slope, _ = fit_log_slope(allan, grid[0], grid[-1])
         assert slope == pytest.approx(-0.5, abs=0.05)
 
     def test_correlated_amplitude_noise_breaks_b_not_d(self):
@@ -136,9 +137,9 @@ class TestScalingExperiment:
         res = experiments.run_scaling_experiment(s)
         t_b = res.schemes["B"].std
         t_d = res.schemes["D"].std
-        slope_b, _ = analysis.fit_log_slope(t_b, t_b.times[0],
+        slope_b, _ = fit_log_slope(t_b, t_b.times[0],
                                             t_b.times[0] * 100)
-        slope_d, _ = analysis.fit_log_slope(t_d, t_d.times[0],
+        slope_d, _ = fit_log_slope(t_d, t_d.times[0],
                                             t_d.times[0] * 100)
         assert slope_b > -0.35          # flattened by amplitude wander
         assert slope_d == pytest.approx(-0.5, abs=0.05)

@@ -429,3 +429,50 @@ def test_head_words_refuse_a_block_with_one_time_off_the_exact_path(time):
     assert _io._head_words(index, times) is not None
     times[1234] = time
     assert _io._head_words(index, times) is None
+
+
+@pytest.mark.parametrize("spacing", [5e-5, -1.6e-4],
+                         ids=["below-1e-4", "negative"])
+def test_refused_block_template_is_compacted(spacing):
+    # a block that % formats loses its all-NUL byte columns as a block of
+    # digit words does, so _rows drops no padding it need not carry
+    index = np.arange(_io._BLOCK_ROWS)
+    assert _io._head_words(index, index * spacing) is None
+    lo, hi, template = _io._Group(["a"], _io._BLOCK_ROWS,
+                                  spacing).template(0)
+    rows = np.frombuffer(template, np.uint8).reshape(hi - lo, -1)
+    assert rows.any(axis=0).all()
+
+
+def test_a_helper_forked_after_a_stream_holds_no_part(tmp_path, monkeypatch):
+    # the echo producer is forked after the series stream's formatter; it
+    # holds none of the stream's parts, so a part is freed once the caller
+    # and the formatter have closed it
+    open_fds()  # skips where /proc/self/fd is missing
+    _use_cpus(monkeypatch, 2)
+
+    def files(fd):
+        # the (device, inode) of every file this process holds
+        held = []
+        for name in os.listdir("/proc/self/fd"):
+            try:
+                st = os.fstat(int(name))
+            except OSError:  # the listing's own descriptor, now closed
+                continue
+            held.append(f"{st.st_dev}:{st.st_ino}")
+        os.write(fd, " ".join(held).encode())
+
+    tables = {name: (10, 0.5) for name in "abc"}
+    with _io.SeriesStream(tmp_path, tables) as stream:
+        parts = {f"{st.st_dev}:{st.st_ino}" for st in (
+            os.fstat(part.fileno()) for part in stream._parts.values())}
+        helper = _io._Helper("probe", files, writes=True)
+        report = b""
+        try:
+            while chunk := os.read(helper.fd, 1 << 16):
+                report += chunk
+        finally:
+            helper.reap()
+    assert len(parts) == 3 and report
+    assert not parts & set(report.decode().split())
+    _assert_nothing_left(tmp_path)

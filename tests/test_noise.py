@@ -19,23 +19,21 @@ from reference_noise import (band_variance, estimate_psd,
 
 class TestPsdModel:
     def test_density_band_limits(self):
-        m = PsdModel("laser_intensity", white=2.0, f_min=1.0, f_max=100.0)
+        m = PsdModel(white=2.0, f_min=1.0, f_max=100.0)
         f = np.array([0.5, 1.0, 10.0, 100.0, 200.0])
         npt.assert_allclose(m.density(f), [0.0, 2.0, 2.0, 2.0, 0.0])
 
     def test_flicker_density(self):
-        m = PsdModel("mw_amplitude", flicker=((4.0, 1.0), (9.0, 2.0)))
+        m = PsdModel(flicker=((4.0, 1.0), (9.0, 2.0)))
         assert m.density(3.0) == pytest.approx(4.0 / 3 + 1.0)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            PsdModel("nope", white=1.0)
+            PsdModel(white=-1.0)
         with pytest.raises(ValueError):
-            PsdModel("laser_intensity", white=-1.0)
+            PsdModel(flicker=((1.0, 2.5),))
         with pytest.raises(ValueError):
-            PsdModel("laser_intensity", flicker=((1.0, 2.5),))
-        with pytest.raises(ValueError):
-            PsdModel("laser_intensity", f_min=10.0, f_max=1.0)
+            PsdModel(f_min=10.0, f_max=1.0)
 
     @settings(max_examples=100, deadline=None)
     @given(white=st.sampled_from([0.0, 2.0, 1e-13]),
@@ -52,7 +50,7 @@ class TestPsdModel:
         # boolean assignment per flicker term and one for the band: the
         # same bits at f <= 0, on the band edges and their neighbours,
         # and in between
-        m = PsdModel("mw_frequency", white=white, flicker=tuple(flicker),
+        m = PsdModel(white=white, flicker=tuple(flicker),
                      f_min=f_min, f_max=f_min + width)
         edges = [e for e in (m.f_min, m.f_max) if math.isfinite(e)]
         f = np.array([0.0, -0.0, -1.0, 5e-324, 1e-200, 0.5, 10.0, 1e4]
@@ -65,41 +63,41 @@ class TestPsdModel:
             assert m.density(float(x)) == masked_density(m, float(x))
 
     def test_band_variance_matches_quadrature(self):
-        m = PsdModel("mw_frequency", white=0.3, flicker=((2.0, 1.0), (5.0, 0.7)))
+        m = PsdModel(white=0.3, flicker=((2.0, 1.0), (5.0, 0.7)))
         f = np.linspace(2.0, 300.0, 200_000)
         numeric = np.trapezoid(m.density(f), f)
         assert band_variance(m, 2.0, 300.0) == pytest.approx(numeric, rel=1e-6)
 
     def test_tabulated_psd(self):
-        t = TabulatedPsd("laser_intensity", (1.0, 10.0, 100.0), (0.0, 4.0, 2.0))
+        t = TabulatedPsd((1.0, 10.0, 100.0), (0.0, 4.0, 2.0))
         assert t.density(10.0) == pytest.approx(4.0)
         assert t.density(0.1) == 0.0
         assert t.density(1e4) == 0.0
         with pytest.raises(ValueError):
-            TabulatedPsd("laser_intensity", (1.0, 1.0), (0.0, 1.0))
+            TabulatedPsd((1.0, 1.0), (0.0, 1.0))
 
 
 class TestSynthesis:
     def test_zero_psd_gives_zero_trace(self):
-        m = PsdModel("laser_intensity")
+        m = PsdModel()
         tr = synthesize_trace(m, 1e-2, 1e-5, seed=1)
         assert np.all(tr.samples == 0.0)
 
     def test_white_variance_matches_band_integral(self):
         s0, dt, duration = 2.5, 0.5e-6, 0.5
-        m = PsdModel("laser_intensity", white=s0)
+        m = PsdModel(white=s0)
         tr = synthesize_trace(m, duration, dt, seed=42)
         assert tr.samples.size == 1_000_000
         expected = band_variance(m, 1.0 / duration, 1.0 / (2 * dt))
         assert tr.samples.var() == pytest.approx(expected, rel=0.05)
 
     def test_zero_mean(self):
-        m = PsdModel("laser_intensity", white=1.0)
+        m = PsdModel(white=1.0)
         tr = synthesize_trace(m, 0.1, 1e-5, seed=3)
         assert abs(tr.samples.mean()) < 1e-10
 
     def test_deterministic_per_seed(self):
-        m = PsdModel("mw_amplitude", white=1.0, flicker=((0.5, 1.0),))
+        m = PsdModel(white=1.0, flicker=((0.5, 1.0),))
         a = synthesize_trace(m, 1e-2, 1e-5, seed=7).samples
         b = synthesize_trace(m, 1e-2, 1e-5, seed=7).samples
         c = synthesize_trace(m, 1e-2, 1e-5, seed=8).samples
@@ -107,7 +105,7 @@ class TestSynthesis:
         assert not np.array_equal(a, c)
 
     def test_white_trace_is_uncorrelated(self):
-        m = PsdModel("laser_intensity", white=1.0)
+        m = PsdModel(white=1.0)
         x, = synthesize_trace(m, 1.0, 1e-5, seed=11).samples
         n = x.size
         x = x - x.mean()
@@ -117,7 +115,7 @@ class TestSynthesis:
             assert abs(rho) < 3.0 / np.sqrt(n)
 
     def test_round_trip_psd_within_ten_percent_per_octave(self):
-        m = PsdModel("mw_amplitude", white=0.05, flicker=((1.0, 1.0),))
+        m = PsdModel(white=0.05, flicker=((1.0, 1.0),))
         fs, n_seg = 1e3, 512
         acc = None
         n_seeds = 100
@@ -137,7 +135,7 @@ class TestSynthesis:
         # reads at two offsets, window-averaged, carry the covariances of
         # the fine trace they are folded from: both variances, the cross
         # term within a sequence and the two one-sequence lags
-        m = PsdModel("laser_intensity", white=1e-13,
+        m = PsdModel(white=1e-13,
                      flicker=((1e-9, 1.0), (3e-10, 0.5)), f_min=1e-2,
                      f_max=5e4)
         t_seq, window, n, aliases = 160e-6, 10e-6, 256, 32
@@ -161,7 +159,7 @@ class TestSynthesis:
         # are one realization: l11 is only the square root of the
         # rounding residue of P - |l10|^2, about 3e-8 of the row RMS,
         # where a fold without the cross term leaves sqrt(2) of it
-        m = PsdModel("laser_intensity", white=1e-13,
+        m = PsdModel(white=1e-13,
                      flicker=((1e-9, 1.0),), f_min=1e-2, f_max=5e4)
         for offset, window in ((55e-6, 10e-6), (0.0, 0.0)):
             x, y = synthesize_trace(m, 256 * 160e-6, 160e-6, 5,
@@ -171,12 +169,12 @@ class TestSynthesis:
     @pytest.mark.parametrize("offsets", [(), (0.0, 1e-5, 2e-5)],
                              ids=["none", "three"])
     def test_rejects_other_read_counts(self, offsets):
-        m = PsdModel("laser_intensity", white=1.0)
+        m = PsdModel(white=1.0)
         with pytest.raises(ValueError, match="one or two"):
             synthesize_trace(m, 1.0, 1e-3, seed=1, offsets=offsets)
 
     def test_rejects_bad_sampling(self):
-        m = PsdModel("laser_intensity", white=1.0)
+        m = PsdModel(white=1.0)
         with pytest.raises(ValueError):
             synthesize_trace(m, 1.0, 0.0, seed=1)
         with pytest.raises(ValueError):
@@ -258,14 +256,14 @@ class TestBandLimitedFold:
             values = data.draw(st.lists(st.floats(0.0, 4.0),
                                         min_size=len(freqs),
                                         max_size=len(freqs)))
-            model = TabulatedPsd("laser_intensity", tuple(freqs),
+            model = TabulatedPsd(tuple(freqs),
                                  tuple(values))
         else:
             other = data.draw(st.one_of(free, st.just(math.inf)))
             lo, hi = sorted((near, other))
             if lo == hi:
                 hi = math.inf
-            model = PsdModel("laser_intensity", white=1e-3,
+            model = PsdModel(white=1e-3,
                              flicker=((2e-2, 1.0),), f_min=lo, f_max=hi)
         if two:
             a, b = data.draw(st.tuples(st.integers(0, 2 * aliases),
@@ -286,7 +284,7 @@ class TestBandLimitedFold:
         # f_max = 5e4 Hz = 8 / T_seq and 32 aliases of 10 us windows:
         # alias 8 starts on f_max (one ulp below it here), and aliases
         # 9-23 lie wholly above it
-        model = PsdModel("laser_intensity", white=1e-13,
+        model = PsdModel(white=1e-13,
                          flicker=((1e-9, 1.0),), f_min=1e-2, f_max=5e4)
         evaluated = []
 

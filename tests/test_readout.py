@@ -8,6 +8,7 @@ from nvmag.readout import (GAUSSIAN_COUNT_THRESHOLD, ReadoutConfig,
                            sequence_signals, pair_difference,
                            expected_window_counts, poisson_counts,
                            signal_response_per_tesla, window_dip_fraction)
+from reference_analysis import fit_log_slope
 from reference_readout import (ReadoutRecord, bin_centres, bin_count,
                                difference_detector, extract_signal,
                                fluorescence_expectation, sample_counts,
@@ -309,7 +310,7 @@ class TestReferencingPenalty:
         _, s_b = sequence_signals(np.full(n, 0.5), cfg, rng)
         grid = analysis.default_time_grid(n, T_SEQ, min_blocks=64)
         curve = analysis.std_vs_time(s_b, T_SEQ, grid)
-        slope, _ = analysis.fit_log_slope(curve, grid[0], grid[-1])
+        slope, _ = fit_log_slope(curve, grid[0], grid[-1])
         assert slope == pytest.approx(-0.5, abs=0.03)
 
 
@@ -325,7 +326,7 @@ class TestLaserNoiseRejection:
         duration = n * T_SEQ
         # flicker level giving 1% RMS within the band the run resolves
         level = 1e-4 / duration
-        model = PsdModel("laser_intensity", flicker=((level, 2.0),),
+        model = PsdModel(flicker=((level, 2.0),),
                          f_min=1e-3, f_max=5e4)
         trace = synthesize_trace(model, duration, T_SEQ, 31,
                                  window_centres(cfg_on),
@@ -353,8 +354,7 @@ class TestLaserNoiseRejection:
         n = 20_000
         cfg = small_cfg(photon_rate=9.277e18)
         duration = n * T_SEQ
-        model = PsdModel("laser_intensity",
-                         flicker=((1e-4 / duration, 2.0),),
+        model = PsdModel(flicker=((1e-4 / duration, 2.0),),
                          f_min=1e-3, f_max=5e4)
         eps = tuple(synthesize_trace(model, duration, T_SEQ, 8,
                                      window_centres(cfg),
@@ -376,7 +376,7 @@ class TestLaserNoiseRejection:
         from reference_noise import point_sampled_window_noise
         n, runs, s0 = 4096, 300, 1e-9
         cfg = small_cfg(photon_rate=1e30, reference_enabled=False)
-        model = PsdModel("laser_intensity", white=s0)
+        model = PsdModel(white=s0)
         t_l, t_w = cfg.laser_time, cfg.window_time
         # bright population: both windows read the steady-state level
         p = np.ones(n)

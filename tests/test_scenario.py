@@ -103,6 +103,13 @@ class TestValidation:
         with pytest.raises(ConfigError):
             scenario_from_mapping(m)
 
+    def test_unknown_noise_channel_built_in_code(self, baseline_scenario):
+        # the key names the channel, so a model under an unknown key is
+        # refused however the scenario is built
+        with pytest.raises(ConfigError, match="unknown noise channel"):
+            dataclasses.replace(baseline_scenario,
+                                noise={"cosmic_rays": PsdModel(white=1.0)})
+
     def test_inconsistent_units_rejected(self):
         m = copy.deepcopy(MINIMAL)
         m["sequence"]["phase_time_s"] = 2e-4  # longer than the sequence
@@ -263,7 +270,7 @@ class TestRoundTrip:
             baseline_scenario.n_sequences = 1
 
     def test_noise_is_read_only(self, baseline_scenario):
-        loud = PsdModel("mw_amplitude", white=1e300)
+        loud = PsdModel(white=1e300)
         with pytest.raises(TypeError):
             baseline_scenario.noise["mw_amplitude"] = loud
         # a rebuilt scenario is validated again
@@ -271,11 +278,11 @@ class TestRoundTrip:
             dataclasses.replace(baseline_scenario,
                                 noise={"mw_amplitude": loud})
 
-    # re-pinned when the scenario lost its two null analysis fields,
-    # sigma1 and response_amplitude
+    # re-pinned when the noise models lost their channel field, which
+    # the scenario's noise key names
     def test_baseline_hash_is_pinned(self, baseline_scenario):
         assert scenario_hash(baseline_scenario) == (
-            "bfd7b67117542e7338905492f1b8ac4abb5f25e9d41087b14e7a6ef8ab27f47d")
+            "ac5be0c096044df20de42a9551e7b71624f8565003825ee8de4cc5b1574cad3e")
 
 
 class TestSeedStreams:
